@@ -22,10 +22,6 @@ class NoConvergence(ShotBudgetError):
     """An iterative kernel exhausted its iteration budget."""
 
 
-class NegativeEigenvalue(ShotBudgetError):
-    """An eigenvalue is negative beyond the PSD clamping tolerance."""
-
-
 class InvalidBracket(ShotBudgetError):
     """Minimization bracket endpoints are not ordered."""
 

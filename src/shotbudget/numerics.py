@@ -1,12 +1,10 @@
-"""Self-contained numerical kernels used by every other module.
+"""Numerical kernels used by every other module.
 
-Matrix work is done on numpy arrays, but the algorithms themselves are
-implemented here: a cyclic Jacobi eigensolver for Hermitian matrices, PSD
-matrix powers built on it, the regularized lower incomplete gamma function
-(series plus continued fraction), an AS241-class normal quantile, a
-golden-section minimizer, and a bracket-doubling bisection solver for
-increasing functions.  Dimensions in this package stay small (a handful of
-qubits), so clarity and unconditional convergence win over asymptotics.
+The Hermitian eigensolver is LAPACK's, reached through numpy.linalg.eigh
+behind one checked entry point.  The scalar kernels are implemented here:
+the regularized lower incomplete gamma function (series plus continued
+fraction), an AS241-class normal quantile, a golden-section minimizer,
+and a bracket-doubling bisection solver for increasing functions.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import numpy as np
 from .errors import (
     DomainError,
     InvalidBracket,
-    NegativeEigenvalue,
     NoBracket,
     NoConvergence,
     NotHermitian,
@@ -30,7 +27,6 @@ from . import tolerances as tol
 __all__ = [
     "EigenDecomposition",
     "hermitian_eigendecomposition",
-    "psd_matrix_power",
     "regularized_gamma_p",
     "normal_quantile",
     "minimize_unimodal",
@@ -52,12 +48,13 @@ class EigenDecomposition:
 
 
 def hermitian_eigendecomposition(matrix: np.ndarray) -> EigenDecomposition:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalize a Hermitian matrix with LAPACK (numpy.linalg.eigh).
 
-    Each rotation zeroes one off-diagonal pair; sweeps repeat until the
-    off-diagonal Frobenius mass is negligible relative to the input norm.
-    Convergence is unconditional and quadratic once the matrix is nearly
-    diagonal, which is all we need at the dimensions this package handles.
+    The solver sees the exactly Hermitian average (H + H^dagger)/2, so
+    round-off in the input cannot bias one triangle over the other.
+    Eigenvalues carry an absolute error of a few eps * ||H||; ones within
+    that distance of zero keep little relative accuracy, which is why the
+    functionals in `states` apply a rank cut before taking logarithms.
 
     Args:
         matrix: square complex array, Hermitian within 1e-10 max-abs.
@@ -66,106 +63,20 @@ def hermitian_eigendecomposition(matrix: np.ndarray) -> EigenDecomposition:
         EigenDecomposition with ascending eigenvalues.
 
     Raises:
+        DomainError: if the matrix is not square or has a non-finite entry.
         NotHermitian: if max |H - H^dagger| exceeds the tolerance.
-        NoConvergence: if the sweep budget is exhausted.
     """
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    dev = np.max(np.abs(a - a.conj().T)) if n else 0.0
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        raise DomainError(f"matrix entry {tuple(bad[0].tolist())} is not finite")
+    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
     if dev > tol.HERMITICITY_ATOL:
         raise NotHermitian(f"max |H - H^dagger| = {dev:.3e} exceeds {tol.HERMITICITY_ATOL:.1e}")
-
-    # Work on the exactly Hermitian average so round-off in the input
-    # cannot bias one triangle over the other.
-    w = (a + a.conj().T) / 2.0
-    if n == 1:
-        return EigenDecomposition(values=w.real.reshape(1).copy(), vectors=np.eye(1, dtype=np.complex128))
-
-    fro = float(np.linalg.norm(w))
-    if fro == 0.0:
-        return EigenDecomposition(values=np.zeros(n), vectors=np.eye(n, dtype=np.complex128))
-    off_target = tol.JACOBI_OFFDIAG_RTOL * fro
-    pivot_floor = off_target / (n * n)
-
-    vecs = np.eye(n, dtype=np.complex128)
-    for _ in range(tol.JACOBI_MAX_SWEEPS):
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                r = abs(apq)
-                if r <= pivot_floor:
-                    continue
-                phase = apq / r
-                tau = (w[q, q].real - w[p, p].real) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-
-                # Columns first (right-multiply), then rows (left-multiply
-                # by the adjoint).  The 2x2 block is the phase-absorbed
-                # real rotation, so the pivot lands exactly on zero.
-                colp = w[:, p].copy()
-                colq = w[:, q].copy()
-                w[:, p] = c * colp - (s * np.conj(phase)) * colq
-                w[:, q] = s * colp + (c * np.conj(phase)) * colq
-                rowp = w[p, :].copy()
-                rowq = w[q, :].copy()
-                w[p, :] = c * rowp - (s * phase) * rowq
-                w[q, :] = s * rowp + (c * phase) * rowq
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-                w[p, p] = w[p, p].real
-                w[q, q] = w[q, q].real
-
-                vcolp = vecs[:, p].copy()
-                vcolq = vecs[:, q].copy()
-                vecs[:, p] = c * vcolp - (s * np.conj(phase)) * vcolq
-                vecs[:, q] = s * vcolp + (c * np.conj(phase)) * vcolq
-
-        # Sum the off-diagonal entries directly: the subtraction form
-        # ||W||^2 - ||diag W||^2 cancels catastrophically near convergence
-        # and can plateau around sqrt(eps)*fro, above the target.
-        off_part = w.copy()
-        np.fill_diagonal(off_part, 0.0)
-        off = float(np.linalg.norm(off_part))
-        if off <= off_target:
-            values = np.diag(w).real.copy()
-            order = np.argsort(values, kind="stable")
-            return EigenDecomposition(values=values[order], vectors=vecs[:, order])
-    raise NoConvergence(f"Jacobi sweeps exceeded {tol.JACOBI_MAX_SWEEPS} for dim {n}")
-
-
-def psd_matrix_power(matrix: np.ndarray, power: float) -> np.ndarray:
-    """Fractional power of a positive semidefinite Hermitian matrix.
-
-    Uses the eigendecomposition and applies the power to the spectrum with
-    the support convention 0^0 = 0, so psd_matrix_power(M, 0) is the
-    projector onto the support of M.  Eigenvalues in [-1e-10, 0] are
-    treated as exact zeros; anything more negative is an error.
-
-    Args:
-        matrix: Hermitian PSD array.
-        power: exponent in [0, 1].
-
-    Raises:
-        DomainError: if power is outside [0, 1].
-        NegativeEigenvalue: if an eigenvalue sits below the clamp floor.
-    """
-    if not 0.0 <= power <= 1.0:
-        raise DomainError(f"power must lie in [0, 1], got {power}")
-    decomp = hermitian_eigendecomposition(matrix)
-    vals = decomp.values
-    if vals.size and float(vals[0]) < tol.PSD_CLAMP_FLOOR:
-        raise NegativeEigenvalue(f"eigenvalue {vals[0]:.3e} below clamp floor {tol.PSD_CLAMP_FLOOR:.1e}")
-    clamped = np.where(vals > 0.0, vals, 0.0)
-    powered = np.where(clamped > 0.0, np.power(clamped, power, where=clamped > 0.0), 0.0)
-    out = (decomp.vectors * powered) @ decomp.vectors.conj().T
-    return (out + out.conj().T) / 2.0
+    values, vectors = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return EigenDecomposition(values=values, vectors=vectors)
 
 
 def regularized_gamma_p(a: float, x: float) -> float:
@@ -298,9 +209,12 @@ def minimize_unimodal(
 ) -> tuple[float, float]:
     """Golden-section minimization of a unimodal function on [lo, hi].
 
-    Returns (x_min, f(x_min)) once the bracket width drops below x_tol.
-    Derivative-free on purpose: the Chernoff objective is smooth but its
-    derivative is not worth maintaining.
+    Returns (x_min, f(x_min)) once the bracket width drops below x_tol,
+    after about log(x_tol / (hi - lo)) / log(0.618) + 3 calls of f.  The
+    endpoints themselves are never evaluated: a caller whose minimum may
+    sit on the boundary compares f(lo) and f(hi) itself.  Derivative-free
+    on purpose: the Chernoff objective is convex in s, so unimodal, but
+    its derivative is not worth maintaining.
 
     Raises:
         InvalidBracket: if lo >= hi.

@@ -4,9 +4,10 @@ PureState and DensityMatrix validate their invariants at construction and
 report exactly which one failed.  On top of them sit the Uhlmann fidelity,
 trace distance, the quantum Chernoff bound Q with its error exponent, the
 fidelity-only sandwich bounds on Q, Fuchs-van de Graaf bounds, and the
-Bures angle.  All matrix functionals run through the Jacobi kernels in
-`numerics`; eigendecompositions of validated density matrices are cached
-on the instance because every functional needs them again.
+Bures angle.  Every eigendecomposition goes through
+`numerics.hermitian_eigendecomposition`; those of validated density
+matrices are cached on the instance because every functional needs them
+again.
 
 Support convention: 0^0 = 0 in matrix powers, so states with disjoint
 support yield Q = 0 (perfect one-shot distinguishability) instead of an
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -48,6 +50,12 @@ __all__ = [
 ]
 
 
+def _first_nonfinite(values: np.ndarray) -> int | None:
+    """Flat index of the first NaN or infinite entry, or None."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    return int(bad[0]) if bad.size else None
+
+
 def _qubit_count(dim: int, what: str) -> int:
     n = int(dim).bit_length() - 1
     if dim < 2 or 2**n != dim:
@@ -65,6 +73,9 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         object.__setattr__(self, "amplitudes", amps)
         _qubit_count(amps.size, "state vector")
+        bad = _first_nonfinite(amps)
+        if bad is not None:
+            raise InvalidState(f"amplitude {bad} is not finite: {amps[bad]!r}")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > tol.NORM_ATOL:
             raise InvalidState(f"state vector norm {norm!r} differs from 1 beyond {tol.NORM_ATOL:.1e}")
@@ -108,6 +119,10 @@ class DensityMatrix:
         _qubit_count(mat.shape[0], "density matrix")
         if self._validated:
             return
+        bad = _first_nonfinite(mat)
+        if bad is not None:
+            i, j = divmod(bad, mat.shape[1])
+            raise InvalidState(f"density matrix entry ({i}, {j}) is not finite: {mat[i, j]!r}")
         dev = float(np.max(np.abs(mat - mat.conj().T)))
         if dev > tol.HERMITICITY_ATOL:
             raise InvalidState(f"not Hermitian: max |rho - rho^dagger| = {dev:.3e}")
@@ -167,11 +182,15 @@ class QcbResult:
 
     q is min over s in [0, 1] of Tr(rho^s sigma^(1-s)); exponent is
     -ln(q), infinite when the supports are disjoint and q = 0.
+
+    evaluations counts the objective calls the search made; it is a
+    diagnostic and stays out of the CLI output.
     """
 
     q: float
     s_star: float
     exponent: float
+    evaluations: int = 0
 
 
 def _as_density(state: PureState | DensityMatrix) -> DensityMatrix:
@@ -260,47 +279,68 @@ def trace_distance(rho, sigma) -> float:
     return _clamp_unit(0.5 * float(np.sum(np.abs(vals))), "trace distance")
 
 
+def _chernoff_objective(rho: DensityMatrix, sigma: DensityMatrix) -> Callable[[float], float]:
+    """s -> Tr(rho^s sigma^(1-s)) at O(d^2) per call, with 0^0 = 0.
+
+    With rho = U diag(l) U^dagger and sigma = V diag(m) V^dagger the trace
+    is sum_ij l_i^s O_ij m_j^(1-s) for the overlap O = |U^dagger V|^2,
+    computed once and restricted to the rank-cut supports of both spectra.
+    """
+    eig_r = rho.eigensystem()
+    eig_s = sigma.eigensystem()
+    keep_r = _support_mask(eig_r.values)
+    keep_s = _support_mask(eig_s.values)
+    overlap = np.abs(eig_r.vectors[:, keep_r].conj().T @ eig_s.vectors[:, keep_s]) ** 2
+    log_l = np.log(eig_r.values[keep_r])
+    log_m = np.log(eig_s.values[keep_s])
+
+    def objective(s: float) -> float:
+        return float(np.exp(s * log_l) @ overlap @ np.exp((1.0 - s) * log_m))
+
+    return objective
+
+
 def qcb_q(rho, sigma) -> QcbResult:
     """Quantum Chernoff bound Q = min_s Tr(rho^s sigma^(1-s)) on [0, 1].
 
-    Both spectra are decomposed once; each objective evaluation applies
-    fractional powers to the stored spectra and takes the trace of the
-    product.  A 33-point scan over s (endpoints included) locates the
-    basin and golden-section refinement tightens the minimizer to 1e-10.
-    For commuting states this reduces to the classical Chernoff bound;
-    if either state is pure the objective is flat-to-increasing and the
-    minimum is Tr(rho sigma).
+    Both spectra are decomposed once and the objective is evaluated in the
+    spectral-overlap form of `_chernoff_objective`.  The objective is
+    convex in s (Audenaert et al., PRL 98, 160501, 2007), so a golden-
+    section search over all of [0, 1] to a 1e-10 bracket finds the
+    interior minimum; f(0) and f(1) are then compared with it, and ties
+    go to the smaller s.  That is about 53 objective calls in all.  For
+    commuting states this reduces to the classical Chernoff bound; if
+    either state is pure the objective is monotone and the minimum sits
+    on an endpoint.
+
+    Accuracy: eigenvalues carry an absolute error of a few eps, so a
+    kept eigenvalue a few decades above the rank cut has lost relative
+    accuracy, and Q inherits that loss through l^s at small s*.  On the
+    eps-mixtures pinned in tests/test_spectral_pins.py, Q is off the
+    exact-spectrum value by at most 2.4e-7 when the smallest kept
+    eigenvalue is 1e-12, 2.9e-6 at 1e-13, 7.3e-5 at 1e-14 and 1.9e-4 at
+    1e-15 (d = 2 only; at d >= 8 it falls under the cut).  The worst is a
+    relative error of 5.8e-4 in the shot count.  At d = 2 the cyclic
+    Jacobi solver this replaced was 3-12x closer; at d = 8 and 32 it was
+    1.4-770x further off.
     """
     dm_rho = _as_density(rho)
     dm_sigma = _as_density(sigma)
     _check_same_dim(dm_rho, dm_sigma)
-    eig_r = dm_rho.eigensystem()
-    eig_s = dm_sigma.eigensystem()
-    lam, u = eig_r.values, eig_r.vectors
-    mu, v = eig_s.values, eig_s.vectors
+    objective = _chernoff_objective(dm_rho, dm_sigma)
+    evaluations = 0
 
-    def powered(vals: np.ndarray, basis: np.ndarray, s: float) -> np.ndarray:
-        support = _support_mask(vals)
-        p = np.where(support, np.power(vals, s, where=support), 0.0)
-        return (basis * p) @ basis.conj().T
+    def counted(s: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return objective(s)
 
-    def objective(s: float) -> float:
-        a = powered(lam, u, s)
-        b = powered(mu, v, 1.0 - s)
-        return float(np.einsum("ij,ji->", a, b).real)
-
-    grid = np.linspace(0.0, 1.0, tol.QCB_GRID_POINTS)
-    values = [objective(float(s)) for s in grid]
-    best = int(np.argmin(values))
-    lo = grid[max(0, best - 1)]
-    hi = grid[min(len(grid) - 1, best + 1)]
-    s_ref, q_ref = minimize_unimodal(objective, float(lo), float(hi), tol.QCB_S_TOL)
-    if values[best] < q_ref:
-        s_ref, q_ref = float(grid[best]), values[best]
-    q = _clamp_unit(q_ref, "Chernoff Q")
+    s_in, q_in = minimize_unimodal(counted, 0.0, 1.0, tol.QCB_S_TOL)
+    q_min, s_star = min((q_in, s_in), (counted(0.0), 0.0), (counted(1.0), 1.0))
+    q = _clamp_unit(q_min, "Chernoff Q")
     # + 0.0 normalizes the -0.0 that -log(1.0) would produce
     exponent = math.inf if q == 0.0 else -math.log(q) + 0.0
-    return QcbResult(q=q, s_star=s_ref, exponent=exponent)
+    return QcbResult(q=q, s_star=s_star, exponent=exponent, evaluations=evaluations)
 
 
 def q_bounds_mixed(fid: float) -> tuple[float, float]:
@@ -353,6 +393,9 @@ def parse_state(obj: dict) -> PureState | DensityMatrix:
         flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise InvalidState(f'state "data" entries must be [re, im] pairs: {exc}') from None
+    bad = _first_nonfinite(flat)
+    if bad is not None:
+        raise InvalidState(f'state "data"[{bad}] is not finite: {data[bad]!r}')
     dim = 2**n
     if kind == "pure":
         if flat.size != dim:

@@ -7,11 +7,6 @@ apart silently.  All values are absolute unless the name says otherwise.
 # Hermiticity check: max |H - H^dagger| element allowed.
 HERMITICITY_ATOL = 1e-10
 
-# Jacobi sweep budget and off-diagonal stopping threshold (relative to the
-# Frobenius norm of the input, with an absolute floor for near-zero input).
-JACOBI_MAX_SWEEPS = 100
-JACOBI_OFFDIAG_RTOL = 1e-14
-
 # Eigenvalues in [PSD_CLAMP_FLOOR, 0] are clamped to 0; below it is an error.
 PSD_CLAMP_FLOOR = -1e-10
 
@@ -23,12 +18,8 @@ NORM_ATOL = 1e-10
 GAMMA_RTOL = 1e-12
 GAMMA_MAX_ITER = 10_000
 
-# Normal quantile absolute accuracy (AS241-class rational approximation).
-NORMAL_QUANTILE_ATOL = 1e-9
-
 # Golden-section interval tolerance for the Chernoff exponent search.
 QCB_S_TOL = 1e-10
-QCB_GRID_POINTS = 33
 
 # Fidelity / Q may drift past 1 by at most this much before it is an error.
 UNIT_INTERVAL_SLACK = 1e-9

@@ -126,6 +126,17 @@ class TestQcb:
     def test_missing_file(self, tmp_path):
         assert cli.main(["qcb", str(tmp_path / "absent.json"), str(tmp_path / "b.json")]) == 2
 
+    def test_non_finite_state_rejected(self, state_files, tmp_path, capsys):
+        # json.load accepts the NaN literal; the entry is named, not traced back
+        data = ", ".join(["[0.25, 0]"] * 5 + ["[NaN, 0]"] + ["[0, 0]"] * 10)
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"kind": "density", "n": 2, "data": [' + data + "]}")
+        code = cli.main(["qcb", str(bad), state_files["zero"], "--json"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert '"data"[5] is not finite' in captured.err
+
 
 class TestChisq:
     def test_w2_source(self, capsys):

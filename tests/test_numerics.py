@@ -10,7 +10,6 @@ import scipy.stats
 from shotbudget.errors import (
     DomainError,
     InvalidBracket,
-    NegativeEigenvalue,
     NoBracket,
     NotHermitian,
 )
@@ -18,7 +17,6 @@ from shotbudget.numerics import (
     hermitian_eigendecomposition,
     minimize_unimodal,
     normal_quantile,
-    psd_matrix_power,
     regularized_gamma_p,
     solve_increasing,
 )
@@ -72,36 +70,13 @@ class TestEigendecomposition:
         with pytest.raises(DomainError):
             hermitian_eigendecomposition(np.zeros((2, 3)))
 
-
-class TestPsdPower:
-    def test_half_power_squares_back(self, rng):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        mat = a @ a.conj().T
-        root = psd_matrix_power(mat, 0.5)
-        assert np.allclose(root @ root, mat, atol=1e-8 * np.abs(mat).max())
-
-    def test_zero_power_is_support_projector(self):
-        # rank-1 projector: 0^0 = 0 keeps the kernel out of the support
-        mat = np.diag([1.0, 0.0])
-        proj = psd_matrix_power(mat, 0.0)
-        assert np.allclose(proj, np.diag([1.0, 0.0]))
-
-    def test_power_one_is_identity_map(self, rng):
-        a = rng.standard_normal((3, 3))
-        mat = a @ a.T
-        assert np.allclose(psd_matrix_power(mat, 1.0), mat, atol=1e-9 * np.abs(mat).max())
-
-    def test_rejects_power_outside_unit_interval(self):
-        with pytest.raises(DomainError):
-            psd_matrix_power(np.eye(2), 1.5)
-
-    def test_rejects_negative_spectrum(self):
-        with pytest.raises(NegativeEigenvalue):
-            psd_matrix_power(np.diag([1.0, -0.5]), 0.5)
-
-    def test_tiny_negative_clamped(self):
-        out = psd_matrix_power(np.diag([1.0, -1e-14]), 0.5)
-        assert out[1, 1] == 0.0
+    def test_rejects_non_finite(self):
+        # NaN slips past the Hermiticity test (nan > tol is False)
+        for bad in (np.nan, np.inf):
+            mat = np.eye(3, dtype=complex)
+            mat[1, 2] = mat[2, 1] = bad
+            with pytest.raises(DomainError, match=r"\(1, 2\)"):
+                hermitian_eigendecomposition(mat)
 
 
 class TestRegularizedGammaP:

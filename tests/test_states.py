@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from shotbudget import (
     DensityMatrix,
@@ -23,6 +24,7 @@ from shotbudget import (
     trace_distance,
 )
 from shotbudget.errors import DomainError, InvalidState
+from shotbudget.states import _chernoff_objective
 
 from conftest import random_density, random_pure
 
@@ -62,6 +64,15 @@ class TestStateValidation:
     def test_density_psd_enforced(self):
         with pytest.raises(InvalidState, match="positive semidefinite"):
             DensityMatrix(np.diag([1.2, -0.2]))
+
+    def test_non_finite_entries_rejected(self):
+        # NaN also passes the norm, trace and Hermiticity tests
+        with pytest.raises(InvalidState, match="amplitude 1 is not finite"):
+            PureState(np.array([1.0, np.nan]))
+        mat = np.diag([0.5, 0.5]).astype(complex)
+        mat[0, 1] = mat[1, 0] = np.inf
+        with pytest.raises(InvalidState, match=r"entry \(0, 1\) is not finite"):
+            DensityMatrix(mat)
 
     def test_to_density_round_trip(self, rng):
         psi = random_pure(rng, 2)
@@ -224,6 +235,26 @@ class TestChernoffQuantity:
             q = qcb_q(rho, sigma).q
             assert lo - 1e-9 <= q <= hi + 1e-9
 
+    def test_search_cost_is_bounded(self, rng):
+        # golden section over [0, 1] to 1e-10 plus the two endpoints;
+        # the scan it replaced cost about 78 calls
+        for qubits in (1, 2, 3):
+            result = qcb_q(random_density(rng, qubits), random_density(rng, qubits))
+            assert 0 < result.evaluations <= 60
+
+    def test_objective_matches_dense_fractional_powers(self, rng):
+        # independent oracle: Tr(rho^s sigma^(1-s)) from scipy's dense
+        # fractional matrix powers, no shared spectral code
+        for qubits in (1, 2, 3):
+            rho = random_density(rng, qubits)
+            sigma = random_density(rng, qubits)
+            objective = _chernoff_objective(rho, sigma)
+            for s in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
+                dense = scipy.linalg.fractional_matrix_power(rho.matrix, s) @ (
+                    scipy.linalg.fractional_matrix_power(sigma.matrix, 1.0 - s)
+                )
+                assert objective(s) == pytest.approx(np.trace(dense).real, abs=1e-10)
+
 
 class TestStateFiles:
     def test_pure_round_trip(self, tmp_path, rng):
@@ -260,6 +291,16 @@ class TestStateFiles:
     def test_rejects_wrong_length(self):
         with pytest.raises(InvalidState, match="amplitudes"):
             parse_state({"kind": "pure", "n": 2, "data": [[1.0, 0.0]]})
+
+    def test_rejects_non_finite_data(self, tmp_path):
+        # json.load accepts NaN and Infinity; the error names the entry
+        path = tmp_path / "nan.json"
+        path.write_text('{"kind": "density", "n": 1, '
+                        '"data": [[0.5, 0], [0, 0], [NaN, 0], [0.5, 0]]}')
+        with pytest.raises(InvalidState, match=r'"data"\[2\] is not finite'):
+            load_state(str(path))
+        with pytest.raises(InvalidState, match=r'"data"\[0\] is not finite'):
+            parse_state({"kind": "pure", "n": 1, "data": [[float("inf"), 0.0], [0.0, 0.0]]})
 
     def test_rejects_invalid_density(self):
         data = [[0.6, 0.0], [0.0, 0.0], [0.0, 0.0], [0.6, 0.0]]

@@ -320,9 +320,9 @@ def qcb_q(rho, sigma) -> QcbResult:
     exact-spectrum value by at most 2.4e-7 when the smallest kept
     eigenvalue is 1e-12, 2.9e-6 at 1e-13, 7.3e-5 at 1e-14 and 1.9e-4 at
     1e-15 (d = 2 only; at d >= 8 it falls under the cut).  The worst is a
-    relative error of 5.8e-4 in the shot count.  At d = 2 the cyclic
-    Jacobi solver this replaced was 3-12x closer; at d = 8 and 32 it was
-    1.4-770x further off.
+    relative error of 5.8e-4 in the shot count.  A cyclic Jacobi solver
+    with a 1e-14 off-diagonal stop is 3-12x closer at d = 2 and 1.4-770x
+    further off at d = 8 and 32.
     """
     dm_rho = _as_density(rho)
     dm_sigma = _as_density(sigma)

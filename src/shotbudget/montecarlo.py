@@ -13,11 +13,11 @@ Sampling contracts (fixed, documented, test-pinned):
   Multinomial(N, q) sequential binomial conditioning: bins 0..k-2 in
                     order draw Binomial(remaining, q_i / tail_i) from
                     the trial stream, the last bin takes the remainder.
-  Inverse/swap      each trial consumes exactly n_shots uniforms.
+  Inverse/swap      a trial stops at its first reject; the result is
+                    unchanged.
 
-A dense-grid Chernoff oracle lives here too: it evaluates the objective
-through the eigenbasis overlap matrix, a different computational route
-from the production minimizer, so the two cross-validate each other.
+One kernel, `_count_below`, draws for all of them, in tiles of at most
+`_CHUNK_ELEMENTS` draws, so memory stays bounded whatever the shot count.
 """
 
 from __future__ import annotations
@@ -28,30 +28,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BaselineNotAboveTarget, DomainError
-from .rng import TrialStream, sub_seeds, uniform_block
-from .states import PureState, _support_mask
+from .rng import MASK64, sub_seeds, uniform_block
 from .stat_power import (
     Distribution,
     binomial_rejection_threshold,
+    chi2_distance,
     chi2_quantile,
     chisq_validity,
 )
 
 __all__ = [
-    "RNG_ALGORITHM",
     "McConfig",
     "McResult",
     "simulate_inverse_miss_rate",
     "simulate_swap_miss_rate",
     "simulate_chisq_power",
     "simulate_binomial_detection",
-    "qcb_grid_oracle",
 ]
 
-RNG_ALGORITHM = "splitmix64"
-
-# Cap on elements held per vectorized chunk; results do not depend on it.
-_CHUNK_ELEMENTS = 4_000_000
+# Cap on draws held per tile, sized to stay in cache; results do not depend on it.
+_CHUNK_ELEMENTS = 1 << 16
+_REJECT_SCAN = 64  # columns per tile while many early-exit trials are live
 
 
 @dataclass(frozen=True)
@@ -64,6 +61,8 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
+        if not 0 <= self.seed <= MASK64:
+            raise DomainError(f"seed must lie in [0, 2^64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -76,9 +75,10 @@ class McResult:
     ci_low: float
     ci_high: float
     warnings: tuple[str, ...] = ()
+    uniforms_drawn: int = 0  # draws generated; a diagnostic kept out of the CLI output
 
 
-def _finish(hits: int, config: McConfig, warnings: tuple[str, ...] = ()) -> McResult:
+def _finish(hits: int, drawn: int, config: McConfig, warnings: tuple[str, ...] = ()) -> McResult:
     n = config.trials
     est = hits / n
     se = math.sqrt(est * (1.0 - est) / n)
@@ -89,35 +89,55 @@ def _finish(hits: int, config: McConfig, warnings: tuple[str, ...] = ()) -> McRe
         ci_low=max(0.0, est - 1.96 * se),
         ci_high=min(1.0, est + 1.96 * se),
         warnings=warnings,
+        uniforms_drawn=drawn,
     )
 
 
-def _all_below_rate(threshold: float, n_shots: int, config: McConfig) -> int:
-    """Trials in which every one of n_shots uniforms falls below threshold."""
-    hits = 0
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, n_shots))
-    done = 0
-    while done < config.trials:
-        take = min(chunk, config.trials - done)
-        seeds = sub_seeds(config.seed, done, take)
-        u = uniform_block(seeds, 0, n_shots)
-        hits += int(np.sum(np.all(u < threshold, axis=1)))
-        done += take
-    return hits
+def _count_below(seeds, p: float, lengths, starts=0, stop_at_reject: bool = False):
+    """Per row i, how many of its draws starts[i] .. starts[i]+lengths[i]-1 lie below p.
+
+    Walks column tiles over the live rows in row blocks of at most
+    _CHUNK_ELEMENTS draws, masking draws past a row's length.  With
+    stop_at_reject a row leaves after the tile of its first draw >= p, so
+    its count reaches its length only if it never rejects.  Returns the
+    counts and the number of draws generated.
+    """
+    lengths, starts = np.broadcast_to(lengths, seeds.shape), np.broadcast_to(starts, seeds.shape)
+    limit = np.uint64(min(math.ceil(p * 2.0**53), 2**53))
+    counts = np.zeros(seeds.size, dtype=np.int64)
+    scratch = np.empty(2 * _CHUNK_ELEMENTS, dtype=np.uint64)
+    live = np.flatnonzero(lengths > 0)
+    done = drawn = 0
+    while live.size:
+        width = int(lengths[live].max()) - done
+        if stop_at_reject:
+            width = min(width, max(_REJECT_SCAN, _CHUNK_ELEMENTS // live.size))
+        width = min(width, _CHUNK_ELEMENTS)
+        block = max(1, _CHUNK_ELEMENTS // width)
+        for lo in range(0, live.size, block):
+            rows = live[lo : lo + block]
+            below = uniform_block(seeds[rows], starts[rows] + done, width, scratch) < limit
+            left = lengths[rows] - done
+            if left.min() < width:
+                below &= np.arange(width) < left[:, None]
+            counts[rows] += np.count_nonzero(below, axis=1)
+            drawn += below.size
+        done += width
+        live = live[lengths[live] > done]
+        if stop_at_reject:
+            live = live[counts[live] == done]
+    return counts, drawn
 
 
-def _count_below(threshold: float, n_shots: int, config: McConfig) -> np.ndarray:
-    """Per-trial count of uniforms below threshold, one block per trial."""
-    counts = np.empty(config.trials, dtype=np.int64)
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, n_shots))
-    done = 0
-    while done < config.trials:
-        take = min(chunk, config.trials - done)
-        seeds = sub_seeds(config.seed, done, take)
-        u = uniform_block(seeds, 0, n_shots)
-        counts[done : done + take] = np.sum(u < threshold, axis=1)
-        done += take
-    return counts
+def _miss_rate(fid: float, accept: float, n_shots: int, config: McConfig) -> McResult:
+    """Trials in which all n_shots shots accept, each with probability accept."""
+    if not 0.0 <= fid < 1.0:
+        raise DomainError(f"fidelity must lie in [0, 1) to have misses, got {fid}")
+    if n_shots < 1:
+        raise DomainError(f"n_shots must be >= 1, got {n_shots}")
+    seeds = sub_seeds(config.seed, 0, config.trials)
+    counts, drawn = _count_below(seeds, accept, n_shots, stop_at_reject=True)
+    return _finish(int(np.count_nonzero(counts == n_shots)), drawn, config)
 
 
 def simulate_inverse_miss_rate(fid: float, n_shots: int, config: McConfig) -> McResult:
@@ -127,11 +147,7 @@ def simulate_inverse_miss_rate(fid: float, n_shots: int, config: McConfig) -> Mc
     the first reject, so a miss is n_shots straight accepts.  The
     estimate should sit within sampling error of F^n_shots.
     """
-    if not 0.0 <= fid < 1.0:
-        raise DomainError(f"fidelity must lie in [0, 1) to have misses, got {fid}")
-    if n_shots < 1:
-        raise DomainError(f"n_shots must be >= 1, got {n_shots}")
-    return _finish(_all_below_rate(fid, n_shots, config), config)
+    return _miss_rate(fid, fid, n_shots, config)
 
 
 def simulate_swap_miss_rate(fid: float, n_shots: int, config: McConfig) -> McResult:
@@ -139,27 +155,27 @@ def simulate_swap_miss_rate(fid: float, n_shots: int, config: McConfig) -> McRes
 
     Per-shot acceptance is 1/2 + F/2; expect (1/2 + F/2)^n_shots.
     """
-    if not 0.0 <= fid < 1.0:
-        raise DomainError(f"fidelity must lie in [0, 1) to have misses, got {fid}")
-    if n_shots < 1:
-        raise DomainError(f"n_shots must be >= 1, got {n_shots}")
-    return _finish(_all_below_rate(0.5 + 0.5 * fid, n_shots, config), config)
+    return _miss_rate(fid, 0.5 + 0.5 * fid, n_shots, config)
 
 
-def _multinomial_counts(stream: TrialStream, n_shots: int, probs: np.ndarray) -> np.ndarray:
-    counts = np.zeros(probs.size, dtype=np.int64)
-    remaining = n_shots
-    tail = 1.0
+def _multinomial_counts(seeds: np.ndarray, n_shots: int, probs: np.ndarray):
+    """Bin counts per trial seed, shape (trials, k), and the draws generated.
+
+    Each bin conditions all trials at once, each from its own stream position.
+    """
+    counts = np.empty((seeds.size, probs.size), dtype=np.int64)
+    position = np.zeros(seeds.size, dtype=np.int64)
+    remaining = np.full(seeds.size, n_shots, dtype=np.int64)
+    tail, drawn = 1.0, 0
     for i in range(probs.size - 1):
-        if remaining == 0:
-            break
         p_cond = 1.0 if tail <= probs[i] else probs[i] / tail
-        drawn = int(np.sum(stream.uniforms(remaining) < p_cond))
-        counts[i] = drawn
-        remaining -= drawn
+        counts[:, i], used = _count_below(seeds, p_cond, remaining, position)
+        drawn += used
+        position += remaining
+        remaining -= counts[:, i]
         tail = max(tail - probs[i], 0.0)
-    counts[probs.size - 1] = remaining
-    return counts
+    counts[:, -1] = remaining
+    return counts, drawn
 
 
 def simulate_chisq_power(p, q, n_shots: int, alpha: float, config: McConfig) -> McResult:
@@ -170,6 +186,7 @@ def simulate_chisq_power(p, q, n_shots: int, alpha: float, config: McConfig) -> 
     1 - alpha quantile at k - 1 degrees of freedom.  With p = q this
     estimates the realized Type I rate; with p != q, the power.  Results
     carry the chi-square validity warnings for the planned shot count.
+    A bin-count mismatch or a zero reference bin raises before any draw.
     """
     if n_shots < 1:
         raise DomainError(f"n_shots must be >= 1, got {n_shots}")
@@ -177,18 +194,19 @@ def simulate_chisq_power(p, q, n_shots: int, alpha: float, config: McConfig) -> 
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     p_dist = p if isinstance(p, Distribution) else Distribution(np.asarray(p))
     q_dist = q if isinstance(q, Distribution) else Distribution(np.asarray(q))
-    if p_dist.k != q_dist.k:
-        raise DomainError(f"bin count mismatch: {p_dist.k} vs {q_dist.k}")
+    chi2_distance(p_dist, q_dist)  # raises DimensionMismatch or ZeroExpectedBin
     crit = chi2_quantile(1.0 - alpha, float(q_dist.k - 1))
     expected = n_shots * q_dist.probs
-    rejections = 0
-    for trial in range(config.trials):
-        stream = TrialStream(config.seed, trial)
-        counts = _multinomial_counts(stream, n_shots, p_dist.probs)
-        stat = float(np.sum((counts - expected) ** 2 / expected))
-        if stat > crit:
-            rejections += 1
-    return _finish(rejections, config, warnings=chisq_validity(n_shots, q_dist))
+    # trial blocks keep the (trials, k) count matrix within the tile cap
+    block = max(1, _CHUNK_ELEMENTS // q_dist.k)
+    rejections = drawn = 0
+    for first in range(0, config.trials, block):
+        seeds = sub_seeds(config.seed, first, min(block, config.trials - first))
+        counts, used = _multinomial_counts(seeds, n_shots, p_dist.probs)
+        stat = np.sum((counts - expected) ** 2 / expected, axis=1)
+        rejections += int(np.count_nonzero(stat > crit))
+        drawn += used
+    return _finish(rejections, drawn, config, warnings=chisq_validity(n_shots, q_dist))
 
 
 def simulate_binomial_detection(
@@ -210,39 +228,5 @@ def simulate_binomial_detection(
     if q1 > q0:
         raise BaselineNotAboveTarget(f"true rate q1={q1} exceeds baseline q0={q0}")
     threshold = binomial_rejection_threshold(n_shots, q0, alpha)
-    counts = _count_below(q1, n_shots, config)
-    return _finish(int(np.sum(counts <= threshold)), config)
-
-
-def qcb_grid_oracle(rho, sigma, grid_points: int = 100_001) -> tuple[float, float]:
-    """Brute-force Chernoff minimum over a uniform s-grid with endpoints.
-
-    Evaluates Tr(rho^s sigma^(1-s)) through the spectral overlap matrix
-    O_ij = |<u_i|v_j>|^2 as sum_ij l_i^s O_ij m_j^(1-s), vectorized over
-    the whole grid.  Zero eigenvalues contribute nothing at any s (the
-    0^0 = 0 support convention).  Returns (q_min, s_at_min).
-    """
-    if grid_points < 2:
-        raise DomainError(f"grid needs at least 2 points, got {grid_points}")
-    dm_rho = rho.to_density() if isinstance(rho, PureState) else rho
-    dm_sigma = sigma.to_density() if isinstance(sigma, PureState) else sigma
-    if dm_rho.dim != dm_sigma.dim:
-        raise DomainError(f"dimension mismatch: {dm_rho.dim} vs {dm_sigma.dim}")
-    eig_r = dm_rho.eigensystem()
-    eig_s = dm_sigma.eigensystem()
-    overlap = np.abs(eig_r.vectors.conj().T @ eig_s.vectors) ** 2
-    s = np.linspace(0.0, 1.0, grid_points)
-
-    def spectrum_powers(vals: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-        out = np.zeros((vals.size, exponents.size))
-        pos = _support_mask(vals)  # rank cut, same convention as qcb_q
-        if np.any(pos):
-            out[pos, :] = np.exp(np.outer(np.log(vals[pos]), exponents))
-        return out
-
-    lam_pow = spectrum_powers(eig_r.values, s)
-    mu_pow = spectrum_powers(eig_s.values, 1.0 - s)
-    g = np.einsum("ig,ij,jg->g", lam_pow, overlap, mu_pow)
-    best = int(np.argmin(g))
-    q = float(min(1.0, max(0.0, g[best])))
-    return q, float(s[best])
+    counts, drawn = _count_below(sub_seeds(config.seed, 0, config.trials), q1, n_shots)
+    return _finish(int(np.count_nonzero(counts <= threshold)), drawn, config)

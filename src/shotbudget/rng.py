@@ -12,8 +12,10 @@ f88bb8a8724c81ec; tests pin them.
 Trial substreams: trial i draws from the splitmix64 stream whose seed is
 output i of the master stream over the configured seed.  Draw j of trial
 i is therefore a pure function of (seed, i, j), so results never depend
-on evaluation order or chunking.  Uniform doubles take the top 53 bits:
-(x >> 11) * 2^-53, giving values in [0, 1).
+on evaluation order or chunking.  A draw is the top 53 bits m = x >> 11
+of an output and stands for the uniform u = m * 2^-53 in [0, 1).  Since
+m is an integer, u < p holds exactly when m < ceil(p * 2^53), so
+consumers compare the integers and never form the doubles.
 
 Everything here is exact 64-bit integer arithmetic; the numpy paths wrap
 on uint64 overflow exactly like the scalar definition (tests compare
@@ -24,11 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["GAMMA", "MASK64", "mix64", "stream_output", "sub_seed", "TrialStream"]
+__all__ = ["GAMMA", "MASK64", "mix64", "stream_output", "sub_seeds", "uniform_block"]
 
 GAMMA = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
-_U53 = 2.0**-53
+_MIX = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB)))
 
 
 def mix64(z: int) -> int:
@@ -44,16 +46,14 @@ def stream_output(seed: int, index: int) -> int:
     return mix64((seed + (index + 1) * GAMMA) & MASK64)
 
 
-def sub_seed(seed: int, trial: int) -> int:
-    """Seed of the substream assigned to one trial."""
-    return stream_output(seed, trial)
-
-
-def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """mix64 on every element of the uint64 array z, in place; tmp is scratch of z's shape."""
+    for shift, mult in _MIX:
+        np.right_shift(z, shift, out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        np.multiply(z, mult, out=z)
+    np.right_shift(z, 31, out=tmp)
+    return np.bitwise_xor(z, tmp, out=z)
 
 
 def sub_seeds(seed: int, start: int, count: int) -> np.ndarray:
@@ -61,30 +61,29 @@ def sub_seeds(seed: int, start: int, count: int) -> np.ndarray:
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         states = np.uint64(seed & MASK64) + idx * np.uint64(GAMMA)
-    return _mix64_vec(states)
+    return _mix64_inplace(states, np.empty_like(states))
 
 
-def uniform_block(trial_seeds: np.ndarray, start: int, count: int) -> np.ndarray:
-    """Uniforms start .. start+count-1 for each trial seed, shape (trials, count)."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        states = trial_seeds[:, None] + idx[None, :] * np.uint64(GAMMA)
-    return (_mix64_vec(states) >> np.uint64(11)).astype(np.float64) * _U53
+def uniform_block(
+    trial_seeds: np.ndarray, start: int | np.ndarray, count: int, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """53-bit draws start .. start+count-1 of each trial seed, shape (trials, count).
 
-
-class TrialStream:
-    """Sequential view of one trial's substream.
-
-    Hands out uniforms in stream order while tracking the position, so a
-    consumer that draws variable-sized batches (the multinomial sampler)
-    stays bit-compatible with any vectorized consumer of the same trial.
+    `start` is one stream position for every row or an array holding each
+    row's own position.  The block is computed in place in `scratch`, a
+    uint64 buffer of at least 2 * trials * count elements that callers
+    reuse across blocks (a fresh one when None), and the result is a view
+    into it, valid until the buffer is reused.
     """
-
-    def __init__(self, seed: int, trial: int):
-        self._seed = np.array([sub_seed(seed, trial)], dtype=np.uint64)
-        self._position = 0
-
-    def uniforms(self, count: int) -> np.ndarray:
-        block = uniform_block(self._seed, self._position, count)[0]
-        self._position += count
-        return block
+    rows = trial_seeds.size
+    size = rows * count
+    if scratch is None:
+        scratch = np.empty(2 * size, dtype=np.uint64)
+    z = scratch[:size].reshape(rows, count)
+    tmp = scratch[size : 2 * size].reshape(rows, count)
+    with np.errstate(over="ignore"):
+        first = trial_seeds + (np.asarray(start, dtype=np.uint64) + np.uint64(1)) * np.uint64(GAMMA)
+        np.multiply(np.arange(count, dtype=np.uint64), np.uint64(GAMMA), out=tmp[0])
+        np.add(first[:, None], tmp[0], out=z)
+    _mix64_inplace(z, tmp)
+    return np.right_shift(z, 11, out=z)

@@ -311,7 +311,8 @@ def qcb_q(rho, sigma) -> QcbResult:
     go to the smaller s.  That is about 53 objective calls in all.  For
     commuting states this reduces to the classical Chernoff bound; if
     either state is pure the objective is monotone and the minimum sits
-    on an endpoint.
+    on an endpoint.  If both are pure it is constant, so no search runs
+    and s_star is 0.
 
     Accuracy: eigenvalues carry an absolute error of a few eps, so a
     kept eigenvalue a few decades above the rank cut has lost relative
@@ -335,8 +336,13 @@ def qcb_q(rho, sigma) -> QcbResult:
         evaluations += 1
         return objective(s)
 
-    s_in, q_in = minimize_unimodal(counted, 0.0, 1.0, tol.QCB_S_TOL)
-    q_min, s_star = min((q_in, s_in), (counted(0.0), 0.0), (counted(1.0), 1.0))
+    ranks = [np.count_nonzero(_support_mask(dm.eigensystem().values)) for dm in (dm_rho, dm_sigma)]
+    if ranks == [1, 1]:
+        # two rank-1 supports: f is the constant |<u|v>|^2, and ties go to s = 0
+        q_min, s_star = counted(0.0), 0.0
+    else:
+        s_in, q_in = minimize_unimodal(counted, 0.0, 1.0, tol.QCB_S_TOL)
+        q_min, s_star = min((q_in, s_in), (counted(0.0), 0.0), (counted(1.0), 1.0))
     q = _clamp_unit(q_min, "Chernoff Q")
     # + 0.0 normalizes the -0.0 that -log(1.0) would produce
     exponent = math.inf if q == 0.0 else -math.log(q) + 0.0

@@ -33,10 +33,9 @@ from shotbudget import (
     w2_small_discrepancy,
 )
 from shotbudget import cli
-from shotbudget.montecarlo import qcb_grid_oracle
 from shotbudget.states import DensityMatrix
 
-from conftest import random_density, random_pure
+from conftest import qcb_grid_oracle, random_density, random_pure
 
 SEED = 20_260_822
 NO_RATES = HardwareRates(r1=0.0, r2=0.0)

@@ -274,6 +274,34 @@ class TestValidate:
     def test_missing_scenario_arguments(self):
         assert cli.main(["validate", "--scenario", "inverse"]) == 2
 
+    @pytest.mark.parametrize("seed", ["-5", str(2**64), "99999999999999999999999"])
+    def test_seed_outside_64_bits_rejected(self, seed, capsys):
+        code = cli.main(
+            [
+                "validate", "--scenario", "inverse", "--fidelity", "0.99",
+                "--shots", "458", "--trials", "10", "--seed", seed,
+            ]
+        )
+        assert code == 2
+        assert f"error: seed must lie in [0, 2^64), got {seed}" in capsys.readouterr().err
+
+    def test_zero_reference_bin_fails_before_simulating(self, tmp_path, monkeypatch, capsys):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("uniform_block called")
+
+        monkeypatch.setattr(mc, "uniform_block", no_draws)
+        p, q = tmp_path / "p.json", tmp_path / "q.json"
+        p.write_text(json.dumps([0.25, 0.25, 0.25, 0.25]))
+        q.write_text(json.dumps([0.5, 0.25, 0.0, 0.25]))
+        code = cli.main(
+            [
+                "validate", "--scenario", "chisq", "--p", str(p), "--q", str(q),
+                "--shots", "400", "--trials", "100",
+            ]
+        )
+        assert code == 2
+        assert "reference bin 2 has zero probability" in capsys.readouterr().err
+
 
 class TestCurve:
     def _rows(self, capsys):

@@ -184,6 +184,18 @@ class TestChernoffQuantity:
             result = qcb_q(a, b)
             assert result.q == pytest.approx(fidelity_pure(a, b), abs=1e-9)
 
+    def test_pure_pairs_report_s_star_zero_without_search(self, rng):
+        # two rank-1 supports make the objective constant on [0, 1]; the
+        # tie rule picks s = 0, whether the states come as vectors or matrices
+        for _ in range(20):
+            qubits = int(rng.integers(1, 6))
+            a, b = random_pure(rng, qubits), random_pure(rng, qubits)
+            for rho, sigma in ((a, b), (a.to_density(), b.to_density())):
+                result = qcb_q(rho, sigma)
+                assert result.s_star == 0.0
+                assert result.evaluations == 1
+                assert result.q == pytest.approx(fidelity_pure(a, b), abs=1e-12)
+
     def test_pure_vs_mixed_minimum_sits_at_left_edge(self, rng):
         # rank-1 rho makes s -> tr(rho^s sigma^(1-s)) nondecreasing, so the
         # minimum is the s = 0 overlap <psi|sigma|psi>

@@ -11,17 +11,24 @@ sum_j n_j theta_j = Theta* holds by construction.
 Weights default to g1 * r1 + g2 * r2 + depth * gamma (error mass from
 one- and two-qubit gate counts, optionally depth), and a block may pin
 an explicit weight instead, which is how hybrid policies are expressed.
+The report is columnar: one tuple per block field, priced a column at a
+time, with `BudgetReport.allocations` as a row view built on read.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
+from functools import reduce
+from itertools import compress, repeat
+from operator import add, mul
+
+import numpy as np
 
 from .errors import DomainError, ZeroBudget, ZeroWeight
-from .shot_estimators import shots_inverse_real, shots_swap_real
-from .stat_power import lambda_noncentral, w2_fidelity_attaining, w2_small_discrepancy
+from .stat_power import lambda_noncentral
 from . import tolerances as tol
 
 __all__ = [
@@ -32,7 +39,6 @@ __all__ = [
     "ProgramSpec",
     "theta_star",
     "block_weight",
-    "fidelity_target_from_angle",
     "allocate",
     "allocate_program",
     "parse_program_spec",
@@ -40,6 +46,13 @@ __all__ = [
 ]
 
 _TEST_KINDS = ("inverse", "swap", "chisq_small", "chisq_attaining")
+
+
+def _check_finite(value, low: float | None, what: str, *args) -> None:
+    """Raise DomainError naming `what % args` unless value is finite (and >= low)."""
+    if not abs(value) <= sys.float_info.max or (low is not None and value < low):
+        bound = "" if low is None else f" and >= {low:g}"
+        raise DomainError(f"{what % args} must be finite{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,8 +65,7 @@ class HardwareRates:
 
     def __post_init__(self) -> None:
         for name in ("r1", "r2", "gamma"):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"hardware rate {name} must be nonnegative, got {getattr(self, name)}")
+            _check_finite(getattr(self, name), 0.0, "hardware rate %s", name)
 
 
 @dataclass(frozen=True)
@@ -68,11 +80,13 @@ class BlockSpec:
     explicit_weight: float | None = None
 
     def __post_init__(self) -> None:
-        if self.multiplicity < 1:
-            raise DomainError(f"block {self.name!r}: multiplicity must be >= 1, got {self.multiplicity}")
+        n = self.multiplicity
+        if type(n) is not int or n < 1:  # bool and float counts are rejected too
+            raise DomainError(f"block {self.name!r}: multiplicity must be an integer >= 1, got {n!r}")
         for attr in ("g1", "g2", "depth"):
-            if getattr(self, attr) < 0.0:
-                raise DomainError(f"block {self.name!r}: {attr} must be nonnegative")
+            _check_finite(getattr(self, attr), 0.0, "block %r: %s", self.name, attr)
+        if self.explicit_weight is not None:
+            _check_finite(self.explicit_weight, None, "block %r: weight", self.name)
 
 
 @dataclass(frozen=True)
@@ -101,7 +115,12 @@ class BlockAllocation:
 
 @dataclass(frozen=True)
 class BudgetReport:
-    """Full allocation: Theta*, per-block rows, and program-wide totals."""
+    """Full allocation: Theta*, the block table by column, and program totals.
+
+    `columns` maps each BlockAllocation field name, in field order, to a
+    tuple with one entry per block; shot counts are exact Python ints.
+    `allocations` is a view that builds the BlockAllocation rows on read.
+    """
 
     f_prog: float
     p_e: float
@@ -113,12 +132,17 @@ class BudgetReport:
     theta_star: float
     total_weight: float
     total_angle: float
-    allocations: tuple[BlockAllocation, ...]
+    columns: dict[str, tuple]
     totals: dict = field(default_factory=dict)
 
     @property
+    def allocations(self) -> tuple[BlockAllocation, ...]:
+        rows = zip(*(self.columns[f.name] for f in fields(BlockAllocation)))
+        return tuple(BlockAllocation(*row) for row in rows)
+
+    @property
     def any_infeasible(self) -> bool:
-        return any(a.infeasible for a in self.allocations)
+        return any(self.columns["infeasible"])
 
 
 def theta_star(f_prog: float) -> float:
@@ -126,13 +150,6 @@ def theta_star(f_prog: float) -> float:
     if not 0.0 < f_prog <= 1.0:
         raise DomainError(f"program fidelity target must lie in (0, 1], got {f_prog}")
     return math.acos(min(1.0, math.sqrt(f_prog)))
-
-
-def fidelity_target_from_angle(theta: float) -> float:
-    """Per-block fidelity target cos^2(theta) for theta in [0, pi/2]."""
-    if not 0.0 <= theta <= math.pi / 2.0:
-        raise DomainError(f"angle must lie in [0, pi/2], got {theta}")
-    return math.cos(theta) ** 2
 
 
 def block_weight(block: BlockSpec, rates: HardwareRates) -> float:
@@ -150,10 +167,9 @@ def block_weight(block: BlockSpec, rates: HardwareRates) -> float:
     return weight
 
 
-def _count(raw: float) -> tuple[int, bool]:
-    if not math.isfinite(raw) or raw > tol.MAX_SCHEDULABLE_SHOTS:
-        return (0 if not math.isfinite(raw) else math.ceil(raw)), True
-    return max(1, math.ceil(raw)), False
+def _libm(fn, values: np.ndarray, *args) -> np.ndarray:
+    # per element through libm, as the scalar formulas: numpy's cos, log, x**2 differ in the last bit
+    return np.array(list(map(fn, values.tolist(), *args)))
 
 
 def allocate(
@@ -170,11 +186,13 @@ def allocate(
 
     Per-instance angle theta_j = (w_j / W) Theta* with W = sum n_j w_j,
     so instances of heavier blocks get proportionally more of the budget.
-    Each block row carries the exact shot formulas at its fidelity target
+    Each block carries the exact shot formulas at its fidelity target
     cos^2(theta_j) plus their small-angle Taylor forms
     (-R ln p_e / theta^2, doubled for swap, lambda/(4 theta^2) and
     16 lambda / theta^4 for the chi-square pair) as cross-checks.  Counts
-    beyond 2^63 are flagged infeasible with the raw value retained.
+    beyond 2^63 are flagged infeasible with the raw value retained.  Each
+    formula runs once over a whole column and matches the scalar shot
+    estimators bit for bit.
 
     Raises ZeroBudget for f_prog = 1 and ZeroWeight for weightless blocks.
     """
@@ -190,64 +208,56 @@ def allocate(
         raise ZeroBudget("program fidelity target 1 leaves no error angle to allocate")
 
     weights = [block_weight(b, rates) for b in blocks]
-    total_weight = sum(b.multiplicity * w for b, w in zip(blocks, weights))
+    mult = [b.multiplicity for b in blocks]
+    total_weight = sum(map(mul, mult, weights))
+    _check_finite(total_weight, None, "total weight sum n_j w_j")
     lam = lambda_noncentral(chisq_bins - 1, chisq_alpha, 1.0 - chisq_beta)
     log_pe = math.log(p_e)
 
-    rows = []
-    totals: dict[str, int] = {kind: 0 for kind in _TEST_KINDS}
-    total_angle = 0.0
-    for block, weight in zip(blocks, weights):
-        theta = weight / total_weight * big_theta
-        f_target = fidelity_target_from_angle(theta)
-        if f_target >= 1.0:
-            # theta below float resolution: cos^2 rounds to 1 and every
-            # count overflows, so the whole block prices as infeasible
-            raw_inverse = raw_swap = math.inf
-            raw_chisq_small = raw_chisq_attaining = math.inf
-        else:
-            raw_inverse = shots_inverse_real(f_target, p_e, regime_factor).raw
-            raw_swap = shots_swap_real(f_target, p_e, regime_factor).raw
-            raw_chisq_small = lam / w2_small_discrepancy(f_target)
-            raw_chisq_attaining = lam / w2_fidelity_attaining(f_target)
-        counts = {}
-        infeasible = []
-        for kind, raw in (
-            ("inverse", raw_inverse),
-            ("swap", raw_swap),
-            ("chisq_small", raw_chisq_small),
-            ("chisq_attaining", raw_chisq_attaining),
-        ):
-            shots, over = _count(raw)
-            counts[kind] = shots
-            if over:
-                infeasible.append(kind)
-            else:
-                totals[kind] += block.multiplicity * shots
-        theta_sq = theta * theta
-        rows.append(
-            BlockAllocation(
-                name=block.name,
-                multiplicity=block.multiplicity,
-                weight=weight,
-                theta=theta,
-                f_target=f_target,
-                shots_inverse=counts["inverse"],
-                shots_swap=counts["swap"],
-                shots_chisq_small=counts["chisq_small"],
-                shots_chisq_attaining=counts["chisq_attaining"],
-                raw_inverse=raw_inverse,
-                raw_swap=raw_swap,
-                raw_chisq_small=raw_chisq_small,
-                raw_chisq_attaining=raw_chisq_attaining,
-                taylor_shots_inverse=-regime_factor * log_pe / theta_sq,
-                taylor_shots_swap=-2.0 * regime_factor * log_pe / theta_sq,
-                taylor_shots_chisq_small=lam / (4.0 * theta_sq),
-                taylor_shots_chisq_attaining=16.0 * lam / (theta_sq * theta_sq),
-                infeasible=tuple(infeasible),
-            )
+    theta = np.array(weights, dtype=np.float64) / total_weight * big_theta
+    f_target = _libm(pow, _libm(math.cos, theta), repeat(2.0))
+    root = np.sqrt(f_target)
+    theta_sq = theta * theta
+    with np.errstate(divide="ignore"):
+        raws = (
+            regime_factor * (log_pe / _libm(math.log, f_target)),
+            regime_factor * (log_pe / _libm(math.log, 0.5 + 0.5 * f_target)),
+            lam / (8.0 * (1.0 - root)),
+            lam / (0.25 * _libm(pow, 1.0 - root, repeat(2.0))),
         )
-        total_angle += block.multiplicity * theta
+        taylors = (
+            -regime_factor * log_pe / theta_sq,
+            -2.0 * regime_factor * log_pe / theta_sq,
+            lam / (4.0 * theta_sq),
+            16.0 * lam / (theta_sq * theta_sq),
+        )
+
+    columns = {
+        "name": tuple(b.name for b in blocks),
+        "multiplicity": tuple(mult),
+        "weight": tuple(weights),
+        "theta": tuple(theta.tolist()),
+        "f_target": tuple(f_target.tolist()),
+    }
+    totals: dict[str, int] = {}
+    mask, unresolved = 0, f_target >= 1.0
+    for bit, (kind, raw) in enumerate(zip(_TEST_KINDS, raws)):
+        # theta below float resolution rounds cos^2 to 1 and every count overflows
+        raw[unresolved] = math.inf
+        over = ~(raw <= tol.MAX_SCHEDULABLE_SHOTS)
+        mask = mask + over * (1 << bit)
+        shots = np.where(over, 0.0, np.maximum(np.ceil(raw), 1.0)).astype(np.uint64).tolist()
+        totals[kind] = sum(map(mul, mult, shots))
+        # an infeasible count is ceil(raw), an exact int however large, or 0 when raw is inf
+        big = np.flatnonzero(over & np.isfinite(raw)).tolist()
+        for i, count in zip(big, map(math.ceil, raw[big].tolist())):
+            shots[i] = count
+        columns[f"shots_{kind}"] = tuple(shots)
+    columns.update((f"raw_{kind}", tuple(raw.tolist())) for kind, raw in zip(_TEST_KINDS, raws))
+    columns.update((f"taylor_shots_{k}", tuple(t.tolist())) for k, t in zip(_TEST_KINDS, taylors))
+    masks = mask.tolist()
+    kinds = {m: tuple(compress(_TEST_KINDS, (m >> bit & 1 for bit in range(4)))) for m in set(masks)}
+    columns["infeasible"] = tuple(map(kinds.__getitem__, masks))
 
     return BudgetReport(
         f_prog=f_prog,
@@ -259,8 +269,8 @@ def allocate(
         noncentrality=lam,
         theta_star=big_theta,
         total_weight=total_weight,
-        total_angle=total_angle,
-        allocations=tuple(rows),
+        total_angle=reduce(add, map(mul, mult, columns["theta"]), 0.0),  # sum() compensates on 3.12+
+        columns=columns,
         totals=totals,
     )
 
@@ -301,6 +311,7 @@ def _spec_number(obj: dict, key: str, path: str, *, default=None, required: bool
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"{path}/{key}: expected a number, got {value!r}")
+    _check_finite(value, None, "%s/%s", path, key)
     return float(value)
 
 

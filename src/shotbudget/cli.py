@@ -20,8 +20,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from .errors import DegenerateStates, ShotBudgetError
 from . import budget as budget_mod
@@ -67,14 +71,25 @@ def _sig6(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _print_table(headers: list[str], rows: list[list[str]]) -> None:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    print(fmt.format(*headers))
-    for row in rows:
-        print(fmt.format(*row))
+_CHUNK_ROWS = 1024  # rows per write, so output memory stays flat at any row count
+
+
+def _write_rows(head: str, row: str, rows, sep: str = "", tail: str = "") -> None:
+    """Write head, each row tuple through the %-template row joined by sep, then tail."""
+    stdout = sys.stdout
+    stdout.write(head)
+    first = True
+    while chunk := sep.join(map(row.__mod__, islice(rows, _CHUNK_ROWS))):
+        stdout.write(chunk if first else sep + chunk)
+        first = False
+    stdout.write(tail)
+
+
+def _print_table(headers: list[str], rows: list, tail: str = "") -> None:
+    columns = list(zip(*rows)) or [()] * len(headers)
+    widths = [max([len(h), *map(len, col)]) for h, col in zip(headers, columns)]
+    row = "  ".join(f"%-{w}s" for w in widths) + "\n"
+    _write_rows(row % tuple(headers), row, map(tuple, rows), tail=tail)
 
 
 def _jsonable(value):
@@ -335,72 +350,73 @@ def cmd_noise(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # budget
 
+_BUDGET_FIELDS = ("name", "multiplicity", "weight", "theta", "f_target", "shots_inverse",
+                  "shots_swap", "shots_chisq_small", "shots_chisq_attaining", "infeasible")
+_JSON_NULL = {"inf": "null", "-inf": "null", "nan": "null"}
+_CSV_SPECIAL = re.compile('[,"\r\n]').search
 
-def _allocation_doc(a: budget_mod.BlockAllocation) -> dict:
-    doc = asdict(a)
-    doc["infeasible"] = list(a.infeasible)
-    return doc
+
+def _per_value(fn, values) -> list[str]:
+    # fn once per distinct value, for columns with few of them (the infeasible sets)
+    table = {value: fn(value) for value in set(values)}
+    return list(map(table.__getitem__, values))
+
+
+def _json_numbers(values) -> list[str]:
+    # json.dumps spells numbers with repr and, after _jsonable, non-finite floats as null
+    return [_JSON_NULL.get(text, text) for text in map(repr, values)]
+
+
+def _json_kinds(kinds: tuple[str, ...]) -> str:
+    return json.dumps(list(kinds), indent=2).replace("\n", "\n      ")  # nested in a block
+
+
+def _csv_field(text: str) -> str:
+    # RFC 4180: quote only a field holding a comma, a quote, CR or LF
+    return '"' + text.replace('"', '""') + '"' if _CSV_SPECIAL(text) else text
+
+
+def _formatted_rows(columns: dict, fields, default, **special):
+    """Row tuples of cells, each field's column formatted by special[field] or default."""
+    for lo in range(0, len(columns["name"]), _CHUNK_ROWS):
+        cells = (special.get(k, default)(columns[k][lo:lo + _CHUNK_ROWS]) for k in fields)
+        yield from zip(*cells)
 
 
 def cmd_budget(args: argparse.Namespace) -> int:
+    # each cell is formatted once, a chunk of rows at a time; the JSON bytes are
+    # those of json.dumps(indent=2) over the report with non-finite floats as null
     spec = budget_mod.load_program_spec(args.spec)
     report = budget_mod.allocate_program(spec)
+    cols = report.columns
     if args.out == "json":
-        doc = {
-            "f_prog": report.f_prog,
-            "p_e": report.p_e,
-            "regime_factor": report.regime_factor,
-            "chisq": {
-                "bins": report.chisq_bins,
-                "alpha": report.chisq_alpha,
-                "beta": report.chisq_beta,
-                "noncentrality": report.noncentrality,
-            },
-            "theta_star": report.theta_star,
-            "total_weight": report.total_weight,
-            "total_angle": report.total_angle,
-            "blocks": [_allocation_doc(a) for a in report.allocations],
-            "totals": report.totals,
+        rows = _formatted_rows(cols, cols, _json_numbers, name=partial(map, encode_basestring_ascii),
+                               infeasible=partial(_per_value, _json_kinds))
+        skeleton = {
+            "f_prog": report.f_prog, "p_e": report.p_e, "regime_factor": report.regime_factor,
+            "chisq": {"bins": report.chisq_bins, "alpha": report.chisq_alpha,
+                      "beta": report.chisq_beta, "noncentrality": report.noncentrality},
+            "theta_star": report.theta_star, "total_weight": report.total_weight,
+            "total_angle": report.total_angle, "blocks": [], "totals": report.totals,
         }
-        _emit_json(doc)
+        head, tail = json.dumps(_jsonable(skeleton), indent=2).split('"blocks": []')
+        row = "    {\n" + ",\n".join(f'      "{k}": %s' for k in cols) + "\n    }"
+        _write_rows(head + '"blocks": [\n', row, rows, ",\n", "\n  ]" + tail + "\n")
     elif args.out == "csv":
-        header = (
-            "name,multiplicity,weight,theta,f_target,"
-            "shots_inverse,shots_swap,shots_chisq_small,shots_chisq_attaining,infeasible"
-        )
-        print(header)
-        for a in report.allocations:
-            print(
-                f"{a.name},{a.multiplicity},{a.weight!r},{a.theta!r},{a.f_target!r},"
-                f"{a.shots_inverse},{a.shots_swap},{a.shots_chisq_small},"
-                f"{a.shots_chisq_attaining},{'|'.join(a.infeasible)}"
-            )
+        rows = _formatted_rows(cols, _BUDGET_FIELDS, partial(map, repr), name=partial(map, _csv_field),
+                               infeasible=partial(_per_value, "|".join))
+        _write_rows(",".join(_BUDGET_FIELDS) + "\n", ",".join(["%s"] * len(_BUDGET_FIELDS)) + "\n", rows)
     else:
-        rows = []
-        for a in report.allocations:
-            rows.append(
-                [
-                    a.name,
-                    str(a.multiplicity),
-                    _sig6(a.weight),
-                    _sig6(a.theta),
-                    f"{a.f_target:.10f}",
-                    str(a.shots_inverse),
-                    str(a.shots_swap),
-                    str(a.shots_chisq_small),
-                    str(a.shots_chisq_attaining),
-                    ",".join(a.infeasible) or "-",
-                ]
-            )
-        _print_table(
-            ["block", "n", "weight", "theta", "f_target",
-             "N_inverse", "N_swap", "N_chi2_small", "N_chi2_attain", "infeasible"],
-            rows,
+        rows = _formatted_rows(
+            cols, _BUDGET_FIELDS, partial(map, str), weight=partial(map, _sig6),
+            theta=partial(map, _sig6), f_target=partial(map, "{:.10f}".format),
+            infeasible=partial(_per_value, lambda kinds: ",".join(kinds) or "-"),
         )
-        print(f"theta_star   {_sig6(report.theta_star)}")
-        print(f"total_angle  {_sig6(report.total_angle)}")
-        for kind, total in report.totals.items():
-            print(f"total_{kind}  {total}")
+        footer = [f"theta_star   {_sig6(report.theta_star)}", f"total_angle  {_sig6(report.total_angle)}"]
+        footer += [f"total_{kind}  {total}" for kind, total in report.totals.items()]
+        _print_table(["block", "n", "weight", "theta", "f_target", "N_inverse", "N_swap",
+                      "N_chi2_small", "N_chi2_attain", "infeasible"],
+                     list(rows), "".join(line + "\n" for line in footer))
     if args.strict and report.any_infeasible:
         print("budget infeasible: some shot counts exceed 2^63", file=sys.stderr)
         return 1
@@ -499,86 +515,60 @@ _CURVE_DEFAULTS = {
 }
 
 
-def _grid(request: CurveRequest) -> list[float]:
-    step = (request.stop - request.start) / (request.points - 1)
-    return [request.start + i * step for i in range(request.points)]
-
-
 def emit_curve(request: CurveRequest, out=None) -> None:
-    """Write one curve as CSV (header plus one row per grid point)."""
-    out = out or sys.stdout
-    params = request.params
+    """Write one curve as CSV (header plus one row per grid point).
 
-    def write(cells):
-        print(",".join(cells), file=out)
+    Every row is computed before the first line is written, so an input
+    that fails part way along the grid leaves the output empty.
+    """
+    params = request.params
+    step = (request.stop - request.start) / (request.points - 1)
+    grid = [request.start + i * step for i in range(request.points)]
+    rows = []
     if request.curve == "fid_vs_shots":
-        write(["F", "one_minus_F", "n_pure", "n_mixed_lo", "n_mixed_hi"])
-        for f in _grid(request):
+        header = ["F", "one_minus_F", "n_pure", "n_mixed_lo", "n_mixed_hi"]
+        for f in grid:
             bounds = est.shots_mixed_bounds(f, params.p_e)
-            write(
-                [
-                    repr(f),
-                    repr(1.0 - f),
-                    str(est.shots_pure(f, params.p_e).shots),
-                    str(bounds.lower.shots),
-                    str(bounds.upper.shots),
-                ]
-            )
+            pure = est.shots_pure(f, params.p_e)
+            rows.append([f, 1.0 - f, pure.shots, bounds.lower.shots, bounds.upper.shots])
     elif request.curve == "test_comparison":
         lams = {k: sp.lambda_noncentral(k - 1, params.alpha, 1.0 - params.beta) for k in request.bins}
         header = ["F", "n_inverse", "n_swap"]
         for k in request.bins:
             header += [f"n_chisq_small_k{k}", f"n_chisq_attaining_k{k}"]
-        write(header)
-        for f in _grid(request):
-            row = [
-                repr(f),
-                str(est.shots_inverse_ideal(f, params.p_e).shots),
-                str(est.shots_swap_ideal(f, params.p_e).shots),
-            ]
+        for f in grid:
+            row = [f, est.shots_inverse_ideal(f, params.p_e).shots, est.shots_swap_ideal(f, params.p_e).shots]
             small = sp.w2_small_discrepancy(f)
             attain = sp.w2_fidelity_attaining(f)
             for k in request.bins:
-                row.append(str(max(1, math.ceil(lams[k] / small))))
-                row.append(str(max(1, math.ceil(lams[k] / attain))))
-            write(row)
+                row += [max(1, math.ceil(lams[k] / small)), max(1, math.ceil(lams[k] / attain))]
+            rows.append(row)
     elif request.curve == "noise_binomial":
         header = ["q0"]
         for q1 in request.q1_values:
             header += [f"n_binomial_q1_{q1:g}", f"n_inverse_real_q1_{q1:g}", f"n_swap_real_q1_{q1:g}"]
-        write(header)
-        inverse_ref = {
-            q1: est.shots_inverse_real(q1, params.p_e, params.regime_factor).shots
+        refs = {
+            q1: (est.shots_inverse_real(q1, params.p_e, params.regime_factor).shots,
+                 est.shots_swap_real(q1, params.p_e, params.regime_factor).shots)
             for q1 in request.q1_values
         }
-        swap_ref = {
-            q1: est.shots_swap_real(q1, params.p_e, params.regime_factor).shots
-            for q1 in request.q1_values
-        }
-        for q0 in _grid(request):
-            row = [repr(q0)]
+        for q0 in grid:
+            row = [q0]
             for q1 in request.q1_values:
-                plan = sp.two_proportion_shots(q0, q1, params.alpha, params.beta)
-                row += [str(plan.shots), str(inverse_ref[q1]), str(swap_ref[q1])]
-            write(row)
+                row += [sp.two_proportion_shots(q0, q1, params.alpha, params.beta).shots, *refs[q1]]
+            rows.append(row)
     elif request.curve == "trace_vs_shots":
-        write(["T", "one_minus_T", "n_pure", "n_pm_lo", "n_pm_hi", "n_mixed_lo", "n_mixed_hi"])
-        for t in _grid(request):
+        header = ["T", "one_minus_T", "n_pure", "n_pm_lo", "n_pm_hi", "n_mixed_lo", "n_mixed_hi"]
+        for t in grid:
             pm = est.shots_pure_mixed_bounds_from_trace_distance(t, params.p_e)
             mixed = est.shots_mixed_bounds_from_trace_distance(t, params.p_e)
-            write(
-                [
-                    repr(t),
-                    repr(1.0 - t),
-                    str(est.shots_pure_from_trace_distance(t, params.p_e).shots),
-                    str(pm.lower.shots),
-                    str(pm.upper.shots),
-                    str(mixed.lower.shots),
-                    str(mixed.upper.shots),
-                ]
-            )
+            pure = est.shots_pure_from_trace_distance(t, params.p_e)
+            rows.append([t, 1.0 - t, pure.shots, pm.lower.shots, pm.upper.shots,
+                         mixed.lower.shots, mixed.upper.shots])
     else:
         raise ShotBudgetError(f"unknown curve {request.curve!r}")
+    # str spells a float as repr does
+    (out or sys.stdout).write("".join(",".join(map(str, row)) + "\n" for row in [header, *rows]))
 
 
 def cmd_curve(args: argparse.Namespace) -> int:

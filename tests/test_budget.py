@@ -10,11 +10,11 @@ from shotbudget import (
     HardwareRates,
     allocate,
     allocate_program,
-    fidelity_target_from_angle,
     load_program_spec,
     parse_program_spec,
     theta_star,
 )
+from shotbudget import cli
 from shotbudget.budget import block_weight
 from shotbudget.errors import DomainError, ZeroBudget, ZeroWeight
 
@@ -32,6 +32,7 @@ def explicit_blocks(weights, multiplicities=None):
 class TestAngles:
     def test_theta_star_frozen(self):
         assert theta_star(0.99) == pytest.approx(0.10016742116155969, abs=1e-15)
+        assert math.cos(theta_star(0.973)) ** 2 == pytest.approx(0.973, abs=1e-12)
 
     def test_theta_star_edges(self):
         assert theta_star(1.0) == 0.0
@@ -39,17 +40,6 @@ class TestAngles:
             theta_star(0.0)
         with pytest.raises(DomainError):
             theta_star(1.2)
-
-    def test_angle_fidelity_round_trip(self):
-        assert fidelity_target_from_angle(0.1) == pytest.approx(0.9900332889206209, abs=1e-15)
-        f = 0.973
-        assert fidelity_target_from_angle(theta_star(f)) == pytest.approx(f, abs=1e-12)
-
-    def test_angle_domain(self):
-        with pytest.raises(DomainError):
-            fidelity_target_from_angle(-0.1)
-        with pytest.raises(DomainError):
-            fidelity_target_from_angle(2.0)
 
 
 class TestBlockWeight:
@@ -231,3 +221,90 @@ class TestProgramSpecParsing:
         path.write_text(json.dumps(SPEC_DOC))
         spec = load_program_spec(str(path))
         assert spec.hardware.r2 == 1e-10
+
+
+class TestFiniteInputs:
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: HardwareRates(r1=math.nan, r2=1e-10), "hardware rate r1"),
+            (lambda: HardwareRates(r1=1e-11, r2=1e-10, gamma=math.inf), "hardware rate gamma"),
+            (lambda: HardwareRates(r1=-1e-11, r2=1e-10), "hardware rate r1"),
+            (lambda: BlockSpec(name="a", multiplicity=1, g1=math.inf), "'a': g1"),
+            (lambda: BlockSpec(name="a", multiplicity=1, depth=math.nan), "'a': depth"),
+            (lambda: BlockSpec(name="a", multiplicity=1, explicit_weight=math.inf), "'a': weight"),
+            (lambda: BlockSpec(name="a", multiplicity=1.5, g1=1.0), "'a': multiplicity"),
+            (lambda: BlockSpec(name="a", multiplicity=True, g1=1.0), "'a': multiplicity"),
+        ],
+    )
+    def test_dataclasses_name_the_bad_field(self, make, field):
+        with pytest.raises(DomainError, match=field):
+            make()
+
+    def test_overflowing_total_weight_is_a_domain_error(self):
+        blocks = [BlockSpec(name="a", multiplicity=2, explicit_weight=1e308)]
+        with pytest.raises(DomainError, match="total weight"):
+            allocate(blocks, RATES_UNUSED, 0.99, 0.05)
+
+    @pytest.mark.parametrize(
+        "section, key, literal, path",
+        [
+            ("hardware", "r1", "NaN", "/hardware/r1"),
+            ("block0", "weight", "Infinity", "/blocks/0/weight"),
+            ("block2", "g2", "1e999", "/blocks/2/g2"),
+            ("top", "p_e", "-Infinity", "/p_e"),
+            ("block1", "g1", "1" + "0" * 400, "/blocks/1/g1"),
+        ],
+        ids=["nan", "infinity", "1e999", "minus_infinity", "int_beyond_float"],
+    )
+    def test_spec_numbers_must_be_finite(self, tmp_path, capsys, section, key, literal, path):
+        doc = json.loads(json.dumps(SPEC_DOC))
+        target = {"hardware": doc["hardware"], "top": doc}.get(section)
+        if target is None:
+            target = doc["blocks"][int(section[-1])]
+        target[key] = "PROBE"
+        text = json.dumps(doc).replace('"PROBE"', literal)
+        with pytest.raises(DomainError, match=f"^{path} must be finite"):
+            parse_program_spec(json.loads(text))
+        spec_path = tmp_path / "probe.json"
+        spec_path.write_text(text)
+        assert cli.main(["budget", "--spec", str(spec_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path} must be finite")
+
+    def test_fractional_multiplicity_in_spec_is_rejected(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(SPEC_DOC))
+        doc["blocks"][0]["multiplicity"] = 1.5
+        spec_path = tmp_path / "frac.json"
+        spec_path.write_text(json.dumps(doc))
+        assert cli.main(["budget", "--spec", str(spec_path)]) == 2
+        assert "/blocks/0/multiplicity: expected an integer" in capsys.readouterr().err
+
+
+def test_totals_are_exact_past_int64(tmp_path, capsys):
+    blocks = [
+        BlockSpec(name="a", multiplicity=10, explicit_weight=1.0),
+        BlockSpec(name="b", multiplicity=7, explicit_weight=1.3),
+    ]
+    report = allocate(blocks, RATES_UNUSED, 0.99999, 0.05)
+    assert not report.any_infeasible
+    exact = {
+        kind: sum(a.multiplicity * getattr(a, f"shots_{kind}") for a in report.allocations)
+        for kind in ("inverse", "swap", "chisq_small", "chisq_attaining")
+    }
+    assert report.totals == exact
+    assert exact["chisq_attaining"] > 2**63
+    assert all(type(total) is int for total in report.totals.values())
+
+    doc = {
+        "fidelity_target": 0.99999,
+        "p_e": 0.05,
+        "hardware": {"r1": 0.0, "r2": 0.0},
+        "blocks": [{"name": "a", "multiplicity": 10, "weight": 1.0},
+                   {"name": "b", "multiplicity": 7, "weight": 1.3}],
+    }
+    spec_path = tmp_path / "exact.json"
+    spec_path.write_text(json.dumps(doc))
+    assert cli.main(["budget", "--spec", str(spec_path), "--out", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["totals"] == exact

@@ -1,19 +1,26 @@
-"""Pinned `budget` command output: exact stdout bytes and exit codes.
+"""Pinned `budget` command output, and the columns against the scalar formulas.
 
 Every (spec, format) case below was recorded from the row-at-a-time
 allocator and its asdict/json.dumps renderer.  A change to the budget
 path must reproduce them byte for byte.  The digests are sha256 of the
 UTF-8 stdout; the 10k-block spec is built here from a seeded generator,
-so no large fixture is committed.
+so no large fixture is committed.  The last test recomputes every
+column block by block through the scalar shot estimators and requires
+equal bits.
 """
 
+import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from shotbudget import cli
+from shotbudget import BlockAllocation, allocate_program, cli, parse_program_spec
+from shotbudget.budget import block_weight
+from shotbudget.shot_estimators import shots_inverse_real, shots_swap_real
+from shotbudget.stat_power import w2_fidelity_attaining, w2_small_discrepancy
 
 FORMATS = ("json", "csv", "table")
 
@@ -164,3 +171,60 @@ def test_beyond_int64_counts_are_printed_exactly(spec_paths, capsys):
     many = json.loads(out)["blocks"][0]
     assert many["shots_chisq_attaining"] > 2**63
     assert many["infeasible"] == ["chisq_attaining"]
+
+
+KINDS = ("inverse", "swap", "chisq_small", "chisq_attaining")
+
+
+def _scalar_rows(spec, report):
+    """Every column recomputed block by block through the scalar shot formulas."""
+    weights = [block_weight(b, spec.hardware) for b in spec.blocks]
+    total_weight = sum(b.multiplicity * w for b, w in zip(spec.blocks, weights))
+    r, p_e, lam = spec.regime_factor, spec.p_e, report.noncentrality
+    rows = []
+    for block, weight in zip(spec.blocks, weights):
+        theta = weight / total_weight * report.theta_star
+        f = math.cos(theta) ** 2
+        raws = dict.fromkeys(KINDS, math.inf)
+        if f < 1.0:
+            raws = {
+                "inverse": shots_inverse_real(f, p_e, r).raw,
+                "swap": shots_swap_real(f, p_e, r).raw,
+                "chisq_small": lam / w2_small_discrepancy(f),
+                "chisq_attaining": lam / w2_fidelity_attaining(f),
+            }
+        theta_sq = theta * theta
+        row = {"name": block.name, "multiplicity": block.multiplicity, "weight": weight,
+               "theta": theta, "f_target": f, "infeasible": ()}
+        for kind, raw in raws.items():
+            over = not math.isfinite(raw) or raw > 2**63
+            row[f"shots_{kind}"] = (math.ceil(raw) if math.isfinite(raw) else 0) if over else max(1, math.ceil(raw))
+            row[f"raw_{kind}"] = raw
+            row["infeasible"] += (kind,) if over else ()
+        row["taylor_shots_inverse"] = -r * math.log(p_e) / theta_sq
+        row["taylor_shots_swap"] = -2.0 * r * math.log(p_e) / theta_sq
+        row["taylor_shots_chisq_small"] = lam / (4.0 * theta_sq)
+        row["taylor_shots_chisq_attaining"] = 16.0 * lam / (theta_sq * theta_sq)
+        rows.append(row)
+    return total_weight, rows
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_columns_equal_per_block_formulas_bit_for_bit(name):
+    spec = parse_program_spec(SPECS[name])
+    report = allocate_program(spec)
+    total_weight, rows = _scalar_rows(spec, report)
+    assert report.total_weight == total_weight
+    assert list(report.columns) == [f.name for f in dataclasses.fields(BlockAllocation)]
+    for key, column in report.columns.items():
+        expected = tuple(row[key] for row in rows)
+        mismatch = [i for i, (a, b) in enumerate(zip(column, expected)) if a != b or type(a) is not type(b)]
+        assert len(column) == len(expected) and not mismatch, (key, mismatch[:5])
+    totals = {k: sum(r["multiplicity"] * r[f"shots_{k}"] for r in rows if k not in r["infeasible"])
+              for k in KINDS}
+    assert report.totals == totals
+    angle = 0.0
+    for row in rows:
+        angle += row["multiplicity"] * row["theta"]
+    assert report.total_angle == angle
+    assert report.allocations == tuple(BlockAllocation(**row) for row in rows)

@@ -1,5 +1,7 @@
 """End-to-end command-line checks: exit codes, JSON output, CSV curves."""
 
+import csv
+import io
 import json
 import math
 
@@ -230,6 +232,23 @@ class TestBudget:
         path.write_text(json.dumps({"p_e": 0.05}))
         assert cli.main(["budget", "--spec", str(path)]) == 2
 
+    def test_csv_quotes_only_names_that_need_it(self, tmp_path, capsys):
+        names = ['a,b"c', "two\nlines", "carriage\rreturn", "blk0", 'say "hi"']
+        spec = {
+            "fidelity_target": 0.99,
+            "p_e": 0.05,
+            "hardware": {"r1": 0.0, "r2": 0.0},
+            "blocks": [{"name": n, "weight": 1.0 + i} for i, n in enumerate(names)],
+        }
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["budget", "--spec", str(path), "--out", "csv"]) == 0
+        out = capsys.readouterr().out
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert [len(row) for row in rows] == [10] * (len(names) + 1)
+        assert [row[0] for row in rows[1:]] == names
+        assert '\nblk0,1,4.0,' in out and '\n"a,b""c",1,1.0,' in out
+
 
 class TestValidate:
     def test_inverse_pass(self, capsys):
@@ -346,6 +365,13 @@ class TestCurve:
 
     def test_bad_range_rejected(self):
         assert cli.main(["curve", "fid_vs_shots", "--start", "0.9", "--stop", "0.1"]) == 2
+
+    def test_degenerate_point_writes_no_partial_csv(self, capsys):
+        argv = ["curve", "fid_vs_shots", "--start", "0", "--stop", "1", "--points", "5"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("degenerate input: fidelity 1")
 
     def test_unknown_curve_is_usage_error(self):
         with pytest.raises(SystemExit) as info:

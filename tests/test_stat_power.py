@@ -1,5 +1,6 @@
 """Chi-square power machinery and binomial planning against oracles."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -223,6 +224,23 @@ class TestBinomialPlanning:
                 assert binomial_decision(threshold, n, q0, alpha)[0]
             if threshold < n:
                 assert not binomial_decision(threshold + 1, n, q0, alpha)[0]
+
+    def test_tail_bits_are_pinned(self):
+        # recorded from the two separate log-space loops; thresholds and
+        # p-values (at the thresholds, their neighbours and a few fixed
+        # counts) must keep every bit
+        h = hashlib.sha256()
+        for n in (1, 7, 100, 1000, 100_000):
+            for q0 in (0.5, 0.9, 0.999, 1.0):
+                counts = {0, n // 2, n - 1, n}
+                for alpha in (0.01, 0.05, 0.3):
+                    threshold = binomial_rejection_threshold(n, q0, alpha)
+                    h.update(f"{n} {q0} {alpha} {threshold}\n".encode())
+                    counts |= {threshold, threshold + 1}
+                for count in sorted(c for c in counts if 0 <= c <= n):
+                    reject, p = binomial_decision(count, n, q0, 0.05)
+                    h.update(f"{n} {q0} {count} {reject} {p.hex()}\n".encode())
+        assert h.hexdigest() == "d120a7778e04a55324593cfcb7161fd095d1eba43108f2ada2f89ca99dc0ea2e"
 
     def test_threshold_perfect_baseline(self):
         # q0 = 1: any miss at all is proof of degradation

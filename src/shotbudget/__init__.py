@@ -28,7 +28,6 @@ from .errors import (
 )
 from .states import (
     DensityMatrix,
-    NoiseModel,
     PureState,
     QcbResult,
     bures_angle,
@@ -47,22 +46,16 @@ from .shot_estimators import (
     Formula,
     ShotBounds,
     ShotEstimate,
+    estimate,
     shots_from_q,
     shots_inverse_ideal,
-    shots_inverse_real,
-    shots_mixed_bounds,
-    shots_mixed_bounds_from_trace_distance,
-    shots_pure,
-    shots_pure_from_trace_distance,
-    shots_pure_mixed_bounds_from_trace_distance,
     shots_swap_ideal,
-    shots_swap_real,
-    swap_to_inverse_ratio,
 )
 from .stat_power import (
     BinomialPlan,
     ChiSquarePlan,
     Distribution,
+    binomial_cdf,
     binomial_decision,
     binomial_rejection_threshold,
     chi2_distance,
@@ -85,7 +78,6 @@ from .budget import (
     allocate_program,
     load_program_spec,
     parse_program_spec,
-    theta_star,
 )
 from .montecarlo import (
     McConfig,
@@ -116,7 +108,6 @@ __all__ = [
     "McConfig",
     "McResult",
     "NoConvergence",
-    "NoiseModel",
     "ProgramSpec",
     "PureState",
     "QcbResult",
@@ -128,11 +119,13 @@ __all__ = [
     "ZeroWeight",
     "allocate",
     "allocate_program",
+    "binomial_cdf",
     "binomial_decision",
     "binomial_rejection_threshold",
     "bures_angle",
     "chi2_distance",
     "chisq_validity",
+    "estimate",
     "fidelity",
     "fidelity_pure",
     "fuchs_van_de_graaf_bounds",
@@ -149,21 +142,12 @@ __all__ = [
     "shots_chisq",
     "shots_from_q",
     "shots_inverse_ideal",
-    "shots_inverse_real",
-    "shots_mixed_bounds",
-    "shots_mixed_bounds_from_trace_distance",
-    "shots_pure",
-    "shots_pure_from_trace_distance",
-    "shots_pure_mixed_bounds_from_trace_distance",
     "shots_swap_ideal",
-    "shots_swap_real",
     "simulate_binomial_detection",
     "simulate_chisq_power",
     "simulate_inverse_miss_rate",
     "simulate_swap_miss_rate",
     "swap_acceptance",
-    "swap_to_inverse_ratio",
-    "theta_star",
     "trace_distance",
     "two_proportion_shots",
     "w2_fidelity_attaining",

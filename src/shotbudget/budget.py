@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import DomainError, ZeroBudget, ZeroWeight
 from .stat_power import lambda_noncentral
+from .states import bures_angle
 from . import tolerances as tol
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "BlockAllocation",
     "BudgetReport",
     "ProgramSpec",
-    "theta_star",
     "block_weight",
     "allocate",
     "allocate_program",
@@ -145,13 +145,6 @@ class BudgetReport:
         return any(self.columns["infeasible"])
 
 
-def theta_star(f_prog: float) -> float:
-    """Total Bures-angle budget arccos(sqrt(F_prog)) for F_prog in (0, 1]."""
-    if not 0.0 < f_prog <= 1.0:
-        raise DomainError(f"program fidelity target must lie in (0, 1], got {f_prog}")
-    return math.acos(min(1.0, math.sqrt(f_prog)))
-
-
 def block_weight(block: BlockSpec, rates: HardwareRates) -> float:
     """Weight of one block instance: explicit, or g1 r1 + g2 r2 + depth gamma.
 
@@ -203,7 +196,9 @@ def allocate(
         raise DomainError(f"error probability must lie in (0, 1), got {p_e}")
     if not 1.0 <= regime_factor <= 2.0:
         raise DomainError(f"regime factor must lie in [1, 2], got {regime_factor}")
-    big_theta = theta_star(f_prog)
+    if not 0.0 < f_prog <= 1.0:
+        raise DomainError(f"program fidelity target must lie in (0, 1], got {f_prog}")
+    big_theta = bures_angle(f_prog)
     if big_theta == 0.0:
         raise ZeroBudget("program fidelity target 1 leaves no error angle to allocate")
 

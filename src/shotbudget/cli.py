@@ -107,10 +107,6 @@ def _emit_json(doc: dict) -> None:
     print(json.dumps(_jsonable(doc), indent=2, allow_nan=False))
 
 
-def _estimate_row(label: str, e: est.ShotEstimate) -> list[str]:
-    return [label, _sig6(e.raw), str(e.shots), e.interpretation]
-
-
 def _estimate_doc(e: est.ShotEstimate) -> dict:
     return {
         "formula": e.formula.value,
@@ -123,39 +119,35 @@ def _estimate_doc(e: est.ShotEstimate) -> dict:
 # ---------------------------------------------------------------------------
 # shots
 
+F = est.Formula
+# (source, --test) -> its formulas, a pair being a (lower, upper) bracket;
+# --test all lists every row of the source in this order
+_SHOT_TESTS = {
+    ("fidelity", "pure"): (F.PURE,),
+    ("fidelity", "inverse"): (F.INVERSE_IDEAL,),
+    ("fidelity", "swap"): (F.SWAP_IDEAL,),
+    ("fidelity", "mixed"): (F.MIXED_LOWER, F.MIXED_UPPER),
+    ("trace_distance", "pure"): (F.TRACE_PURE,),
+    ("trace_distance", "pure-mixed"): (F.TRACE_PURE_MIXED_LOWER, F.TRACE_PURE_MIXED_UPPER),
+    ("trace_distance", "mixed"): (F.TRACE_MIXED_LOWER, F.TRACE_MIXED_UPPER),
+}
+_FAULT_PRONE = {F.INVERSE_IDEAL: F.INVERSE_REAL, F.SWAP_IDEAL: F.SWAP_REAL}  # used when R > 1
 
-def _fidelity_estimates(fid: float, params: TestPlanParams, which: str) -> list[est.ShotEstimate]:
+
+def _shot_estimates(source: str, test: str, x: float, params: TestPlanParams) -> list[est.ShotEstimate]:
+    keys = [key for key in _SHOT_TESTS if key[0] == source] if test == "all" else [(source, test)]
+    if keys[0] not in _SHOT_TESTS:
+        raise ShotBudgetError(f"--test {test} has no shot formula for --{source.replace('_', '-')}")
     out: list[est.ShotEstimate] = []
-    c = params.conservative
-    if which in ("all", "pure"):
-        out.append(est.shots_pure(fid, params.p_e, conservative=c))
-    if which in ("all", "inverse"):
+    for key in keys:
+        formulas = _SHOT_TESTS[key]
         if params.regime_factor > 1.0:
-            out.append(est.shots_inverse_real(fid, params.p_e, params.regime_factor, conservative=c))
-        else:
-            out.append(est.shots_inverse_ideal(fid, params.p_e, conservative=c))
-    if which in ("all", "swap"):
-        if params.regime_factor > 1.0:
-            out.append(est.shots_swap_real(fid, params.p_e, params.regime_factor, conservative=c))
-        else:
-            out.append(est.shots_swap_ideal(fid, params.p_e, conservative=c))
-    if which in ("all", "mixed"):
-        bounds = est.shots_mixed_bounds(fid, params.p_e, conservative=c)
-        out.extend([bounds.lower, bounds.upper])
-    return out
-
-
-def _trace_estimates(dist: float, params: TestPlanParams, which: str) -> list[est.ShotEstimate]:
-    out: list[est.ShotEstimate] = []
-    c = params.conservative
-    if which in ("all", "pure"):
-        out.append(est.shots_pure_from_trace_distance(dist, params.p_e, conservative=c))
-    if which in ("all", "pure-mixed"):
-        bounds = est.shots_pure_mixed_bounds_from_trace_distance(dist, params.p_e, conservative=c)
-        out.extend([bounds.lower, bounds.upper])
-    if which in ("all", "mixed"):
-        bounds = est.shots_mixed_bounds_from_trace_distance(dist, params.p_e, conservative=c)
-        out.extend([bounds.lower, bounds.upper])
+            formulas = [_FAULT_PRONE.get(f, f) for f in formulas]
+        rows = [est.estimate(f, x, params.p_e, params.regime_factor, conservative=params.conservative)
+                for f in formulas]
+        if len(rows) == 2:
+            est.ShotBounds(*rows)  # raises DomainError on an inverted bracket
+        out += rows
     return out
 
 
@@ -165,23 +157,20 @@ def cmd_shots(args: argparse.Namespace) -> int:
     )
     if (args.fidelity is None) == (args.trace_distance is None):
         raise ShotBudgetError("provide exactly one of --fidelity or --trace-distance")
-    if args.fidelity is not None:
-        estimates = _fidelity_estimates(args.fidelity, params, args.test)
-        source = {"fidelity": args.fidelity}
-    else:
-        estimates = _trace_estimates(args.trace_distance, params, args.test)
-        source = {"trace_distance": args.trace_distance}
+    source = "fidelity" if args.fidelity is not None else "trace_distance"
+    x = getattr(args, source)
+    estimates = _shot_estimates(source, args.test, x, params)
     if args.json:
         _emit_json(
             {
-                "input": {**source, "p_e": params.p_e, "regime_factor": params.regime_factor},
+                "input": {source: x, "p_e": params.p_e, "regime_factor": params.regime_factor},
                 "estimates": [_estimate_doc(e) for e in estimates],
             }
         )
     else:
         _print_table(
             ["formula", "raw", "shots", "interpretation"],
-            [_estimate_row(e.formula.value, e) for e in estimates],
+            [[e.formula.value, _sig6(e.raw), str(e.shots), e.interpretation] for e in estimates],
         )
     return 0
 
@@ -216,7 +205,7 @@ def cmd_qcb(args: argparse.Namespace) -> int:
             doc["shots"] = {"formula": "qcb", "raw": 0.0, "shots": 1}
             notice = "orthogonal supports (Q = 0); a single shot distinguishes the states"
         else:
-            doc["shots"] = _estimate_doc(est.shots_from_q(result.q, args.pe))
+            doc["shots"] = _estimate_doc(est.estimate(F.QCB, result.q, args.pe))
     if args.json:
         if notice is not None:
             doc["notice"] = notice
@@ -459,7 +448,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         if threshold < 0:
             expected = 0.0
         else:
-            _, expected = sp.binomial_decision(threshold, args.shots, args.q1, 0.5)
+            expected = sp.binomial_cdf(threshold, args.shots, args.q1)
     se_expected = math.sqrt(expected * (1.0 - expected) / args.trials)
     band = 4.0 * se_expected
     diff = abs(result.estimate - expected)
@@ -515,6 +504,16 @@ _CURVE_DEFAULTS = {
 }
 
 
+# curves of the shot formulas: header, then the formulas priced at each grid point x
+_CURVE_FORMULAS = {
+    "fid_vs_shots": (["F", "one_minus_F", "n_pure", "n_mixed_lo", "n_mixed_hi"],
+                     (F.PURE, F.MIXED_LOWER, F.MIXED_UPPER)),
+    "trace_vs_shots": (["T", "one_minus_T", "n_pure", "n_pm_lo", "n_pm_hi", "n_mixed_lo", "n_mixed_hi"],
+                       (F.TRACE_PURE, F.TRACE_PURE_MIXED_LOWER, F.TRACE_PURE_MIXED_UPPER,
+                        F.TRACE_MIXED_LOWER, F.TRACE_MIXED_UPPER)),
+}
+
+
 def emit_curve(request: CurveRequest, out=None) -> None:
     """Write one curve as CSV (header plus one row per grid point).
 
@@ -525,19 +524,17 @@ def emit_curve(request: CurveRequest, out=None) -> None:
     step = (request.stop - request.start) / (request.points - 1)
     grid = [request.start + i * step for i in range(request.points)]
     rows = []
-    if request.curve == "fid_vs_shots":
-        header = ["F", "one_minus_F", "n_pure", "n_mixed_lo", "n_mixed_hi"]
-        for f in grid:
-            bounds = est.shots_mixed_bounds(f, params.p_e)
-            pure = est.shots_pure(f, params.p_e)
-            rows.append([f, 1.0 - f, pure.shots, bounds.lower.shots, bounds.upper.shots])
+    if request.curve in _CURVE_FORMULAS:
+        header, formulas = _CURVE_FORMULAS[request.curve]
+        for x in grid:
+            rows.append([x, 1.0 - x, *(est.estimate(f, x, params.p_e).shots for f in formulas)])
     elif request.curve == "test_comparison":
         lams = {k: sp.lambda_noncentral(k - 1, params.alpha, 1.0 - params.beta) for k in request.bins}
         header = ["F", "n_inverse", "n_swap"]
         for k in request.bins:
             header += [f"n_chisq_small_k{k}", f"n_chisq_attaining_k{k}"]
         for f in grid:
-            row = [f, est.shots_inverse_ideal(f, params.p_e).shots, est.shots_swap_ideal(f, params.p_e).shots]
+            row = [f, *(est.estimate(k, f, params.p_e).shots for k in (F.INVERSE_IDEAL, F.SWAP_IDEAL))]
             small = sp.w2_small_discrepancy(f)
             attain = sp.w2_fidelity_attaining(f)
             for k in request.bins:
@@ -548,8 +545,8 @@ def emit_curve(request: CurveRequest, out=None) -> None:
         for q1 in request.q1_values:
             header += [f"n_binomial_q1_{q1:g}", f"n_inverse_real_q1_{q1:g}", f"n_swap_real_q1_{q1:g}"]
         refs = {
-            q1: (est.shots_inverse_real(q1, params.p_e, params.regime_factor).shots,
-                 est.shots_swap_real(q1, params.p_e, params.regime_factor).shots)
+            q1: [est.estimate(f, q1, params.p_e, params.regime_factor).shots
+                 for f in (F.INVERSE_REAL, F.SWAP_REAL)]
             for q1 in request.q1_values
         }
         for q0 in grid:
@@ -557,14 +554,6 @@ def emit_curve(request: CurveRequest, out=None) -> None:
             for q1 in request.q1_values:
                 row += [sp.two_proportion_shots(q0, q1, params.alpha, params.beta).shots, *refs[q1]]
             rows.append(row)
-    elif request.curve == "trace_vs_shots":
-        header = ["T", "one_minus_T", "n_pure", "n_pm_lo", "n_pm_hi", "n_mixed_lo", "n_mixed_hi"]
-        for t in grid:
-            pm = est.shots_pure_mixed_bounds_from_trace_distance(t, params.p_e)
-            mixed = est.shots_mixed_bounds_from_trace_distance(t, params.p_e)
-            pure = est.shots_pure_from_trace_distance(t, params.p_e)
-            rows.append([t, 1.0 - t, pure.shots, pm.lower.shots, pm.upper.shots,
-                         mixed.lower.shots, mixed.upper.shots])
     else:
         raise ShotBudgetError(f"unknown curve {request.curve!r}")
     # str spells a float as repr does

@@ -1,15 +1,20 @@
 """Shot-count formulas for state discrimination and equivalence tests.
 
-Every estimator returns a ShotEstimate carrying the raw real-valued
-formula output and the schedulable integer count ceil(raw) floored at
-one shot.  The underlying model is symmetric hypothesis testing: with N
-copies the best error probability decays like Q^N, so driving it below
-p_e needs N >= ln(p_e) / ln(Q) with Q the relevant per-shot acceptance
-or Chernoff quantity.
+Every formula is N = m ln(p_e) / ln(Q), times the regime factor R on the
+fault-prone hardware rows: with N copies the best error probability
+decays like Q^N, where Q is the per-shot acceptance or Chernoff quantity
+of the test.  FORMULAS holds one row per Formula: the input kind
+(fidelity F, trace distance T, or Q itself), the per-shot Q of that
+input, the multiple m (2 for the mixed-state upper bounds, from
+Q <= sqrt(F)), and whether R scales the row.  `estimate` prices any row
+behind one set of checks; a bracket is a (lower, upper) pair of rows in
+ShotBounds.  `shots_from_q`, `shots_inverse_ideal` and `shots_swap_ideal`
+are named entries into the table.
 
-The `conservative` flag does not change any number; it flips the
-interpretation label from an asymptotic estimate to a lower-bound
-requirement for reports.
+An estimate carries the raw formula value and the schedulable count
+ceil(raw), floored at one shot.  `conservative` changes no number; it
+labels the count a lower-bound requirement instead of an asymptotic
+estimate.
 """
 
 from __future__ import annotations
@@ -17,25 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 from .errors import DegenerateStates, DomainError
 
-__all__ = [
-    "Formula",
-    "ShotEstimate",
-    "ShotBounds",
-    "shots_from_q",
-    "shots_pure",
-    "shots_mixed_bounds",
-    "shots_inverse_ideal",
-    "shots_inverse_real",
-    "shots_swap_ideal",
-    "shots_swap_real",
-    "swap_to_inverse_ratio",
-    "shots_pure_from_trace_distance",
-    "shots_pure_mixed_bounds_from_trace_distance",
-    "shots_mixed_bounds_from_trace_distance",
-]
+__all__ = ["Formula", "FORMULAS", "ShotEstimate", "ShotBounds", "estimate",
+           "shots_from_q", "shots_inverse_ideal", "shots_swap_ideal"]
 
 
 class Formula(str, Enum):
@@ -84,189 +76,79 @@ class ShotBounds:
             )
 
 
-def _estimate(raw: float, formula: Formula, conservative: bool) -> ShotEstimate:
-    shots = max(1, math.ceil(raw))
-    return ShotEstimate(raw=raw, shots=shots, formula=formula, conservative=conservative)
+class FormulaRow(NamedTuple):
+    """One shot formula: N = multiple * ln(p_e) / ln(per_shot(x)), times R if scaled."""
+
+    kind: str
+    per_shot: Callable[[float], float]
+    multiple: float
+    scaled: bool
 
 
-def _check_pe(p_e: float) -> None:
+_F, _T = "fidelity", "trace distance"
+# input kind -> (least, greatest allowed value, as text); the least Q is the
+# smallest positive float: callers report Q = 0 (orthogonal states) as one shot
+_RANGES = {_F: (0.0, 1.0, "[0, 1]"), _T: (0.0, 1.0, "[0, 1]"), "Q": (math.ulp(0.0), 1.0, "(0, 1]")}
+
+FORMULAS: dict[Formula, FormulaRow] = {
+    Formula.QCB: FormulaRow("Q", lambda q: q, 1.0, False),
+    Formula.PURE: FormulaRow(_F, lambda f: f, 1.0, False),
+    # mixed pairs: 1 - sqrt(1 - F) <= Q <= sqrt(F)
+    Formula.MIXED_LOWER: FormulaRow(_F, lambda f: 1.0 - math.sqrt(1.0 - f), 1.0, False),
+    Formula.MIXED_UPPER: FormulaRow(_F, lambda f: f, 2.0, False),
+    Formula.INVERSE_IDEAL: FormulaRow(_F, lambda f: f, 1.0, False),
+    Formula.INVERSE_REAL: FormulaRow(_F, lambda f: f, 1.0, True),
+    # the swap ancilla reads 0 with probability 1/2 + F/2
+    Formula.SWAP_IDEAL: FormulaRow(_F, lambda f: 0.5 + 0.5 * f, 1.0, False),
+    Formula.SWAP_REAL: FormulaRow(_F, lambda f: 0.5 + 0.5 * f, 1.0, True),
+    # pure pairs have T = sqrt(1 - F); pure-vs-mixed Q lies in [1 - T, 1 - T^2]
+    Formula.TRACE_PURE: FormulaRow(_T, lambda t: 1.0 - t * t, 1.0, False),
+    Formula.TRACE_PURE_MIXED_LOWER: FormulaRow(_T, lambda t: 1.0 - t, 1.0, False),
+    Formula.TRACE_PURE_MIXED_UPPER: FormulaRow(_T, lambda t: 1.0 - t * t, 1.0, False),
+    Formula.TRACE_MIXED_LOWER: FormulaRow(_T, lambda t: 1.0 - math.sqrt(t * (2.0 - t)), 1.0, False),
+    Formula.TRACE_MIXED_UPPER: FormulaRow(_T, lambda t: 1.0 - t * t, 2.0, False),
+}
+
+
+def estimate(formula: Formula, x: float, p_e: float, regime_factor: float = 1.0, *,
+             conservative: bool = False) -> ShotEstimate:
+    """Price one FORMULAS row at input x (a fidelity, trace distance or Q).
+
+    R multiplies only the rows marked scaled; a per-shot Q of 0 is the
+    zero-shot limit, floored at one shot.  Raises DomainError for p_e
+    outside (0, 1), R outside [1, 2] or x outside its input range, and
+    DegenerateStates when the per-shot Q rounds to 1.
+    """
+    row = FORMULAS[formula]
+    low, high, allowed = _RANGES[row.kind]
     if not 0.0 < p_e < 1.0:
         raise DomainError(f"error probability must lie in (0, 1), got {p_e}")
-
-
-def _check_regime(regime_factor: float) -> None:
     if not 1.0 <= regime_factor <= 2.0:
         raise DomainError(f"regime factor must lie in [1, 2], got {regime_factor}")
-
-
-def _log_ratio(p_e: float, per_shot: float) -> float:
-    # ln(p_e) / ln(per_shot) with the per_shot -> 0 limit taken as 0 shots.
-    if per_shot == 0.0:
-        return 0.0
-    return math.log(p_e) / math.log(per_shot)
+    if not low <= x <= high:
+        raise DomainError(f"{row.kind} must lie in {allowed}, got {x}")
+    q = row.per_shot(x)
+    if q >= 1.0:
+        raise DegenerateStates(
+            f"{row.kind} {x} gives a per-shot Q of 1: no finite shot count separates the states"
+        )
+    raw = row.multiple * (math.log(p_e) / math.log(q)) if q > 0.0 else 0.0
+    if row.scaled:
+        raw *= regime_factor
+    return ShotEstimate(raw=raw, shots=max(1, math.ceil(raw)), formula=formula,
+                        conservative=conservative)
 
 
 def shots_from_q(q: float, p_e: float, *, conservative: bool = False) -> ShotEstimate:
-    """Shots from a known Chernoff quantity: N = ln(p_e) / ln(Q).
-
-    Raises DomainError for q <= 0 (orthogonal states are short-circuited
-    to a single shot by callers before reaching this) and
-    DegenerateStates for q >= 1.
-    """
-    _check_pe(p_e)
-    if q <= 0.0:
-        raise DomainError(f"Q must be positive, got {q}; orthogonal states need one shot")
-    if q >= 1.0:
-        raise DegenerateStates("Q = 1: the states are indistinguishable at any shot count")
-    return _estimate(_log_ratio(p_e, q), Formula.QCB, conservative)
-
-
-def shots_pure(fid: float, p_e: float, *, conservative: bool = False) -> ShotEstimate:
-    """Pure-state discrimination shots, N = ln(p_e) / ln(F)."""
-    _check_pe(p_e)
-    if not 0.0 <= fid <= 1.0:
-        raise DomainError(f"fidelity must lie in [0, 1], got {fid}")
-    if fid == 1.0:
-        raise DegenerateStates("fidelity 1: identical states cannot be distinguished")
-    return _estimate(_log_ratio(p_e, fid), Formula.PURE, conservative)
-
-
-def shots_mixed_bounds(fid: float, p_e: float, *, conservative: bool = False) -> ShotBounds:
-    """Fidelity-only shot bracket for mixed states.
-
-    ln(p_e)/ln(1 - sqrt(1-F))  <=  N  <=  2 ln(p_e)/ln(F), from the
-    sandwich 1 - sqrt(1-F) <= Q <= sqrt(F).
-    """
-    _check_pe(p_e)
-    if not 0.0 <= fid <= 1.0:
-        raise DomainError(f"fidelity must lie in [0, 1], got {fid}")
-    if fid == 1.0:
-        raise DegenerateStates("fidelity 1: identical states cannot be distinguished")
-    q_lo = 1.0 - math.sqrt(1.0 - fid)
-    lower = _estimate(_log_ratio(p_e, q_lo), Formula.MIXED_LOWER, conservative)
-    upper = _estimate(2.0 * _log_ratio(p_e, fid), Formula.MIXED_UPPER, conservative)
-    return ShotBounds(lower=lower, upper=upper)
+    """Shots from a known Chernoff quantity Q in (0, 1): N = ln(p_e) / ln(Q)."""
+    return estimate(Formula.QCB, q, p_e, conservative=conservative)
 
 
 def shots_inverse_ideal(fid: float, p_e: float, *, conservative: bool = False) -> ShotEstimate:
-    """Inverse (compute-uncompute) test on ideal hardware.
-
-    The test accepts with per-shot probability F, so
-    N = ln(p_e) / ln(F); misses are certain once any shot fails.
-    """
-    _check_pe(p_e)
-    if not 0.0 <= fid <= 1.0:
-        raise DomainError(f"fidelity must lie in [0, 1], got {fid}")
-    if fid == 1.0:
-        raise DegenerateStates("fidelity 1: the inverse test always accepts")
-    return _estimate(_log_ratio(p_e, fid), Formula.INVERSE_IDEAL, conservative)
-
-
-def shots_inverse_real(
-    fid: float, p_e: float, regime_factor: float, *, conservative: bool = False
-) -> ShotEstimate:
-    """Inverse test on fault-prone hardware: ideal count times R in [1, 2]."""
-    _check_pe(p_e)
-    _check_regime(regime_factor)
-    if not 0.0 <= fid <= 1.0:
-        raise DomainError(f"fidelity must lie in [0, 1], got {fid}")
-    if fid == 1.0:
-        raise DegenerateStates("fidelity 1: the inverse test always accepts")
-    return _estimate(regime_factor * _log_ratio(p_e, fid), Formula.INVERSE_REAL, conservative)
+    """Inverse (compute-uncompute) test on ideal hardware: N = ln(p_e) / ln(F)."""
+    return estimate(Formula.INVERSE_IDEAL, fid, p_e, conservative=conservative)
 
 
 def shots_swap_ideal(fid: float, p_e: float, *, conservative: bool = False) -> ShotEstimate:
-    """Swap test on ideal hardware: N = ln(p_e) / ln(1/2 + F/2).
-
-    The ancilla reads 0 with probability 1/2 + F/2, which is also the
-    Chernoff quantity of the test, so the same log ratio applies.
-    """
-    _check_pe(p_e)
-    if not 0.0 <= fid <= 1.0:
-        raise DomainError(f"fidelity must lie in [0, 1], got {fid}")
-    if fid == 1.0:
-        raise DegenerateStates("fidelity 1: the swap test always accepts")
-    return _estimate(_log_ratio(p_e, 0.5 + 0.5 * fid), Formula.SWAP_IDEAL, conservative)
-
-
-def shots_swap_real(
-    fid: float, p_e: float, regime_factor: float, *, conservative: bool = False
-) -> ShotEstimate:
-    """Swap test on fault-prone hardware: ideal count times R in [1, 2]."""
-    _check_pe(p_e)
-    _check_regime(regime_factor)
-    if not 0.0 <= fid <= 1.0:
-        raise DomainError(f"fidelity must lie in [0, 1], got {fid}")
-    if fid == 1.0:
-        raise DegenerateStates("fidelity 1: the swap test always accepts")
-    return _estimate(
-        regime_factor * _log_ratio(p_e, 0.5 + 0.5 * fid), Formula.SWAP_REAL, conservative
-    )
-
-
-def swap_to_inverse_ratio(fid: float) -> float:
-    """Shot-count ratio swap/inverse, ln(F) / ln(1/2 + F/2).
-
-    Approaches 2 as F -> 1 (each swap shot carries half the evidence of
-    an inverse shot there) and drops toward ln F / ln(1/2) as F -> 0.
-    Defined for F strictly inside (0, 1).
-    """
-    if not 0.0 < fid < 1.0:
-        raise DomainError(f"ratio needs fidelity strictly inside (0, 1), got {fid}")
-    return math.log(fid) / math.log(0.5 + 0.5 * fid)
-
-
-def shots_pure_from_trace_distance(
-    dist: float, p_e: float, *, conservative: bool = False
-) -> ShotEstimate:
-    """Pure-state shots from trace distance T: N = ln(p_e) / ln(1 - T^2).
-
-    Uses T = sqrt(1 - F) for pure pairs, so this is the pure-state
-    formula in trace-distance coordinates.
-    """
-    _check_pe(p_e)
-    if not 0.0 <= dist <= 1.0:
-        raise DomainError(f"trace distance must lie in [0, 1], got {dist}")
-    if dist == 0.0:
-        raise DegenerateStates("trace distance 0: identical states cannot be distinguished")
-    return _estimate(_log_ratio(p_e, 1.0 - dist * dist), Formula.TRACE_PURE, conservative)
-
-
-def shots_pure_mixed_bounds_from_trace_distance(
-    dist: float, p_e: float, *, conservative: bool = False
-) -> ShotBounds:
-    """Shot bracket for a pure-vs-mixed pair at trace distance T.
-
-    ln(p_e)/ln(1 - T) <= N <= ln(p_e)/ln(1 - T^2); the upper limit
-    coincides with the pure-pair formula.
-    """
-    _check_pe(p_e)
-    if not 0.0 <= dist <= 1.0:
-        raise DomainError(f"trace distance must lie in [0, 1], got {dist}")
-    if dist == 0.0:
-        raise DegenerateStates("trace distance 0: identical states cannot be distinguished")
-    lower = _estimate(_log_ratio(p_e, 1.0 - dist), Formula.TRACE_PURE_MIXED_LOWER, conservative)
-    upper = _estimate(
-        _log_ratio(p_e, 1.0 - dist * dist), Formula.TRACE_PURE_MIXED_UPPER, conservative
-    )
-    return ShotBounds(lower=lower, upper=upper)
-
-
-def shots_mixed_bounds_from_trace_distance(
-    dist: float, p_e: float, *, conservative: bool = False
-) -> ShotBounds:
-    """Shot bracket for general mixed pairs at trace distance T.
-
-    ln(p_e)/ln(1 - sqrt(2T - T^2)) <= N <= 2 ln(p_e)/ln(1 - T^2).
-    """
-    _check_pe(p_e)
-    if not 0.0 <= dist <= 1.0:
-        raise DomainError(f"trace distance must lie in [0, 1], got {dist}")
-    if dist == 0.0:
-        raise DegenerateStates("trace distance 0: identical states cannot be distinguished")
-    q_lo = 1.0 - math.sqrt(dist * (2.0 - dist))
-    lower = _estimate(_log_ratio(p_e, q_lo), Formula.TRACE_MIXED_LOWER, conservative)
-    upper = _estimate(
-        2.0 * _log_ratio(p_e, 1.0 - dist * dist), Formula.TRACE_MIXED_UPPER, conservative
-    )
-    return ShotBounds(lower=lower, upper=upper)
+    """Swap test on ideal hardware: N = ln(p_e) / ln(1/2 + F/2)."""
+    return estimate(Formula.SWAP_IDEAL, fid, p_e, conservative=conservative)

@@ -15,7 +15,8 @@ baseline q0 to a degraded q1: planning uses the two-sample normal
 approximation (one-sided, no continuity correction); the decision applies
 the exact one-sample binomial test, which is the sharper tool once the
 baseline is known analytically.  The planner is therefore conservative
-for the one-sample use.
+for the one-sample use.  One log-space loop sums the binomial CDF for
+`binomial_cdf`, the decision and its rejection threshold.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ __all__ = [
     "pearson_statistic",
     "chisq_validity",
     "two_proportion_shots",
+    "binomial_cdf",
     "binomial_decision",
     "binomial_rejection_threshold",
     "parse_distribution",
@@ -336,41 +338,51 @@ def two_proportion_shots(
     )
 
 
-def _log_add(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
+def _binomial_log_cdf(n_shots: int, q: float, last: int, log_stop: float = math.inf) -> tuple[int, float]:
+    """Walk ln P[Bin(n_shots, q) <= i] for i = 0..last in log space, for 0 < q < 1.
+
+    Returns (i, log_cdf) at the first i whose value exceeds log_stop, or
+    (last + 1, ln P[... <= last]) when none does.  The log-add of each
+    term is written out inline: a call per term costs ~10% at n = 1e6.
+    """
+    log_q, log_1mq = math.log(q), math.log1p(-q)
+    log, log1p, exp = math.log, math.log1p, math.exp
+    log_cdf = -math.inf
+    log_pmf = n_shots * log_1mq
+    for i in range(last + 1):
+        if i > 0:
+            log_pmf += log(n_shots - i + 1) - log(i) + log_q - log_1mq
+        if log_cdf >= log_pmf:
+            log_cdf += log1p(exp(log_pmf - log_cdf))
+        else:  # also the first term: log_pmf + log1p(0) is log_pmf exactly
+            log_cdf = log_pmf + log1p(exp(log_cdf - log_pmf))
+        if log_cdf > log_stop:
+            return i, log_cdf
+    return last + 1, log_cdf
+
+
+def binomial_cdf(count: int, n_shots: int, q: float) -> float:
+    """P[Bin(n_shots, q) <= count], summed in log space so q near 1 does not underflow."""
+    if n_shots < 1:
+        raise DomainError(f"shot count must be >= 1, got {n_shots}")
+    if not 0 <= count <= n_shots:
+        raise DomainError(f"observed count {count} outside [0, {n_shots}]")
+    if not 0.0 < q <= 1.0:
+        raise DomainError(f"success probability must lie in (0, 1], got {q}")
+    if q == 1.0:
+        return 1.0 if count == n_shots else 0.0
+    return min(1.0, math.exp(_binomial_log_cdf(n_shots, q, count)[1]))
 
 
 def binomial_decision(zero_count: int, n_shots: int, q0: float, alpha: float) -> tuple[bool, float]:
     """Exact one-sample binomial test of observed successes against baseline q0.
 
-    p_value = P[Bin(n_shots, q0) <= zero_count], accumulated in log space
-    so baselines near 1 do not underflow.  Rejects (the success rate has
-    dropped below q0) when p_value <= alpha.
+    p_value = P[Bin(n_shots, q0) <= zero_count] (see binomial_cdf).
+    Rejects (the success rate has dropped below q0) when p_value <= alpha.
     """
-    if n_shots < 1:
-        raise DomainError(f"shot count must be >= 1, got {n_shots}")
-    if not 0 <= zero_count <= n_shots:
-        raise DomainError(f"observed count {zero_count} outside [0, {n_shots}]")
-    if not 0.0 < q0 <= 1.0:
-        raise DomainError(f"baseline q0 must lie in (0, 1], got {q0}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if q0 == 1.0:
-        p_value = 1.0 if zero_count == n_shots else 0.0
-        return p_value <= alpha, p_value
-    log_q, log_1mq = math.log(q0), math.log1p(-q0)
-    log_cdf = -math.inf
-    log_pmf = n_shots * log_1mq
-    for i in range(zero_count + 1):
-        if i > 0:
-            log_pmf += math.log(n_shots - i + 1) - math.log(i) + log_q - log_1mq
-        log_cdf = _log_add(log_cdf, log_pmf)
-    p_value = min(1.0, math.exp(log_cdf))
+    p_value = binomial_cdf(zero_count, n_shots, q0)
     return p_value <= alpha, p_value
 
 
@@ -389,17 +401,7 @@ def binomial_rejection_threshold(n_shots: int, q0: float, alpha: float) -> int:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if q0 == 1.0:
         return n_shots - 1
-    log_q, log_1mq = math.log(q0), math.log1p(-q0)
-    log_alpha = math.log(alpha)
-    log_cdf = -math.inf
-    log_pmf = n_shots * log_1mq
-    for i in range(n_shots + 1):
-        if i > 0:
-            log_pmf += math.log(n_shots - i + 1) - math.log(i) + log_q - log_1mq
-        log_cdf = _log_add(log_cdf, log_pmf)
-        if log_cdf > log_alpha:
-            return i - 1
-    return n_shots
+    return _binomial_log_cdf(n_shots, q0, n_shots, math.log(alpha))[0] - 1
 
 
 # ---------------------------------------------------------------------------

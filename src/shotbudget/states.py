@@ -34,7 +34,6 @@ from . import tolerances as tol
 __all__ = [
     "PureState",
     "DensityMatrix",
-    "NoiseModel",
     "QcbResult",
     "fidelity",
     "fidelity_pure",
@@ -153,27 +152,6 @@ class DensityMatrix:
             object.__setattr__(self, "_eig", decomp)
         clamped = np.where(decomp.values > 0.0, decomp.values, 0.0)
         return EigenDecomposition(values=clamped, vectors=decomp.vectors)
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Process-fidelity summary of the executing hardware.
-
-    p_f is the probability that a run of the circuit is fault-free; the
-    regime factor R in [1, 2] multiplies ideal shot counts to cover the
-    gap between the ideal and fault-prone analyses.  R = 2 is the
-    worst-case limit, so larger values are rejected rather than
-    extrapolated.
-    """
-
-    p_f: float
-    regime_factor: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_f <= 1.0:
-            raise DomainError(f"p_f must lie in [0, 1], got {self.p_f}")
-        if not 1.0 <= self.regime_factor <= 2.0:
-            raise DomainError(f"regime_factor must lie in [1, 2], got {self.regime_factor}")
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from shotbudget import (
     allocate,
     allocate_program,
     load_program_spec,
+    bures_angle,
     parse_program_spec,
-    theta_star,
 )
 from shotbudget import cli
 from shotbudget.budget import block_weight
@@ -30,16 +30,21 @@ def explicit_blocks(weights, multiplicities=None):
 
 
 class TestAngles:
+    # the allocator's total angle Theta* is the Bures angle of the program target
     def test_theta_star_frozen(self):
-        assert theta_star(0.99) == pytest.approx(0.10016742116155969, abs=1e-15)
-        assert math.cos(theta_star(0.973)) ** 2 == pytest.approx(0.973, abs=1e-12)
+        assert bures_angle(0.99) == pytest.approx(0.10016742116155969, abs=1e-15)
+        assert math.cos(bures_angle(0.973)) ** 2 == pytest.approx(0.973, abs=1e-12)
+        for f_prog in (0.99, 0.973, 1e-300):
+            report = allocate(explicit_blocks([1.0]), RATES_UNUSED, f_prog, 0.05)
+            assert report.theta_star == bures_angle(f_prog)
 
     def test_theta_star_edges(self):
-        assert theta_star(1.0) == 0.0
-        with pytest.raises(DomainError):
-            theta_star(0.0)
-        with pytest.raises(DomainError):
-            theta_star(1.2)
+        assert bures_angle(1.0) == 0.0
+        with pytest.raises(ZeroBudget):
+            allocate(explicit_blocks([1.0]), RATES_UNUSED, 1.0, 0.05)
+        for f_prog in (0.0, 1.2, -0.5, math.nan):
+            with pytest.raises(DomainError, match=r"^program fidelity target must lie in \(0, 1\], got "):
+                allocate(explicit_blocks([1.0]), RATES_UNUSED, f_prog, 0.05)
 
 
 class TestBlockWeight:

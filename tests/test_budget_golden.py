@@ -19,7 +19,7 @@ import pytest
 
 from shotbudget import BlockAllocation, allocate_program, cli, parse_program_spec
 from shotbudget.budget import block_weight
-from shotbudget.shot_estimators import shots_inverse_real, shots_swap_real
+from shotbudget.shot_estimators import Formula, estimate
 from shotbudget.stat_power import w2_fidelity_attaining, w2_small_discrepancy
 
 FORMATS = ("json", "csv", "table")
@@ -188,8 +188,8 @@ def _scalar_rows(spec, report):
         raws = dict.fromkeys(KINDS, math.inf)
         if f < 1.0:
             raws = {
-                "inverse": shots_inverse_real(f, p_e, r).raw,
-                "swap": shots_swap_real(f, p_e, r).raw,
+                "inverse": estimate(Formula.INVERSE_REAL, f, p_e, r).raw,
+                "swap": estimate(Formula.SWAP_REAL, f, p_e, r).raw,
                 "chisq_small": lam / w2_small_discrepancy(f),
                 "chisq_attaining": lam / w2_fidelity_attaining(f),
             }

@@ -92,6 +92,44 @@ class TestShots:
         assert "degenerate" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["shots", "--trace-distance", "1e-9"],
+            ["shots", "--fidelity", "0.9999999999999999", "--test", "swap"],
+            ["curve", "trace_vs_shots", "--start", "1e-9", "--stop", "0.5", "--points", "3"],
+        ],
+    )
+    def test_per_shot_q_rounding_to_one_is_degenerate(self, argv, capsys):
+        # 1 - T^2 and 1/2 + F/2 round to 1: no traceback, nothing on stdout
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("degenerate input: ")
+        assert "gives a per-shot Q of 1" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, source",
+        [
+            (["shots", "--trace-distance", "0.1", "--test", "inverse"], "--trace-distance"),
+            (["shots", "--fidelity", "0.9", "--test", "pure-mixed", "--json"], "--fidelity"),
+        ],
+    )
+    def test_test_without_formula_for_its_source_rejected(self, argv, source, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --test {argv[4]} has no shot formula for {source}\n"
+
+    @pytest.mark.parametrize("source", ["--fidelity", "--trace-distance"])
+    def test_regime_factor_outside_range_rejected(self, source, capsys):
+        for factor in ("0.5", "2.5"):
+            assert cli.main(["shots", source, "0.5", "--regime-factor", factor]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"regime factor must lie in [1, 2], got {factor}" in captured.err
+
+
 class TestQcb:
     def test_pure_pair_report(self, state_files, capsys):
         code = cli.main(["qcb", state_files["zero"], state_files["plus"], "--json"])

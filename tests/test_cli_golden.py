@@ -1,8 +1,9 @@
 """Pinned stdout bytes and exit codes of the planning commands, and one
 digest over every shot formula on a seeded grid.
 
-Every case below was recorded from the per-formula estimator functions
-and the CLI that dispatched to them one by one.  A change to the shot
+Every case below, and the grid digest, was recorded from the ten
+per-formula estimator functions and the CLI that dispatched to them one
+by one, before one formula table replaced them.  A change to the shot
 path must reproduce them byte for byte.  The digests are sha256 of the
 UTF-8 stdout; state files are written here, so no fixture is committed.
 """
@@ -15,19 +16,7 @@ import numpy as np
 import pytest
 
 from shotbudget import cli
-from shotbudget.shot_estimators import (
-    Formula,
-    shots_from_q,
-    shots_inverse_ideal,
-    shots_inverse_real,
-    shots_mixed_bounds,
-    shots_mixed_bounds_from_trace_distance,
-    shots_pure,
-    shots_pure_from_trace_distance,
-    shots_pure_mixed_bounds_from_trace_distance,
-    shots_swap_ideal,
-    shots_swap_real,
-)
+from shotbudget.shot_estimators import Formula, estimate
 
 _SHOTS_FID = ["shots", "--fidelity", "0.99", "--pe", "0.01"]
 _SHOTS_TRACE = ["shots", "--trace-distance", "0.1", "--pe", "0.05"]
@@ -164,27 +153,6 @@ def _grid(seed: int = 20260822, size: int = 400):
     return [(0.0, 0.05, 1.0), (0.5, 0.5, 1.5)] + list(zip(x.tolist(), p_e.tolist(), r.tolist()))
 
 
-# formula -> price(x, p_e, R, conservative); fidelity rows get x, trace rows 1 - x
-PRICES = {
-    Formula.PURE: lambda f, pe, r, c: shots_pure(f, pe, conservative=c),
-    Formula.MIXED_LOWER: lambda f, pe, r, c: shots_mixed_bounds(f, pe, conservative=c).lower,
-    Formula.MIXED_UPPER: lambda f, pe, r, c: shots_mixed_bounds(f, pe, conservative=c).upper,
-    Formula.INVERSE_IDEAL: lambda f, pe, r, c: shots_inverse_ideal(f, pe, conservative=c),
-    Formula.INVERSE_REAL: lambda f, pe, r, c: shots_inverse_real(f, pe, r, conservative=c),
-    Formula.SWAP_IDEAL: lambda f, pe, r, c: shots_swap_ideal(f, pe, conservative=c),
-    Formula.SWAP_REAL: lambda f, pe, r, c: shots_swap_real(f, pe, r, conservative=c),
-    Formula.TRACE_PURE: lambda t, pe, r, c: shots_pure_from_trace_distance(t, pe, conservative=c),
-    Formula.TRACE_PURE_MIXED_LOWER:
-        lambda t, pe, r, c: shots_pure_mixed_bounds_from_trace_distance(t, pe, conservative=c).lower,
-    Formula.TRACE_PURE_MIXED_UPPER:
-        lambda t, pe, r, c: shots_pure_mixed_bounds_from_trace_distance(t, pe, conservative=c).upper,
-    Formula.TRACE_MIXED_LOWER:
-        lambda t, pe, r, c: shots_mixed_bounds_from_trace_distance(t, pe, conservative=c).lower,
-    Formula.TRACE_MIXED_UPPER:
-        lambda t, pe, r, c: shots_mixed_bounds_from_trace_distance(t, pe, conservative=c).upper,
-    Formula.QCB: lambda q, pe, r, c: shots_from_q(q, pe, conservative=c),
-}
-
 ESTIMATOR_DIGEST = "390900330f902976e07c32ea1c0f4a63a1567721ce9f11ee0a3c9ceeaebb173f"
 
 
@@ -192,11 +160,13 @@ def test_every_formula_on_the_seeded_grid():
     h = hashlib.sha256()
     rows = 0
     for i, (x, p_e, r) in enumerate(_grid()):
-        for formula, price in PRICES.items():
+        # the recording order was Formula's with QCB moved last; fidelity
+        # rows and Q get x, trace-distance rows 1 - x
+        for formula in sorted(Formula, key=lambda f: f is Formula.QCB):
             value = 1.0 - x if formula.value.startswith("trace") else x
             if formula is Formula.QCB and value == 0.0:
                 continue  # Q = 0 is the orthogonal case, priced by callers
-            e = price(value, p_e, r, i % 2 == 1)
+            e = estimate(formula, value, p_e, r, conservative=i % 2 == 1)
             h.update(f"{formula.value} {e.raw.hex()} {e.shots} {e.formula.value} "
                      f"{e.interpretation}\n".encode())
             rows += 1

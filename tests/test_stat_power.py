@@ -9,6 +9,7 @@ import scipy.stats
 
 from shotbudget import (
     Distribution,
+    binomial_cdf,
     binomial_decision,
     binomial_rejection_threshold,
     chi2_distance,
@@ -216,6 +217,16 @@ class TestBinomialPlanning:
         for n, q0, x in ((50, 0.97, 44), (200, 0.999, 199), (30, 0.6, 12)):
             _, p = binomial_decision(x, n, q0, 0.05)
             assert p == pytest.approx(scipy.stats.binom.cdf(x, n, q0), rel=1e-9)
+
+    def test_cdf_matches_scipy_and_the_decision(self):
+        for n, q, k in ((50, 0.97, 44), (300, 0.95, 281), (1, 0.5, 0), (10, 0.9, 10)):
+            assert binomial_cdf(k, n, q) == pytest.approx(scipy.stats.binom.cdf(k, n, q), rel=1e-9)
+            assert binomial_cdf(k, n, q) == binomial_decision(k, n, q, 0.05)[1]
+        assert binomial_cdf(9, 10, 1.0) == 0.0
+        assert binomial_cdf(10, 10, 1.0) == 1.0
+        for args in ((5, 0, 0.5), (11, 10, 0.5), (-1, 10, 0.5), (5, 10, 0.0), (5, 10, 1.5)):
+            with pytest.raises(DomainError):
+                binomial_cdf(*args)
 
     def test_threshold_consistent_with_decision(self):
         for n, q0, alpha in ((40, 0.95, 0.05), (100, 0.99, 0.01), (25, 0.7, 0.1)):

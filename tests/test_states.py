@@ -9,7 +9,6 @@ import scipy.linalg
 
 from shotbudget import (
     DensityMatrix,
-    NoiseModel,
     PureState,
     bures_angle,
     fidelity,
@@ -79,13 +78,6 @@ class TestStateValidation:
         rho = psi.to_density()
         assert np.allclose(rho.matrix, np.outer(psi.amplitudes, psi.amplitudes.conj()))
         assert rho.qubits == 2
-
-    def test_noise_model_ranges(self):
-        NoiseModel(0.01, 1.5)
-        with pytest.raises(DomainError):
-            NoiseModel(1.5)
-        with pytest.raises(DomainError):
-            NoiseModel(0.01, 2.5)
 
 
 class TestFidelity:

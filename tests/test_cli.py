@@ -311,22 +311,31 @@ class TestValidate:
         assert doc["pass"] is True
         assert doc["expected"] == pytest.approx(0.5)
 
-    def test_biased_estimate_fails(self, monkeypatch, capsys):
-        def biased(fid, shots, config):
-            return McResult(
-                estimate=0.5, std_error=0.0, trials=config.trials,
-                ci_low=0.5, ci_high=0.5, warnings=(),
-            )
+    def test_biased_estimate_fails(self, monkeypatch, dist_files, capsys):
+        # validate must look each simulator up through the montecarlo module
+        # when it runs, so a replacement there is the one it calls
+        runs = {
+            "inverse": ("simulate_inverse_miss_rate", ["--fidelity", "0.99", "--shots", "458"]),
+            "swap": ("simulate_swap_miss_rate", ["--fidelity", "0.99", "--shots", "916"]),
+            "chisq": ("simulate_chisq_power",
+                      ["--p", dist_files["p"], "--q", dist_files["q"], "--shots", "2000"]),
+            "binomial": ("simulate_binomial_detection",
+                         ["--q0", "0.99", "--q1", "0.95", "--shots", "300"]),
+        }
+        for scenario, (attr, flags) in runs.items():
+            calls = []
 
-        monkeypatch.setattr(mc, "simulate_inverse_miss_rate", biased)
-        code = cli.main(
-            [
-                "validate", "--scenario", "inverse", "--fidelity", "0.99",
-                "--shots", "458", "--trials", "1000",
-            ]
-        )
-        assert code == 1
-        assert "FAIL" in capsys.readouterr().out
+            def biased(*args):
+                calls.append(args)
+                return McResult(
+                    estimate=0.5, std_error=0.0, trials=args[-1].trials,
+                    ci_low=0.5, ci_high=0.5, warnings=(),
+                )
+
+            monkeypatch.setattr(mc, attr, biased)
+            code = cli.main(["validate", "--scenario", scenario, *flags, "--trials", "1000"])
+            assert (code, len(calls)) == (1, 1), scenario
+            assert "FAIL" in capsys.readouterr().out, scenario
 
     def test_missing_scenario_arguments(self):
         assert cli.main(["validate", "--scenario", "inverse"]) == 2

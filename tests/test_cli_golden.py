@@ -5,7 +5,8 @@ Every case below, and the grid digest, was recorded from the ten
 per-formula estimator functions and the CLI that dispatched to them one
 by one, before one formula table replaced them.  A change to the shot
 path must reproduce them byte for byte.  The digests are sha256 of the
-UTF-8 stdout; state files are written here, so no fixture is committed.
+UTF-8 stdout; state and distribution files are written here, so no fixture
+is committed.
 """
 
 import hashlib
@@ -50,6 +51,18 @@ CASES = {
     "decide_1e5": ["noise", "decide", "--q0", "0.99", "--zeros", "98950", "--shots", "100000"],
     "validate_binomial": ["validate", "--scenario", "binomial", "--q0", "0.99", "--q1", "0.95",
                           "--shots", "300", "--trials", "2000", "--seed", "7"],
+    "validate_inverse": ["validate", "--scenario", "inverse", "--fidelity", "0.99", "--shots", "60",
+                         "--trials", "400", "--seed", "7"],
+    "validate_swap": ["validate", "--scenario", "swap", "--fidelity", "0.9", "--shots", "25",
+                      "--trials", "400", "--seed", "7"],
+    "validate_chisq_alt": ["validate", "--scenario", "chisq", "--p", "{skew}", "--q", "{flat}",
+                           "--shots", "120", "--trials", "300", "--seed", "7"],
+    "validate_chisq_null": ["validate", "--scenario", "chisq", "--p", "{flat}", "--q", "{flat}",
+                            "--shots", "120", "--trials", "300", "--seed", "7"],
+    # P[Bin(2, 0.9) <= 0] = 0.01 > alpha = 0.005, so no count is rejected:
+    # the threshold is -1 and the expected rate 0
+    "validate_binomial_no_reject": ["validate", "--scenario", "binomial", "--q0", "0.9", "--q1", "0.5",
+                                    "--shots", "2", "--alpha", "0.005", "--trials", "300", "--seed", "7"],
 }
 # curves are CSV only; every other case is pinned as a table and as --json
 JSON_CASES = sorted(name for name in CASES if not name.startswith("curve_"))
@@ -106,17 +119,29 @@ GOLDEN = {
     ('shots_trace_regime', True): (0, "4223b42fa5dd061190db7276acee2d66c127382e145a8b0d6025cdabd1c293a4"),
     ('validate_binomial', False): (0, "7a30e75ba7bab8e442514a10750c2de98c5abf60980d3e80164fe3215e26ef3c"),
     ('validate_binomial', True): (0, "220e420c6fb39da290f0eda5ab68f666718456cb1338182336b0bf8e0b1b6e36"),
+    ('validate_binomial_no_reject', False): (0, "2d77bd89811d98d29e4d0e2db46cce03bdc16b0c604be1314087162172118dc3"),
+    ('validate_binomial_no_reject', True): (0, "dc6665a7186d10209a67f5330c74cb8c11afbfa62b55a3787a4533fd1e872457"),
+    ('validate_chisq_alt', False): (0, "62b2e832f1f3f8d02e3bcf1e0a598f6886e98362a1308395790fd23cc3c3c6d1"),
+    ('validate_chisq_alt', True): (0, "98abc87858b9a5e110d4a53485b9d06cc89718124ce045355c3efd1242d176f7"),
+    ('validate_chisq_null', False): (0, "5f526e39b75599a2ba544717c36c00b842403f26ab65df7d2923140690a5e356"),
+    ('validate_chisq_null', True): (0, "06eb65d7973f273fc41b6008ce338ec0f4ca31daa6eeac329508c63eeb26374b"),
+    ('validate_inverse', False): (0, "d07124f3c4f28b17eecf57221c61e587a503dbf1d556b4bc45ec70bd5a66b036"),
+    ('validate_inverse', True): (0, "5ad61db93518334623f4688eebee57d96c9b9e21ae8df831b34a653609aaa30c"),
+    ('validate_swap', False): (0, "76e26549ecdd639957a208a81633817d906650d62433899b5cc8e125ab992b3e"),
+    ('validate_swap', True): (0, "45112ff2dc9f3018724498e0a8e3495f46e95b0c68c60bbf41c2b61e32f76a6d"),
 }
 
 
 @pytest.fixture(scope="module")
-def state_paths(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden_states")
+def input_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden_inputs")
     states = {"zero": [1.0, 0.0], "one": [0.0, 1.0], "tilted": [math.cos(0.3), math.sin(0.3)]}
+    docs = {name: {"kind": "pure", "n": 1, "data": [[a, 0.0] for a in amplitudes]}
+            for name, amplitudes in states.items()}
+    docs.update(flat=[0.25, 0.25, 0.25, 0.25], skew=[0.4, 0.2, 0.2, 0.2])
     paths = {}
-    for name, amplitudes in states.items():
+    for name, doc in docs.items():
         path = root / f"{name}.json"
-        doc = {"kind": "pure", "n": 1, "data": [[a, 0.0] for a in amplitudes]}
         path.write_text(json.dumps(doc), encoding="utf-8")
         paths[name] = str(path)
     return paths
@@ -131,12 +156,25 @@ def _run(capsys, argv):
     "case", sorted([(n, False) for n in CASES] + [(n, True) for n in JSON_CASES]),
     ids=lambda c: c[0] + ("-json" if c[1] else ""),
 )
-def test_cli_output_is_pinned(case, state_paths, capsys):
+def test_cli_output_is_pinned(case, input_paths, capsys):
     name, as_json = case
-    argv = [arg.format(**state_paths) for arg in CASES[name]] + (["--json"] if as_json else [])
+    argv = [arg.format(**input_paths) for arg in CASES[name]] + (["--json"] if as_json else [])
     code, out = _run(capsys, argv)
     assert (code, hashlib.sha256(out).hexdigest()) == GOLDEN[case], out[:400]
 
+
+@pytest.mark.parametrize("scenario, flags", [
+    ("inverse", "--fidelity and --shots"),
+    ("swap", "--fidelity and --shots"),
+    ("chisq", "--p, --q and --shots"),
+    ("binomial", "--q0, --q1 and --shots"),
+])
+@pytest.mark.parametrize("as_json", [False, True], ids=["table", "json"])
+def test_validate_missing_flags_are_pinned(scenario, flags, as_json, capsys):
+    argv = ["validate", "--scenario", scenario, "--trials", "10"] + (["--json"] if as_json else [])
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {scenario} scenario needs {flags}\n")
 
 # ---------------------------------------------------------------------------
 # every formula on a seeded grid

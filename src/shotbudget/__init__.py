@@ -34,12 +34,10 @@ from .states import (
     fidelity,
     fidelity_pure,
     fuchs_van_de_graaf_bounds,
-    inverse_success_probability,
     load_state,
     parse_state,
     q_bounds_mixed,
     qcb_q,
-    swap_acceptance,
     trace_distance,
 )
 from .shot_estimators import (
@@ -129,7 +127,6 @@ __all__ = [
     "fidelity",
     "fidelity_pure",
     "fuchs_van_de_graaf_bounds",
-    "inverse_success_probability",
     "lambda_noncentral",
     "load_distribution",
     "load_program_spec",
@@ -147,7 +144,6 @@ __all__ = [
     "simulate_chisq_power",
     "simulate_inverse_miss_rate",
     "simulate_swap_miss_rate",
-    "swap_acceptance",
     "trace_distance",
     "two_proportion_shots",
     "w2_fidelity_attaining",

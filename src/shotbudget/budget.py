@@ -28,7 +28,8 @@ from operator import add, mul
 import numpy as np
 
 from .errors import DomainError, ZeroBudget, ZeroWeight
-from .stat_power import lambda_noncentral
+from .shot_estimators import FORMULAS, Formula, check_tolerances
+from .stat_power import lambda_noncentral, w2_fidelity_attaining, w2_small_discrepancy
 from .states import bures_angle
 from . import tolerances as tol
 
@@ -184,18 +185,16 @@ def allocate(
     (-R ln p_e / theta^2, doubled for swap, lambda/(4 theta^2) and
     16 lambda / theta^4 for the chi-square pair) as cross-checks.  Counts
     beyond 2^63 are flagged infeasible with the raw value retained.  Each
-    formula runs once over a whole column and matches the scalar shot
-    estimators bit for bit.
+    formula runs once over a whole column, the inverse and swap columns
+    from their FORMULAS rows and the chi-square pair from stat_power's w^2,
+    and matches the scalar shot estimators bit for bit.
 
     Raises ZeroBudget for f_prog = 1 and ZeroWeight for weightless blocks.
     """
     blocks = tuple(blocks)
     if not blocks:
         raise DomainError("no blocks to allocate over")
-    if not 0.0 < p_e < 1.0:
-        raise DomainError(f"error probability must lie in (0, 1), got {p_e}")
-    if not 1.0 <= regime_factor <= 2.0:
-        raise DomainError(f"regime factor must lie in [1, 2], got {regime_factor}")
+    check_tolerances(p_e, regime_factor)
     if not 0.0 < f_prog <= 1.0:
         raise DomainError(f"program fidelity target must lie in (0, 1], got {f_prog}")
     big_theta = bures_angle(f_prog)
@@ -211,14 +210,13 @@ def allocate(
 
     theta = np.array(weights, dtype=np.float64) / total_weight * big_theta
     f_target = _libm(pow, _libm(math.cos, theta), repeat(2.0))
-    root = np.sqrt(f_target)
     theta_sq = theta * theta
     with np.errstate(divide="ignore"):
         raws = (
-            regime_factor * (log_pe / _libm(math.log, f_target)),
-            regime_factor * (log_pe / _libm(math.log, 0.5 + 0.5 * f_target)),
-            lam / (8.0 * (1.0 - root)),
-            lam / (0.25 * _libm(pow, 1.0 - root, repeat(2.0))),
+            *(row.multiple * (log_pe / _libm(math.log, _libm(row.per_shot, f_target))) * regime_factor
+              for row in (FORMULAS[Formula.INVERSE_REAL], FORMULAS[Formula.SWAP_REAL])),
+            lam / _libm(w2_small_discrepancy, f_target),
+            lam / _libm(w2_fidelity_attaining, f_target),
         )
         taylors = (
             -regime_factor * log_pe / theta_sq,

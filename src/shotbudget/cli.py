@@ -180,6 +180,8 @@ def cmd_shots(args: argparse.Namespace) -> int:
 
 
 def cmd_qcb(args: argparse.Namespace) -> int:
+    if args.pe is not None:
+        est.check_tolerances(args.pe)
     state_a = st.load_state(args.state_a)
     state_b = st.load_state(args.state_b)
     result = st.qcb_q(state_a, state_b)
@@ -416,21 +418,24 @@ def cmd_budget(args: argparse.Namespace) -> int:
 # validate
 
 
+# scenario -> the flags it needs
+_VALIDATE_FLAGS = {"inverse": ("fidelity", "shots"), "swap": ("fidelity", "shots"),
+                   "chisq": ("p", "q", "shots"), "binomial": ("q0", "q1", "shots")}
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     config = mc.McConfig(trials=args.trials, seed=args.seed)
+    if any(getattr(args, name) is None for name in _VALIDATE_FLAGS[args.scenario]):
+        flags = [f"--{name}" for name in _VALIDATE_FLAGS[args.scenario]]
+        raise ShotBudgetError(f"{args.scenario} scenario needs {', '.join(flags[:-1])} and {flags[-1]}")
+    # each simulator is looked up in mc when called, so a replacement there (a tracer) is used
     if args.scenario == "inverse":
-        if args.fidelity is None or args.shots is None:
-            raise ShotBudgetError("inverse scenario needs --fidelity and --shots")
         result = mc.simulate_inverse_miss_rate(args.fidelity, args.shots, config)
-        expected = args.fidelity**args.shots
+        expected = est.FORMULAS[F.INVERSE_IDEAL].per_shot(args.fidelity) ** args.shots
     elif args.scenario == "swap":
-        if args.fidelity is None or args.shots is None:
-            raise ShotBudgetError("swap scenario needs --fidelity and --shots")
         result = mc.simulate_swap_miss_rate(args.fidelity, args.shots, config)
-        expected = (0.5 + 0.5 * args.fidelity) ** args.shots
+        expected = est.FORMULAS[F.SWAP_IDEAL].per_shot(args.fidelity) ** args.shots
     elif args.scenario == "chisq":
-        if args.p is None or args.q is None or args.shots is None:
-            raise ShotBudgetError("chisq scenario needs --p, --q and --shots")
         p_dist = sp.load_distribution(args.p)
         q_dist = sp.load_distribution(args.q)
         result = mc.simulate_chisq_power(p_dist, q_dist, args.shots, args.alpha, config)
@@ -441,8 +446,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
             crit = sp.chi2_quantile(1.0 - args.alpha, float(q_dist.k - 1))
             expected = 1.0 - sp.noncentral_chi2_cdf(crit, float(q_dist.k - 1), args.shots * w2)
     else:
-        if args.q0 is None or args.q1 is None or args.shots is None:
-            raise ShotBudgetError("binomial scenario needs --q0, --q1 and --shots")
         result = mc.simulate_binomial_detection(args.q0, args.q1, args.shots, args.alpha, config)
         threshold = sp.binomial_rejection_threshold(args.shots, args.q0, args.alpha)
         if threshold < 0:

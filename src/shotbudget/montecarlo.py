@@ -3,9 +3,11 @@
 Each simulator replays the physical acceptance process of a test at a
 known ground truth and estimates the probability the formulas predict:
 miss rates for the inverse and swap tests, rejection rates for the
-chi-square and binomial tests.  Randomness comes exclusively from the
-splitmix64 substreams in `rng`, so a (seed, trials) configuration
-reproduces bit-identical results on any platform and any chunking.
+chi-square and binomial tests.  The inverse and swap tests accept each
+shot at the per-shot acceptance of their `shot_estimators.FORMULAS` row.
+Randomness comes exclusively from the splitmix64 substreams in `rng`, so
+a (seed, trials) configuration reproduces bit-identical results on any
+platform and any chunking.
 
 Sampling contracts (fixed, documented, test-pinned):
   Bernoulli(p)      one uniform u, success iff u < p.
@@ -29,6 +31,7 @@ import numpy as np
 
 from .errors import BaselineNotAboveTarget, DomainError
 from .rng import MASK64, sub_seeds, uniform_block
+from .shot_estimators import FORMULAS, Formula
 from .stat_power import (
     Distribution,
     binomial_rejection_threshold,
@@ -129,14 +132,14 @@ def _count_below(seeds, p: float, lengths, starts=0, stop_at_reject: bool = Fals
     return counts, drawn
 
 
-def _miss_rate(fid: float, accept: float, n_shots: int, config: McConfig) -> McResult:
-    """Trials in which all n_shots shots accept, each with probability accept."""
+def _miss_rate(fid: float, formula: Formula, n_shots: int, config: McConfig) -> McResult:
+    """Trials in which all n_shots shots accept at the formula's per-shot acceptance."""
     if not 0.0 <= fid < 1.0:
         raise DomainError(f"fidelity must lie in [0, 1) to have misses, got {fid}")
     if n_shots < 1:
         raise DomainError(f"n_shots must be >= 1, got {n_shots}")
     seeds = sub_seeds(config.seed, 0, config.trials)
-    counts, drawn = _count_below(seeds, accept, n_shots, stop_at_reject=True)
+    counts, drawn = _count_below(seeds, FORMULAS[formula].per_shot(fid), n_shots, stop_at_reject=True)
     return _finish(int(np.count_nonzero(counts == n_shots)), drawn, config)
 
 
@@ -147,15 +150,15 @@ def simulate_inverse_miss_rate(fid: float, n_shots: int, config: McConfig) -> Mc
     the first reject, so a miss is n_shots straight accepts.  The
     estimate should sit within sampling error of F^n_shots.
     """
-    return _miss_rate(fid, fid, n_shots, config)
+    return _miss_rate(fid, Formula.INVERSE_IDEAL, n_shots, config)
 
 
 def simulate_swap_miss_rate(fid: float, n_shots: int, config: McConfig) -> McResult:
     """Miss rate of the swap test: all ancilla reads come up 0.
 
-    Per-shot acceptance is 1/2 + F/2; expect (1/2 + F/2)^n_shots.
+    Per-shot acceptance is (1 + F)/2; expect ((1 + F)/2)^n_shots.
     """
-    return _miss_rate(fid, 0.5 + 0.5 * fid, n_shots, config)
+    return _miss_rate(fid, Formula.SWAP_IDEAL, n_shots, config)
 
 
 def _multinomial_counts(seeds: np.ndarray, n_shots: int, probs: np.ndarray):

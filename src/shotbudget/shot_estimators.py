@@ -11,6 +11,11 @@ behind one set of checks; a bracket is a (lower, upper) pair of rows in
 ShotBounds.  `shots_from_q`, `shots_inverse_ideal` and `shots_swap_ideal`
 are named entries into the table.
 
+FORMULAS alone states each test's per-shot acceptance (F for the inverse
+test, (1 + F)/2 for the swap test); the Monte Carlo simulators, `validate`
+and `budget.allocate` all take it from there.  `check_tolerances` is the
+one p_e and regime-factor check.
+
 An estimate carries the raw formula value and the schedulable count
 ceil(raw), floored at one shot.  `conservative` changes no number; it
 labels the count a lower-bound requirement instead of an asymptotic
@@ -26,7 +31,7 @@ from typing import Callable, NamedTuple
 
 from .errors import DegenerateStates, DomainError
 
-__all__ = ["Formula", "FORMULAS", "ShotEstimate", "ShotBounds", "estimate",
+__all__ = ["Formula", "FORMULAS", "ShotEstimate", "ShotBounds", "check_tolerances", "estimate",
            "shots_from_q", "shots_inverse_ideal", "shots_swap_ideal"]
 
 
@@ -96,11 +101,11 @@ FORMULAS: dict[Formula, FormulaRow] = {
     # mixed pairs: 1 - sqrt(1 - F) <= Q <= sqrt(F)
     Formula.MIXED_LOWER: FormulaRow(_F, lambda f: 1.0 - math.sqrt(1.0 - f), 1.0, False),
     Formula.MIXED_UPPER: FormulaRow(_F, lambda f: f, 2.0, False),
+    # the inverse test runs the ideal circuit's inverse after the actual one and
+    # reads all zeros with probability |<ideal|actual>|^2, the pure-state fidelity
     Formula.INVERSE_IDEAL: FormulaRow(_F, lambda f: f, 1.0, False),
-    Formula.INVERSE_REAL: FormulaRow(_F, lambda f: f, 1.0, True),
-    # the swap ancilla reads 0 with probability 1/2 + F/2
+    # the swap ancilla reads 0 with probability (1 + F)/2 (Buhrman et al., PRL 87, 167902, 2001)
     Formula.SWAP_IDEAL: FormulaRow(_F, lambda f: 0.5 + 0.5 * f, 1.0, False),
-    Formula.SWAP_REAL: FormulaRow(_F, lambda f: 0.5 + 0.5 * f, 1.0, True),
     # pure pairs have T = sqrt(1 - F); pure-vs-mixed Q lies in [1 - T, 1 - T^2]
     Formula.TRACE_PURE: FormulaRow(_T, lambda t: 1.0 - t * t, 1.0, False),
     Formula.TRACE_PURE_MIXED_LOWER: FormulaRow(_T, lambda t: 1.0 - t, 1.0, False),
@@ -108,6 +113,17 @@ FORMULAS: dict[Formula, FormulaRow] = {
     Formula.TRACE_MIXED_LOWER: FormulaRow(_T, lambda t: 1.0 - math.sqrt(t * (2.0 - t)), 1.0, False),
     Formula.TRACE_MIXED_UPPER: FormulaRow(_T, lambda t: 1.0 - t * t, 2.0, False),
 }
+# fault-prone hardware keeps each test's acceptance and scales its shots by R
+FORMULAS[Formula.INVERSE_REAL] = FORMULAS[Formula.INVERSE_IDEAL]._replace(scaled=True)
+FORMULAS[Formula.SWAP_REAL] = FORMULAS[Formula.SWAP_IDEAL]._replace(scaled=True)
+
+
+def check_tolerances(p_e: float, regime_factor: float = 1.0) -> None:
+    """Raise DomainError unless p_e lies in (0, 1) and R in [1, 2]."""
+    if not 0.0 < p_e < 1.0:
+        raise DomainError(f"error probability must lie in (0, 1), got {p_e}")
+    if not 1.0 <= regime_factor <= 2.0:
+        raise DomainError(f"regime factor must lie in [1, 2], got {regime_factor}")
 
 
 def estimate(formula: Formula, x: float, p_e: float, regime_factor: float = 1.0, *,
@@ -121,10 +137,7 @@ def estimate(formula: Formula, x: float, p_e: float, regime_factor: float = 1.0,
     """
     row = FORMULAS[formula]
     low, high, allowed = _RANGES[row.kind]
-    if not 0.0 < p_e < 1.0:
-        raise DomainError(f"error probability must lie in (0, 1), got {p_e}")
-    if not 1.0 <= regime_factor <= 2.0:
-        raise DomainError(f"regime factor must lie in [1, 2], got {regime_factor}")
+    check_tolerances(p_e, regime_factor)
     if not low <= x <= high:
         raise DomainError(f"{row.kind} must lie in {allowed}, got {x}")
     q = row.per_shot(x)

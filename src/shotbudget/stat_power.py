@@ -43,8 +43,6 @@ __all__ = [
     "ChiSquarePlan",
     "BinomialPlan",
     "chi2_distance",
-    "hellinger_distance",
-    "bhattacharyya_coefficient",
     "chi2_cdf",
     "chi2_quantile",
     "noncentral_chi2_cdf",
@@ -52,7 +50,6 @@ __all__ = [
     "shots_chisq",
     "w2_fidelity_attaining",
     "w2_small_discrepancy",
-    "pearson_statistic",
     "chisq_validity",
     "two_proportion_shots",
     "binomial_cdf",
@@ -77,6 +74,9 @@ class Distribution:
         probs = np.asarray(self.probs, dtype=np.float64).reshape(-1)
         if probs.size < 2:
             raise DomainError(f"a distribution needs at least 2 bins, got {probs.size}")
+        bad = np.flatnonzero(~np.isfinite(probs))
+        if bad.size:
+            raise DomainError(f"bin {bad[0]} probability is not finite: {float(probs[bad[0]])!r}")
         if np.any(probs < 0.0):
             raise DomainError(f"negative probability {float(probs.min())!r}")
         total = float(probs.sum())
@@ -101,19 +101,6 @@ def chi2_distance(p, q) -> float:
     if np.any(qa == 0.0):
         raise ZeroExpectedBin(f"reference bin {int(np.argmin(qa))} has zero probability")
     return float(np.sum((pa - qa) ** 2 / qa))
-
-
-def bhattacharyya_coefficient(p, q) -> float:
-    """Overlap sum of sqrt(p_i q_i); equals 1 only for identical distributions."""
-    pa, qa = _as_probs(p), _as_probs(q)
-    if pa.size != qa.size:
-        raise DimensionMismatch(f"bin count mismatch: {pa.size} vs {qa.size}")
-    return min(1.0, float(np.sum(np.sqrt(pa * qa))))
-
-
-def hellinger_distance(p, q) -> float:
-    """Hellinger distance sqrt(1 - sum sqrt(p_i q_i))."""
-    return math.sqrt(max(0.0, 1.0 - bhattacharyya_coefficient(p, q)))
 
 
 def chi2_cdf(x: float, df: float) -> float:
@@ -225,8 +212,8 @@ def shots_chisq(w2: float, bins: int, alpha: float, beta: float) -> ChiSquarePla
     """
     if bins < 2:
         raise DomainError(f"need at least 2 bins, got {bins}")
-    if w2 < 0.0:
-        raise DomainError(f"w^2 must be nonnegative, got {w2}")
+    if not 0.0 <= w2 < math.inf:
+        raise DomainError(f"w^2 must be finite and >= 0, got {w2}")
     if w2 == 0.0:
         raise DegenerateStates("w^2 = 0: no discrepancy to detect")
     if not 0.0 < beta < 1.0:
@@ -251,27 +238,6 @@ def w2_small_discrepancy(fid: float) -> float:
     if not 0.0 <= fid <= 1.0:
         raise DomainError(f"fidelity must lie in [0, 1], got {fid}")
     return 8.0 * (1.0 - math.sqrt(fid))
-
-
-def pearson_statistic(observed, expected) -> tuple[float, int]:
-    """Pearson chi-square statistic of observed counts against expected probs.
-
-    Returns (statistic, degrees of freedom = k - 1).
-    """
-    counts = np.asarray(observed, dtype=np.float64).reshape(-1)
-    qa = _as_probs(expected)
-    if counts.size != qa.size:
-        raise DimensionMismatch(f"bin count mismatch: {counts.size} vs {qa.size}")
-    if np.any(counts < 0.0):
-        raise DomainError("observed counts must be nonnegative")
-    if np.any(qa == 0.0):
-        raise ZeroExpectedBin(f"expected bin {int(np.argmin(qa))} has zero probability")
-    n = float(counts.sum())
-    if n <= 0.0:
-        raise DomainError("observed counts sum to zero")
-    exp_counts = n * qa
-    stat = float(np.sum((counts - exp_counts) ** 2 / exp_counts))
-    return stat, qa.size - 1
 
 
 def chisq_validity(n_shots: float, expected) -> tuple[str, ...]:

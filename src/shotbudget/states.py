@@ -42,8 +42,6 @@ __all__ = [
     "q_bounds_mixed",
     "fuchs_van_de_graaf_bounds",
     "bures_angle",
-    "swap_acceptance",
-    "inverse_success_probability",
     "parse_state",
     "load_state",
 ]
@@ -207,16 +205,6 @@ def fidelity_pure(psi: PureState, phi: PureState) -> float:
     return _clamp_unit(abs(overlap) ** 2, "fidelity")
 
 
-def inverse_success_probability(ideal: PureState, actual: PureState) -> float:
-    """All-zeros probability of the inverse (compute-uncompute) test.
-
-    Appending the inverse of the ideal circuit to the actual one and
-    measuring every qubit returns the all-zeros string with probability
-    |<ideal|actual>|^2, which is exactly the pure-state fidelity.
-    """
-    return fidelity_pure(ideal, actual)
-
-
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity of two states, (trace norm of sqrt(rho) sqrt(sigma))^2.
 
@@ -346,13 +334,6 @@ def bures_angle(fid: float) -> float:
     if not 0.0 <= fid <= 1.0:
         raise DomainError(f"fidelity must lie in [0, 1], got {fid}")
     return math.acos(min(1.0, math.sqrt(fid)))
-
-
-def swap_acceptance(fid: float) -> float:
-    """Swap-test acceptance probability 1/2 + F/2."""
-    if not 0.0 <= fid <= 1.0:
-        raise DomainError(f"fidelity must lie in [0, 1], got {fid}")
-    return 0.5 + 0.5 * fid
 
 
 # ---------------------------------------------------------------------------

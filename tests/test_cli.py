@@ -177,6 +177,17 @@ class TestQcb:
         assert captured.out == ""
         assert '"data"[5] is not finite' in captured.err
 
+    @pytest.mark.parametrize("pair", [("zero", "one"), ("zero", "zero"), ("zero", "plus")],
+                             ids=["orthogonal", "identical", "partial_overlap"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["table", "json"])
+    def test_error_probability_checked_for_every_pair(self, pair, as_json, state_files, capsys):
+        # Q = 0 and Q = 1 never reach the shot formula; --pe is checked before either
+        argv = ["qcb", *(state_files[name] for name in pair), "--pe", "5"]
+        code = cli.main(argv + (["--json"] if as_json else []))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: error probability must lie in (0, 1), got 5.0\n"
+
 
 class TestChisq:
     def test_w2_source(self, capsys):
@@ -203,6 +214,30 @@ class TestChisq:
 
     def test_no_source_rejected(self):
         assert cli.main(["chisq"]) == 2
+
+    @pytest.mark.parametrize("w2", ["nan", "inf", "-inf"])
+    def test_non_finite_w2_rejected(self, w2, capsys):
+        assert cli.main(["chisq", f"--w2={w2}", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: w^2 must be finite and >= 0, got {float(w2)}\n"
+
+    @pytest.mark.parametrize("entries, bin_index", [("[NaN, 1.0]", 0), ("[0.5, Infinity]", 1)])
+    def test_non_finite_distribution_rejected(self, entries, bin_index, tmp_path, capsys):
+        # json.load accepts NaN and Infinity; the bin is named, not traced back
+        bad = tmp_path / "bad.json"
+        bad.write_text(entries)
+        half = tmp_path / "half.json"
+        half.write_text("[0.5, 0.5]")
+        runs = (["chisq", "--p", str(bad), "--q", str(half)],
+                ["chisq", "--p", str(half), "--q", str(bad)],
+                ["validate", "--scenario", "chisq", "--p", str(bad), "--q", str(half),
+                 "--shots", "10", "--trials", "10"])
+        for argv in runs:
+            assert cli.main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"error: bin {bin_index} probability is not finite" in captured.err, argv
 
 
 class TestNoise:

@@ -14,12 +14,10 @@ from shotbudget import (
     fidelity,
     fidelity_pure,
     fuchs_van_de_graaf_bounds,
-    inverse_success_probability,
     load_state,
     parse_state,
     q_bounds_mixed,
     qcb_q,
-    swap_acceptance,
     trace_distance,
 )
 from shotbudget.errors import DomainError, InvalidState
@@ -83,7 +81,6 @@ class TestStateValidation:
 class TestFidelity:
     def test_frozen_zero_plus(self):
         assert fidelity_pure(ZERO, PLUS) == pytest.approx(0.5, abs=1e-12)
-        assert inverse_success_probability(ZERO, PLUS) == pytest.approx(0.5, abs=1e-12)
 
     def test_frozen_tilted_pure(self):
         # |psi> at polar angle pi/6 on the Bloch sphere: overlap with |0>
@@ -160,11 +157,6 @@ class TestBoundsAndAngles:
     def test_bures_angle_frozen(self):
         assert bures_angle(0.99) == pytest.approx(0.10016742116155969, abs=1e-12)
         assert bures_angle(1.0) == 0.0
-
-    def test_swap_acceptance(self):
-        assert swap_acceptance(0.0) == 0.5
-        assert swap_acceptance(1.0) == 1.0
-        assert swap_acceptance(0.6) == pytest.approx(0.8, abs=1e-12)
 
 
 class TestChernoffQuantity:

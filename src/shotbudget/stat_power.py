@@ -64,7 +64,7 @@ __all__ = [
 class Distribution:
     """Probability distribution over k >= 2 measurement bins.
 
-    Entries must be nonnegative and sum to 1 within 1e-8; the stored
+    Entries must be finite, nonnegative and sum to 1 within 1e-8; the stored
     vector is renormalized to sum to 1 exactly.
     """
 

@@ -36,8 +36,9 @@ def _ratio(fid: float, p_e: float) -> float:
 
 class TestSwapCostsTwiceTheInverse:
     # (1 + F)/2 >= sqrt(F), so ln(F) / ln((1 + F)/2) >= 2; near F = 1 the
-    # ratio is 2 + (1 - F)/2 + O((1 - F)^2).  Past 1 - F = 1e-6 the rounding
-    # of (1 + F)/2 outweighs that margin, so the draws stop there.
+    # ratio is 2 + (1 - F)/2 + O((1 - F)^2).  Below 1 - F ~ 1e-8 the rounding
+    # of (1 + F)/2 outweighs that margin (about half of such F give a ratio
+    # a hair under 2), so the draws stop at 1 - F = 1e-6.
     @PROPERTY
     @given(fid=st.floats(min_value=0.0, max_value=1.0 - 1e-6, exclude_min=True), p_e=error_probs)
     def test_swap_needs_at_least_twice_the_shots(self, fid, p_e):

@@ -1,17 +1,20 @@
 """Pinned stdout bytes and exit codes of the planning commands, and one
 digest over every shot formula on a seeded grid.
 
-Every case below, and the grid digest, was recorded from the ten
-per-formula estimator functions and the CLI that dispatched to them one
-by one, before one formula table replaced them.  A change to the shot
-path must reproduce them byte for byte.  The digests are sha256 of the
-UTF-8 stdout; state and distribution files are written here, so no fixture
-is committed.
+The shots, qcb, curve and decide cases, and the grid digest, were
+recorded from the ten per-formula estimator functions and the CLI that
+dispatched to them one by one, before one formula table replaced them;
+the validate cases before its flag checks were reworked; the chisq and
+noise plan cases and every stderr line before the planning commands
+shared one result path.  A change to these paths must reproduce them
+byte for byte.  The digests are sha256 of the UTF-8 stdout; state and
+distribution files are written here, so no fixture is committed.
 """
 
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +66,16 @@ CASES = {
     # the threshold is -1 and the expected rate 0
     "validate_binomial_no_reject": ["validate", "--scenario", "binomial", "--q0", "0.9", "--q1", "0.5",
                                     "--shots", "2", "--alpha", "0.005", "--trials", "300", "--seed", "7"],
+    "chisq_w2": ["chisq", "--w2", "0.05", "--bins", "8"],
+    "chisq_fid_small": ["chisq", "--fidelity", "0.99", "--case", "small"],
+    "chisq_fid_attaining": ["chisq", "--fidelity", "0.99", "--case", "attaining", "--bins", "4"],
+    "chisq_dist": ["chisq", "--p", "{skew}", "--q", "{flat}"],
+    # w^2 = 17.2 plans 2 shots: both validity warnings go to stderr (into the document under --json)
+    "chisq_dist_warnings": ["chisq", "--p", "{p3}", "--q", "{q3}"],
+    "chisq_w2_zero": ["chisq", "--w2", "0"],
+    "noise_plan": ["noise", "plan", "--q0", "1.0", "--q1", "0.99"],
+    "noise_plan_two_sided": ["noise", "plan", "--q0", "0.99", "--q1", "0.95", "--alpha", "0.05",
+                             "--two-sided"],
 }
 # curves are CSV only; every other case is pinned as a table and as --json
 JSON_CASES = sorted(name for name in CASES if not name.startswith("curve_"))
@@ -129,38 +142,83 @@ GOLDEN = {
     ('validate_inverse', True): (0, "5ad61db93518334623f4688eebee57d96c9b9e21ae8df831b34a653609aaa30c"),
     ('validate_swap', False): (0, "76e26549ecdd639957a208a81633817d906650d62433899b5cc8e125ab992b3e"),
     ('validate_swap', True): (0, "45112ff2dc9f3018724498e0a8e3495f46e95b0c68c60bbf41c2b61e32f76a6d"),
+    ('chisq_dist', False): (0, "15488458a28063c1cc5b90eb9d1f70648dc67e27d69f1691cef1ff05a520b4f3"),
+    ('chisq_dist', True): (0, "b78d5bec53bee2f5a9dbc8429f80b19a625eb2862990903b566fca5b3c287d11"),
+    ('chisq_dist_warnings', False): (0, "3b2238e32f05dae3eb4b581f5c3a120f30830f6f94daac92053ec315da95c04d"),
+    ('chisq_dist_warnings', True): (0, "c5b8e77e8c6fa170274354bd03c24c9f75c57ba227f479324d4e7d30738f678a"),
+    ('chisq_fid_attaining', False): (0, "db4ba5f0e4d289de489dcceed77240eec8906622c0c10c29b82059bf4c930e76"),
+    ('chisq_fid_attaining', True): (0, "fa7929e48f72cc74f5376444af16e84f163396d138bfabae5a1d202c63e15bce"),
+    ('chisq_fid_small', False): (0, "fd0fae8197a33d2e7f93ada0bcbb94cc893555e683dc26ac0246f104f42b2291"),
+    ('chisq_fid_small', True): (0, "c32301a164e2ea93d2dc37488752286b35345748836253fd0ddf19b01da8efce"),
+    ('chisq_w2', False): (0, "766f664e1e23e89bc6aa18d23b1b3cea306b281159222aa3de50365a732a7217"),
+    ('chisq_w2', True): (0, "e1c82fc3c1ef3a5ba0a1f6577777009d984780d701dfd27928a0a01d950723ec"),
+    ('chisq_w2_zero', False): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ('chisq_w2_zero', True): (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ('noise_plan', False): (0, "9877980f7e6319ea08e0ccdc223421179e7992841419cf694569699dba8001b9"),
+    ('noise_plan', True): (0, "3fb453fe587c22354d97944ade1f5a4927d55f05d5fe5d8848cb4727a12c6998"),
+    ('noise_plan_two_sided', False): (0, "9aa9e1ed514682d413e63249964eeb3dd32faf9536473f470fb9d9617cf083fe"),
+    ('noise_plan_two_sided', True): (0, "de6278e43ec767a2c2437e53e2427c0ecc11bc8cc9cfc2462145f5a1207bb200"),
+}
+
+_DEGENERATE_FID = "degenerate input: fidelity 1.0 gives a per-shot Q of 1: no finite shot count separates the states\n"
+_IDENTICAL = "states are indistinguishable (Q = 1); no finite shot count separates them\n"
+_ORTHOGONAL = "orthogonal supports (Q = 0); a single shot distinguishes the states\n"
+_W2_ZERO = "degenerate input: w^2 = 0: no discrepancy to detect\n"
+# (case, --json) -> stderr; every case not listed writes nothing there.  qcb
+# prints its notice under --json too; chisq moves its warnings into the document
+STDERR = {
+    ('chisq_dist_warnings', False): "warning: only 2 shots planned; chi-square approximation wants at least 13\n"
+                                    "warning: expected count below 5 in 3 of 3 bins (0, 1, 2); merge bins or raise shots\n",
+    ('chisq_w2_zero', False): _W2_ZERO,
+    ('chisq_w2_zero', True): _W2_ZERO,
+    ('qcb_identical', False): _IDENTICAL,
+    ('qcb_identical', True): _IDENTICAL,
+    ('qcb_orthogonal', False): _ORTHOGONAL,
+    ('qcb_orthogonal', True): _ORTHOGONAL,
+    ('shots_fid_degenerate', False): _DEGENERATE_FID,
+    ('shots_fid_degenerate', True): _DEGENERATE_FID,
 }
 
 
 @pytest.fixture(scope="module")
-def input_paths(tmp_path_factory):
+def input_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden_inputs")
     states = {"zero": [1.0, 0.0], "one": [0.0, 1.0], "tilted": [math.cos(0.3), math.sin(0.3)]}
     docs = {name: {"kind": "pure", "n": 1, "data": [[a, 0.0] for a in amplitudes]}
             for name, amplitudes in states.items()}
-    docs.update(flat=[0.25, 0.25, 0.25, 0.25], skew=[0.4, 0.2, 0.2, 0.2])
-    paths = {}
+    docs.update(flat=[0.25, 0.25, 0.25, 0.25], skew=[0.4, 0.2, 0.2, 0.2],
+                p3=[0.3, 0.3, 0.4], q3=[0.01, 0.01, 0.98])
     for name, doc in docs.items():
-        path = root / f"{name}.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        paths[name] = str(path)
-    return paths
+        (root / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    return root
 
 
-def _run(capsys, argv):
-    code = cli.main(argv)
-    return code, capsys.readouterr().out.encode("utf-8")
+def _run(capsys, monkeypatch, input_dir, case):
+    """Exit code, stdout bytes and stderr text of one case, run from the input directory.
 
-
-@pytest.mark.parametrize(
-    "case", sorted([(n, False) for n in CASES] + [(n, True) for n in JSON_CASES]),
-    ids=lambda c: c[0] + ("-json" if c[1] else ""),
-)
-def test_cli_output_is_pinned(case, input_paths, capsys):
+    Files are named relative to it, since `chisq --p/--q --json` echoes the paths.
+    """
     name, as_json = case
-    argv = [arg.format(**input_paths) for arg in CASES[name]] + (["--json"] if as_json else [])
-    code, out = _run(capsys, argv)
+    monkeypatch.chdir(input_dir)
+    argv = [re.sub(r"\{(\w+)\}", r"\1.json", arg) for arg in CASES[name]] + (["--json"] if as_json else [])
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out.encode("utf-8"), captured.err
+
+
+ALL_CASES = sorted([(n, False) for n in CASES] + [(n, True) for n in JSON_CASES])
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c[0] + ("-json" if c[1] else ""))
+def test_cli_output_is_pinned(case, input_dir, monkeypatch, capsys):
+    code, out, _ = _run(capsys, monkeypatch, input_dir, case)
     assert (code, hashlib.sha256(out).hexdigest()) == GOLDEN[case], out[:400]
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c[0] + ("-json" if c[1] else ""))
+def test_cli_stderr_is_pinned(case, input_dir, monkeypatch, capsys):
+    code, _, err = _run(capsys, monkeypatch, input_dir, case)
+    assert err == STDERR.get(case, ""), code
 
 
 @pytest.mark.parametrize("scenario, flags", [

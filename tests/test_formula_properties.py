@@ -5,6 +5,10 @@ database, so every run draws the same examples.
 """
 
 import math
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,3 +79,27 @@ class TestEveryRowIsMonotone:
         tight = _raw(formula, x, strict, regime_factor)
         relaxed = _raw(formula, x, loose, regime_factor)
         assert relaxed <= tight * (1.0 + _SLACK), (strict, loose)
+
+
+_FALSE_PROPERTY = textwrap.dedent("""
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=20, derandomize=True, database=None)
+    @given(st.integers(min_value=0, max_value=10))
+    def test_false(x):
+        assert x < 5
+""")
+
+
+def test_a_falsified_property_fails_only_its_own_test(tmp_path):
+    # on a failure Hypothesis imports libcst to write a patch; under the
+    # repo's "error" warning filter that import must not end the session
+    (tmp_path / "test_false.py").write_text(_FALSE_PROPERTY, encoding="utf-8")
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject), "test_false.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr

@@ -17,9 +17,7 @@ time, with `BudgetReport.allocations` as a row view built on read.
 
 from __future__ import annotations
 
-import json
 import math
-import sys
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import compress, repeat
@@ -27,7 +25,7 @@ from operator import add, mul
 
 import numpy as np
 
-from .errors import DomainError, ZeroBudget, ZeroWeight
+from .errors import DomainError, ZeroBudget, ZeroWeight, check_range, read_json
 from .shot_estimators import FORMULAS, Formula, check_tolerances
 from .stat_power import lambda_noncentral, w2_fidelity_attaining, w2_small_discrepancy
 from .states import bures_angle
@@ -49,13 +47,6 @@ __all__ = [
 _TEST_KINDS = ("inverse", "swap", "chisq_small", "chisq_attaining")
 
 
-def _check_finite(value, low: float | None, what: str, *args) -> None:
-    """Raise DomainError naming `what % args` unless value is finite (and >= low)."""
-    if not abs(value) <= sys.float_info.max or (low is not None and value < low):
-        bound = "" if low is None else f" and >= {low:g}"
-        raise DomainError(f"{what % args} must be finite{bound}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class HardwareRates:
     """Per-gate error rates: r1 one-qubit, r2 two-qubit, gamma per depth layer."""
@@ -66,7 +57,7 @@ class HardwareRates:
 
     def __post_init__(self) -> None:
         for name in ("r1", "r2", "gamma"):
-            _check_finite(getattr(self, name), 0.0, "hardware rate %s", name)
+            check_range(f"hardware rate {name}", getattr(self, name), 0, finite=True)
 
 
 @dataclass(frozen=True)
@@ -85,9 +76,9 @@ class BlockSpec:
         if type(n) is not int or n < 1:  # bool and float counts are rejected too
             raise DomainError(f"block {self.name!r}: multiplicity must be an integer >= 1, got {n!r}")
         for attr in ("g1", "g2", "depth"):
-            _check_finite(getattr(self, attr), 0.0, "block %r: %s", self.name, attr)
+            check_range("block %r: %s", getattr(self, attr), 0, finite=True, args=(self.name, attr))
         if self.explicit_weight is not None:
-            _check_finite(self.explicit_weight, None, "block %r: weight", self.name)
+            check_range("block %r: weight", self.explicit_weight, finite=True, args=(self.name,))
 
 
 @dataclass(frozen=True)
@@ -195,8 +186,7 @@ def allocate(
     if not blocks:
         raise DomainError("no blocks to allocate over")
     check_tolerances(p_e, regime_factor)
-    if not 0.0 < f_prog <= 1.0:
-        raise DomainError(f"program fidelity target must lie in (0, 1], got {f_prog}")
+    check_range("program fidelity target", f_prog, 0, 1, "(]")
     big_theta = bures_angle(f_prog)
     if big_theta == 0.0:
         raise ZeroBudget("program fidelity target 1 leaves no error angle to allocate")
@@ -204,7 +194,7 @@ def allocate(
     weights = [block_weight(b, rates) for b in blocks]
     mult = [b.multiplicity for b in blocks]
     total_weight = sum(map(mul, mult, weights))
-    _check_finite(total_weight, None, "total weight sum n_j w_j")
+    check_range("total weight sum n_j w_j", total_weight, finite=True)
     lam = lambda_noncentral(chisq_bins - 1, chisq_alpha, 1.0 - chisq_beta)
     log_pe = math.log(p_e)
 
@@ -296,7 +286,9 @@ def allocate_program(spec: ProgramSpec) -> BudgetReport:
     )
 
 
-def _spec_number(obj: dict, key: str, path: str, *, default=None, required: bool = True):
+def _spec_number(obj: dict, key: str, path: str, low=None, high=None, ends: str = "[]", *,
+                 default=None, required: bool = True):
+    # a finite number in the range, or an error naming its JSON path
     if key not in obj:
         if required:
             raise DomainError(f"{path}/{key}: missing")
@@ -304,7 +296,7 @@ def _spec_number(obj: dict, key: str, path: str, *, default=None, required: bool
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"{path}/{key}: expected a number, got {value!r}")
-    _check_finite(value, None, "%s/%s", path, key)
+    check_range("%s/%s", value, low, high, ends, finite=True, args=(path, key))
     return float(value)
 
 
@@ -316,9 +308,9 @@ def parse_program_spec(obj: dict) -> ProgramSpec:
     """
     if not isinstance(obj, dict):
         raise DomainError(f"program spec must be a JSON object, got {type(obj).__name__}")
-    fidelity_target = _spec_number(obj, "fidelity_target", "")
-    p_e = _spec_number(obj, "p_e", "")
-    regime_factor = _spec_number(obj, "regime_factor", "", default=1.0, required=False)
+    fidelity_target = _spec_number(obj, "fidelity_target", "", 0, 1, "(]")
+    p_e = _spec_number(obj, "p_e", "", 0, 1, "()")
+    regime_factor = _spec_number(obj, "regime_factor", "", 1, 2, default=1.0, required=False)
 
     chisq = obj.get("chisq", {})
     if not isinstance(chisq, dict):
@@ -328,16 +320,16 @@ def parse_program_spec(obj: dict) -> ProgramSpec:
         raise DomainError(f"/chisq/bins: expected an integer, got {bins!r}")
     if bins < 2:
         raise DomainError(f"/chisq/bins: need at least 2 bins, got {bins}")
-    alpha = _spec_number(chisq, "alpha", "/chisq", default=0.01, required=False)
-    beta = _spec_number(chisq, "beta", "/chisq", default=0.01, required=False)
+    alpha = _spec_number(chisq, "alpha", "/chisq", 0, 1, "()", default=0.01, required=False)
+    beta = _spec_number(chisq, "beta", "/chisq", 0, 1, "()", default=0.01, required=False)
 
     hw = obj.get("hardware")
     if not isinstance(hw, dict):
         raise DomainError("/hardware: missing or not an object")
     rates = HardwareRates(
-        r1=_spec_number(hw, "r1", "/hardware"),
-        r2=_spec_number(hw, "r2", "/hardware"),
-        gamma=_spec_number(hw, "gamma", "/hardware", default=0.0, required=False),
+        r1=_spec_number(hw, "r1", "/hardware", 0),
+        r2=_spec_number(hw, "r2", "/hardware", 0),
+        gamma=_spec_number(hw, "gamma", "/hardware", 0, default=0.0, required=False),
     )
 
     raw_blocks = obj.get("blocks")
@@ -352,15 +344,16 @@ def parse_program_spec(obj: dict) -> ProgramSpec:
         if not isinstance(name, str) or not name:
             raise DomainError(f"{path}/name: expected a nonempty string, got {name!r}")
         multiplicity = entry.get("multiplicity", 1)
-        if isinstance(multiplicity, bool) or not isinstance(multiplicity, int):
+        if type(multiplicity) is not int:  # bool counts are rejected too
             raise DomainError(f"{path}/multiplicity: expected an integer, got {multiplicity!r}")
+        check_range("%s/multiplicity", multiplicity, 1, args=(path,))
         blocks.append(
             BlockSpec(
                 name=name,
                 multiplicity=multiplicity,
-                g1=_spec_number(entry, "g1", path, default=0.0, required=False),
-                g2=_spec_number(entry, "g2", path, default=0.0, required=False),
-                depth=_spec_number(entry, "depth", path, default=0.0, required=False),
+                g1=_spec_number(entry, "g1", path, 0, default=0.0, required=False),
+                g2=_spec_number(entry, "g2", path, 0, default=0.0, required=False),
+                depth=_spec_number(entry, "depth", path, 0, default=0.0, required=False),
                 explicit_weight=_spec_number(entry, "weight", path, default=None, required=False),
             )
         )
@@ -378,9 +371,4 @@ def parse_program_spec(obj: dict) -> ProgramSpec:
 
 def load_program_spec(path: str) -> ProgramSpec:
     """Load a program spec file (see parse_program_spec for the schema)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"{path}: not valid JSON ({exc})") from None
-    return parse_program_spec(obj)
+    return parse_program_spec(read_json(path))

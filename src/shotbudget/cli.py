@@ -11,8 +11,15 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failure or infeasible strict budget,
 2 input or domain error, 3 degenerate input (nothing to distinguish).
-Tables render at 6 significant digits; --json emits one JSON document on
-stdout with full precision and nothing else.
+
+shots, qcb, chisq, noise and validate take --json.  Each of their cmd_*
+returns one _Result: the JSON document, the table (one cell for the line
+that decide and validate print) and the exit code.  main renders it once:
+--json prints the document at full precision and nothing else on stdout;
+otherwise the table renders at 6 significant digits and the document's
+warnings go to stderr.  qcb's notice goes to stderr either way.  budget
+picks its form with --out table|json|csv and curve writes CSV only; both
+stream their rows.  Errors stay plain "error: ..." on stderr, --json or not.
 """
 
 from __future__ import annotations
@@ -39,13 +46,12 @@ __all__ = ["TestPlanParams", "CurveRequest", "main", "entry"]
 
 @dataclass(frozen=True)
 class TestPlanParams:
-    """Error tolerances shared by the planning commands."""
+    """Error tolerances of a curve sweep."""
 
     p_e: float = 0.05
     alpha: float = 0.01
     beta: float = 0.01
     regime_factor: float = 1.0
-    conservative: bool = False
 
 
 @dataclass(frozen=True)
@@ -85,11 +91,19 @@ def _write_rows(head: str, row: str, rows, sep: str = "", tail: str = "") -> Non
     stdout.write(tail)
 
 
-def _print_table(headers: list[str], rows: list, tail: str = "") -> None:
-    columns = list(zip(*rows)) or [()] * len(headers)
-    widths = [max([len(h), *map(len, col)]) for h, col in zip(headers, columns)]
-    row = "  ".join(f"%-{w}s" for w in widths) + "\n"
-    _write_rows(row % tuple(headers), row, map(tuple, rows), tail=tail)
+def _print_table(rows: list, tail: str = "") -> None:
+    """Write rows of text cells, the header row first, in left-aligned columns."""
+    row = "  ".join(f"%-{max(map(len, column))}s" for column in zip(*rows)) + "\n"
+    _write_rows("", row, map(tuple, rows), tail=tail)
+
+
+@dataclass(frozen=True)
+class _Result:
+    """What a planning command prints; see the module docstring."""
+
+    doc: dict  # its "warnings" go to stderr under a table, its "notice" in both forms
+    table: list  # rows of raw cells, the header first; decide and validate print one cell
+    code: int = 0
 
 
 def _jsonable(value):
@@ -103,8 +117,16 @@ def _jsonable(value):
     return value
 
 
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(_jsonable(doc), indent=2, allow_nan=False))
+def _render(result: _Result, as_json: bool) -> int:
+    if as_json:
+        print(json.dumps(_jsonable(result.doc), indent=2, allow_nan=False))
+    else:
+        _print_table([[_sig6(v) if isinstance(v, float) else str(v) for v in row] for row in result.table])
+        for warning in result.doc.get("warnings", ()):
+            print(f"warning: {warning}", file=sys.stderr)
+    if "notice" in result.doc:
+        print(result.doc["notice"], file=sys.stderr)
+    return result.code
 
 
 def _estimate_doc(e: est.ShotEstimate) -> dict:
@@ -134,52 +156,38 @@ _SHOT_TESTS = {
 _FAULT_PRONE = {F.INVERSE_IDEAL: F.INVERSE_REAL, F.SWAP_IDEAL: F.SWAP_REAL}  # used when R > 1
 
 
-def _shot_estimates(source: str, test: str, x: float, params: TestPlanParams) -> list[est.ShotEstimate]:
-    keys = [key for key in _SHOT_TESTS if key[0] == source] if test == "all" else [(source, test)]
-    if keys[0] not in _SHOT_TESTS:
-        raise ShotBudgetError(f"--test {test} has no shot formula for --{source.replace('_', '-')}")
-    out: list[est.ShotEstimate] = []
-    for key in keys:
-        formulas = _SHOT_TESTS[key]
-        if params.regime_factor > 1.0:
-            formulas = [_FAULT_PRONE.get(f, f) for f in formulas]
-        rows = [est.estimate(f, x, params.p_e, params.regime_factor, conservative=params.conservative)
-                for f in formulas]
-        if len(rows) == 2:
-            est.ShotBounds(*rows)  # raises DomainError on an inverted bracket
-        out += rows
-    return out
-
-
-def cmd_shots(args: argparse.Namespace) -> int:
-    params = TestPlanParams(
-        p_e=args.pe, regime_factor=args.regime_factor, conservative=args.conservative
-    )
+def cmd_shots(args: argparse.Namespace) -> _Result:
     if (args.fidelity is None) == (args.trace_distance is None):
         raise ShotBudgetError("provide exactly one of --fidelity or --trace-distance")
     source = "fidelity" if args.fidelity is not None else "trace_distance"
     x = getattr(args, source)
-    estimates = _shot_estimates(source, args.test, x, params)
-    if args.json:
-        _emit_json(
-            {
-                "input": {source: x, "p_e": params.p_e, "regime_factor": params.regime_factor},
-                "estimates": [_estimate_doc(e) for e in estimates],
-            }
-        )
-    else:
-        _print_table(
-            ["formula", "raw", "shots", "interpretation"],
-            [[e.formula.value, _sig6(e.raw), str(e.shots), e.interpretation] for e in estimates],
-        )
-    return 0
+    keys = [key for key in _SHOT_TESTS if key[0] == source] if args.test == "all" else [(source, args.test)]
+    if keys[0] not in _SHOT_TESTS:
+        raise ShotBudgetError(f"--test {args.test} has no shot formula for --{source.replace('_', '-')}")
+    estimates = []
+    for key in keys:
+        formulas = _SHOT_TESTS[key]
+        if args.regime_factor > 1.0:
+            formulas = [_FAULT_PRONE.get(f, f) for f in formulas]
+        rows = [est.estimate(f, x, args.pe, args.regime_factor, conservative=args.conservative)
+                for f in formulas]
+        if len(rows) == 2:
+            est.ShotBounds(*rows)  # raises DomainError on an inverted bracket
+        estimates += map(_estimate_doc, rows)
+    return _Result(
+        {
+            "input": {source: x, "p_e": args.pe, "regime_factor": args.regime_factor},
+            "estimates": estimates,
+        },
+        [["formula", "raw", "shots", "interpretation"], *(list(e.values()) for e in estimates)],
+    )
 
 
 # ---------------------------------------------------------------------------
 # qcb
 
 
-def cmd_qcb(args: argparse.Namespace) -> int:
+def cmd_qcb(args: argparse.Namespace) -> _Result:
     if args.pe is not None:
         est.check_tolerances(args.pe)
     state_a = st.load_state(args.state_a)
@@ -197,47 +205,33 @@ def cmd_qcb(args: argparse.Namespace) -> int:
         "trace_distance": dist,
         "q_bounds_from_fidelity": [q_lo, q_hi],
     }
-    notice = None
+    labels = ("Q", "s_star", "exponent", "fidelity", "trace_distance")  # of the first five entries
+    rows = [["quantity", "value"], *zip(labels, doc.values()), ["Q_lower(F)", q_lo], ["Q_upper(F)", q_hi]]
     code = 0
     if args.pe is not None:
         if result.q >= 1.0:
-            notice = "states are indistinguishable (Q = 1); no finite shot count separates them"
+            doc["notice"] = "states are indistinguishable (Q = 1); no finite shot count separates them"
             code = 3
         elif result.q == 0.0:
             doc["shots"] = {"formula": "qcb", "raw": 0.0, "shots": 1}
-            notice = "orthogonal supports (Q = 0); a single shot distinguishes the states"
+            doc["notice"] = "orthogonal supports (Q = 0); a single shot distinguishes the states"
         else:
             doc["shots"] = _estimate_doc(est.estimate(F.QCB, result.q, args.pe))
-    if args.json:
-        if notice is not None:
-            doc["notice"] = notice
-        _emit_json(doc)
-    else:
-        rows = [
-            ["Q", _sig6(result.q)],
-            ["s_star", _sig6(result.s_star)],
-            ["exponent", _sig6(result.exponent)],
-            ["fidelity", _sig6(fid)],
-            ["trace_distance", _sig6(dist)],
-            ["Q_lower(F)", _sig6(q_lo)],
-            ["Q_upper(F)", _sig6(q_hi)],
-        ]
-        if "shots" in doc:
-            rows.append(["shots", str(doc["shots"]["shots"])])
-        _print_table(["quantity", "value"], rows)
-    if notice is not None:
-        print(notice, file=sys.stderr)
-    return code
+    if "shots" in doc:
+        rows.append(["shots", doc["shots"]["shots"]])
+    return _Result(doc, rows, code)
 
 
 # ---------------------------------------------------------------------------
 # chisq
 
 
-def cmd_chisq(args: argparse.Namespace) -> int:
+def cmd_chisq(args: argparse.Namespace) -> _Result:
     sources = [args.w2 is not None, args.fidelity is not None, args.p is not None or args.q is not None]
     if sum(sources) != 1:
         raise ShotBudgetError("provide exactly one of --w2, --fidelity, or --p with --q")
+    bins = args.bins
+    q_dist = None
     if args.w2 is not None:
         w2 = args.w2
         source = {"w2": w2}
@@ -247,95 +241,58 @@ def cmd_chisq(args: argparse.Namespace) -> int:
         else:
             w2 = sp.w2_small_discrepancy(args.fidelity)
         source = {"fidelity": args.fidelity, "case": args.case}
-    bins = args.bins
-    q_dist = None
-    if args.p is not None or args.q is not None:
-        if args.p is None or args.q is None:
-            raise ShotBudgetError("distribution mode needs both --p and --q")
+    elif args.p is None or args.q is None:
+        raise ShotBudgetError("distribution mode needs both --p and --q")
+    else:
         q_dist = sp.load_distribution(args.q)
         w2 = sp.chi2_distance(sp.load_distribution(args.p), q_dist)
         source = {"p": args.p, "q": args.q}
         bins = q_dist.k  # bin count is a property of the data, not a flag
     plan = sp.shots_chisq(w2, bins, args.alpha, args.beta)
-    warnings = () if q_dist is None else sp.chisq_validity(plan.shots, q_dist)
-    if args.json:
-        _emit_json(
-            {
-                "source": source,
-                "bins": plan.bins,
-                "alpha": plan.alpha,
-                "beta": plan.beta,
-                "noncentrality": plan.noncentrality,
-                "w2": plan.w2,
-                "raw": plan.raw,
-                "shots": plan.shots,
-                "warnings": list(warnings),
-            }
-        )
-    else:
-        _print_table(
-            ["quantity", "value"],
-            [
-                ["bins", str(plan.bins)],
-                ["alpha", _sig6(plan.alpha)],
-                ["beta", _sig6(plan.beta)],
-                ["noncentrality", _sig6(plan.noncentrality)],
-                ["w2", _sig6(plan.w2)],
-                ["raw", _sig6(plan.raw)],
-                ["shots", str(plan.shots)],
-            ],
-        )
-        for warning in warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-    return 0
+    doc = {
+        "source": source,
+        "bins": plan.bins,
+        "alpha": plan.alpha,
+        "beta": plan.beta,
+        "noncentrality": plan.noncentrality,
+        "w2": plan.w2,
+        "raw": plan.raw,
+        "shots": plan.shots,
+        "warnings": [] if q_dist is None else list(sp.chisq_validity(plan.shots, q_dist)),
+    }
+    rows = [[key, value] for key, value in doc.items() if key not in ("source", "warnings")]
+    return _Result(doc, [["quantity", "value"], *rows])
 
 
 # ---------------------------------------------------------------------------
 # noise
 
 
-def cmd_noise(args: argparse.Namespace) -> int:
+def cmd_noise(args: argparse.Namespace) -> _Result:
     if args.mode == "plan":
         if args.q1 is None:
             raise ShotBudgetError("plan mode needs --q1")
-        plan = sp.two_proportion_shots(
-            args.q0, args.q1, args.alpha, args.beta, one_sided=not args.two_sided
-        )
-        if args.json:
-            _emit_json(asdict(plan))
-        else:
-            _print_table(
-                ["quantity", "value"],
-                [
-                    ["q0", _sig6(plan.q0)],
-                    ["q1", _sig6(plan.q1)],
-                    ["alpha", _sig6(plan.alpha)],
-                    ["beta", _sig6(plan.beta)],
-                    ["sided", "one" if plan.one_sided else "two"],
-                    ["raw", _sig6(plan.raw)],
-                    ["shots", str(plan.shots)],
-                ],
-            )
-        return 0
+        doc = asdict(sp.two_proportion_shots(args.q0, args.q1, args.alpha, args.beta,
+                                             one_sided=not args.two_sided))
+        rows = [["sided", "one" if value else "two"] if key == "one_sided" else [key, value]
+                for key, value in doc.items()]
+        return _Result(doc, [["quantity", "value"], *rows])
     if args.zeros is None or args.shots is None:
         raise ShotBudgetError("decide mode needs --zeros and --shots")
     reject, p_value = sp.binomial_decision(args.zeros, args.shots, args.q0, args.alpha)
-    if args.json:
-        _emit_json(
-            {
-                "mode": "decide",
-                "zeros": args.zeros,
-                "shots": args.shots,
-                "q0": args.q0,
-                "alpha": args.alpha,
-                "p_value": p_value,
-                "reject": reject,
-            }
-        )
-    else:
-        verdict = "REJECT (success rate dropped below baseline)" if reject else "no reject"
-        print(f"p_value = {_sig6(p_value)}  ->  {verdict}")
-    return 0
+    verdict = "REJECT (success rate dropped below baseline)" if reject else "no reject"
+    return _Result(
+        {
+            "mode": "decide",
+            "zeros": args.zeros,
+            "shots": args.shots,
+            "q0": args.q0,
+            "alpha": args.alpha,
+            "p_value": p_value,
+            "reject": reject,
+        },
+        [[f"p_value = {_sig6(p_value)}  ->  {verdict}"]],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +362,9 @@ def cmd_budget(args: argparse.Namespace) -> int:
         )
         footer = [f"theta_star   {_sig6(report.theta_star)}", f"total_angle  {_sig6(report.total_angle)}"]
         footer += [f"total_{kind}  {total}" for kind, total in report.totals.items()]
-        _print_table(["block", "n", "weight", "theta", "f_target", "N_inverse", "N_swap",
-                      "N_chi2_small", "N_chi2_attain", "infeasible"],
-                     list(rows), "".join(line + "\n" for line in footer))
+        _print_table([("block", "n", "weight", "theta", "f_target", "N_inverse", "N_swap",
+                       "N_chi2_small", "N_chi2_attain", "infeasible"), *rows],
+                     "".join(line + "\n" for line in footer))
     if args.strict and report.any_infeasible:
         print("budget infeasible: some shot counts exceed 2^63", file=sys.stderr)
         return 1
@@ -423,7 +380,7 @@ _VALIDATE_FLAGS = {"inverse": ("fidelity", "shots"), "swap": ("fidelity", "shots
                    "chisq": ("p", "q", "shots"), "binomial": ("q0", "q1", "shots")}
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> _Result:
     config = mc.McConfig(trials=args.trials, seed=args.seed)
     if any(getattr(args, name) is None for name in _VALIDATE_FLAGS[args.scenario]):
         flags = [f"--{name}" for name in _VALIDATE_FLAGS[args.scenario]]
@@ -456,47 +413,34 @@ def cmd_validate(args: argparse.Namespace) -> int:
     band = 4.0 * se_expected
     diff = abs(result.estimate - expected)
     passed = diff <= band if band > 0.0 else result.estimate == expected
-    verdict = "PASS" if passed else "FAIL"
-    if args.json:
-        _emit_json(
-            {
-                "scenario": args.scenario,
-                "trials": result.trials,
-                "seed": args.seed,
-                "estimate": result.estimate,
-                "expected": expected,
-                "std_error": se_expected,
-                "band_4se": band,
-                "pass": passed,
-                "warnings": list(result.warnings),
-            }
-        )
-    else:
-        print(
-            f"{args.scenario}: estimate={_sig6(result.estimate)} expected={_sig6(expected)} "
-            f"band(4SE)={_sig6(band)} {verdict}"
-        )
-        for warning in result.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-    return 0 if passed else 1
+    return _Result(
+        {
+            "scenario": args.scenario,
+            "trials": result.trials,
+            "seed": args.seed,
+            "estimate": result.estimate,
+            "expected": expected,
+            "std_error": se_expected,
+            "band_4se": band,
+            "pass": passed,
+            "warnings": list(result.warnings),
+        },
+        [[f"{args.scenario}: estimate={_sig6(result.estimate)} expected={_sig6(expected)} "
+          f"band(4SE)={_sig6(band)} {'PASS' if passed else 'FAIL'}"]],
+        code=0 if passed else 1,
+    )
 
 
 # ---------------------------------------------------------------------------
 # curve
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, kind: type) -> tuple:
     try:
-        return tuple(int(x) for x in text.split(",") if x)
+        return tuple(kind(x) for x in text.split(",") if x)
     except ValueError:
-        raise ShotBudgetError(f"expected a comma-separated integer list, got {text!r}") from None
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(",") if x)
-    except ValueError:
-        raise ShotBudgetError(f"expected a comma-separated number list, got {text!r}") from None
+        noun = "integer" if kind is int else "number"
+        raise ShotBudgetError(f"expected a comma-separated {noun} list, got {text!r}") from None
 
 
 _CURVE_DEFAULTS = {
@@ -564,10 +508,9 @@ def emit_curve(request: CurveRequest, out=None) -> None:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    defaults = _CURVE_DEFAULTS[args.curve]
-    start = defaults[0] if args.start is None else args.start
-    stop = defaults[1] if args.stop is None else args.stop
-    p_e = defaults[2] if args.pe is None else args.pe
+    # a flag left unset takes the curve's default
+    flags = (args.start, args.stop, args.pe)
+    start, stop, p_e = (d if f is None else f for d, f in zip(_CURVE_DEFAULTS[args.curve], flags))
     request = CurveRequest(
         curve=args.curve,
         start=start,
@@ -576,8 +519,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
         params=TestPlanParams(
             p_e=p_e, alpha=args.alpha, beta=args.beta, regime_factor=args.regime_factor
         ),
-        bins=_parse_int_list(args.bins),
-        q1_values=_parse_float_list(args.q1),
+        bins=_parse_list(args.bins, int),
+        q1_values=_parse_list(args.q1, float),
     )
     emit_curve(request)
     return 0
@@ -598,21 +541,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_shots.add_argument("--fidelity", type=float, default=None)
     p_shots.add_argument("--trace-distance", type=float, default=None)
     p_shots.add_argument("--pe", type=float, default=0.05, help="target error probability")
-    p_shots.add_argument(
-        "--test",
-        choices=["all", "pure", "inverse", "swap", "mixed", "pure-mixed"],
-        default="all",
-    )
+    tests = dict.fromkeys(test for _, test in _SHOT_TESTS)  # pure, inverse, swap, mixed, pure-mixed
+    p_shots.add_argument("--test", choices=["all", *tests], default="all")
     p_shots.add_argument("--regime-factor", type=float, default=1.0)
     p_shots.add_argument("--conservative", action="store_true")
-    p_shots.add_argument("--json", action="store_true")
     p_shots.set_defaults(func=cmd_shots)
 
     p_qcb = sub.add_parser("qcb", help="Chernoff quantity and distances of two state files")
     p_qcb.add_argument("state_a")
     p_qcb.add_argument("state_b")
     p_qcb.add_argument("--pe", type=float, default=None)
-    p_qcb.add_argument("--json", action="store_true")
     p_qcb.set_defaults(func=cmd_qcb)
 
     p_chisq = sub.add_parser("chisq", help="chi-square shot plan")
@@ -624,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chisq.add_argument("--case", choices=["attaining", "small"], default="small")
     p_chisq.add_argument("--p", default=None, help="observed distribution file")
     p_chisq.add_argument("--q", default=None, help="reference distribution file")
-    p_chisq.add_argument("--json", action="store_true")
     p_chisq.set_defaults(func=cmd_chisq)
 
     p_noise = sub.add_parser("noise", help="binomial noise-calibrated planning and decision")
@@ -636,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_noise.add_argument("--two-sided", action="store_true")
     p_noise.add_argument("--zeros", type=int, default=None, help="observed all-zeros count")
     p_noise.add_argument("--shots", type=int, default=None)
-    p_noise.add_argument("--json", action="store_true")
     p_noise.set_defaults(func=cmd_noise)
 
     p_budget = sub.add_parser("budget", help="allocate a program error budget from a spec file")
@@ -646,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_budget.set_defaults(func=cmd_budget)
 
     p_val = sub.add_parser("validate", help="Monte Carlo check of a formula")
-    p_val.add_argument("--scenario", choices=["inverse", "swap", "chisq", "binomial"], required=True)
+    p_val.add_argument("--scenario", choices=list(_VALIDATE_FLAGS), required=True)
     p_val.add_argument("--trials", type=int, default=100_000)
     p_val.add_argument("--seed", type=int, default=20_260_822)
     p_val.add_argument("--fidelity", type=float, default=None)
@@ -656,14 +592,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--q", default=None)
     p_val.add_argument("--q0", type=float, default=None)
     p_val.add_argument("--q1", type=float, default=None)
-    p_val.add_argument("--json", action="store_true")
     p_val.set_defaults(func=cmd_validate)
 
     p_curve = sub.add_parser("curve", help="CSV sweep of the shot formulas")
-    p_curve.add_argument(
-        "curve",
-        choices=["fid_vs_shots", "test_comparison", "noise_binomial", "trace_vs_shots"],
-    )
+    p_curve.add_argument("curve", choices=list(_CURVE_DEFAULTS))
     p_curve.add_argument("--start", type=float, default=None)
     p_curve.add_argument("--stop", type=float, default=None)
     p_curve.add_argument("--points", type=int, default=200)
@@ -674,6 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--bins", default="2,4,8,16,32,64,128")
     p_curve.add_argument("--q1", default="0.90,0.99")
     p_curve.set_defaults(func=cmd_curve)
+    for p_json in (p_shots, p_qcb, p_chisq, p_noise, p_val):  # the commands that return a _Result
+        p_json.add_argument("--json", action="store_true")
 
     return parser
 
@@ -682,14 +616,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)  # budget and curve stream their own output and return the code
+        return result if isinstance(result, int) else _render(result, args.json)
     except DegenerateStates as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return 3
-    except ShotBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ShotBudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,15 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and two boundary checks.
 
 Everything derives from ShotBudgetError so callers can catch the whole
-family with one clause.  DomainError doubles as a ValueError because most
-of its sites are plain argument-range violations.
+family with one clause.  DomainError doubles as a ValueError: most of its
+sites are argument-range violations, raised by `check_range` in one message
+shape.  `read_json` reads the state, distribution and program-spec files.
 """
+
+import json
+import sys
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class ShotBudgetError(Exception):
@@ -56,3 +62,37 @@ class ZeroWeight(ShotBudgetError):
 
 class ZeroBudget(ShotBudgetError):
     """Program fidelity target of 1 leaves a zero error-angle budget."""
+
+
+def check_range(what: str, value, low=None, high=None, ends: str = "[]", *,
+                finite: bool = False, args: tuple = ()) -> None:
+    """Raise DomainError unless value lies in the interval low..high, whose
+    brackets `ends` gives, or without a high end is >= low.  `finite` first
+    rejects inf and NaN; NaN fails every range.  The name is `what % args`
+    when args are given, formatted only on failure.
+
+    Messages: "<what> must lie in (0, 1], got 2", "<what> must be >= 1,
+    got 0", "<what> must be finite[ and >= 0], got inf".
+    """
+    if high is None:
+        if (not finite or abs(value) <= _FLOAT_MAX) and (low is None or value >= low):
+            return
+        bounds = (["finite"] if finite else []) + ([] if low is None else [f">= {low:g}"])
+        need = "be " + " and ".join(bounds)
+    elif finite and not abs(value) <= _FLOAT_MAX:
+        need = "be finite"
+    else:
+        above = low < value if ends[0] == "(" else low <= value
+        if above and (value < high if ends[1] == ")" else value <= high):
+            return
+        need = f"lie in {ends[0]}{low:g}, {high:g}{ends[1]}"
+    raise DomainError(f"{what % args if args else what} must {need}, got {value}")
+
+
+def read_json(path: str, error: type = DomainError):
+    """The JSON document in the file at path; invalid JSON raises `error` naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: not valid JSON ({exc})") from None

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BaselineNotAboveTarget, DomainError
+from .errors import BaselineNotAboveTarget, DomainError, check_range
 from .rng import MASK64, sub_seeds, uniform_block
 from .shot_estimators import FORMULAS, Formula
 from .stat_power import (
@@ -62,9 +62,8 @@ class McConfig:
     seed: int = 20_260_822
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed <= MASK64:
+        check_range("trials", self.trials, 1)
+        if not 0 <= self.seed <= MASK64:  # an integer range, shown as 2^64
             raise DomainError(f"seed must lie in [0, 2^64), got {self.seed}")
 
 
@@ -134,10 +133,9 @@ def _count_below(seeds, p: float, lengths, starts=0, stop_at_reject: bool = Fals
 
 def _miss_rate(fid: float, formula: Formula, n_shots: int, config: McConfig) -> McResult:
     """Trials in which all n_shots shots accept at the formula's per-shot acceptance."""
-    if not 0.0 <= fid < 1.0:
+    if not 0.0 <= fid < 1.0:  # the message says why 1 is left out
         raise DomainError(f"fidelity must lie in [0, 1) to have misses, got {fid}")
-    if n_shots < 1:
-        raise DomainError(f"n_shots must be >= 1, got {n_shots}")
+    check_range("n_shots", n_shots, 1)
     seeds = sub_seeds(config.seed, 0, config.trials)
     counts, drawn = _count_below(seeds, FORMULAS[formula].per_shot(fid), n_shots, stop_at_reject=True)
     return _finish(int(np.count_nonzero(counts == n_shots)), drawn, config)
@@ -191,10 +189,8 @@ def simulate_chisq_power(p, q, n_shots: int, alpha: float, config: McConfig) -> 
     carry the chi-square validity warnings for the planned shot count.
     A bin-count mismatch or a zero reference bin raises before any draw.
     """
-    if n_shots < 1:
-        raise DomainError(f"n_shots must be >= 1, got {n_shots}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    check_range("n_shots", n_shots, 1)
+    check_range("alpha", alpha, 0, 1, "()")
     p_dist = p if isinstance(p, Distribution) else Distribution(np.asarray(p))
     q_dist = q if isinstance(q, Distribution) else Distribution(np.asarray(q))
     chi2_distance(p_dist, q_dist)  # raises DimensionMismatch or ZeroExpectedBin
@@ -222,12 +218,9 @@ def simulate_binomial_detection(
     monotone in the count, so trials are classified by the precomputed
     rejection threshold.
     """
-    if n_shots < 1:
-        raise DomainError(f"n_shots must be >= 1, got {n_shots}")
-    if not 0.0 < q0 <= 1.0:
-        raise DomainError(f"baseline q0 must lie in (0, 1], got {q0}")
-    if not 0.0 <= q1 <= 1.0:
-        raise DomainError(f"true rate q1 must lie in [0, 1], got {q1}")
+    check_range("n_shots", n_shots, 1)
+    check_range("baseline q0", q0, 0, 1, "(]")
+    check_range("true rate q1", q1, 0, 1)
     if q1 > q0:
         raise BaselineNotAboveTarget(f"true rate q1={q1} exceeds baseline q0={q0}")
     threshold = binomial_rejection_threshold(n_shots, q0, alpha)

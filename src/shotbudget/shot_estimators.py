@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .errors import DegenerateStates, DomainError
+from .errors import DegenerateStates, DomainError, check_range
 
 __all__ = ["Formula", "FORMULAS", "ShotEstimate", "ShotBounds", "check_tolerances", "estimate",
            "shots_from_q", "shots_inverse_ideal", "shots_swap_ideal"]
@@ -91,9 +91,6 @@ class FormulaRow(NamedTuple):
 
 
 _F, _T = "fidelity", "trace distance"
-# input kind -> (least, greatest allowed value, as text); the least Q is the
-# smallest positive float: callers report Q = 0 (orthogonal states) as one shot
-_RANGES = {_F: (0.0, 1.0, "[0, 1]"), _T: (0.0, 1.0, "[0, 1]"), "Q": (math.ulp(0.0), 1.0, "(0, 1]")}
 
 FORMULAS: dict[Formula, FormulaRow] = {
     Formula.QCB: FormulaRow("Q", lambda q: q, 1.0, False),
@@ -120,10 +117,8 @@ FORMULAS[Formula.SWAP_REAL] = FORMULAS[Formula.SWAP_IDEAL]._replace(scaled=True)
 
 def check_tolerances(p_e: float, regime_factor: float = 1.0) -> None:
     """Raise DomainError unless p_e lies in (0, 1) and R in [1, 2]."""
-    if not 0.0 < p_e < 1.0:
-        raise DomainError(f"error probability must lie in (0, 1), got {p_e}")
-    if not 1.0 <= regime_factor <= 2.0:
-        raise DomainError(f"regime factor must lie in [1, 2], got {regime_factor}")
+    check_range("error probability", p_e, 0, 1, "()")
+    check_range("regime factor", regime_factor, 1, 2)
 
 
 def estimate(formula: Formula, x: float, p_e: float, regime_factor: float = 1.0, *,
@@ -136,10 +131,9 @@ def estimate(formula: Formula, x: float, p_e: float, regime_factor: float = 1.0,
     DegenerateStates when the per-shot Q rounds to 1.
     """
     row = FORMULAS[formula]
-    low, high, allowed = _RANGES[row.kind]
     check_tolerances(p_e, regime_factor)
-    if not low <= x <= high:
-        raise DomainError(f"{row.kind} must lie in {allowed}, got {x}")
+    # every input lies in [0, 1]; callers report Q = 0 (orthogonal states) as one shot
+    check_range(row.kind, x, 0, 1, "(]" if row.kind == "Q" else "[]")
     q = row.per_shot(x)
     if q >= 1.0:
         raise DegenerateStates(

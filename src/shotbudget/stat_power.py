@@ -21,7 +21,6 @@ for the one-sample use.  One log-space loop sums the binomial CDF for
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -34,6 +33,8 @@ from .errors import (
     DomainError,
     NoConvergence,
     ZeroExpectedBin,
+    check_range,
+    read_json,
 )
 from .numerics import normal_quantile, regularized_gamma_p, solve_increasing
 from . import tolerances as tol
@@ -114,8 +115,7 @@ def chi2_cdf(x: float, df: float) -> float:
 
 def chi2_quantile(prob: float, df: float) -> float:
     """Central chi-square quantile, solved by bisection on the CDF."""
-    if not 0.0 < prob < 1.0:
-        raise DomainError(f"quantile probability must lie in (0, 1), got {prob}")
+    check_range("quantile probability", prob, 0, 1, "()")
     hi = df + 10.0 * math.sqrt(2.0 * df) + 10.0
     return solve_increasing(lambda x: chi2_cdf(x, df), prob, 0.0, hi)
 
@@ -176,11 +176,9 @@ def lambda_noncentral(df: int, alpha: float, power: float) -> float:
     critical value taken from the central distribution.  At lam = 0 the
     left side equals alpha, so power must exceed alpha.
     """
-    if df < 1:
-        raise DomainError(f"degrees of freedom must be >= 1, got {df}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if not alpha < power < 1.0:
+    check_range("degrees of freedom", df, 1)
+    check_range("alpha", alpha, 0, 1, "()")
+    if not alpha < power < 1.0:  # the low end is alpha itself, named in the message
         raise DomainError(f"power must lie in (alpha, 1), got {power}")
     crit = chi2_quantile(1.0 - alpha, float(df))
     cache: dict = {}
@@ -212,12 +210,10 @@ def shots_chisq(w2: float, bins: int, alpha: float, beta: float) -> ChiSquarePla
     """
     if bins < 2:
         raise DomainError(f"need at least 2 bins, got {bins}")
-    if not 0.0 <= w2 < math.inf:
-        raise DomainError(f"w^2 must be finite and >= 0, got {w2}")
+    check_range("w^2", w2, 0, finite=True)
     if w2 == 0.0:
         raise DegenerateStates("w^2 = 0: no discrepancy to detect")
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"beta must lie in (0, 1), got {beta}")
+    check_range("beta", beta, 0, 1, "()")
     lam = lambda_noncentral(bins - 1, alpha, 1.0 - beta)
     raw = lam / w2
     return ChiSquarePlan(
@@ -228,15 +224,13 @@ def shots_chisq(w2: float, bins: int, alpha: float, beta: float) -> ChiSquarePla
 
 def w2_fidelity_attaining(fid: float) -> float:
     """w^2 of the distribution pair attaining the fidelity bound: (1-sqrt(F))^2 / 4."""
-    if not 0.0 <= fid <= 1.0:
-        raise DomainError(f"fidelity must lie in [0, 1], got {fid}")
+    check_range("fidelity", fid, 0, 1)
     return 0.25 * (1.0 - math.sqrt(fid)) ** 2
 
 
 def w2_small_discrepancy(fid: float) -> float:
     """Small-discrepancy ceiling w^2 ~= 8 d_H^2 <= 8 (1 - sqrt(F))."""
-    if not 0.0 <= fid <= 1.0:
-        raise DomainError(f"fidelity must lie in [0, 1], got {fid}")
+    check_range("fidelity", fid, 0, 1)
     return 8.0 * (1.0 - math.sqrt(fid))
 
 
@@ -284,11 +278,11 @@ def two_proportion_shots(
     with no continuity correction.  One-sided by default; the two-sided
     variant swaps z_{1-a} for z_{1-a/2}.
     """
-    if not 0.0 <= q1 <= 1.0 or not 0.0 <= q0 <= 1.0:
+    if not 0.0 <= q1 <= 1.0 or not 0.0 <= q0 <= 1.0:  # names both values, unlike check_range
         raise DomainError(f"success probabilities must lie in [0, 1], got q0={q0}, q1={q1}")
     if q1 >= q0:
         raise BaselineNotAboveTarget(f"baseline q0={q0} must exceed degraded q1={q1}")
-    if not 0.0 < alpha < 1.0 or not 0.0 < beta < 1.0:
+    if not 0.0 < alpha < 1.0 or not 0.0 < beta < 1.0:  # likewise
         raise DomainError(f"alpha and beta must lie in (0, 1), got alpha={alpha}, beta={beta}")
     z_a = normal_quantile(1.0 - (alpha if one_sided else alpha / 2.0))
     z_b = normal_quantile(1.0 - beta)
@@ -329,12 +323,10 @@ def _binomial_log_cdf(n_shots: int, q: float, last: int, log_stop: float = math.
 
 def binomial_cdf(count: int, n_shots: int, q: float) -> float:
     """P[Bin(n_shots, q) <= count], summed in log space so q near 1 does not underflow."""
-    if n_shots < 1:
-        raise DomainError(f"shot count must be >= 1, got {n_shots}")
+    check_range("shot count", n_shots, 1)
     if not 0 <= count <= n_shots:
         raise DomainError(f"observed count {count} outside [0, {n_shots}]")
-    if not 0.0 < q <= 1.0:
-        raise DomainError(f"success probability must lie in (0, 1], got {q}")
+    check_range("success probability", q, 0, 1, "(]")
     if q == 1.0:
         return 1.0 if count == n_shots else 0.0
     return min(1.0, math.exp(_binomial_log_cdf(n_shots, q, count)[1]))
@@ -346,8 +338,7 @@ def binomial_decision(zero_count: int, n_shots: int, q0: float, alpha: float) ->
     p_value = P[Bin(n_shots, q0) <= zero_count] (see binomial_cdf).
     Rejects (the success rate has dropped below q0) when p_value <= alpha.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    check_range("alpha", alpha, 0, 1, "()")
     p_value = binomial_cdf(zero_count, n_shots, q0)
     return p_value <= alpha, p_value
 
@@ -359,12 +350,9 @@ def binomial_rejection_threshold(n_shots: int, q0: float, alpha: float) -> int:
     threshold characterizes it; simulation code uses this to classify
     many trials without recomputing tail sums.
     """
-    if n_shots < 1:
-        raise DomainError(f"shot count must be >= 1, got {n_shots}")
-    if not 0.0 < q0 <= 1.0:
-        raise DomainError(f"baseline q0 must lie in (0, 1], got {q0}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    check_range("shot count", n_shots, 1)
+    check_range("baseline q0", q0, 0, 1, "(]")
+    check_range("alpha", alpha, 0, 1, "()")
     if q0 == 1.0:
         return n_shots - 1
     return _binomial_log_cdf(n_shots, q0, n_shots, math.log(alpha))[0] - 1
@@ -387,9 +375,4 @@ def parse_distribution(obj) -> Distribution:
 
 def load_distribution(path: str) -> Distribution:
     """Load a distribution file (see parse_distribution for the schema)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"{path}: not valid JSON ({exc})") from None
-    return parse_distribution(obj)
+    return parse_distribution(read_json(path))

@@ -16,14 +16,13 @@ error.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, InvalidState
+from .errors import DimensionMismatch, InvalidState, check_range, read_json
 from .numerics import (
     EigenDecomposition,
     hermitian_eigendecomposition,
@@ -317,22 +316,19 @@ def qcb_q(rho, sigma) -> QcbResult:
 
 def q_bounds_mixed(fid: float) -> tuple[float, float]:
     """Fidelity-only sandwich on Q: 1 - sqrt(1 - F) <= Q <= sqrt(F)."""
-    if not 0.0 <= fid <= 1.0:
-        raise DomainError(f"fidelity must lie in [0, 1], got {fid}")
+    check_range("fidelity", fid, 0, 1)
     return 1.0 - math.sqrt(1.0 - fid), math.sqrt(fid)
 
 
 def fuchs_van_de_graaf_bounds(fid: float) -> tuple[float, float]:
     """Fuchs-van de Graaf bounds on trace distance: 1 - sqrt(F) <= T <= sqrt(1 - F)."""
-    if not 0.0 <= fid <= 1.0:
-        raise DomainError(f"fidelity must lie in [0, 1], got {fid}")
+    check_range("fidelity", fid, 0, 1)
     return 1.0 - math.sqrt(fid), math.sqrt(1.0 - fid)
 
 
 def bures_angle(fid: float) -> float:
     """Bures angle arccos(sqrt(F)), the metric the budget allocator splits."""
-    if not 0.0 <= fid <= 1.0:
-        raise DomainError(f"fidelity must lie in [0, 1], got {fid}")
+    check_range("fidelity", fid, 0, 1)
     return math.acos(min(1.0, math.sqrt(fid)))
 
 
@@ -373,9 +369,4 @@ def parse_state(obj: dict) -> PureState | DensityMatrix:
 
 def load_state(path: str) -> PureState | DensityMatrix:
     """Load a state file (see parse_state for the schema)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidState(f"{path}: not valid JSON ({exc})") from None
-    return parse_state(obj)
+    return parse_state(read_json(path, InvalidState))

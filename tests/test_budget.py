@@ -278,6 +278,39 @@ class TestFiniteInputs:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path} must be finite")
 
+    @pytest.mark.parametrize(
+        "pointer, value, message",
+        [
+            ("/blocks/0/g1", -1, "/blocks/0/g1 must be finite and >= 0, got -1"),
+            ("/blocks/1/depth", -0.5, "/blocks/1/depth must be finite and >= 0, got -0.5"),
+            ("/hardware/r1", -1, "/hardware/r1 must be finite and >= 0, got -1"),
+            ("/hardware/gamma", -1e-9, "/hardware/gamma must be finite and >= 0, got -1e-09"),
+            ("/blocks/0/multiplicity", 0, "/blocks/0/multiplicity must be >= 1, got 0"),
+            ("/p_e", 5, "/p_e must lie in (0, 1), got 5"),
+            ("/p_e", 0, "/p_e must lie in (0, 1), got 0"),
+            ("/fidelity_target", 2, "/fidelity_target must lie in (0, 1], got 2"),
+            ("/fidelity_target", 0.0, "/fidelity_target must lie in (0, 1], got 0.0"),
+            ("/regime_factor", 3, "/regime_factor must lie in [1, 2], got 3"),
+            ("/chisq/alpha", 2, "/chisq/alpha must lie in (0, 1), got 2"),
+            ("/chisq/beta", 1, "/chisq/beta must lie in (0, 1), got 1"),
+        ],
+    )
+    def test_spec_range_errors_name_the_json_path(self, tmp_path, capsys, pointer, value, message):
+        doc = json.loads(json.dumps(SPEC_DOC))
+        *parents, key = [int(part) if part.isdigit() else part for part in pointer.split("/")[1:]]
+        target = doc
+        for part in parents:
+            target = target[part]
+        target[key] = value
+        with pytest.raises(DomainError) as info:
+            parse_program_spec(doc)
+        assert str(info.value) == message
+        spec_path = tmp_path / "range.json"
+        spec_path.write_text(json.dumps(doc))
+        assert cli.main(["budget", "--spec", str(spec_path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
     def test_fractional_multiplicity_in_spec_is_rejected(self, tmp_path, capsys):
         doc = json.loads(json.dumps(SPEC_DOC))
         doc["blocks"][0]["multiplicity"] = 1.5

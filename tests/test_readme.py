@@ -1,11 +1,13 @@
 """README as a test: the Library example runs and prints what its comments
-say, and every shotbudget name README mentions is importable."""
+say, the command examples print what README shows, and every shotbudget
+name README mentions is importable."""
 
 import dataclasses
 import importlib.util
 import json
 import pathlib
 import re
+import shlex
 
 import shotbudget
 from shotbudget import cli
@@ -30,6 +32,28 @@ def test_library_example_runs_and_matches_its_comments():
             assert eval(commented.group(1), namespace) == int(commented.group(2)), line
             checked += 1
     assert checked == 4
+
+
+def _shown_commands() -> list[tuple[list[str], str]]:
+    """(argv, shown output) for each `$ shotbudget` line of a text block that reads no file."""
+    shown = []
+    for block in _blocks("text"):
+        for command in re.split(r"^(?=\$ shotbudget )", block, flags=re.M)[1:]:
+            line, _, output = command.partition("\n")
+            argv = shlex.split(line)[2:]
+            if not any(arg.endswith(".json") for arg in argv):
+                shown.append((argv, output.rstrip("\n") + "\n"))
+    return shown
+
+
+def test_command_examples_print_what_readme_shows(capsys):
+    shown = _shown_commands()
+    assert [argv[:2] for argv, _ in shown] == [
+        ["shots", "--fidelity"], ["noise", "plan"], ["noise", "decide"], ["validate", "--scenario"]]
+    for argv, output in shown:
+        assert cli.main(argv) == 0, argv
+        printed = capsys.readouterr().out
+        assert re.sub(r" +\n", "\n", printed) == output, argv
 
 
 def _not_library_words() -> set[str]:

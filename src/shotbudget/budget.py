@@ -318,8 +318,7 @@ def parse_program_spec(obj: dict) -> ProgramSpec:
     bins = chisq.get("bins", 16)
     if isinstance(bins, bool) or not isinstance(bins, int):
         raise DomainError(f"/chisq/bins: expected an integer, got {bins!r}")
-    if bins < 2:
-        raise DomainError(f"/chisq/bins: need at least 2 bins, got {bins}")
+    check_range("/chisq/bins", bins, 2)
     alpha = _spec_number(chisq, "alpha", "/chisq", 0, 1, "()", default=0.01, required=False)
     beta = _spec_number(chisq, "beta", "/chisq", 0, 1, "()", default=0.01, required=False)
 

@@ -127,8 +127,7 @@ def noncentral_chi2_cdf(x: float, df: float, noncentrality: float, _cache: dict 
     outward from the Poisson mode in log space until all but 1e-12 of the
     mixture weight is covered, which keeps it stable out to lam ~= 1e4.
     """
-    if noncentrality < 0.0:
-        raise DomainError(f"noncentrality must be nonnegative, got {noncentrality}")
+    check_range("noncentrality", noncentrality, 0)
     if x <= 0.0:
         return 0.0
     if noncentrality == 0.0:
@@ -208,8 +207,7 @@ def shots_chisq(w2: float, bins: int, alpha: float, beta: float) -> ChiSquarePla
     Raises DegenerateStates when w2 = 0: identical distributions produce
     no detectable effect at any shot count.
     """
-    if bins < 2:
-        raise DomainError(f"need at least 2 bins, got {bins}")
+    check_range("bins", bins, 2)
     check_range("w^2", w2, 0, finite=True)
     if w2 == 0.0:
         raise DegenerateStates("w^2 = 0: no discrepancy to detect")

@@ -293,6 +293,7 @@ class TestFiniteInputs:
             ("/regime_factor", 3, "/regime_factor must lie in [1, 2], got 3"),
             ("/chisq/alpha", 2, "/chisq/alpha must lie in (0, 1), got 2"),
             ("/chisq/beta", 1, "/chisq/beta must lie in (0, 1), got 1"),
+            ("/chisq/bins", 1, "/chisq/bins must be >= 2, got 1"),
         ],
     )
     def test_spec_range_errors_name_the_json_path(self, tmp_path, capsys, pointer, value, message):

@@ -216,10 +216,9 @@ def simulate_binomial_detection(
     Each trial draws the all-zeros count from Binomial(n_shots, q1) and
     applies the one-sample decision against baseline q0.  The rule is
     monotone in the count, so trials are classified by the precomputed
-    rejection threshold.
+    rejection threshold.  That threshold checks n_shots, q0 and alpha
+    before its O(n_shots) sum; q1 is checked here, before it.
     """
-    check_range("n_shots", n_shots, 1)
-    check_range("baseline q0", q0, 0, 1, "(]")
     check_range("true rate q1", q1, 0, 1)
     if q1 > q0:
         raise BaselineNotAboveTarget(f"true rate q1={q1} exceeds baseline q0={q0}")

@@ -375,6 +375,25 @@ class TestValidate:
     def test_missing_scenario_arguments(self):
         assert cli.main(["validate", "--scenario", "inverse"]) == 2
 
+    def test_binomial_bad_shots_has_one_message(self, capsys):
+        # the rejection threshold owns the shot count and q0, with one spelling
+        code = cli.main(["validate", "--scenario", "binomial", "--q0", "0.99", "--q1", "0.9",
+                         "--shots", "0"])
+        assert (code, capsys.readouterr().err) == (2, "error: shot count must be >= 1, got 0\n")
+
+    @pytest.mark.parametrize("q1, message", [
+        ("1.5", "true rate q1 must lie in [0, 1], got 1.5"),
+        ("0.995", "true rate q1=0.995 exceeds baseline q0=0.99"),
+    ])
+    def test_binomial_bad_q1_fails_before_the_threshold(self, q1, message, monkeypatch, capsys):
+        def no_threshold(*args):
+            raise AssertionError("binomial_rejection_threshold called")
+
+        monkeypatch.setattr(mc, "binomial_rejection_threshold", no_threshold)
+        code = cli.main(["validate", "--scenario", "binomial", "--q0", "0.99", "--q1", q1,
+                         "--shots", "1000000"])
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+
     @pytest.mark.parametrize("seed", ["-5", str(2**64), "99999999999999999999999"])
     def test_seed_outside_64_bits_rejected(self, seed, capsys):
         code = cli.main(

@@ -12,140 +12,61 @@ across circuit blocks in proportion to their hardware-derived error weight.
 
 Everything analytic is backed by a seedable Monte Carlo layer so each
 formula can be checked against simulated truth.
+
+Importing the package loads no numpy.  The numpy-backed submodules `rng`,
+`states`, `budget` and `montecarlo` are lazy: their code runs on first
+attribute access.  The public names resolve on first access too (PEP 562),
+so the shot formulas, chi-square and binomial planners run on the standard
+library alone.
 """
 
-from .errors import (
-    BaselineNotAboveTarget,
-    DegenerateStates,
-    DimensionMismatch,
-    DomainError,
-    InvalidState,
-    NoConvergence,
-    ShotBudgetError,
-    ZeroBudget,
-    ZeroExpectedBin,
-    ZeroWeight,
-)
-from .states import (
-    DensityMatrix,
-    PureState,
-    QcbResult,
-    bures_angle,
-    fidelity,
-    fidelity_pure,
-    fuchs_van_de_graaf_bounds,
-    load_state,
-    parse_state,
-    q_bounds_mixed,
-    qcb_q,
-    trace_distance,
-)
-from .shot_estimators import (
-    Formula,
-    ShotBounds,
-    ShotEstimate,
-    estimate,
-    shots_from_q,
-    shots_inverse_ideal,
-    shots_swap_ideal,
-)
-from .stat_power import (
-    BinomialPlan,
-    ChiSquarePlan,
-    Distribution,
-    binomial_cdf,
-    binomial_decision,
-    binomial_rejection_threshold,
-    chi2_distance,
-    chisq_validity,
-    lambda_noncentral,
-    load_distribution,
-    parse_distribution,
-    shots_chisq,
-    two_proportion_shots,
-    w2_fidelity_attaining,
-    w2_small_discrepancy,
-)
-from .budget import (
-    BlockAllocation,
-    BlockSpec,
-    BudgetReport,
-    HardwareRates,
-    ProgramSpec,
-    allocate,
-    allocate_program,
-    load_program_spec,
-    parse_program_spec,
-)
-from .montecarlo import (
-    McConfig,
-    McResult,
-    simulate_binomial_detection,
-    simulate_chisq_power,
-    simulate_inverse_miss_rate,
-    simulate_swap_miss_rate,
-)
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+
+from . import errors, shot_estimators, stat_power  # numpy-free
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaselineNotAboveTarget",
-    "BinomialPlan",
-    "BlockAllocation",
-    "BlockSpec",
-    "BudgetReport",
-    "ChiSquarePlan",
-    "DegenerateStates",
-    "DensityMatrix",
-    "DimensionMismatch",
-    "Distribution",
-    "DomainError",
-    "Formula",
-    "HardwareRates",
-    "InvalidState",
-    "McConfig",
-    "McResult",
-    "NoConvergence",
-    "ProgramSpec",
-    "PureState",
-    "QcbResult",
-    "ShotBounds",
-    "ShotBudgetError",
-    "ShotEstimate",
-    "ZeroBudget",
-    "ZeroExpectedBin",
-    "ZeroWeight",
-    "allocate",
-    "allocate_program",
-    "binomial_cdf",
-    "binomial_decision",
-    "binomial_rejection_threshold",
-    "bures_angle",
-    "chi2_distance",
-    "chisq_validity",
-    "estimate",
-    "fidelity",
-    "fidelity_pure",
-    "fuchs_van_de_graaf_bounds",
-    "lambda_noncentral",
-    "load_distribution",
-    "load_program_spec",
-    "load_state",
-    "parse_distribution",
-    "parse_program_spec",
-    "parse_state",
-    "q_bounds_mixed",
-    "qcb_q",
-    "shots_chisq",
-    "shots_from_q",
-    "shots_inverse_ideal",
-    "shots_swap_ideal",
-    "simulate_binomial_detection",
-    "simulate_chisq_power",
-    "simulate_inverse_miss_rate",
-    "simulate_swap_miss_rate",
-    "trace_distance",
-    "two_proportion_shots",
-    "w2_fidelity_attaining",
-    "w2_small_discrepancy",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "errors": "BaselineNotAboveTarget DegenerateStates DimensionMismatch DomainError InvalidState "
+              "NoConvergence ShotBudgetError ZeroBudget ZeroExpectedBin ZeroWeight",
+    "states": "DensityMatrix PureState QcbResult bures_angle fidelity fidelity_pure "
+              "fuchs_van_de_graaf_bounds load_state parse_state q_bounds_mixed qcb_q trace_distance",
+    "shot_estimators": "Formula ShotBounds ShotEstimate estimate shots_from_q shots_inverse_ideal "
+                       "shots_swap_ideal",
+    "stat_power": "BinomialPlan ChiSquarePlan Distribution binomial_cdf binomial_decision "
+                  "binomial_rejection_threshold chi2_distance chisq_validity lambda_noncentral "
+                  "load_distribution parse_distribution shots_chisq two_proportion_shots "
+                  "w2_fidelity_attaining w2_small_discrepancy",
+    "budget": "BlockAllocation BlockSpec BudgetReport HardwareRates ProgramSpec allocate "
+              "allocate_program load_program_spec parse_program_spec",
+    "montecarlo": "McConfig McResult simulate_binomial_detection simulate_chisq_power "
+                  "simulate_inverse_miss_rate simulate_swap_miss_rate",
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_HOMES)
+
+
+def _lazy(name: str):
+    """Register submodule `name` in sys.modules without running its code;
+    the first attribute access runs it."""
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+rng, states, budget, montecarlo = map(_lazy, ("rng", "states", "budget", "montecarlo"))
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(globals()[_HOMES[name]], name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -1,19 +1,19 @@
 """Numerical kernels used by every other module.
 
 The Hermitian eigensolver is LAPACK's, reached through numpy.linalg.eigh
-behind one checked entry point.  The scalar kernels are implemented here:
-the regularized lower incomplete gamma function (series plus continued
-fraction), an AS241-class normal quantile, a golden-section minimizer,
-and a bracket-doubling bisection solver for increasing functions.
+behind one checked entry point, the only function here that imports
+numpy (on its first call).  The scalar kernels are implemented here on
+the standard library alone: the regularized lower incomplete gamma
+function (series plus continued fraction), an AS241-class normal
+quantile, a golden-section minimizer, and a bracket-doubling bisection
+solver for increasing functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import (
     DomainError,
@@ -23,6 +23,9 @@ from .errors import (
     NotHermitian,
 )
 from . import tolerances as tol
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EigenDecomposition",
@@ -66,6 +69,8 @@ def hermitian_eigendecomposition(matrix: np.ndarray) -> EigenDecomposition:
         DomainError: if the matrix is not square or has a non-finite entry.
         NotHermitian: if max |H - H^dagger| exceeds the tolerance.
     """
+    import numpy as np
+
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")

@@ -17,14 +17,16 @@ the exact one-sample binomial test, which is the sharper tool once the
 baseline is known analytically.  The planner is therefore conservative
 for the one-sample use.  One log-space loop sums the binomial CDF for
 `binomial_cdf`, the decision and its rejection threshold.
+
+Only `Distribution` imports numpy, when the first one is built; every
+planner and tail here runs on the standard library alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     BaselineNotAboveTarget,
@@ -38,6 +40,9 @@ from .errors import (
 )
 from .numerics import normal_quantile, regularized_gamma_p, solve_increasing
 from . import tolerances as tol
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Distribution",
@@ -72,6 +77,8 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         probs = np.asarray(self.probs, dtype=np.float64).reshape(-1)
         if probs.size < 2:
             raise DomainError(f"a distribution needs at least 2 bins, got {probs.size}")
@@ -91,7 +98,7 @@ class Distribution:
 
 
 def _as_probs(dist) -> np.ndarray:
-    return dist.probs if isinstance(dist, Distribution) else Distribution(np.asarray(dist)).probs
+    return dist.probs if isinstance(dist, Distribution) else Distribution(dist).probs
 
 
 def chi2_distance(p, q) -> float:
@@ -99,9 +106,9 @@ def chi2_distance(p, q) -> float:
     pa, qa = _as_probs(p), _as_probs(q)
     if pa.size != qa.size:
         raise DimensionMismatch(f"bin count mismatch: {pa.size} vs {qa.size}")
-    if np.any(qa == 0.0):
-        raise ZeroExpectedBin(f"reference bin {int(np.argmin(qa))} has zero probability")
-    return float(np.sum((pa - qa) ** 2 / qa))
+    if (qa == 0.0).any():
+        raise ZeroExpectedBin(f"reference bin {int(qa.argmin())} has zero probability")
+    return float(((pa - qa) ** 2 / qa).sum())
 
 
 def chi2_cdf(x: float, df: float) -> float:
@@ -242,7 +249,7 @@ def chisq_validity(n_shots: float, expected) -> tuple[str, ...]:
     warnings: list[str] = []
     if n_shots < 13:
         warnings.append(f"only {n_shots:g} shots planned; chi-square approximation wants at least 13")
-    low = np.flatnonzero(n_shots * qa < 5.0)
+    low = (n_shots * qa < 5.0).nonzero()[0]
     if low.size:
         shown = ", ".join(str(int(i)) for i in low[:8])
         more = "" if low.size <= 8 else f" (+{low.size - 8} more)"
@@ -365,7 +372,7 @@ def parse_distribution(obj) -> Distribution:
     if not isinstance(obj, list):
         raise DomainError(f"distribution document must be a JSON array, got {type(obj).__name__}")
     try:
-        probs = np.array([float(x) for x in obj], dtype=np.float64)
+        probs = [float(x) for x in obj]
     except (TypeError, ValueError) as exc:
         raise DomainError(f"distribution entries must be numbers: {exc}") from None
     return Distribution(probs=probs)

@@ -23,7 +23,7 @@ library alone.
 import sys
 from importlib.util import LazyLoader, find_spec, module_from_spec
 
-from . import errors, shot_estimators, stat_power  # numpy-free
+from . import errors, shot_estimators, stat_power  # numpy-free, so imported eagerly
 
 __version__ = "0.1.0"
 

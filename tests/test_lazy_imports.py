@@ -64,8 +64,9 @@ def test_planning_commands_print_the_same_without_numpy(capsys):
 
 
 def test_importing_the_package_loads_no_numpy():
-    code = "import sys, shotbudget.cli; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
-    assert _python("-c", code).stdout == "[]\n"
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('numpy')))"
+    code = f"import sys, shotbudget; {loaded}; import shotbudget.cli; {loaded}"
+    assert _python("-c", code).stdout == "[]\n[]\n"
 
 
 def _traced(tmp_path, name: str, *argv: str) -> dict:

@@ -14,10 +14,12 @@ Everything analytic is backed by a seedable Monte Carlo layer so each
 formula can be checked against simulated truth.
 
 Importing the package loads no numpy.  The numpy-backed submodules `rng`,
-`states`, `budget` and `montecarlo` are lazy: their code runs on first
-attribute access.  The public names resolve on first access too (PEP 562),
-so the shot formulas, chi-square and binomial planners run on the standard
-library alone.
+`states` and `montecarlo` are lazy: their code runs on first attribute
+access.  `budget` needs no numpy but is lazy too, because building its
+dataclasses costs ~4 ms that every command not budgeting would pay.  The
+public names resolve on first access too (PEP 562), so the shot formulas,
+the chi-square and binomial planners and the budget allocator run on the
+standard library alone.
 """
 
 import sys
@@ -31,7 +33,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": "BaselineNotAboveTarget DegenerateStates DimensionMismatch DomainError InvalidState "
               "NoConvergence ShotBudgetError ZeroBudget ZeroExpectedBin ZeroWeight",
-    "states": "DensityMatrix PureState QcbResult bures_angle fidelity fidelity_pure "
+    "states": "DensityMatrix PureState QcbResult fidelity fidelity_pure "
               "fuchs_van_de_graaf_bounds load_state parse_state q_bounds_mixed qcb_q trace_distance",
     "shot_estimators": "Formula ShotBounds ShotEstimate estimate shots_from_q shots_inverse_ideal "
                        "shots_swap_ideal",
@@ -40,7 +42,7 @@ _EXPORTS = {
                   "load_distribution parse_distribution shots_chisq two_proportion_shots "
                   "w2_fidelity_attaining w2_small_discrepancy",
     "budget": "BlockAllocation BlockSpec BudgetReport HardwareRates ProgramSpec allocate "
-              "allocate_program load_program_spec parse_program_spec",
+              "allocate_program bures_angle load_program_spec parse_program_spec",
     "montecarlo": "McConfig McResult simulate_binomial_detection simulate_chisq_power "
                   "simulate_inverse_miss_rate simulate_swap_miss_rate",
 }

@@ -20,15 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import reduce
-from itertools import compress, repeat
 from operator import add, mul
-
-import numpy as np
 
 from .errors import DomainError, ZeroBudget, ZeroWeight, check_range, read_json
 from .shot_estimators import FORMULAS, Formula, check_tolerances
 from .stat_power import lambda_noncentral, w2_fidelity_attaining, w2_small_discrepancy
-from .states import bures_angle
 from . import tolerances as tol
 
 __all__ = [
@@ -37,6 +33,7 @@ __all__ = [
     "BlockAllocation",
     "BudgetReport",
     "ProgramSpec",
+    "bures_angle",
     "block_weight",
     "allocate",
     "allocate_program",
@@ -152,9 +149,10 @@ def block_weight(block: BlockSpec, rates: HardwareRates) -> float:
     return weight
 
 
-def _libm(fn, values: np.ndarray, *args) -> np.ndarray:
-    # per element through libm, as the scalar formulas: numpy's cos, log, x**2 differ in the last bit
-    return np.array(list(map(fn, values.tolist(), *args)))
+def bures_angle(fid: float) -> float:
+    """Bures angle arccos(sqrt(F)), the metric the budget allocator splits."""
+    check_range("fidelity", fid, 0, 1)
+    return math.acos(min(1.0, math.sqrt(fid)))
 
 
 def allocate(
@@ -175,10 +173,10 @@ def allocate(
     cos^2(theta_j) plus their small-angle Taylor forms
     (-R ln p_e / theta^2, doubled for swap, lambda/(4 theta^2) and
     16 lambda / theta^4 for the chi-square pair) as cross-checks.  Counts
-    beyond 2^63 are flagged infeasible with the raw value retained.  Each
-    formula runs once over a whole column, the inverse and swap columns
-    from their FORMULAS rows and the chi-square pair from stat_power's w^2,
-    and matches the scalar shot estimators bit for bit.
+    beyond 2^63 are flagged infeasible with the raw value retained.  The
+    inverse and swap columns come from their FORMULAS rows and the
+    chi-square pair from stat_power's w^2, so every column matches the
+    scalar shot estimators bit for bit.
 
     Raises ZeroBudget for f_prog = 1 and ZeroWeight for weightless blocks.
     """
@@ -198,49 +196,53 @@ def allocate(
     lam = lambda_noncentral(chisq_bins - 1, chisq_alpha, 1.0 - chisq_beta)
     log_pe = math.log(p_e)
 
-    theta = np.array(weights, dtype=np.float64) / total_weight * big_theta
-    f_target = _libm(pow, _libm(math.cos, theta), repeat(2.0))
-    theta_sq = theta * theta
-    with np.errstate(divide="ignore"):
-        raws = (
-            *(row.multiple * (log_pe / _libm(math.log, _libm(row.per_shot, f_target))) * regime_factor
-              for row in (FORMULAS[Formula.INVERSE_REAL], FORMULAS[Formula.SWAP_REAL])),
-            lam / _libm(w2_small_discrepancy, f_target),
-            lam / _libm(w2_fidelity_attaining, f_target),
-        )
-        taylors = (
-            -regime_factor * log_pe / theta_sq,
-            -2.0 * regime_factor * log_pe / theta_sq,
-            lam / (4.0 * theta_sq),
-            16.0 * lam / (theta_sq * theta_sq),
-        )
+    theta = [w / total_weight * big_theta for w in weights]
+    f_target = [math.cos(t) ** 2.0 for t in theta]
+    inverse, swap = FORMULAS[Formula.INVERSE_REAL], FORMULAS[Formula.SWAP_REAL]
+    prices = (
+        lambda f: inverse.multiple * (log_pe / math.log(inverse.per_shot(f))) * regime_factor,
+        lambda f: swap.multiple * (log_pe / math.log(swap.per_shot(f))) * regime_factor,
+        lambda f: lam / w2_small_discrepancy(f),
+        lambda f: lam / w2_fidelity_attaining(f),
+    )
+    theta_sq = [t * t for t in theta]
+    # every numerator is > 0, so a denominator that underflowed to 0 prices at inf
+    taylors = [[num / d if d else math.inf for d in dens] for num, dens in (
+        (-regime_factor * log_pe, theta_sq),
+        (-2.0 * regime_factor * log_pe, theta_sq),
+        (lam, [4.0 * t for t in theta_sq]),
+        (16.0 * lam, [t * t for t in theta_sq]),
+    )]
 
     columns = {
         "name": tuple(b.name for b in blocks),
         "multiplicity": tuple(mult),
         "weight": tuple(weights),
-        "theta": tuple(theta.tolist()),
-        "f_target": tuple(f_target.tolist()),
+        "theta": tuple(theta),
+        "f_target": tuple(f_target),
     }
+    raws = {}
     totals: dict[str, int] = {}
-    mask, unresolved = 0, f_target >= 1.0
-    for bit, (kind, raw) in enumerate(zip(_TEST_KINDS, raws)):
+    infeasible = [()] * len(blocks)
+    for kind, price in zip(_TEST_KINDS, prices):
         # theta below float resolution rounds cos^2 to 1 and every count overflows
-        raw[unresolved] = math.inf
-        over = ~(raw <= tol.MAX_SCHEDULABLE_SHOTS)
-        mask = mask + over * (1 << bit)
-        shots = np.where(over, 0.0, np.maximum(np.ceil(raw), 1.0)).astype(np.uint64).tolist()
-        totals[kind] = sum(map(mul, mult, shots))
-        # an infeasible count is ceil(raw), an exact int however large, or 0 when raw is inf
-        big = np.flatnonzero(over & np.isfinite(raw)).tolist()
-        for i, count in zip(big, map(math.ceil, raw[big].tolist())):
-            shots[i] = count
+        raw = [math.inf if f >= 1.0 else price(f) for f in f_target]
+        shots, total = [], 0
+        for i, (r, n) in enumerate(zip(raw, mult)):
+            if r <= tol.MAX_SCHEDULABLE_SHOTS:
+                count = max(math.ceil(r), 1)
+                total += n * count
+            else:
+                # an infeasible count is ceil(raw), an exact int however large, or 0 when raw is inf
+                count = math.ceil(r) if r < math.inf else 0
+                infeasible[i] += (kind,)
+            shots.append(count)
         columns[f"shots_{kind}"] = tuple(shots)
-    columns.update((f"raw_{kind}", tuple(raw.tolist())) for kind, raw in zip(_TEST_KINDS, raws))
-    columns.update((f"taylor_shots_{k}", tuple(t.tolist())) for k, t in zip(_TEST_KINDS, taylors))
-    masks = mask.tolist()
-    kinds = {m: tuple(compress(_TEST_KINDS, (m >> bit & 1 for bit in range(4)))) for m in set(masks)}
-    columns["infeasible"] = tuple(map(kinds.__getitem__, masks))
+        raws[f"raw_{kind}"] = tuple(raw)
+        totals[kind] = total
+    columns.update(raws)
+    columns.update((f"taylor_shots_{k}", tuple(t)) for k, t in zip(_TEST_KINDS, taylors))
+    columns["infeasible"] = tuple(infeasible)
 
     return BudgetReport(
         f_prog=f_prog,
@@ -252,7 +254,7 @@ def allocate(
         noncentrality=lam,
         theta_star=big_theta,
         total_weight=total_weight,
-        total_angle=reduce(add, map(mul, mult, columns["theta"]), 0.0),  # sum() compensates on 3.12+
+        total_angle=reduce(add, map(mul, mult, theta), 0.0),  # sum() compensates on 3.12+
         columns=columns,
         totals=totals,
     )

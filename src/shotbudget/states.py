@@ -3,11 +3,10 @@
 PureState and DensityMatrix validate their invariants at construction and
 report exactly which one failed.  On top of them sit the Uhlmann fidelity,
 trace distance, the quantum Chernoff bound Q with its error exponent, the
-fidelity-only sandwich bounds on Q, Fuchs-van de Graaf bounds, and the
-Bures angle.  Every eigendecomposition goes through
-`numerics.hermitian_eigendecomposition`; those of validated density
-matrices are cached on the instance because every functional needs them
-again.
+fidelity-only sandwich bounds on Q and the Fuchs-van de Graaf bounds.
+Every eigendecomposition goes through `numerics.hermitian_eigendecomposition`;
+those of validated density matrices are cached on the instance because
+every functional needs them again.
 
 Support convention: 0^0 = 0 in matrix powers, so states with disjoint
 support yield Q = 0 (perfect one-shot distinguishability) instead of an
@@ -40,7 +39,6 @@ __all__ = [
     "qcb_q",
     "q_bounds_mixed",
     "fuchs_van_de_graaf_bounds",
-    "bures_angle",
     "parse_state",
     "load_state",
 ]
@@ -324,12 +322,6 @@ def fuchs_van_de_graaf_bounds(fid: float) -> tuple[float, float]:
     """Fuchs-van de Graaf bounds on trace distance: 1 - sqrt(F) <= T <= sqrt(1 - F)."""
     check_range("fidelity", fid, 0, 1)
     return 1.0 - math.sqrt(fid), math.sqrt(1.0 - fid)
-
-
-def bures_angle(fid: float) -> float:
-    """Bures angle arccos(sqrt(F)), the metric the budget allocator splits."""
-    check_range("fidelity", fid, 0, 1)
-    return math.acos(min(1.0, math.sqrt(fid)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -347,3 +348,31 @@ def test_totals_are_exact_past_int64(tmp_path, capsys):
     spec_path.write_text(json.dumps(doc))
     assert cli.main(["budget", "--spec", str(spec_path), "--out", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["totals"] == exact
+
+
+def test_underflowed_angles_give_infinite_taylor_cells_without_warnings(tmp_path, capsys):
+    # theta^2 underflows (to 0, or to a subnormal the quotient overflows) below a
+    # weight ratio of ~1e-162, and theta^4 below ~1e-81
+    weights = [1.0, 1e-160, 1e-170, 1e-90]
+    kinds = ("inverse", "swap", "chisq_small", "chisq_attaining")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = allocate(explicit_blocks(weights), RATES_UNUSED, 0.99, 0.05)
+    taylor = [[getattr(a, f"taylor_shots_{kind}") for kind in kinds] for a in report.allocations]
+    assert [[math.isinf(cell) for cell in row] for row in taylor] == [
+        [False] * 4, [True] * 4, [True] * 4, [False, False, False, True]]
+
+    doc = {
+        "fidelity_target": 0.99,
+        "p_e": 0.05,
+        "hardware": {"r1": 0.0, "r2": 0.0},
+        "blocks": [{"name": f"b{i}", "weight": w} for i, w in enumerate(weights)],
+    }
+    spec_path = tmp_path / "underflow.json"
+    spec_path.write_text(json.dumps(doc))
+    assert cli.main(["budget", "--spec", str(spec_path), "--out", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    cells = [[block[f"taylor_shots_{kind}"] for kind in kinds] for block in json.loads(out)["blocks"]]
+    assert cells[1] == cells[2] == [None] * 4
+    assert cells[3][3] is None and None not in cells[0] + cells[3][:3]

@@ -1,4 +1,5 @@
-"""Property tests of the paper's claims, drawn over the one formula table.
+"""Property tests of the paper's claims, drawn over the one formula table
+and the budget allocator.
 
 Hypothesis runs derandomized, with a fixed example budget and no example
 database, so every run draws the same examples.
@@ -11,8 +12,9 @@ import sys
 import textwrap
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from shotbudget.budget import BlockSpec, HardwareRates, allocate
 from shotbudget.errors import DegenerateStates
 from shotbudget.shot_estimators import FORMULAS, Formula, estimate
 
@@ -79,6 +81,41 @@ class TestEveryRowIsMonotone:
         tight = _raw(formula, x, strict, regime_factor)
         relaxed = _raw(formula, x, loose, regime_factor)
         assert relaxed <= tight * (1.0 + _SLACK), (strict, loose)
+
+
+def _blocks(weights, multiplicities) -> list[BlockSpec]:
+    return [BlockSpec(name=f"b{i}", multiplicity=n, explicit_weight=w)
+            for i, (w, n) in enumerate(zip(weights, multiplicities))]
+
+
+_NO_RATES = HardwareRates(r1=0.0, r2=0.0)
+
+
+class TestAllocation:
+    @PROPERTY
+    @given(weights=st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=20),
+           multiplicities=st.lists(st.integers(min_value=1, max_value=1000), min_size=20, max_size=20),
+           f_prog=st.floats(min_value=0.0, max_value=1.0 - 1e-12, exclude_min=True), p_e=error_probs)
+    def test_instance_angles_sum_to_the_program_angle(self, weights, multiplicities, f_prog, p_e):
+        report = allocate(_blocks(weights, multiplicities), _NO_RATES, f_prog, p_e)
+        assert math.isclose(report.total_angle, report.theta_star, rel_tol=1e-12)
+
+    # finer decomposition costs more: k parts of weight w/k get theta/k each,
+    # and each prices at about k^2 times the shots of the whole block
+    @PROPERTY
+    @given(weights=st.lists(st.floats(min_value=1.0, max_value=10.0), min_size=1, max_size=5),
+           multiplicities=st.lists(st.integers(min_value=1, max_value=4), min_size=5, max_size=5),
+           index=st.integers(min_value=0, max_value=4), parts=st.integers(min_value=2, max_value=8),
+           f_prog=st.floats(min_value=0.5, max_value=0.99))
+    def test_splitting_a_block_never_lowers_a_total(self, weights, multiplicities, index, parts, f_prog):
+        j = index % len(weights)
+        whole = allocate(_blocks(weights, multiplicities), _NO_RATES, f_prog, 0.05)
+        split_weights = weights[:j] + [weights[j] / parts] * parts + weights[j + 1:]
+        split_mult = multiplicities[:j] + [multiplicities[j]] * parts + multiplicities[j + 1:]
+        split = allocate(_blocks(split_weights, split_mult), _NO_RATES, f_prog, 0.05)
+        assume(not (whole.any_infeasible or split.any_infeasible))
+        for kind, total in whole.totals.items():
+            assert split.totals[kind] >= total, kind
 
 
 _FALSE_PROPERTY = textwrap.dedent("""

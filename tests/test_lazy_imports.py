@@ -1,4 +1,4 @@
-"""The package's import surface: the planning commands run without numpy,
+"""The package's import surface: the planning and budget commands run without numpy,
 the lazy submodules still reach the benchmark's layer tracer, and the
 public names resolve on first access as if they were imported eagerly."""
 
@@ -13,11 +13,20 @@ import pytest
 import shotbudget
 from shotbudget import cli
 
+from test_budget_golden import SPECS
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     [str(pathlib.Path(shotbudget.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
 
-# the commands that run only math code, one bad input among them
+# spec files for the budget commands, written to the working directory
+BUDGET_SPECS = {
+    "gate_weighted.json": SPECS["gate_weighted"],
+    "sub_resolution.json": SPECS["sub_resolution"],
+    "bad.json": {**SPECS["gate_weighted"], "fidelity_target": 2},
+}
+
+# the commands that run only math code; a strict infeasible budget and two bad inputs last
 NUMPY_FREE = [
     ["shots", "--fidelity", "0.99"],
     ["shots", "--fidelity", "0.9", "--test", "mixed", "--regime-factor", "2", "--json"],
@@ -30,7 +39,10 @@ NUMPY_FREE = [
     ["curve", "test_comparison", "--points", "5"],
     ["curve", "noise_binomial", "--points", "5"],
     ["curve", "trace_vs_shots", "--points", "5"],
+    *(["budget", "--spec", "gate_weighted.json", "--out", out] for out in ("table", "json", "csv")),
+    ["budget", "--spec", "sub_resolution.json", "--strict"],
     ["shots", "--fidelity", "2"],
+    ["budget", "--spec", "bad.json"],
 ]
 
 _BLOCKED_RUN = """
@@ -53,20 +65,25 @@ def _python(*args, cwd=None) -> subprocess.CompletedProcess:
     return run
 
 
-def test_planning_commands_print_the_same_without_numpy(capsys):
-    blocked = json.loads(_python("-c", _BLOCKED_RUN, json.dumps(NUMPY_FREE)).stdout)
+def test_planning_commands_print_the_same_without_numpy(tmp_path, monkeypatch, capsys):
+    for name, spec in BUDGET_SPECS.items():
+        (tmp_path / name).write_text(json.dumps(spec), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    blocked = json.loads(_python("-c", _BLOCKED_RUN, json.dumps(NUMPY_FREE), cwd=tmp_path).stdout)
     unblocked = []
     for argv in NUMPY_FREE:
         code = cli.main(argv)
         unblocked.append([code, capsys.readouterr().out])
     assert blocked == unblocked
-    assert [code for code, _ in blocked] == [0] * (len(NUMPY_FREE) - 1) + [2]
+    assert [code for code, _ in blocked] == [0] * (len(NUMPY_FREE) - 3) + [1, 2, 2]
 
 
 def test_importing_the_package_loads_no_numpy():
     loaded = "print(sorted(m for m in sys.modules if m.startswith('numpy')))"
-    code = f"import sys, shotbudget; {loaded}; import shotbudget.cli; {loaded}"
-    assert _python("-c", code).stdout == "[]\n[]\n"
+    # the attribute access runs the lazy budget module
+    code = (f"import sys, shotbudget; {loaded}; import shotbudget.cli; {loaded}; "
+            f"import shotbudget.budget; shotbudget.budget.allocate; {loaded}")
+    assert _python("-c", code).stdout == "[]\n[]\n[]\n"
 
 
 def _traced(tmp_path, name: str, *argv: str) -> dict:

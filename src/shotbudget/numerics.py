@@ -4,9 +4,8 @@ The Hermitian eigensolver is LAPACK's, reached through numpy.linalg.eigh
 behind one checked entry point, the only function here that imports
 numpy (on its first call).  The scalar kernels are implemented here on
 the standard library alone: the regularized lower incomplete gamma
-function (series plus continued fraction), an AS241-class normal
-quantile, a golden-section minimizer, and a bracket-doubling bisection
-solver for increasing functions.
+function (series plus continued fraction), a golden-section minimizer,
+and a bracket-doubling bisection solver for increasing functions.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "EigenDecomposition",
     "hermitian_eigendecomposition",
     "regularized_gamma_p",
-    "normal_quantile",
     "minimize_unimodal",
     "solve_increasing",
 ]
@@ -135,74 +133,6 @@ def regularized_gamma_p(a: float, x: float) -> float:
             q = math.exp(log_prefactor) * h
             return max(0.0, 1.0 - q)
     raise NoConvergence(f"gamma continued fraction did not converge for a={a}, x={x}")
-
-
-# AS241 (Wichura) rational approximation constants, |error| < 1e-15.
-_AS241_A = (
-    3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
-    1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
-    3.3430575583588128105e4, 2.5090809287301226727e3,
-)
-_AS241_B = (
-    1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
-    2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
-    5.2264952788528545610e3,
-)
-_AS241_C = (
-    1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
-    3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
-    2.27238449892691845833e-2, 7.74545014278341407640e-4,
-)
-_AS241_D = (
-    1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
-    1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
-    1.05075007164441684324e-9,
-)
-_AS241_E = (
-    6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
-    2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
-    2.71155556874348757815e-5, 2.01033439929228813265e-7,
-)
-_AS241_F = (
-    1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
-    7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
-    2.04426310338993978564e-15,
-)
-
-
-def _rational(num: tuple, den: tuple, r: float) -> float:
-    n = 0.0
-    for coeff in reversed(num):
-        n = n * r + coeff
-    d = 0.0
-    for coeff in reversed(den):
-        d = d * r + coeff
-    return n / d
-
-
-def normal_quantile(p: float) -> float:
-    """Standard normal quantile (inverse CDF) for p in (0, 1).
-
-    AS241-class rational approximation: a central polynomial for
-    |p - 1/2| <= 0.425 and two tail regimes in sqrt(-log(tail)).
-    Absolute error is below 1e-9 over the whole open interval.
-
-    Raises:
-        DomainError: if p is not strictly inside (0, 1).
-    """
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"normal_quantile needs p in (0, 1), got {p}")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * _rational(_AS241_A, _AS241_B, r)
-    r = p if q < 0.0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        value = _rational(_AS241_C, _AS241_D, r - 1.6)
-    else:
-        value = _rational(_AS241_E, _AS241_F, r - 5.0)
-    return -value if q < 0.0 else value
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

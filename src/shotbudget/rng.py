@@ -5,9 +5,9 @@ as published by Vigna): output n of the stream over `seed` is
 
     mix64(seed + (n + 1) * 0x9E3779B97F4A7C15)  mod 2^64
 
-with mix64 the xor-shift-multiply avalanche below.  Reference outputs for
-seed 0 are e220a8397b1dcdaf, 6e789e6aa1b965f4, 06c45d188009454f,
-f88bb8a8724c81ec; tests pin them.
+with mix64 the xor-shift-multiply avalanche of `_mix64_inplace`.
+Reference outputs for seed 0 are e220a8397b1dcdaf, 6e789e6aa1b965f4,
+06c45d188009454f, f88bb8a8724c81ec; tests pin them.
 
 Trial substreams: trial i draws from the splitmix64 stream whose seed is
 output i of the master stream over the configured seed.  Draw j of trial
@@ -18,32 +18,19 @@ m is an integer, u < p holds exactly when m < ceil(p * 2^53), so
 consumers compare the integers and never form the doubles.
 
 Everything here is exact 64-bit integer arithmetic; the numpy paths wrap
-on uint64 overflow exactly like the scalar definition (tests compare
-them bit for bit).
+on uint64 overflow exactly like the scalar definition, which the tests
+keep as their reference and compare with bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["GAMMA", "MASK64", "mix64", "stream_output", "sub_seeds", "uniform_block"]
+__all__ = ["GAMMA", "MASK64", "sub_seeds", "uniform_block"]
 
 GAMMA = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
 _MIX = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB)))
-
-
-def mix64(z: int) -> int:
-    """Scalar splitmix64 finalizer on a 64-bit integer."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return z ^ (z >> 31)
-
-
-def stream_output(seed: int, index: int) -> int:
-    """Output `index` (0-based) of the splitmix64 stream over `seed`."""
-    return mix64((seed + (index + 1) * GAMMA) & MASK64)
 
 
 def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:

@@ -12,9 +12,10 @@ bound.
 
 The binomial path plans and decides a success-probability drop from a
 baseline q0 to a degraded q1: planning uses the two-sample normal
-approximation (one-sided, no continuity correction); the decision applies
-the exact one-sample binomial test, which is the sharper tool once the
-baseline is known analytically.  The planner is therefore conservative
+approximation (one-sided, no continuity correction, z values from
+`statistics.NormalDist().inv_cdf`, imported on the planner's first call);
+the decision applies the exact one-sample binomial test, the sharper tool
+once the baseline is known analytically, so the planner is conservative
 for the one-sample use.  One log-space loop sums the binomial CDF for
 `binomial_cdf`, the decision and its rejection threshold.
 
@@ -38,7 +39,7 @@ from .errors import (
     check_range,
     read_json,
 )
-from .numerics import normal_quantile, regularized_gamma_p, solve_increasing
+from .numerics import regularized_gamma_p, solve_increasing
 from . import tolerances as tol
 
 if TYPE_CHECKING:
@@ -289,8 +290,11 @@ def two_proportion_shots(
         raise BaselineNotAboveTarget(f"baseline q0={q0} must exceed degraded q1={q1}")
     if not 0.0 < alpha < 1.0 or not 0.0 < beta < 1.0:  # likewise
         raise DomainError(f"alpha and beta must lie in (0, 1), got alpha={alpha}, beta={beta}")
-    z_a = normal_quantile(1.0 - (alpha if one_sided else alpha / 2.0))
-    z_b = normal_quantile(1.0 - beta)
+    p_a, p_b = 1.0 - (alpha if one_sided else alpha / 2.0), 1.0 - beta
+    for p in (p_a, p_b):  # an alpha or beta below ~1e-16 rounds 1 - it to 1
+        check_range("quantile probability", p, 0, 1, "()")
+    from statistics import NormalDist  # local: it loads decimal and fractions (~2-4 ms)
+    z_a, z_b = map(NormalDist().inv_cdf, (p_a, p_b))
     pbar = (q0 + q1) / 2.0
     numerator = (
         z_a * math.sqrt(2.0 * pbar * (1.0 - pbar))

@@ -27,6 +27,7 @@ from .numerics import (
     hermitian_eigendecomposition,
     minimize_unimodal,
 )
+from .shot_estimators import FORMULAS, Formula
 from . import tolerances as tol
 
 __all__ = [
@@ -315,7 +316,7 @@ def qcb_q(rho, sigma) -> QcbResult:
 def q_bounds_mixed(fid: float) -> tuple[float, float]:
     """Fidelity-only sandwich on Q: 1 - sqrt(1 - F) <= Q <= sqrt(F)."""
     check_range("fidelity", fid, 0, 1)
-    return 1.0 - math.sqrt(1.0 - fid), math.sqrt(fid)
+    return FORMULAS[Formula.MIXED_LOWER].per_shot(fid), math.sqrt(fid)
 
 
 def fuchs_van_de_graaf_bounds(fid: float) -> tuple[float, float]:

@@ -1,10 +1,12 @@
-"""Shared builders for random test states, and the grid oracle for Chernoff Q."""
+"""Shared builders for random test states, the grid oracle for Chernoff Q,
+and the scalar splitmix64 reference for the vectorized streams in `rng`."""
 
 import numpy as np
 import pytest
 
 from shotbudget import DensityMatrix, PureState
 from shotbudget.errors import DomainError
+from shotbudget.rng import GAMMA, MASK64
 from shotbudget.states import _support_mask
 
 
@@ -66,3 +68,16 @@ def qcb_grid_oracle(rho, sigma, grid_points: int = 100_001) -> tuple[float, floa
     best = int(np.argmin(g))
     q = float(min(1.0, max(0.0, g[best])))
     return q, float(s[best])
+
+
+def mix64(z: int) -> int:
+    """Scalar splitmix64 finalizer on a 64-bit integer."""
+    z &= MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def stream_output(seed: int, index: int) -> int:
+    """Output `index` (0-based) of the splitmix64 stream over `seed`."""
+    return mix64((seed + (index + 1) * GAMMA) & MASK64)

@@ -250,6 +250,21 @@ class TestNoise:
     def test_plan_needs_q1(self):
         assert cli.main(["noise", "plan", "--q0", "1.0"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["noise", "plan", "--q0", "0.99", "--q1", "0.9", "--alpha", "1e-17"],
+            ["noise", "plan", "--q0", "0.99", "--q1", "0.9", "--beta", "1e-17"],
+            ["curve", "noise_binomial", "--alpha", "1e-17", "--points", "3"],
+        ],
+    )
+    def test_quantile_probability_rounding_to_one_rejected(self, argv, capsys):
+        # 1 - 1e-17 rounds to 1, where the normal quantile is infinite
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: quantile probability must lie in (0, 1), got 1.0\n"
+
     def test_decide_reject(self, capsys):
         code = cli.main(
             ["noise", "decide", "--q0", "0.999", "--zeros", "10", "--shots", "1000"]

@@ -1,5 +1,5 @@
-"""Property tests of the paper's claims, drawn over the one formula table
-and the budget allocator.
+"""Property tests of the paper's claims, drawn over the one formula table,
+the binomial planner and the budget allocator.
 
 Hypothesis runs derandomized, with a fixed example budget and no example
 database, so every run draws the same examples.
@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 from shotbudget.budget import BlockSpec, HardwareRates, allocate
 from shotbudget.errors import DegenerateStates
 from shotbudget.shot_estimators import FORMULAS, Formula, estimate
+from shotbudget.stat_power import two_proportion_shots
 
 F = Formula
 PROPERTY = settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -81,6 +82,31 @@ class TestEveryRowIsMonotone:
         tight = _raw(formula, x, strict, regime_factor)
         relaxed = _raw(formula, x, loose, regime_factor)
         assert relaxed <= tight * (1.0 + _SLACK), (strict, loose)
+
+
+# alpha and beta up to 1/2 keep both z values >= 0
+risks = st.floats(min_value=1e-12, max_value=0.5)
+
+
+class TestNoiseNeverLowersACount:
+    # the root of the two-proportion count is N(q1) / (q0 - q1) with N >= 0
+    # concave in q1, so N(q1) + N'(q1) (q0 - q1) >= N(q0) >= 0 and the count
+    # grows as the degraded rate q1 closes in on the baseline q0
+    @PROPERTY
+    @given(q0=st.floats(min_value=1e-6, max_value=1.0), a=unit, b=unit, alpha=risks, beta=risks)
+    def test_count_grows_as_q1_nears_q0(self, q0, a, b, alpha, beta):
+        far, near = sorted((q0 * a, q0 * b))
+        assume(near < q0)
+        assert two_proportion_shots(q0, far, alpha, beta).raw <= (
+            two_proportion_shots(q0, near, alpha, beta).raw * (1.0 + _SLACK)), (far, near)
+
+    @PROPERTY
+    @given(q0=st.floats(min_value=1e-6, max_value=1.0), a=unit, alpha=risks, beta=risks)
+    def test_two_sided_needs_at_least_the_one_sided_count(self, q0, a, alpha, beta):
+        q1 = q0 * a
+        assume(q1 < q0)
+        one = two_proportion_shots(q0, q1, alpha, beta)
+        assert two_proportion_shots(q0, q1, alpha, beta, one_sided=False).raw >= one.raw
 
 
 def _blocks(weights, multiplicities) -> list[BlockSpec]:

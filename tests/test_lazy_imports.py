@@ -79,7 +79,8 @@ def test_planning_commands_print_the_same_without_numpy(tmp_path, monkeypatch, c
 
 
 def test_importing_the_package_loads_no_numpy():
-    loaded = "print(sorted(m for m in sys.modules if m.startswith('numpy')))"
+    # statistics too: only the binomial planner needs it, and it loads decimal and fractions
+    loaded = "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'statistics'))))"
     # the attribute access runs the lazy budget module
     code = (f"import sys, shotbudget; {loaded}; import shotbudget.cli; {loaded}; "
             f"import shotbudget.budget; shotbudget.budget.allocate; {loaded}")

@@ -17,11 +17,11 @@ from shotbudget import (
 )
 from shotbudget.errors import BaselineNotAboveTarget, DimensionMismatch, DomainError, ZeroExpectedBin
 from shotbudget import montecarlo as mc
-from shotbudget.rng import mix64, stream_output, sub_seeds, uniform_block
+from shotbudget.rng import sub_seeds, uniform_block
 from shotbudget.states import qcb_q
 from shotbudget.stat_power import Distribution
 
-from conftest import qcb_grid_oracle, random_density, random_pure
+from conftest import mix64, qcb_grid_oracle, random_density, random_pure, stream_output
 
 
 class TestSplitmix:

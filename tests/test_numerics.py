@@ -1,11 +1,8 @@
 """Kernels against library oracles and hand-frozen values."""
 
-import math
-
 import numpy as np
 import pytest
 import scipy.special
-import scipy.stats
 
 from shotbudget.errors import (
     DomainError,
@@ -16,7 +13,6 @@ from shotbudget.errors import (
 from shotbudget.numerics import (
     hermitian_eigendecomposition,
     minimize_unimodal,
-    normal_quantile,
     regularized_gamma_p,
     solve_increasing,
 )
@@ -97,31 +93,6 @@ class TestRegularizedGammaP:
             regularized_gamma_p(0.0, 1.0)
         with pytest.raises(DomainError):
             regularized_gamma_p(1.0, -0.1)
-
-
-class TestNormalQuantile:
-    def test_frozen_99th_percentile(self):
-        assert normal_quantile(0.99) == pytest.approx(2.3263478740408408, abs=1e-9)
-
-    def test_median_and_symmetry(self):
-        assert normal_quantile(0.5) == 0.0
-        for p in (0.6, 0.9, 0.995, 0.9999):
-            assert normal_quantile(p) == pytest.approx(-normal_quantile(1.0 - p), abs=1e-12)
-
-    def test_round_trip_through_erf_cdf(self):
-        for z in np.linspace(-6.0, 6.0, 121):
-            p = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-            assert normal_quantile(p) == pytest.approx(z, abs=1e-7)
-
-    def test_against_scipy(self):
-        for p in (1e-8, 1e-4, 0.025, 0.31, 0.5, 0.84, 0.975, 1.0 - 1e-7):
-            assert normal_quantile(p) == pytest.approx(scipy.stats.norm.ppf(p), abs=1e-9)
-
-    def test_rejects_endpoints(self):
-        with pytest.raises(DomainError):
-            normal_quantile(0.0)
-        with pytest.raises(DomainError):
-            normal_quantile(1.0)
 
 
 class TestMinimizeUnimodal:

@@ -200,6 +200,20 @@ class TestBinomialPlanning:
         assert two.raw > one.raw
         assert not two.one_sided
 
+    @pytest.mark.parametrize("one_sided", [True, False])
+    def test_raw_matches_scipy_quantiles(self, one_sided):
+        # a quantile probability of 0.925 or less takes AS241's central branch, the rest its tails
+        q0, q1 = 0.99, 0.95
+        pbar = (q0 + q1) / 2.0
+        for alpha in (1e-8, 0.001, 0.01, 0.05, 0.1, 0.2, 0.3):
+            for beta in (1e-8, 0.001, 0.01, 0.05, 0.1, 0.2, 0.3):
+                z_a = scipy.stats.norm.ppf(1.0 - (alpha if one_sided else alpha / 2.0))
+                z_b = scipy.stats.norm.ppf(1.0 - beta)
+                root = (z_a * math.sqrt(2.0 * pbar * (1.0 - pbar))
+                        + z_b * math.sqrt(q0 * (1.0 - q0) + q1 * (1.0 - q1)))
+                plan = two_proportion_shots(q0, q1, alpha, beta, one_sided=one_sided)
+                assert plan.raw == pytest.approx(root**2 / (q0 - q1) ** 2, rel=1e-12)
+
     def test_rejects_baseline_not_above(self):
         with pytest.raises(BaselineNotAboveTarget):
             two_proportion_shots(0.9, 0.95, 0.01, 0.01)

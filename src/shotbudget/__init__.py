@@ -35,8 +35,7 @@ _EXPORTS = {
               "NoConvergence ShotBudgetError ZeroBudget ZeroExpectedBin ZeroWeight",
     "states": "DensityMatrix PureState QcbResult fidelity fidelity_pure "
               "fuchs_van_de_graaf_bounds load_state parse_state q_bounds_mixed qcb_q trace_distance",
-    "shot_estimators": "Formula ShotBounds ShotEstimate estimate shots_from_q shots_inverse_ideal "
-                       "shots_swap_ideal",
+    "shot_estimators": "Formula ShotBounds ShotEstimate estimate shots_inverse_ideal shots_swap_ideal",
     "stat_power": "BinomialPlan ChiSquarePlan Distribution binomial_cdf binomial_decision "
                   "binomial_rejection_threshold chi2_distance chisq_validity lambda_noncentral "
                   "load_distribution parse_distribution shots_chisq two_proportion_shots "

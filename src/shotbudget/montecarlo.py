@@ -69,30 +69,20 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McResult:
-    """Estimated probability with its binomial standard error and 95% CI."""
+    """Fraction of trials that hit, with the trial count it rests on.
+
+    The error bar is the caller's: `validate` takes its standard error
+    from the predicted rate, not from this estimate.
+    """
 
     estimate: float
-    std_error: float
     trials: int
-    ci_low: float
-    ci_high: float
     warnings: tuple[str, ...] = ()
     uniforms_drawn: int = 0  # draws generated; a diagnostic kept out of the CLI output
 
 
 def _finish(hits: int, drawn: int, config: McConfig, warnings: tuple[str, ...] = ()) -> McResult:
-    n = config.trials
-    est = hits / n
-    se = math.sqrt(est * (1.0 - est) / n)
-    return McResult(
-        estimate=est,
-        std_error=se,
-        trials=n,
-        ci_low=max(0.0, est - 1.96 * se),
-        ci_high=min(1.0, est + 1.96 * se),
-        warnings=warnings,
-        uniforms_drawn=drawn,
-    )
+    return McResult(hits / config.trials, config.trials, warnings, drawn)
 
 
 def _count_below(seeds, p: float, lengths, starts=0, stop_at_reject: bool = False):
@@ -179,7 +169,8 @@ def _multinomial_counts(seeds: np.ndarray, n_shots: int, probs: np.ndarray):
     return counts, drawn
 
 
-def simulate_chisq_power(p, q, n_shots: int, alpha: float, config: McConfig) -> McResult:
+def simulate_chisq_power(p: Distribution, q: Distribution, n_shots: int, alpha: float,
+                         config: McConfig) -> McResult:
     """Rejection rate of the chi-square test when data follow p and q is tested.
 
     Each trial samples a multinomial of n_shots outcomes from p, forms
@@ -191,21 +182,19 @@ def simulate_chisq_power(p, q, n_shots: int, alpha: float, config: McConfig) -> 
     """
     check_range("n_shots", n_shots, 1)
     check_range("alpha", alpha, 0, 1, "()")
-    p_dist = p if isinstance(p, Distribution) else Distribution(np.asarray(p))
-    q_dist = q if isinstance(q, Distribution) else Distribution(np.asarray(q))
-    chi2_distance(p_dist, q_dist)  # raises DimensionMismatch or ZeroExpectedBin
-    crit = chi2_quantile(1.0 - alpha, float(q_dist.k - 1))
-    expected = n_shots * q_dist.probs
+    chi2_distance(p, q)  # raises DimensionMismatch or ZeroExpectedBin
+    crit = chi2_quantile(1.0 - alpha, float(q.k - 1))
+    expected = n_shots * q.probs
     # trial blocks keep the (trials, k) count matrix within the tile cap
-    block = max(1, _CHUNK_ELEMENTS // q_dist.k)
+    block = max(1, _CHUNK_ELEMENTS // q.k)
     rejections = drawn = 0
     for first in range(0, config.trials, block):
         seeds = sub_seeds(config.seed, first, min(block, config.trials - first))
-        counts, used = _multinomial_counts(seeds, n_shots, p_dist.probs)
+        counts, used = _multinomial_counts(seeds, n_shots, p.probs)
         stat = np.sum((counts - expected) ** 2 / expected, axis=1)
         rejections += int(np.count_nonzero(stat > crit))
         drawn += used
-    return _finish(rejections, drawn, config, warnings=chisq_validity(n_shots, q_dist))
+    return _finish(rejections, drawn, config, warnings=chisq_validity(n_shots, q))
 
 
 def simulate_binomial_detection(

@@ -8,8 +8,8 @@ of the test.  FORMULAS holds one row per Formula: the input kind
 input, the multiple m (2 for the mixed-state upper bounds, from
 Q <= sqrt(F)), and whether R scales the row.  `estimate` prices any row
 behind one set of checks; a bracket is a (lower, upper) pair of rows in
-ShotBounds.  `shots_from_q`, `shots_inverse_ideal` and `shots_swap_ideal`
-are named entries into the table.
+ShotBounds.  `shots_inverse_ideal` and `shots_swap_ideal` name the rows
+of the two circuit tests; a known Q is priced by `estimate(Formula.QCB, ...)`.
 
 FORMULAS alone states each test's per-shot acceptance (F for the inverse
 test, (1 + F)/2 for the swap test); the Monte Carlo simulators, `validate`
@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 from .errors import DegenerateStates, DomainError, check_range
 
 __all__ = ["Formula", "FORMULAS", "ShotEstimate", "ShotBounds", "check_tolerances", "estimate",
-           "shots_from_q", "shots_inverse_ideal", "shots_swap_ideal"]
+           "shots_inverse_ideal", "shots_swap_ideal"]
 
 
 class Formula(str, Enum):
@@ -144,11 +144,6 @@ def estimate(formula: Formula, x: float, p_e: float, regime_factor: float = 1.0,
         raw *= regime_factor
     return ShotEstimate(raw=raw, shots=max(1, math.ceil(raw)), formula=formula,
                         conservative=conservative)
-
-
-def shots_from_q(q: float, p_e: float, *, conservative: bool = False) -> ShotEstimate:
-    """Shots from a known Chernoff quantity Q in (0, 1): N = ln(p_e) / ln(Q)."""
-    return estimate(Formula.QCB, q, p_e, conservative=conservative)
 
 
 def shots_inverse_ideal(fid: float, p_e: float, *, conservative: bool = False) -> ShotEstimate:

@@ -25,9 +25,10 @@ planner and tail here runs on the standard library alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import (
     BaselineNotAboveTarget,
@@ -98,13 +99,9 @@ class Distribution:
         return self.probs.size
 
 
-def _as_probs(dist) -> np.ndarray:
-    return dist.probs if isinstance(dist, Distribution) else Distribution(dist).probs
-
-
-def chi2_distance(p, q) -> float:
+def chi2_distance(p: Distribution, q: Distribution) -> float:
     """Chi-square discrepancy w^2 = sum (p_i - q_i)^2 / q_i against reference q."""
-    pa, qa = _as_probs(p), _as_probs(q)
+    pa, qa = p.probs, q.probs
     if pa.size != qa.size:
         raise DimensionMismatch(f"bin count mismatch: {pa.size} vs {qa.size}")
     if (qa == 0.0).any():
@@ -128,25 +125,9 @@ def chi2_quantile(prob: float, df: float) -> float:
     return solve_increasing(lambda x: chi2_cdf(x, df), prob, 0.0, hi)
 
 
-def noncentral_chi2_cdf(x: float, df: float, noncentrality: float, _cache: dict | None = None) -> float:
-    """Noncentral chi-square CDF as a Poisson mixture of central CDFs.
-
-    F(x; df, lam) = sum_j Pois(lam/2)(j) * F_central(x; df + 2j), summed
-    outward from the Poisson mode in log space until all but 1e-12 of the
-    mixture weight is covered, which keeps it stable out to lam ~= 1e4.
-    """
-    check_range("noncentrality", noncentrality, 0)
-    if x <= 0.0:
-        return 0.0
-    if noncentrality == 0.0:
-        return chi2_cdf(x, df)
-    cache = _cache if _cache is not None else {}
-
-    def central_term(j: int) -> float:
-        if j not in cache:
-            cache[j] = chi2_cdf(x, df + 2.0 * j)
-        return cache[j]
-
+def _poisson_mixture(noncentrality: float, term: Callable[[int], float]) -> float:
+    """sum_j Pois(lam/2)(j) * term(j) for lam > 0, capped at 1, summed outward from
+    the Poisson mode in log space until all but 1e-12 of the weight is covered."""
     half = noncentrality / 2.0
     log_half = math.log(half)
 
@@ -161,13 +142,13 @@ def noncentral_chi2_cdf(x: float, df: float, noncentrality: float, _cache: dict 
         advanced = False
         if down >= 0:
             w = math.exp(log_weight(down))
-            total += w * central_term(down)
+            total += w * term(down)
             weight_covered += w
             down -= 1
             advanced = True
         if weight_covered < 1.0 - tol.POISSON_TAIL:
             w = math.exp(log_weight(up))
-            total += w * central_term(up)
+            total += w * term(up)
             weight_covered += w
             up += 1
             advanced = True
@@ -176,22 +157,37 @@ def noncentral_chi2_cdf(x: float, df: float, noncentrality: float, _cache: dict 
     raise NoConvergence(f"Poisson mixture did not cover its mass for lam={noncentrality}")
 
 
+def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
+    """Noncentral chi-square CDF as a Poisson mixture of central CDFs.
+
+    F(x; df, lam) = sum_j Pois(lam/2)(j) * F_central(x; df + 2j), which the
+    log-space sum keeps stable out to lam ~= 1e4.
+    """
+    check_range("noncentrality", noncentrality, 0)
+    if x <= 0.0:
+        return 0.0
+    if noncentrality == 0.0:
+        return chi2_cdf(x, df)
+    return _poisson_mixture(noncentrality, lambda j: chi2_cdf(x, df + 2.0 * j))
+
+
 def lambda_noncentral(df: int, alpha: float, power: float) -> float:
     """Noncentrality at which the chi-square test reaches the target power.
 
     Solves P[ncx2(df, lam) > q_{1-alpha}(df)] = power for lam, with the
     critical value taken from the central distribution.  At lam = 0 the
-    left side equals alpha, so power must exceed alpha.
+    left side equals alpha, so power must exceed alpha.  Every search step
+    sums the same central terms F_central(crit; df + 2j), memoized once.
     """
     check_range("degrees of freedom", df, 1)
     check_range("alpha", alpha, 0, 1, "()")
     if not alpha < power < 1.0:  # the low end is alpha itself, named in the message
         raise DomainError(f"power must lie in (alpha, 1), got {power}")
     crit = chi2_quantile(1.0 - alpha, float(df))
-    cache: dict = {}
+    central_term = functools.cache(lambda j: chi2_cdf(crit, df + 2.0 * j))
 
     def attained_power(lam: float) -> float:
-        return 1.0 - noncentral_chi2_cdf(crit, float(df), lam, _cache=cache)
+        return 1.0 - (_poisson_mixture(lam, central_term) if lam > 0.0 else chi2_cdf(crit, df))
 
     return solve_increasing(attained_power, power, 0.0, 8.0)
 
@@ -240,13 +236,13 @@ def w2_small_discrepancy(fid: float) -> float:
     return 8.0 * (1.0 - math.sqrt(fid))
 
 
-def chisq_validity(n_shots: float, expected) -> tuple[str, ...]:
+def chisq_validity(n_shots: float, expected: Distribution) -> tuple[str, ...]:
     """Cochran-style validity heuristics for the chi-square approximation.
 
     Advisory only: flags shot counts below 13 and bins whose expected
     count N q_i falls below 5.
     """
-    qa = _as_probs(expected)
+    qa = expected.probs
     warnings: list[str] = []
     if n_shots < 13:
         warnings.append(f"only {n_shots:g} shots planned; chi-square approximation wants at least 13")
@@ -282,7 +278,7 @@ def two_proportion_shots(
     n = [z_{1-a} sqrt(2 pbar (1-pbar)) + z_{1-b} sqrt(q0(1-q0) + q1(1-q1))]^2
         / (q0 - q1)^2,  pbar = (q0 + q1)/2,
     with no continuity correction.  One-sided by default; the two-sided
-    variant swaps z_{1-a} for z_{1-a/2}.
+    variant swaps z_{1-a} for z_{1-a/2}.  Neither z may be negative.
     """
     if not 0.0 <= q1 <= 1.0 or not 0.0 <= q0 <= 1.0:  # names both values, unlike check_range
         raise DomainError(f"success probabilities must lie in [0, 1], got q0={q0}, q1={q1}")
@@ -293,6 +289,8 @@ def two_proportion_shots(
     p_a, p_b = 1.0 - (alpha if one_sided else alpha / 2.0), 1.0 - beta
     for p in (p_a, p_b):  # an alpha or beta below ~1e-16 rounds 1 - it to 1
         check_range("quantile probability", p, 0, 1, "()")
+    if min(p_a, p_b) < 0.5:  # a negative z value would grow the count as the test loosens
+        raise DomainError(f"alpha (one-sided) and beta must be at most 0.5, got alpha={alpha}, beta={beta}")
     from statistics import NormalDist  # local: it loads decimal and fractions (~2-4 ms)
     z_a, z_b = map(NormalDist().inv_cdf, (p_a, p_b))
     pbar = (q0 + q1) / 2.0

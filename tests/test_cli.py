@@ -265,6 +265,30 @@ class TestNoise:
         assert captured.out == ""
         assert captured.err == "error: quantile probability must lie in (0, 1), got 1.0\n"
 
+    @pytest.mark.parametrize(
+        "argv, alpha, beta",
+        [
+            (["noise", "plan", "--q0", "0.99", "--q1", "0.9", "--alpha", "0.7"], 0.7, 0.01),
+            (["noise", "plan", "--q0", "0.99", "--q1", "0.9", "--beta", "0.6"], 0.01, 0.6),
+            (["curve", "noise_binomial", "--beta", "0.6", "--points", "3"], 0.01, 0.6),
+        ],
+    )
+    def test_risk_above_half_rejected(self, argv, alpha, beta, capsys):
+        # past 1/2 a z value turns negative and a looser test would plan more shots
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: alpha (one-sided) and beta must be at most 0.5, got alpha={alpha}, beta={beta}\n"
+        )
+
+    def test_risk_at_half_plans_one_shot_and_two_sided_alpha_stays_valid(self, capsys):
+        plan = ["noise", "plan", "--q0", "0.99", "--q1", "0.9", "--json"]
+        assert cli.main([*plan, "--alpha", "0.5", "--beta", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["shots"] == 1
+        assert cli.main([*plan, "--alpha", "0.9", "--two-sided"]) == 0
+        assert json.loads(capsys.readouterr().out)["shots"] == 75
+
     def test_decide_reject(self, capsys):
         code = cli.main(
             ["noise", "decide", "--q0", "0.999", "--zeros", "10", "--shots", "1000"]
@@ -377,10 +401,7 @@ class TestValidate:
 
             def biased(*args):
                 calls.append(args)
-                return McResult(
-                    estimate=0.5, std_error=0.0, trials=args[-1].trials,
-                    ci_low=0.5, ci_high=0.5, warnings=(),
-                )
+                return McResult(estimate=0.5, trials=args[-1].trials, warnings=())
 
             monkeypatch.setattr(mc, attr, biased)
             code = cli.main(["validate", "--scenario", scenario, *flags, "--trials", "1000"])

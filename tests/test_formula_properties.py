@@ -5,6 +5,7 @@ Hypothesis runs derandomized, with a fixed example budget and no example
 database, so every run draws the same examples.
 """
 
+import functools
 import math
 import pathlib
 import subprocess
@@ -17,7 +18,12 @@ from hypothesis import assume, given, settings, strategies as st
 from shotbudget.budget import BlockSpec, HardwareRates, allocate
 from shotbudget.errors import DegenerateStates
 from shotbudget.shot_estimators import FORMULAS, Formula, estimate
-from shotbudget.stat_power import two_proportion_shots
+from shotbudget.stat_power import (
+    binomial_rejection_threshold,
+    lambda_noncentral,
+    two_proportion_shots,
+    w2_fidelity_attaining,
+)
 
 F = Formula
 PROPERTY = settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -107,6 +113,67 @@ class TestNoiseNeverLowersACount:
         assume(q1 < q0)
         one = two_proportion_shots(q0, q1, alpha, beta)
         assert two_proportion_shots(q0, q1, alpha, beta, one_sided=False).raw >= one.raw
+
+    # both z values fall as their risk grows, and neither goes below 0 in `risks`
+    @PROPERTY
+    @given(q0=st.floats(min_value=1e-6, max_value=1.0), a=unit, r1=risks, r2=risks, other=risks)
+    def test_count_never_grows_as_alpha_or_beta_loosens(self, q0, a, r1, r2, other):
+        q1 = q0 * a
+        assume(q1 < q0)
+        strict, loose = sorted((r1, r2))
+
+        def raw(alpha, beta, one_sided):
+            return two_proportion_shots(q0, q1, alpha, beta, one_sided=one_sided).raw
+
+        for one_sided in (True, False):
+            assert raw(loose, other, one_sided) <= raw(strict, other, one_sided) * (1.0 + _SLACK), strict
+            assert raw(other, loose, one_sided) <= raw(other, strict, one_sided) * (1.0 + _SLACK), strict
+
+
+# the bin counts of `curve test_comparison`, at its default alpha = beta = 0.01
+CURVE_BINS = (2, 4, 8, 16, 32, 64, 128)
+
+
+@functools.cache
+def _curve_lambda(bins: int) -> float:
+    return lambda_noncentral(bins - 1, 0.01, 0.99)
+
+
+@pytest.mark.parametrize("bins", CURVE_BINS)
+class TestChiSquareCostsMoreThanTheInverse:
+    # With s = sqrt(F) the inverse raw is ln(1/p_e) / (2 ln(1/s)) and the
+    # attaining chi-square raw is 4 lam / (1 - s)^2.  Their ratio is
+    # 8 lam ln(1/s) / ((1 - s)^2 ln(1/p_e)), and ln(1/s) / (1 - s)^2 >= 2.45
+    # on (0, 1), so chi-square costs more for p_e >= exp(-19 lam): about
+    # 1e-198 at lam(2 bins) = 24.  The draws stop at 1e-100.
+    @PROPERTY
+    @given(fid=st.floats(min_value=0.0, max_value=1.0 - 1e-12),
+           p_e=st.floats(min_value=1e-100, max_value=1.0, exclude_max=True))
+    def test_attaining_chisq_count_covers_the_inverse_count(self, bins, fid, p_e):
+        lam = _curve_lambda(bins)
+        chisq = max(1, math.ceil(lam / w2_fidelity_attaining(fid)))
+        assert chisq >= estimate(F.INVERSE_IDEAL, fid, p_e).shots, lam
+
+
+shot_counts = st.integers(min_value=1, max_value=2_000)
+baselines = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+class TestRejectionThresholdIsMonotone:
+    # a larger alpha widens the rejection region, and Bin(n + 1, q0) is
+    # stochastically above Bin(n, q0), so P[... <= k] only falls as n grows
+    @PROPERTY
+    @given(n=shot_counts, q0=baselines, a1=open_unit, a2=open_unit)
+    def test_non_decreasing_in_alpha(self, n, q0, a1, a2):
+        strict, loose = sorted((a1, a2))
+        assert binomial_rejection_threshold(n, q0, strict) <= binomial_rejection_threshold(n, q0, loose)
+
+    @PROPERTY
+    @given(n1=shot_counts, n2=shot_counts, q0=baselines, alpha=open_unit)
+    def test_non_decreasing_in_shot_count(self, n1, n2, q0, alpha):
+        few, many = sorted((n1, n2))
+        assert binomial_rejection_threshold(few, q0, alpha) <= binomial_rejection_threshold(many, q0, alpha)
 
 
 def _blocks(weights, multiplicities) -> list[BlockSpec]:

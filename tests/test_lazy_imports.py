@@ -2,9 +2,11 @@
 the lazy submodules still reach the benchmark's layer tracer, and the
 public names resolve on first access as if they were imported eagerly."""
 
+import importlib
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -132,3 +134,17 @@ def test_public_names_are_their_home_module_attributes():
         value = getattr(shotbudget, name)
         assert value.__module__.startswith("shotbudget."), name
         assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_export_lists_name_only_defined_names():
+    # a name left in __all__ after its definition goes breaks `import *` from that module
+    for info in pkgutil.iter_modules(shotbudget.__path__):
+        if info.name == "__main__":
+            continue  # importing it runs the CLI
+        module = importlib.import_module(f"shotbudget.{info.name}")
+        exported = getattr(module, "__all__", ())  # the attribute access runs a lazy module
+        assert [name for name in exported if name not in vars(module)] == [], info.name
+    for home, names in shotbudget._EXPORTS.items():
+        module = importlib.import_module(f"shotbudget.{home}")
+        if hasattr(module, "__all__"):  # errors defines none
+            assert [name for name in names.split() if name not in module.__all__] == [], home

@@ -91,7 +91,6 @@ class TestMissRateSimulators:
         se = math.sqrt(expected * (1.0 - expected) / config.trials)
         assert abs(result.estimate - expected) <= 4.0 * se
         assert result.trials == 40_000
-        assert result.ci_low <= result.estimate <= result.ci_high
 
     def test_swap_matches_analytic_rate(self):
         config = McConfig(trials=40_000, seed=12)
@@ -114,7 +113,6 @@ class TestMissRateSimulators:
         a = simulate_inverse_miss_rate(0.97, 100, config)
         b = simulate_inverse_miss_rate(0.97, 100, config)
         assert a.estimate == b.estimate
-        assert a.std_error == b.std_error
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         config = McConfig(trials=3_000, seed=5)

@@ -102,5 +102,5 @@ def _resolves(token: str) -> bool:
 
 def test_every_name_readme_mentions_is_importable():
     names = _mentioned_names()
-    assert {"shots_inverse_ideal", "shots_from_q", "estimate", "BudgetReport.columns"} <= names
+    assert {"shots_inverse_ideal", "shots_swap_ideal", "estimate", "BudgetReport.columns"} <= names
     assert sorted(name for name in names if not _resolves(name)) == []

@@ -9,7 +9,6 @@ from shotbudget import (
     ShotBounds,
     ShotEstimate,
     estimate,
-    shots_from_q,
     shots_inverse_ideal,
     shots_swap_ideal,
 )
@@ -137,22 +136,21 @@ class TestPureAndMixed:
 
 class TestFromChernoffQuantity:
     def test_matches_log_ratio(self):
-        e = shots_from_q(0.5, 0.05)
+        e = estimate(F.QCB, 0.5, 0.05)
         assert e.raw == pytest.approx(math.log(0.05) / math.log(0.5), rel=1e-12)
         assert e.shots == 5
         assert e.formula is F.QCB
-        assert estimate(F.QCB, 0.5, 0.05) == e
 
     def test_rejects_degenerate_and_domain(self):
         with pytest.raises(DegenerateStates):
-            shots_from_q(1.0, 0.05)
+            estimate(F.QCB, 1.0, 0.05)
         with pytest.raises(DomainError, match=r"^Q must lie in \(0, 1\], got 0.0$"):
-            shots_from_q(0.0, 0.05)
+            estimate(F.QCB, 0.0, 0.05)
         with pytest.raises(DomainError):
-            shots_from_q(-0.1, 0.05)
+            estimate(F.QCB, -0.1, 0.05)
         with pytest.raises(DomainError):
-            shots_from_q(1.5, 0.05)
-        assert shots_from_q(math.ulp(0.0), 0.05).shots == 1
+            estimate(F.QCB, 1.5, 0.05)
+        assert estimate(F.QCB, math.ulp(0.0), 0.05).shots == 1
 
 
 class TestTraceDistanceFormulas:
@@ -195,8 +193,8 @@ class TestTraceDistanceFormulas:
 
 class TestEstimateContainers:
     def test_ceil_and_floor_to_one(self):
-        assert shots_from_q(0.5, 0.05).shots == math.ceil(math.log(0.05) / math.log(0.5))
-        assert shots_from_q(1e-6, 0.5).shots == 1  # raw 0.05-ish floors at 1
+        assert estimate(F.QCB, 0.5, 0.05).shots == math.ceil(math.log(0.05) / math.log(0.5))
+        assert estimate(F.QCB, 1e-6, 0.5).shots == 1  # raw 0.05-ish floors at 1
 
     def test_interpretation_flag(self):
         assert estimate(F.PURE, 0.9, 0.05).interpretation == "asymptotic estimate"

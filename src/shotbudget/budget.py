@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 from functools import reduce
 from operator import add, mul
 
-from .errors import DomainError, ZeroBudget, ZeroWeight, check_range, read_json
+from .errors import DomainError, ZeroBudget, ZeroWeight, check_range, json_float, read_json
 from .shot_estimators import FORMULAS, Formula, check_tolerances
 from .stat_power import lambda_noncentral, w2_fidelity_attaining, w2_small_discrepancy
 from . import tolerances as tol
@@ -296,10 +296,9 @@ def _spec_number(obj: dict, key: str, path: str, low=None, high=None, ends: str 
             raise DomainError(f"{path}/{key}: missing")
         return default
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DomainError(f"{path}/{key}: expected a number, got {value!r}")
-    check_range("%s/%s", value, low, high, ends, finite=True, args=(path, key))
-    return float(value)
+    number = json_float("%s/%s", value, args=(path, key))
+    check_range("%s/%s", value, low, high, ends, finite=True, args=(path, key))  # names value as given
+    return number
 
 
 def parse_program_spec(obj: dict) -> ProgramSpec:

@@ -1,12 +1,14 @@
-"""Exception types raised across the package, and two boundary checks.
+"""Exception types raised across the package, and the boundary checks.
 
 Everything derives from ShotBudgetError so callers can catch the whole
 family with one clause.  DomainError doubles as a ValueError: most of its
 sites are argument-range violations, raised by `check_range` in one message
-shape.  `read_json` reads the state, distribution and program-spec files.
+shape.  `read_json` reads the state, distribution and program-spec files,
+and `json_float` takes each number out of them.
 """
 
 import json
+import math
 import sys
 
 _FLOAT_MAX = sys.float_info.max
@@ -18,10 +20,6 @@ class ShotBudgetError(Exception):
 
 class DomainError(ShotBudgetError, ValueError):
     """An argument lies outside the mathematical domain of the operation."""
-
-
-class NotHermitian(ShotBudgetError):
-    """Matrix handed to the eigensolver is not Hermitian within tolerance."""
 
 
 class NoConvergence(ShotBudgetError):
@@ -87,6 +85,20 @@ def check_range(what: str, value, low=None, high=None, ends: str = "[]", *,
             return
         need = f"lie in {ends[0]}{low:g}, {high:g}{ends[1]}"
     raise DomainError(f"{what % args if args else what} must {need}, got {value}")
+
+
+def json_float(what: str, value, error: type = DomainError, *, args: tuple = ()) -> float:
+    """A JSON number as a float, else `error` "<what % args>: expected a number, got ...".
+
+    A bool is no number; an int beyond float range becomes inf, as 1e999 does,
+    so the caller's finiteness check names it.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{what % args if args else what}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def read_json(path: str, error: type = DomainError):

@@ -1,33 +1,26 @@
 """Numerical kernels used by every other module.
 
 The Hermitian eigensolver is LAPACK's, reached through numpy.linalg.eigh
-behind one checked entry point, the only function here that imports
-numpy (on its first call).  The scalar kernels are implemented here on
-the standard library alone: the regularized lower incomplete gamma
-function (series plus continued fraction), a golden-section minimizer,
-and a bracket-doubling bisection solver for increasing functions.
+behind one unchecked entry point, the only function here that imports
+numpy (on its first call); states are checked once, where `states`
+builds them.  The scalar kernels are implemented here on the standard
+library alone: the regularized lower incomplete gamma function (series
+plus continued fraction), a golden-section minimizer, and a
+bracket-doubling bisection solver for increasing functions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .errors import (
-    DomainError,
-    InvalidBracket,
-    NoBracket,
-    NoConvergence,
-    NotHermitian,
-)
+from .errors import DomainError, InvalidBracket, NoBracket, NoConvergence
 from . import tolerances as tol
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "EigenDecomposition",
     "hermitian_eigendecomposition",
     "regularized_gamma_p",
     "minimize_unimodal",
@@ -35,51 +28,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Result of a Hermitian eigendecomposition.
-
-    values:  real eigenvalues in ascending order.
-    vectors: unitary matrix whose k-th column is the eigenvector for
-             values[k], so  H = vectors @ diag(values) @ vectors^dagger.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def hermitian_eigendecomposition(matrix: np.ndarray) -> EigenDecomposition:
-    """Diagonalize a Hermitian matrix with LAPACK (numpy.linalg.eigh).
+def hermitian_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, vectors) of a Hermitian matrix from LAPACK (numpy.linalg.eigh):
+    ascending eigenvalues, and the unitary whose k-th column belongs to values[k].
 
     The solver sees the exactly Hermitian average (H + H^dagger)/2, so
     round-off in the input cannot bias one triangle over the other.
     Eigenvalues carry an absolute error of a few eps * ||H||; ones within
     that distance of zero keep little relative accuracy, which is why the
     functionals in `states` apply a rank cut before taking logarithms.
-
-    Args:
-        matrix: square complex array, Hermitian within 1e-10 max-abs.
-
-    Returns:
-        EigenDecomposition with ascending eigenvalues.
-
-    Raises:
-        DomainError: if the matrix is not square or has a non-finite entry.
-        NotHermitian: if max |H - H^dagger| exceeds the tolerance.
+    Nothing is checked here: every matrix comes from states that were
+    checked when they were built.
     """
     import numpy as np
 
     a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    bad = np.argwhere(~np.isfinite(a))
-    if bad.size:
-        raise DomainError(f"matrix entry {tuple(bad[0].tolist())} is not finite")
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if dev > tol.HERMITICITY_ATOL:
-        raise NotHermitian(f"max |H - H^dagger| = {dev:.3e} exceeds {tol.HERMITICITY_ATOL:.1e}")
-    values, vectors = np.linalg.eigh((a + a.conj().T) / 2.0)
-    return EigenDecomposition(values=values, vectors=vectors)
+    return np.linalg.eigh((a + a.conj().T) / 2.0)
 
 
 def regularized_gamma_p(a: float, x: float) -> float:

@@ -38,6 +38,7 @@ from .errors import (
     NoConvergence,
     ZeroExpectedBin,
     check_range,
+    json_float,
     read_json,
 )
 from .numerics import regularized_gamma_p, solve_increasing
@@ -350,12 +351,14 @@ def binomial_decision(zero_count: int, n_shots: int, q0: float, alpha: float) ->
     return p_value <= alpha, p_value
 
 
+@functools.lru_cache(maxsize=1)
 def binomial_rejection_threshold(n_shots: int, q0: float, alpha: float) -> int:
     """Largest observed count still rejected by binomial_decision, or -1.
 
     The decision rule is monotone in the observed count, so a single
     threshold characterizes it; simulation code uses this to classify
-    many trials without recomputing tail sums.
+    many trials without recomputing tail sums.  The last one is kept for
+    `validate`, which predicts the rate its simulator just measured.
     """
     check_range("shot count", n_shots, 1)
     check_range("baseline q0", q0, 0, 1, "(]")
@@ -373,11 +376,7 @@ def parse_distribution(obj) -> Distribution:
     """Build a Distribution from its JSON array form."""
     if not isinstance(obj, list):
         raise DomainError(f"distribution document must be a JSON array, got {type(obj).__name__}")
-    try:
-        probs = [float(x) for x in obj]
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"distribution entries must be numbers: {exc}") from None
-    return Distribution(probs=probs)
+    return Distribution(probs=[json_float("bin %d probability", x, args=(i,)) for i, x in enumerate(obj)])
 
 
 def load_distribution(path: str) -> Distribution:

@@ -1,12 +1,15 @@
 """Quantum state containers and distinguishability functionals.
 
 PureState and DensityMatrix validate their invariants at construction and
-report exactly which one failed.  On top of them sit the Uhlmann fidelity,
-trace distance, the quantum Chernoff bound Q with its error exponent, the
-fidelity-only sandwich bounds on Q and the Fuchs-van de Graaf bounds.
-Every eigendecomposition goes through `numerics.hermitian_eigendecomposition`;
-those of validated density matrices are cached on the instance because
-every functional needs them again.
+report exactly which one failed; `parse_state` checks a state file's
+fields before either is built.  These are the only places a state is
+checked.  On top of them sit the Uhlmann fidelity, trace distance, the
+quantum Chernoff bound Q with its error exponent, the fidelity-only
+sandwich bounds on Q and the Fuchs-van de Graaf bounds, which trust the
+states they are given.  Every eigendecomposition goes through
+`numerics.hermitian_eigendecomposition`, which checks nothing; those of
+validated density matrices are cached on the instance because every
+functional needs them again.
 
 Support convention: 0^0 = 0 in matrix powers, so states with disjoint
 support yield Q = 0 (perfect one-shot distinguishability) instead of an
@@ -21,12 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidState, check_range, read_json
-from .numerics import (
-    EigenDecomposition,
-    hermitian_eigendecomposition,
-    minimize_unimodal,
-)
+from .errors import DimensionMismatch, InvalidState, check_range, json_float, read_json
+from .numerics import hermitian_eigendecomposition, minimize_unimodal
 from .shot_estimators import FORMULAS, Formula
 from . import tolerances as tol
 
@@ -104,7 +103,7 @@ class DensityMatrix:
 
     matrix: np.ndarray
     _validated: bool = field(default=False, repr=False, compare=False)
-    _eig: EigenDecomposition | None = field(default=None, repr=False, compare=False)
+    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=np.complex128)
@@ -124,13 +123,13 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > tol.TRACE_ATOL:
             raise InvalidState(f"trace {tr!r} differs from 1 beyond {tol.TRACE_ATOL:.1e}")
-        decomp = hermitian_eigendecomposition(mat)
-        if float(decomp.values[0]) < tol.PSD_CLAMP_FLOOR:
+        eig = hermitian_eigendecomposition(mat)
+        if float(eig[0][0]) < tol.PSD_CLAMP_FLOOR:
             raise InvalidState(
-                f"not positive semidefinite: eigenvalue {decomp.values[0]:.3e} "
+                f"not positive semidefinite: eigenvalue {eig[0][0]:.3e} "
                 f"below {tol.PSD_CLAMP_FLOOR:.1e}"
             )
-        object.__setattr__(self, "_eig", decomp)
+        object.__setattr__(self, "_eig", eig)
 
     @property
     def dim(self) -> int:
@@ -140,14 +139,12 @@ class DensityMatrix:
     def qubits(self) -> int:
         return self.dim.bit_length() - 1
 
-    def eigensystem(self) -> EigenDecomposition:
-        """Cached eigendecomposition with the spectrum clamped to >= 0."""
-        decomp = self._eig
-        if decomp is None:
-            decomp = hermitian_eigendecomposition(self.matrix)
-            object.__setattr__(self, "_eig", decomp)
-        clamped = np.where(decomp.values > 0.0, decomp.values, 0.0)
-        return EigenDecomposition(values=clamped, vectors=decomp.vectors)
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached (values, vectors) of the matrix, the values clamped to >= 0."""
+        if self._eig is None:
+            object.__setattr__(self, "_eig", hermitian_eigendecomposition(self.matrix))
+        values, vectors = self._eig
+        return np.where(values > 0.0, values, 0.0), vectors
 
 
 @dataclass(frozen=True)
@@ -167,8 +164,10 @@ class QcbResult:
     evaluations: int = 0
 
 
-def _as_density(state: PureState | DensityMatrix) -> DensityMatrix:
-    return state.to_density() if isinstance(state, PureState) else state
+def _density_pair(rho, sigma) -> list[DensityMatrix]:
+    pair = [s.to_density() if isinstance(s, PureState) else s for s in (rho, sigma)]
+    _check_same_dim(*pair)
+    return pair
 
 
 def _check_same_dim(a, b) -> None:
@@ -218,28 +217,21 @@ def fidelity(rho, sigma) -> float:
     # roots of the rank-deficient inner matrix's junk eigenvalues.
     for pure, other in ((rho, sigma), (sigma, rho)):
         if isinstance(pure, PureState):
-            dm = _as_density(other)
-            _check_same_dim(pure, dm)
+            _check_same_dim(pure, other)  # a DensityMatrix: two pure states returned above
             amp = pure.amplitudes
-            return _clamp_unit(float(np.real(amp.conj() @ dm.matrix @ amp)), "fidelity")
-    dm_rho = _as_density(rho)
-    dm_sigma = _as_density(sigma)
-    _check_same_dim(dm_rho, dm_sigma)
-    eig_sigma = dm_sigma.eigensystem()
-    sqrt_sigma = (eig_sigma.vectors * np.sqrt(eig_sigma.values)) @ eig_sigma.vectors.conj().T
-    inner = sqrt_sigma @ dm_rho.matrix @ sqrt_sigma
-    vals = hermitian_eigendecomposition((inner + inner.conj().T) / 2.0).values
+            return _clamp_unit(float(np.real(amp.conj() @ other.matrix @ amp)), "fidelity")
+    dm_rho, dm_sigma = _density_pair(rho, sigma)
+    values, vectors = dm_sigma.eigensystem()
+    sqrt_sigma = (vectors * np.sqrt(values)) @ vectors.conj().T
+    vals = hermitian_eigendecomposition(sqrt_sigma @ dm_rho.matrix @ sqrt_sigma)[0]
     vals = np.where(vals > 0.0, vals, 0.0)
     return _clamp_unit(float(np.sum(np.sqrt(vals))) ** 2, "fidelity")
 
 
 def trace_distance(rho, sigma) -> float:
     """Trace distance, half the trace norm of rho - sigma."""
-    dm_rho = _as_density(rho)
-    dm_sigma = _as_density(sigma)
-    _check_same_dim(dm_rho, dm_sigma)
-    diff = dm_rho.matrix - dm_sigma.matrix
-    vals = hermitian_eigendecomposition(diff).values
+    dm_rho, dm_sigma = _density_pair(rho, sigma)
+    vals = hermitian_eigendecomposition(dm_rho.matrix - dm_sigma.matrix)[0]
     return _clamp_unit(0.5 * float(np.sum(np.abs(vals))), "trace distance")
 
 
@@ -250,13 +242,13 @@ def _chernoff_objective(rho: DensityMatrix, sigma: DensityMatrix) -> Callable[[f
     is sum_ij l_i^s O_ij m_j^(1-s) for the overlap O = |U^dagger V|^2,
     computed once and restricted to the rank-cut supports of both spectra.
     """
-    eig_r = rho.eigensystem()
-    eig_s = sigma.eigensystem()
-    keep_r = _support_mask(eig_r.values)
-    keep_s = _support_mask(eig_s.values)
-    overlap = np.abs(eig_r.vectors[:, keep_r].conj().T @ eig_s.vectors[:, keep_s]) ** 2
-    log_l = np.log(eig_r.values[keep_r])
-    log_m = np.log(eig_s.values[keep_s])
+    lam, u = rho.eigensystem()
+    mu, v = sigma.eigensystem()
+    keep_r = _support_mask(lam)
+    keep_s = _support_mask(mu)
+    overlap = np.abs(u[:, keep_r].conj().T @ v[:, keep_s]) ** 2
+    log_l = np.log(lam[keep_r])
+    log_m = np.log(mu[keep_s])
 
     def objective(s: float) -> float:
         return float(np.exp(s * log_l) @ overlap @ np.exp((1.0 - s) * log_m))
@@ -276,7 +268,8 @@ def qcb_q(rho, sigma) -> QcbResult:
     commuting states this reduces to the classical Chernoff bound; if
     either state is pure the objective is monotone and the minimum sits
     on an endpoint.  If both are pure it is constant, so no search runs
-    and s_star is 0.
+    and s_star is 0; the same holds, with Q = 1, for two equal matrices,
+    whose spectra would otherwise round Q to just below 1.
 
     Accuracy: eigenvalues carry an absolute error of a few eps, so a
     kept eigenvalue a few decades above the rank cut has lost relative
@@ -289,9 +282,7 @@ def qcb_q(rho, sigma) -> QcbResult:
     with a 1e-14 off-diagonal stop is 3-12x closer at d = 2 and 1.4-770x
     further off at d = 8 and 32.
     """
-    dm_rho = _as_density(rho)
-    dm_sigma = _as_density(sigma)
-    _check_same_dim(dm_rho, dm_sigma)
+    dm_rho, dm_sigma = _density_pair(rho, sigma)
     objective = _chernoff_objective(dm_rho, dm_sigma)
     evaluations = 0
 
@@ -300,8 +291,11 @@ def qcb_q(rho, sigma) -> QcbResult:
         evaluations += 1
         return objective(s)
 
-    ranks = [np.count_nonzero(_support_mask(dm.eigensystem().values)) for dm in (dm_rho, dm_sigma)]
-    if ranks == [1, 1]:
+    ranks = [np.count_nonzero(_support_mask(dm.eigensystem()[0])) for dm in (dm_rho, dm_sigma)]
+    if np.array_equal(dm_rho.matrix, dm_sigma.matrix):
+        # one state twice: f is 1 on all of [0, 1], however its spectrum rounds
+        q_min, s_star = 1.0, 0.0
+    elif ranks == [1, 1]:
         # two rank-1 supports: f is the constant |<u|v>|^2, and ties go to s = 0
         q_min, s_star = counted(0.0), 0.0
     else:
@@ -338,15 +332,17 @@ def parse_state(obj: dict) -> PureState | DensityMatrix:
     if kind not in ("pure", "density"):
         raise InvalidState(f'state "kind" must be "pure" or "density", got {kind!r}')
     n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # a bool count is rejected too
         raise InvalidState(f'state "n" must be a positive integer qubit count, got {n!r}')
     data = obj.get("data")
     if not isinstance(data, list):
         raise InvalidState('state "data" must be a list of [re, im] pairs')
     try:
-        flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+        pairs = [(re, im) for re, im in data]
     except (TypeError, ValueError) as exc:
         raise InvalidState(f'state "data" entries must be [re, im] pairs: {exc}') from None
+    flat = np.array([complex(*(json_float('state "data"[%d]', x, InvalidState, args=(i,)) for x in pair))
+                     for i, pair in enumerate(pairs)], dtype=np.complex128)
     bad = _first_nonfinite(flat)
     if bad is not None:
         raise InvalidState(f'state "data"[{bad}] is not finite: {data[bad]!r}')

@@ -50,9 +50,9 @@ def qcb_grid_oracle(rho, sigma, grid_points: int = 100_001) -> tuple[float, floa
     dm_sigma = sigma.to_density() if isinstance(sigma, PureState) else sigma
     if dm_rho.dim != dm_sigma.dim:
         raise DomainError(f"dimension mismatch: {dm_rho.dim} vs {dm_sigma.dim}")
-    eig_r = dm_rho.eigensystem()
-    eig_s = dm_sigma.eigensystem()
-    overlap = np.abs(eig_r.vectors.conj().T @ eig_s.vectors) ** 2
+    lam, u = dm_rho.eigensystem()
+    mu, v = dm_sigma.eigensystem()
+    overlap = np.abs(u.conj().T @ v) ** 2
     s = np.linspace(0.0, 1.0, grid_points)
 
     def spectrum_powers(vals: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -62,8 +62,8 @@ def qcb_grid_oracle(rho, sigma, grid_points: int = 100_001) -> tuple[float, floa
             out[pos, :] = np.exp(np.outer(np.log(vals[pos]), exponents))
         return out
 
-    lam_pow = spectrum_powers(eig_r.values, s)
-    mu_pow = spectrum_powers(eig_s.values, 1.0 - s)
+    lam_pow = spectrum_powers(lam, s)
+    mu_pow = spectrum_powers(mu, 1.0 - s)
     g = np.einsum("ig,ij,jg->g", lam_pow, overlap, mu_pow)
     best = int(np.argmin(g))
     q = float(min(1.0, max(0.0, g[best])))

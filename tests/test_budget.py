@@ -295,6 +295,11 @@ class TestFiniteInputs:
             ("/chisq/alpha", 2, "/chisq/alpha must lie in (0, 1), got 2"),
             ("/chisq/beta", 1, "/chisq/beta must lie in (0, 1), got 1"),
             ("/chisq/bins", 1, "/chisq/bins must be >= 2, got 1"),
+            ("/chisq/bins", 2.5, "/chisq/bins: expected an integer, got 2.5"),
+            ("/chisq", 5, "/chisq: expected an object"),
+            ("/blocks", [], "/blocks: missing or empty"),
+            ("/blocks/0", "A", "/blocks/0: expected an object"),
+            ("/blocks/0/name", "", "/blocks/0/name: expected a nonempty string, got ''"),
         ],
     )
     def test_spec_range_errors_name_the_json_path(self, tmp_path, capsys, pointer, value, message):
@@ -312,6 +317,22 @@ class TestFiniteInputs:
         assert cli.main(["budget", "--spec", str(spec_path)]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([SPEC_DOC], "program spec must be a JSON object, got list"),
+            ({k: v for k, v in SPEC_DOC.items() if k != "blocks"}, "/blocks: missing or empty"),
+        ],
+        ids=["not_an_object", "no_blocks"],
+    )
+    def test_spec_shape_errors(self, tmp_path, capsys, doc, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            parse_program_spec(doc)
+        spec_path = tmp_path / "shape.json"
+        spec_path.write_text(json.dumps(doc))
+        assert cli.main(["budget", "--spec", str(spec_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_fractional_multiplicity_in_spec_is_rejected(self, tmp_path, capsys):
         doc = json.loads(json.dumps(SPEC_DOC))

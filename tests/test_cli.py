@@ -10,7 +10,10 @@ import pytest
 
 from shotbudget import cli
 from shotbudget import montecarlo as mc
+from shotbudget import stat_power as sp
 from shotbudget.montecarlo import McResult
+
+from conftest import random_density
 
 
 def _write_pure(path, amplitudes):
@@ -21,7 +24,8 @@ def _write_pure(path, amplitudes):
 def _write_density(path, matrix):
     flat = np.asarray(matrix, dtype=complex).reshape(-1)
     data = [[z.real, z.imag] for z in flat]
-    path.write_text(json.dumps({"kind": "density", "n": 1, "data": data}))
+    n = (flat.size.bit_length() - 1) // 2  # 4**n entries
+    path.write_text(json.dumps({"kind": "density", "n": n, "data": data}))
 
 
 @pytest.fixture()
@@ -156,6 +160,30 @@ class TestQcb:
         assert code == 3
         assert "indistinguishable" in capsys.readouterr().err
 
+    def test_mixed_state_against_itself_is_degenerate(self, tmp_path, capsys):
+        # the spectrum of one random 2-qubit state rounds Q to just below 1
+        # unless the equal pair is recognised as such
+        path = tmp_path / "m.json"
+        _write_density(path, random_density(np.random.default_rng(5), 2).matrix)
+        assert cli.main(["qcb", str(path), str(path), "--pe", "0.01", "--json"]) == 3
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert (doc["q"], doc["s_star"], doc["exponent"]) == (1.0, 0.0, 0.0)
+        assert "shots" not in doc
+        assert captured.err == ("states are indistinguishable (Q = 1); "
+                                "no finite shot count separates them\n")
+
+    def test_pair_each_hermitian_within_tolerance_is_accepted(self, tmp_path, capsys):
+        # each file is 0.9e-10 from Hermitian; their difference is 1.8e-10 off,
+        # which no state boundary sees
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        _write_density(a, [[0.5, 0.1 + 0.9e-10], [0.1, 0.5]])
+        _write_density(b, [[0.6, 0.05 - 0.9e-10], [0.05, 0.4]])
+        assert cli.main(["qcb", str(a), str(b), "--pe", "0.01", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["trace_distance"] == pytest.approx(0.1118034, abs=1e-7)
+        assert doc["shots"]["shots"] > 1
+
     def test_pure_mixed_pair(self, state_files, capsys):
         code = cli.main(["qcb", state_files["plus"], state_files["mixed"], "--json"])
         assert code == 0
@@ -165,6 +193,12 @@ class TestQcb:
 
     def test_missing_file(self, tmp_path):
         assert cli.main(["qcb", str(tmp_path / "absent.json"), str(tmp_path / "b.json")]) == 2
+
+    def test_states_of_different_size_rejected(self, state_files, tmp_path, capsys):
+        two = tmp_path / "two.json"
+        two.write_text(json.dumps({"kind": "pure", "n": 2, "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
+        assert cli.main(["qcb", state_files["zero"], str(two)]) == 2
+        assert capsys.readouterr() == ("", "error: dimension mismatch: 2 vs 4\n")
 
     def test_non_finite_state_rejected(self, state_files, tmp_path, capsys):
         # json.load accepts the NaN literal; the entry is named, not traced back
@@ -411,6 +445,19 @@ class TestValidate:
     def test_missing_scenario_arguments(self):
         assert cli.main(["validate", "--scenario", "inverse"]) == 2
 
+    def test_binomial_op_sums_two_tails(self, monkeypatch, capsys):
+        # one O(n) walk for the rejection threshold, which simulator and
+        # prediction share, and one for the predicted rate at q1
+        walks = []
+        walk = sp._binomial_log_cdf
+        monkeypatch.setattr(sp, "_binomial_log_cdf", lambda *args: walks.append(args) or walk(*args))
+        sp.binomial_rejection_threshold.cache_clear()
+        code = cli.main(["validate", "--scenario", "binomial", "--q0", "0.99", "--q1", "0.985",
+                         "--shots", "100000", "--trials", "20"])
+        assert (code, len(walks)) == (0, 2)
+        assert [args[1] for args in walks] == [0.99, 0.985]
+        assert "PASS" in capsys.readouterr().out
+
     def test_binomial_bad_shots_has_one_message(self, capsys):
         # the rejection threshold owns the shot count and q0, with one spelling
         code = cli.main(["validate", "--scenario", "binomial", "--q0", "0.99", "--q1", "0.9",
@@ -514,3 +561,68 @@ class TestCurve:
         with pytest.raises(SystemExit) as info:
             cli.main(["curve", "nonsense"])
         assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["chisq", "--p", "p.json"], "distribution mode needs both --p and --q"),
+        (["noise", "decide", "--q0", "0.99", "--zeros", "3"], "decide mode needs --zeros and --shots"),
+        (["noise", "decide", "--q0", "0.99", "--shots", "9"], "decide mode needs --zeros and --shots"),
+        (["curve", "test_comparison", "--bins", "2,x"],
+         "expected a comma-separated integer list, got '2,x'"),
+        (["curve", "fid_vs_shots", "--points", "1"], "curve needs at least 2 points, got 1"),
+        (["noise", "plan", "--q0", "1.5", "--q1", "0.9"],
+         "success probabilities must lie in [0, 1], got q0=1.5, q1=0.9"),
+        (["noise", "plan", "--q0", "0.99", "--q1", "0.9", "--alpha", "0"],
+         "alpha and beta must lie in (0, 1), got alpha=0.0, beta=0.01"),
+        (["validate", "--scenario", "inverse", "--fidelity", "1.0", "--shots", "10"],
+         "fidelity must lie in [0, 1) to have misses, got 1.0"),
+    ],
+)
+def test_bad_flags_exit_2_with_one_error_line(argv, message, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+_HUGE = "1" + "0" * 400  # an integer literal beyond float range
+_SPEC = json.dumps({"fidelity_target": 0.99, "p_e": 0.05, "hardware": {"r1": 1e-7, "r2": 5e-7},
+                    "blocks": [{"name": "A", "g1": 5}]})
+
+
+def _state(n="1", data="[[1, 0], [0, 0]]", kind="pure"):
+    return f'{{"kind": "{kind}", "n": {n}, "data": {data}}}'
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("chisq", f"[{_HUGE}, 0]", "bin 0 probability is not finite: inf"),
+        ("chisq", "[true, false]", "bin 0 probability: expected a number, got True"),
+        ("chisq", '[0.5, "0.5"]', "bin 1 probability: expected a number, got '0.5'"),
+        ("qcb", _state(data=f"[[1, 0], [0, {_HUGE}]]"), f'state "data"[1] is not finite: [0, {_HUGE}]'),
+        ("qcb", _state(data="[[true, 0], [0, 0]]"), 'state "data"[0]: expected a number, got True'),
+        ("qcb", _state(data='[[1, 0], ["0", 0]]'), 'state "data"[1]: expected a number, got \'0\''),
+        ("qcb", _state(n="true"), 'state "n" must be a positive integer qubit count, got True'),
+        ("qcb", _state(n="0"), 'state "n" must be a positive integer qubit count, got 0'),
+        ("qcb", _state(data="{}"), 'state "data" must be a list of [re, im] pairs'),
+        ("qcb", _state(data="[1, 0]"),
+         'state "data" entries must be [re, im] pairs: cannot unpack non-iterable int object'),
+        ("qcb", _state(kind="density"), "density matrix on 1 qubits needs 4 entries, got 2"),
+        ("budget", _SPEC.replace("1e-07", _HUGE), f"/hardware/r1 must be finite and >= 0, got {_HUGE}"),
+        ("budget", _SPEC.replace("1e-07", "true"), "/hardware/r1: expected a number, got True"),
+        ("budget", _SPEC.replace("0.05", '"0.05"'), "/p_e: expected a number, got '0.05'"),
+    ],
+    ids=["bin_huge_int", "bin_bool", "bin_string", "data_huge_int", "data_bool", "data_string",
+         "n_bool", "n_zero", "data_not_list", "malformed_pair", "density_size",
+         "spec_huge_int", "spec_bool", "spec_string"],
+)
+def test_bad_input_files_exit_2_with_one_error_line(command, text, message, tmp_path, capsys):
+    # distribution, state and spec files: the entry is named and nothing is traced back
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    path = str(bad)
+    argv = {"chisq": ["chisq", "--p", path, "--q", path], "qcb": ["qcb", path, path],
+            "budget": ["budget", "--spec", path]}[command]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

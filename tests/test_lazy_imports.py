@@ -2,6 +2,7 @@
 the lazy submodules still reach the benchmark's layer tracer, and the
 public names resolve on first access as if they were imported eagerly."""
 
+import ast
 import importlib
 import json
 import os
@@ -148,3 +149,17 @@ def test_export_lists_name_only_defined_names():
         module = importlib.import_module(f"shotbudget.{home}")
         if hasattr(module, "__all__"):  # errors defines none
             assert [name for name in names.split() if name not in module.__all__] == [], home
+
+
+def test_every_error_type_is_raised_somewhere():
+    # an error class that no `raise X(` names any more is a check that went away
+    raised = set()
+    for path in pathlib.Path(shotbudget.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                    and isinstance(node.exc.func, ast.Name):
+                raised.add(node.exc.func.id)
+    errors = shotbudget.errors
+    defined = {name for name, value in vars(errors).items() if isinstance(value, type)
+               and issubclass(value, errors.ShotBudgetError) and value.__module__ == errors.__name__}
+    assert sorted(defined - raised) == []

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from shotbudget.errors import (
-    DomainError,
-    InvalidBracket,
-    NoBracket,
-    NotHermitian,
-)
+from shotbudget.errors import DomainError, InvalidBracket, NoBracket
 from shotbudget.numerics import (
     hermitian_eigendecomposition,
     minimize_unimodal,
@@ -25,54 +20,37 @@ class TestEigendecomposition:
         for dim in (2, 3, 4, 5, 8):
             for _ in range(20):
                 mat = random_hermitian(rng, dim)
-                dec = hermitian_eigendecomposition(mat)
+                values, _ = hermitian_eigendecomposition(mat)
                 ref = np.linalg.eigvalsh(mat)
-                assert np.allclose(dec.values, ref, atol=1e-10 * max(1.0, np.abs(ref).max()))
+                assert np.allclose(values, ref, atol=1e-10 * max(1.0, np.abs(ref).max()))
 
     def test_reconstruction_and_orthonormality(self, rng):
         for _ in range(20):
             mat = random_hermitian(rng, 6)
-            dec = hermitian_eigendecomposition(mat)
-            u = dec.vectors
-            recon = (u * dec.values) @ u.conj().T
+            values, u = hermitian_eigendecomposition(mat)
+            recon = (u * values) @ u.conj().T
             assert np.allclose(recon, mat, atol=1e-9)
             assert np.allclose(u.conj().T @ u, np.eye(6), atol=1e-10)
 
     def test_values_ascending(self, rng):
-        dec = hermitian_eigendecomposition(random_hermitian(rng, 7))
-        assert np.all(np.diff(dec.values) >= 0)
+        values, _ = hermitian_eigendecomposition(random_hermitian(rng, 7))
+        assert np.all(np.diff(values) >= 0)
 
     def test_one_by_one(self):
-        dec = hermitian_eigendecomposition(np.array([[3.5]]))
-        assert dec.values[0] == 3.5
-        assert dec.vectors[0, 0] == 1.0
+        values, vectors = hermitian_eigendecomposition(np.array([[3.5]]))
+        assert values[0] == 3.5
+        assert vectors[0, 0] == 1.0
 
     def test_already_diagonal(self):
-        dec = hermitian_eigendecomposition(np.diag([2.0, -1.0, 0.5]))
-        assert np.allclose(dec.values, [-1.0, 0.5, 2.0])
+        values, _ = hermitian_eigendecomposition(np.diag([2.0, -1.0, 0.5]))
+        assert np.allclose(values, [-1.0, 0.5, 2.0])
 
     def test_degenerate_spectrum(self, rng):
         # repeated eigenvalues: reconstruction is the only stable check
         u = np.linalg.qr(random_hermitian(rng, 4))[0]
         mat = (u * np.array([1.0, 1.0, 1.0, 2.0])) @ u.conj().T
-        dec = hermitian_eigendecomposition(mat)
-        assert np.allclose(sorted(dec.values), [1.0, 1.0, 1.0, 2.0], atol=1e-10)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eigendecomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DomainError):
-            hermitian_eigendecomposition(np.zeros((2, 3)))
-
-    def test_rejects_non_finite(self):
-        # NaN slips past the Hermiticity test (nan > tol is False)
-        for bad in (np.nan, np.inf):
-            mat = np.eye(3, dtype=complex)
-            mat[1, 2] = mat[2, 1] = bad
-            with pytest.raises(DomainError, match=r"\(1, 2\)"):
-                hermitian_eigendecomposition(mat)
+        values, _ = hermitian_eigendecomposition(mat)
+        assert np.allclose(sorted(values), [1.0, 1.0, 1.0, 2.0], atol=1e-10)
 
 
 class TestRegularizedGammaP:

@@ -58,6 +58,10 @@ class TestStateValidation:
         with pytest.raises(InvalidState, match="Hermitian"):
             DensityMatrix(mat)
 
+    def test_density_must_be_square(self):
+        with pytest.raises(InvalidState, match=r"^density matrix must be square, got shape \(2, 3\)$"):
+            DensityMatrix(np.zeros((2, 3)))
+
     def test_density_psd_enforced(self):
         with pytest.raises(InvalidState, match="positive semidefinite"):
             DensityMatrix(np.diag([1.2, -0.2]))
@@ -221,6 +225,12 @@ class TestChernoffQuantity:
         result = qcb_q(rho, rho)
         assert result.q == pytest.approx(1.0, abs=1e-10)
         assert result.exponent == pytest.approx(0.0, abs=1e-10)
+
+    def test_equal_matrices_give_exactly_one_without_search(self, rng):
+        # the spectra alone would round Q to just below 1
+        rho = random_density(rng, 2)
+        result = qcb_q(rho, DensityMatrix(rho.matrix.copy()))
+        assert (result.q, result.s_star, result.exponent, result.evaluations) == (1.0, 0.0, 0.0, 0)
 
     def test_sandwich_bounds_hold(self, rng):
         for _ in range(25):

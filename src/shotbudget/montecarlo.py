@@ -149,16 +149,16 @@ def simulate_swap_miss_rate(fid: float, n_shots: int, config: McConfig) -> McRes
     return _miss_rate(fid, Formula.SWAP_IDEAL, n_shots, config)
 
 
-def _multinomial_counts(seeds: np.ndarray, n_shots: int, probs: np.ndarray):
+def _multinomial_counts(seeds: np.ndarray, n_shots: int, probs: tuple[float, ...]):
     """Bin counts per trial seed, shape (trials, k), and the draws generated.
 
     Each bin conditions all trials at once, each from its own stream position.
     """
-    counts = np.empty((seeds.size, probs.size), dtype=np.int64)
+    counts = np.empty((seeds.size, len(probs)), dtype=np.int64)
     position = np.zeros(seeds.size, dtype=np.int64)
     remaining = np.full(seeds.size, n_shots, dtype=np.int64)
     tail, drawn = 1.0, 0
-    for i in range(probs.size - 1):
+    for i in range(len(probs) - 1):
         p_cond = 1.0 if tail <= probs[i] else probs[i] / tail
         counts[:, i], used = _count_below(seeds, p_cond, remaining, position)
         drawn += used
@@ -184,7 +184,7 @@ def simulate_chisq_power(p: Distribution, q: Distribution, n_shots: int, alpha: 
     check_range("alpha", alpha, 0, 1, "()")
     chi2_distance(p, q)  # raises DimensionMismatch or ZeroExpectedBin
     crit = chi2_quantile(1.0 - alpha, float(q.k - 1))
-    expected = n_shots * q.probs
+    expected = n_shots * np.asarray(q.probs)
     # trial blocks keep the (trials, k) count matrix within the tile cap
     block = max(1, _CHUNK_ELEMENTS // q.k)
     rejections = drawn = 0

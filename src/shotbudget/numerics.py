@@ -5,14 +5,15 @@ behind one unchecked entry point, the only function here that imports
 numpy (on its first call); states are checked once, where `states`
 builds them.  The scalar kernels are implemented here on the standard
 library alone: the regularized lower incomplete gamma function (series
-plus continued fraction), a golden-section minimizer, and a
+plus continued fraction), one modified-Lentz continued-fraction kernel for
+it and the binomial tails, a golden-section minimizer, and a
 bracket-doubling bisection solver for increasing functions.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import DomainError, InvalidBracket, NoBracket, NoConvergence
 from . import tolerances as tol
@@ -22,6 +23,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "hermitian_eigendecomposition",
+    "lentz_fraction",
     "regularized_gamma_p",
     "minimize_unimodal",
     "solve_increasing",
@@ -75,28 +77,41 @@ def regularized_gamma_p(a: float, x: float) -> float:
             if abs(term) < abs(total) * tol.GAMMA_RTOL:
                 return min(1.0, math.exp(log_prefactor) * total)
         raise NoConvergence(f"gamma series did not converge for a={a}, x={x}")
-    # Modified Lentz continued fraction for Q, then P = 1 - Q.
+    # Continued fraction for Q, then P = 1 - Q.
+    b0 = x + 1.0 - a
+
+    def terms():
+        b = b0
+        for i in range(1, tol.GAMMA_MAX_ITER + 1):
+            b += 2.0
+            yield -i * (i - a), b
+
+    q = math.exp(log_prefactor) * lentz_fraction(
+        b0, terms(), tol.GAMMA_RTOL, "gamma continued fraction for a=%s, x=%s", (a, x))
+    return max(0.0, 1.0 - q)
+
+
+def lentz_fraction(b0: float, terms: Iterable[tuple[float, float]], rtol: float, what: str, args=()) -> float:
+    """1 / (b0 + a1 / (b1 + a2 / (b2 + ...))) over the (a_i, b_i) pairs of terms, by the
+    modified Lentz method, to the first step that moves it by under rtol (relative).
+    NoConvergence, naming `what % args`, if the terms run out first."""
     tiny = 1e-300
-    b = x + 1.0 - a
     c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
+    d = 1.0 / b0 if b0 != 0.0 else c
     h = d
-    for i in range(1, tol.GAMMA_MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
+    for an, bn in terms:
+        d = an * d + bn
         if abs(d) < tiny:
             d = tiny
-        c = b + an / c
+        c = bn + an / c
         if abs(c) < tiny:
             c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol.GAMMA_RTOL:
-            q = math.exp(log_prefactor) * h
-            return max(0.0, 1.0 - q)
-    raise NoConvergence(f"gamma continued fraction did not converge for a={a}, x={x}")
+        if abs(delta - 1.0) < rtol:
+            return h
+    raise NoConvergence(f"{what % args} did not converge")
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -16,19 +16,20 @@ approximation (one-sided, no continuity correction, z values from
 `statistics.NormalDist().inv_cdf`, imported on the planner's first call);
 the decision applies the exact one-sample binomial test, the sharper tool
 once the baseline is known analytically, so the planner is conservative
-for the one-sample use.  One log-space loop sums the binomial CDF for
-`binomial_cdf`, the decision and its rejection threshold.
+for the one-sample use.  One incomplete-beta tail, whose cost grows with
+sqrt(n), serves `binomial_cdf`, the decision and its rejection threshold.
 
-Only `Distribution` imports numpy, when the first one is built; every
-planner and tail here runs on the standard library alone.
+Nothing here imports numpy: a Distribution is a tuple of floats, summed
+the way numpy sums float64, so w^2 keeps numpy's bits.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable, Sequence
 
 from .errors import (
     BaselineNotAboveTarget,
@@ -41,11 +42,8 @@ from .errors import (
     json_float,
     read_json,
 )
-from .numerics import regularized_gamma_p, solve_increasing
+from .numerics import lentz_fraction, regularized_gamma_p, solve_increasing
 from . import tolerances as tol
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Distribution",
@@ -69,45 +67,57 @@ __all__ = [
 ]
 
 
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """numpy's float64 sum, bit for bit: halves cut at multiples of 8 down to blocks of
+    at most 128, each summed in 8 interleaved accumulators and then the rest in order."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    whole, total = n - n % 8 if n >= 8 else 0, 0.0
+    if whole:
+        r = [functools.reduce(operator.add, values[j:whole:8]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return functools.reduce(operator.add, values[whole:], total)
+
+
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """Probability distribution over k >= 2 measurement bins.
 
     Entries must be finite, nonnegative and sum to 1 within 1e-8; the stored
-    vector is renormalized to sum to 1 exactly.
+    tuple of floats is renormalized to sum to 1 exactly.  The input must be
+    flat: float() raises TypeError on a nested (2-D) entry.
     """
 
-    probs: np.ndarray
+    probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        import numpy as np
-
-        probs = np.asarray(self.probs, dtype=np.float64).reshape(-1)
-        if probs.size < 2:
-            raise DomainError(f"a distribution needs at least 2 bins, got {probs.size}")
-        bad = np.flatnonzero(~np.isfinite(probs))
-        if bad.size:
-            raise DomainError(f"bin {bad[0]} probability is not finite: {float(probs[bad[0]])!r}")
-        if np.any(probs < 0.0):
-            raise DomainError(f"negative probability {float(probs.min())!r}")
-        total = float(probs.sum())
+        probs = tuple(map(float, self.probs))
+        if len(probs) < 2:
+            raise DomainError(f"a distribution needs at least 2 bins, got {len(probs)}")
+        for i, p in enumerate(probs):
+            if not math.isfinite(p):
+                raise DomainError(f"bin {i} probability is not finite: {p!r}")
+        if min(probs) < 0.0:
+            raise DomainError(f"negative probability {min(probs)!r}")
+        total = _pairwise_sum(probs)
         if abs(total - 1.0) > tol.DISTRIBUTION_SUM_ATOL:
             raise DomainError(f"probabilities sum to {total!r}, not 1 within {tol.DISTRIBUTION_SUM_ATOL:.1e}")
-        object.__setattr__(self, "probs", probs / total)
+        object.__setattr__(self, "probs", tuple(p / total for p in probs))
 
     @property
     def k(self) -> int:
-        return self.probs.size
+        return len(self.probs)
 
 
 def chi2_distance(p: Distribution, q: Distribution) -> float:
     """Chi-square discrepancy w^2 = sum (p_i - q_i)^2 / q_i against reference q."""
-    pa, qa = p.probs, q.probs
-    if pa.size != qa.size:
-        raise DimensionMismatch(f"bin count mismatch: {pa.size} vs {qa.size}")
-    if (qa == 0.0).any():
-        raise ZeroExpectedBin(f"reference bin {int(qa.argmin())} has zero probability")
-    return float(((pa - qa) ** 2 / qa).sum())
+    if p.k != q.k:
+        raise DimensionMismatch(f"bin count mismatch: {p.k} vs {q.k}")
+    if 0.0 in q.probs:
+        raise ZeroExpectedBin(f"reference bin {q.probs.index(0.0)} has zero probability")
+    return _pairwise_sum([(a - b) * (a - b) / b for a, b in zip(p.probs, q.probs)])
 
 
 def chi2_cdf(x: float, df: float) -> float:
@@ -243,16 +253,15 @@ def chisq_validity(n_shots: float, expected: Distribution) -> tuple[str, ...]:
     Advisory only: flags shot counts below 13 and bins whose expected
     count N q_i falls below 5.
     """
-    qa = expected.probs
     warnings: list[str] = []
     if n_shots < 13:
         warnings.append(f"only {n_shots:g} shots planned; chi-square approximation wants at least 13")
-    low = (n_shots * qa < 5.0).nonzero()[0]
-    if low.size:
-        shown = ", ".join(str(int(i)) for i in low[:8])
-        more = "" if low.size <= 8 else f" (+{low.size - 8} more)"
+    low = [i for i, q in enumerate(expected.probs) if n_shots * q < 5.0]
+    if low:
+        shown = ", ".join(map(str, low[:8]))
+        more = "" if len(low) <= 8 else f" (+{len(low) - 8} more)"
         warnings.append(
-            f"expected count below 5 in {low.size} of {qa.size} bins ({shown}{more}); "
+            f"expected count below 5 in {len(low)} of {expected.k} bins ({shown}{more}); "
             "merge bins or raise shots"
         )
     return tuple(warnings)
@@ -306,38 +315,58 @@ def two_proportion_shots(
     )
 
 
-def _binomial_log_cdf(n_shots: int, q: float, last: int, log_stop: float = math.inf) -> tuple[int, float]:
-    """Walk ln P[Bin(n_shots, q) <= i] for i = 0..last in log space, for 0 < q < 1.
+def _binomial_log_pmf(k: int, n: int, q: float, d: float) -> float:
+    """ln P[Bin(n, q) = k] in Loader's saddle-point form, from d = k - n q to full precision:
+    Stirling-series remainders of n!, k! and (n - k)!, and two deviance terms."""
+    if k == 0 or k == n:
+        return n * (math.log1p(-q) if k == 0 else math.log(q))
 
-    Returns (i, log_cdf) at the first i whose value exceeds log_stop, or
-    (last + 1, ln P[... <= last]) when none does.  The log-add of each
-    term is written out inline: a call per term costs ~10% at n = 1e6.
-    """
-    log_q, log_1mq = math.log(q), math.log1p(-q)
-    log, log1p, exp = math.log, math.log1p, math.exp
-    log_cdf = -math.inf
-    log_pmf = n_shots * log_1mq
-    for i in range(last + 1):
-        if i > 0:
-            log_pmf += log(n_shots - i + 1) - log(i) + log_q - log_1mq
-        if log_cdf >= log_pmf:
-            log_cdf += log1p(exp(log_pmf - log_cdf))
-        else:  # also the first term: log_pmf + log1p(0) is log_pmf exactly
-            log_cdf = log_pmf + log1p(exp(log_cdf - log_pmf))
-        if log_cdf > log_stop:
-            return i, log_cdf
-    return last + 1, log_cdf
+    def stirlerr(j: int) -> float:  # ln(j!) - ln(sqrt(2 pi j) (j/e)^j)
+        if j <= 15:
+            return math.lgamma(j + 1.0) - (j + 0.5) * math.log(j) + j - 0.5 * math.log(2.0 * math.pi)
+        jj = 1.0 / (j * j)
+        return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - jj / 1188) * jj) * jj) * jj) / j
+
+    def bd0(x: int, m: float, d: float) -> float:  # x ln(x/m) + m - x, from d = x - m
+        if abs(d) >= 0.1 * (x + m):
+            return x * math.log(x / m) - d
+        v = d / (x + m)  # |v| < 1/19: the series d v + 2 x sum v^j / j over odd j >= 3 is done by v^17
+        u = v * v
+        return d * v + 2.0 * x * v * u * (1 / 3 + u * (1 / 5 + u * (1 / 7 + u * (1 / 9 + u * (
+            1 / 11 + u * (1 / 13 + u * (1 / 15 + u / 17)))))))
+
+    return (stirlerr(n) - stirlerr(k) - stirlerr(n - k) - bd0(k, n * q, d) - bd0(n - k, n * (1.0 - q), -d)
+            - 0.5 * math.log(2.0 * math.pi * k * (n - k) / n))
 
 
 def binomial_cdf(count: int, n_shots: int, q: float) -> float:
-    """P[Bin(n_shots, q) <= count], summed in log space so q near 1 does not underflow."""
+    """P[Bin(n_shots, q) <= count] = I_(1-q)(n_shots - count, count + 1), to ~1e-13 relative.
+
+    I_x(a, b) = x^a y^b r / B(a, b) on the side where lam = (a + b) y - b >= 0, else
+    1 - I_y(b, a), with r from BFRAC (Didonato and Morris, ACM TOMS 18, 1992) and
+    x^a y^b / B(a, b) = a y P[Bin = k].  lam and k - n q, where the cancellation lies,
+    are exact.  The cost grows with sqrt(n_shots), not n_shots."""
     check_range("shot count", n_shots, 1)
     if not 0 <= count <= n_shots:
         raise DomainError(f"observed count {count} outside [0, {n_shots}]")
     check_range("success probability", q, 0, 1, "(]")
-    if q == 1.0:
-        return 1.0 if count == n_shots else 0.0
-    return min(1.0, math.exp(_binomial_log_cdf(n_shots, q, count)[1]))
+    if count == n_shots or q == 1.0:
+        return float(count == n_shots)
+    n, count, (num, den) = int(n_shots), int(count), float(q).as_integer_ratio()  # exact ints, not numpy's
+    lam = ((n + 1) * num - (count + 1) * den) / den  # (n + 1) q - (count + 1)
+    k, a, b, x = (count, n - count, count + 1, 1.0 - q) if lam >= 0.0 else (count + 1, count + 1, n - count, q)
+    y, c, c0, c1 = 1.0 - x, abs(lam) + 1.0, b / a, 1.0 + 1.0 / a
+
+    def terms():
+        p, s = 1.0, a + 1.0
+        for i in range(1, tol.GAMMA_MAX_ITER + math.isqrt(n)):  # ~4,300 terms at the mean of Bin(1e9, 1/2)
+            t, w, e = i / a, i * (b - i) * x, a / s
+            yield p * (p + c0) * e * e * (w * x), i + w / s + (t + 1.0) / (c1 + t + t) * (c + i * (y + 1.0))
+            p, s = t + 1.0, s + 2.0
+
+    r = lentz_fraction(c / c1, terms(), tol.BETA_RTOL, "binomial tail at count=%s, n=%s, q=%s", (count, n, q))
+    side = a * y * math.exp(_binomial_log_pmf(k, n, q, (k * den - n * num) / den)) * r
+    return side if k == count else 1.0 - side
 
 
 def binomial_decision(zero_count: int, n_shots: int, q0: float, alpha: float) -> tuple[bool, float]:
@@ -351,21 +380,32 @@ def binomial_decision(zero_count: int, n_shots: int, q0: float, alpha: float) ->
     return p_value <= alpha, p_value
 
 
-@functools.lru_cache(maxsize=1)
 def binomial_rejection_threshold(n_shots: int, q0: float, alpha: float) -> int:
     """Largest observed count still rejected by binomial_decision, or -1.
 
     The decision rule is monotone in the observed count, so a single
     threshold characterizes it; simulation code uses this to classify
-    many trials without recomputing tail sums.  The last one is kept for
-    `validate`, which predicts the rate its simulator just measured.
+    many trials without recomputing tail sums.  Bisection keeps P[... <= lo]
+    <= alpha < P[... <= hi], for alpha < 1/2 from the normal approximation's
+    bracket: sqrt(2 ln(1/alpha)) sd below the mean, or -1 if that misses.
     """
     check_range("shot count", n_shots, 1)
     check_range("baseline q0", q0, 0, 1, "(]")
     check_range("alpha", alpha, 0, 1, "()")
     if q0 == 1.0:
         return n_shots - 1
-    return _binomial_log_cdf(n_shots, q0, n_shots, math.log(alpha))[0] - 1
+
+    def rejected(k: int) -> bool:  # P[Bin(n_shots, q0) <= k] <= alpha, for -1 <= k < n_shots
+        return k < 0 or binomial_cdf(k, n_shots, q0) <= alpha
+
+    lo, hi, mean = -1, n_shots, n_shots * q0  # P[... <= -1] = 0 <= alpha < 1 = P[... <= n_shots]
+    if alpha < 0.5:  # a median lies within 1 of the mean, so P[... <= hi] >= 1/2 > alpha
+        lo = max(lo, math.floor(mean - math.sqrt(-2.0 * math.log(alpha) * mean * (1.0 - q0)) - 1.0))
+        lo, hi = lo if rejected(lo) else -1, min(hi, math.ceil(mean) + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if rejected(mid) else (lo, mid)
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +416,11 @@ def parse_distribution(obj) -> Distribution:
     """Build a Distribution from its JSON array form."""
     if not isinstance(obj, list):
         raise DomainError(f"distribution document must be a JSON array, got {type(obj).__name__}")
-    return Distribution(probs=[json_float("bin %d probability", x, args=(i,)) for i, x in enumerate(obj)])
+    probs = [json_float("bin %d probability", x, args=(i,)) for i, x in enumerate(obj)]
+    for i, p in enumerate(probs):  # named as the file gives it, as parse_state does
+        if not math.isfinite(p):
+            raise DomainError(f"bin {i} probability is not finite: {obj[i]!r}")
+    return Distribution(probs=probs)
 
 
 def load_distribution(path: str) -> Distribution:

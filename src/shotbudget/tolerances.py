@@ -18,6 +18,9 @@ NORM_ATOL = 1e-10
 GAMMA_RTOL = 1e-12
 GAMMA_MAX_ITER = 10_000
 
+# Incomplete beta (binomial tails): relative accuracy of its continued fraction.
+BETA_RTOL = 1e-15
+
 # Golden-section interval tolerance for the Chernoff exponent search.
 QCB_S_TOL = 1e-10
 

@@ -1,5 +1,9 @@
 """Shared builders for random test states, the grid oracle for Chernoff Q,
-and the scalar splitmix64 reference for the vectorized streams in `rng`."""
+the scalar splitmix64 reference for the vectorized streams in `rng`, and
+the O(n) log-space binomial tail the package used before its incomplete
+beta route."""
+
+import math
 
 import numpy as np
 import pytest
@@ -81,3 +85,42 @@ def mix64(z: int) -> int:
 def stream_output(seed: int, index: int) -> int:
     """Output `index` (0-based) of the splitmix64 stream over `seed`."""
     return mix64((seed + (index + 1) * GAMMA) & MASK64)
+
+
+def binomial_log_cdf_walk(n_shots: int, q: float, last: int, log_stop: float = math.inf) -> tuple[int, float]:
+    """Walk ln P[Bin(n_shots, q) <= i] for i = 0..last in log space, for 0 < q < 1.
+
+    Returns (i, log_cdf) at the first i whose value exceeds log_stop, or
+    (last + 1, ln P[... <= last]) when none does.  Each term comes from the
+    last by the pmf ratio and is log-added, so the relative error grows
+    with n: 2.4e-12 at n = 1e3, 3.3e-9 at 1e5 and 2.6e-7 at 1e6 against
+    scipy.stats.binom.cdf.
+    """
+    log_q, log_1mq = math.log(q), math.log1p(-q)
+    log, log1p, exp = math.log, math.log1p, math.exp
+    log_cdf = -math.inf
+    log_pmf = n_shots * log_1mq
+    for i in range(last + 1):
+        if i > 0:
+            log_pmf += log(n_shots - i + 1) - log(i) + log_q - log_1mq
+        if log_cdf >= log_pmf:
+            log_cdf += log1p(exp(log_pmf - log_cdf))
+        else:  # also the first term: log_pmf + log1p(0) is log_pmf exactly
+            log_cdf = log_pmf + log1p(exp(log_cdf - log_pmf))
+        if log_cdf > log_stop:
+            return i, log_cdf
+    return last + 1, log_cdf
+
+
+def walk_binomial_cdf(count: int, n_shots: int, q: float) -> float:
+    """P[Bin(n_shots, q) <= count] by the walk, with the package's q = 1 convention."""
+    if q == 1.0:
+        return 1.0 if count == n_shots else 0.0
+    return min(1.0, math.exp(binomial_log_cdf_walk(n_shots, q, count)[1]))
+
+
+def walk_rejection_threshold(n_shots: int, q0: float, alpha: float) -> int:
+    """Largest count whose walked CDF is at most alpha, or -1."""
+    if q0 == 1.0:
+        return n_shots - 1
+    return binomial_log_cdf_walk(n_shots, q0, n_shots, math.log(alpha))[0] - 1

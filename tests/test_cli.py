@@ -445,17 +445,20 @@ class TestValidate:
     def test_missing_scenario_arguments(self):
         assert cli.main(["validate", "--scenario", "inverse"]) == 2
 
-    def test_binomial_op_sums_two_tails(self, monkeypatch, capsys):
-        # one O(n) walk for the rejection threshold, which simulator and
-        # prediction share, and one for the predicted rate at q1
-        walks = []
-        walk = sp._binomial_log_cdf
-        monkeypatch.setattr(sp, "_binomial_log_cdf", lambda *args: walks.append(args) or walk(*args))
-        sp.binomial_rejection_threshold.cache_clear()
+    def test_binomial_op_predicts_at_the_simulators_threshold(self, monkeypatch, capsys):
+        # simulator and prediction each find the rejection threshold, a bracketed
+        # search over tails at q0, and must find the same one; the prediction
+        # then takes one tail at q1
+        thresholds, tails = [], []
+        threshold, cdf = sp.binomial_rejection_threshold, sp.binomial_cdf
+        for module in (sp, mc):
+            monkeypatch.setattr(module, "binomial_rejection_threshold",
+                                lambda *args: thresholds.append(threshold(*args)) or thresholds[-1])
+        monkeypatch.setattr(sp, "binomial_cdf", lambda *args: tails.append(args) or cdf(*args))
         code = cli.main(["validate", "--scenario", "binomial", "--q0", "0.99", "--q1", "0.985",
                          "--shots", "100000", "--trials", "20"])
-        assert (code, len(walks)) == (0, 2)
-        assert [args[1] for args in walks] == [0.99, 0.985]
+        assert (code, thresholds) == (0, [threshold(100000, 0.99, 0.05)] * 2)
+        assert [args for args in tails if args[2] != 0.99] == [(thresholds[0], 100000, 0.985)]
         assert "PASS" in capsys.readouterr().out
 
     def test_binomial_bad_shots_has_one_message(self, capsys):
@@ -597,7 +600,8 @@ def _state(n="1", data="[[1, 0], [0, 0]]", kind="pure"):
 @pytest.mark.parametrize(
     "command, text, message",
     [
-        ("chisq", f"[{_HUGE}, 0]", "bin 0 probability is not finite: inf"),
+        ("chisq", f"[{_HUGE}, 0]", f"bin 0 probability is not finite: {_HUGE}"),
+        ("chisq", "[0.5, -1e999]", "bin 1 probability is not finite: -inf"),
         ("chisq", "[true, false]", "bin 0 probability: expected a number, got True"),
         ("chisq", '[0.5, "0.5"]', "bin 1 probability: expected a number, got '0.5'"),
         ("qcb", _state(data=f"[[1, 0], [0, {_HUGE}]]"), f'state "data"[1] is not finite: [0, {_HUGE}]'),
@@ -613,7 +617,7 @@ def _state(n="1", data="[[1, 0], [0, 0]]", kind="pure"):
         ("budget", _SPEC.replace("1e-07", "true"), "/hardware/r1: expected a number, got True"),
         ("budget", _SPEC.replace("0.05", '"0.05"'), "/p_e: expected a number, got '0.05'"),
     ],
-    ids=["bin_huge_int", "bin_bool", "bin_string", "data_huge_int", "data_bool", "data_string",
+    ids=["bin_huge_int", "bin_float_overflow", "bin_bool", "bin_string", "data_huge_int", "data_bool", "data_string",
          "n_bool", "n_zero", "data_not_list", "malformed_pair", "density_size",
          "spec_huge_int", "spec_bool", "spec_string"],
 )

@@ -7,7 +7,12 @@ dispatched to them one by one, before one formula table replaced them;
 the validate cases before its flag checks were reworked; the chisq and
 noise plan cases and every stderr line before the planning commands
 shared one result path.  A change to these paths must reproduce them
-byte for byte.  The digests are sha256 of the UTF-8 stdout; state and
+byte for byte.  The --json forms of decide_1e3, decide_1e5 and
+validate_binomial were recorded again when the binomial tail moved from
+an O(n) log-space walk to the incomplete beta function: their p-value
+and expected rate moved in the last digits, to within 3e-15 of
+scipy.stats.binom.cdf (the walk was 1.4e-13 to 2.8e-10 off).  The
+digests are sha256 of the UTF-8 stdout; state and
 distribution files are written here, so no fixture is committed.
 """
 
@@ -87,9 +92,9 @@ GOLDEN = {
     ('curve_test_comparison', False): (0, "71388edd0853b07ba8901ecd34c6afa64aa251236c2d00730ffd9c0465a3694d"),
     ('curve_trace_vs_shots', False): (0, "42bbc72a6274130641cc4eabcf7e95158ee5c57435a457aba7873a90d7593fdb"),
     ('decide_1e3', False): (0, "4e4f5b56d4aecfa2b45621d3a2b252e623f34ec3f98d27804f834abbce3b5c56"),
-    ('decide_1e3', True): (0, "f154dac4e3e3063c8ab3ad0d6b32949e64242a869e1db0a23531551fc1cea535"),
+    ('decide_1e3', True): (0, "1ae33e53119872f6d537ca01878cef041ebaec3720c79799be3938c6f6f290f5"),
     ('decide_1e5', False): (0, "3d8ab956ab2d7109e97c1a529eb608d1621d76af713b4c9772d2bfbb75285713"),
-    ('decide_1e5', True): (0, "fdaff940cee0edff88fb3847e451599ea51b958cdd3b2bc3939150f551eb935c"),
+    ('decide_1e5', True): (0, "8659a9630a658d6eb5b17f7a4b8e206f0061ae6803f6a53b8eb86ab0006bad38"),
     ('qcb_identical', False): (3, "1776234f4d4cba380f8bef8a63fba97a53bdf7c499409dc89b527e8756e24bd8"),
     ('qcb_identical', True): (3, "cefcc3a8fcf5be50b2c8b41f437a8b4797c69b887373bf52f47877adce97bb30"),
     ('qcb_orthogonal', False): (0, "ecd675b9f89ce108f1f0895e9b4d217bbeb7edebdcaf9539897fe43a172b20e0"),
@@ -131,7 +136,7 @@ GOLDEN = {
     ('shots_trace_regime', False): (0, "b76905776b96602cf5c3cd068c957a6a7859eb073f121a5e6484dba768198935"),
     ('shots_trace_regime', True): (0, "4223b42fa5dd061190db7276acee2d66c127382e145a8b0d6025cdabd1c293a4"),
     ('validate_binomial', False): (0, "7a30e75ba7bab8e442514a10750c2de98c5abf60980d3e80164fe3215e26ef3c"),
-    ('validate_binomial', True): (0, "220e420c6fb39da290f0eda5ab68f666718456cb1338182336b0bf8e0b1b6e36"),
+    ('validate_binomial', True): (0, "c57d8d4a9f36151681c635898e67421294978b4c85cc309ba4cc2e428f95f467"),
     ('validate_binomial_no_reject', False): (0, "2d77bd89811d98d29e4d0e2db46cce03bdc16b0c604be1314087162172118dc3"),
     ('validate_binomial_no_reject', True): (0, "dc6665a7186d10209a67f5330c74cb8c11afbfa62b55a3787a4533fd1e872457"),
     ('validate_chisq_alt', False): (0, "62b2e832f1f3f8d02e3bcf1e0a598f6886e98362a1308395790fd23cc3c3c6d1"),

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from shotbudget.budget import BlockSpec, HardwareRates, allocate
+from shotbudget.cli import _SHOT_TESTS
 from shotbudget.errors import DegenerateStates
-from shotbudget.shot_estimators import FORMULAS, Formula, estimate
+from shotbudget.shot_estimators import FORMULAS, Formula, ShotBounds, estimate
 from shotbudget.stat_power import (
     binomial_rejection_threshold,
     lambda_noncentral,
@@ -62,6 +63,25 @@ class TestSwapCostsTwiceTheInverse:
     @given(fid=st.floats(min_value=0.5, max_value=1.0 - 1e-6), p_e=error_probs)
     def test_ratio_tends_to_two_as_fidelity_nears_one(self, fid, p_e):
         assert 2.0 <= _ratio(fid, p_e) <= 2.0 + (1.0 - fid)
+
+
+# the (lower, upper) row pairs that `shots` prices for each bracketed test
+BRACKETS = [rows for rows in _SHOT_TESTS.values() if len(rows) == 2]
+
+
+@pytest.mark.parametrize("lower, upper", BRACKETS, ids=lambda f: f.value)
+class TestBracketsAreOrdered:
+    # each pair brackets the per-shot Q from below and above (1 - sqrt(1 - F)
+    # <= Q <= sqrt(F), 1 - T <= Q <= 1 - T^2 and its mixed analogue), and a
+    # smaller Q takes fewer shots, so the lower row never prices above the upper
+    @PROPERTY
+    @given(x=unit, p_e=error_probs)
+    def test_lower_never_exceeds_upper(self, lower, upper, x, p_e):
+        low, high = _raw(lower, x, p_e), _raw(upper, x, p_e)
+        assert low <= high, (low, high)
+        if high < math.inf:  # both rows priced: the bracket itself accepts them
+            bounds = ShotBounds(estimate(lower, x, p_e), estimate(upper, x, p_e))
+            assert bounds.lower.raw <= bounds.upper.raw
 
 
 # A few ulps of slack: ln(Q) and the divisions each round once.

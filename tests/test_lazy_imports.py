@@ -22,22 +22,31 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     [str(pathlib.Path(shotbudget.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
 
-# spec files for the budget commands, written to the working directory
-BUDGET_SPECS = {
+# spec and distribution files for the budget and chisq commands, written to the working directory
+INPUT_FILES = {
     "gate_weighted.json": SPECS["gate_weighted"],
     "sub_resolution.json": SPECS["sub_resolution"],
     "bad.json": {**SPECS["gate_weighted"], "fidelity_target": 2},
+    "skew.json": [0.4, 0.2, 0.2, 0.2],
+    "flat.json": [0.25, 0.25, 0.25, 0.25],
+    "p3.json": [0.3, 0.3, 0.4],
+    "q3.json": [0.01, 0.01, 0.98],
+    "q3_zero.json": [0.0, 0.02, 0.98],
 }
 
-# the commands that run only math code; a strict infeasible budget and two bad inputs last
+# the commands that run only math code; a strict infeasible budget and three bad inputs last
 NUMPY_FREE = [
     ["shots", "--fidelity", "0.99"],
     ["shots", "--fidelity", "0.9", "--test", "mixed", "--regime-factor", "2", "--json"],
     ["shots", "--trace-distance", "0.1"],
     ["noise", "plan", "--q0", "0.99", "--q1", "0.95"],
     ["noise", "decide", "--q0", "0.99", "--zeros", "980", "--shots", "1000", "--json"],
+    ["noise", "decide", "--q0", "0.99", "--zeros", "989800", "--shots", "1000000", "--json"],
     ["chisq", "--w2", "0.01"],
     ["chisq", "--fidelity", "0.99", "--case", "attaining", "--json"],
+    ["chisq", "--p", "skew.json", "--q", "flat.json"],
+    ["chisq", "--p", "skew.json", "--q", "flat.json", "--json"],
+    ["chisq", "--p", "p3.json", "--q", "q3.json"],  # both validity warnings
     ["curve", "fid_vs_shots", "--points", "5"],
     ["curve", "test_comparison", "--points", "5"],
     ["curve", "noise_binomial", "--points", "5"],
@@ -46,6 +55,7 @@ NUMPY_FREE = [
     ["budget", "--spec", "sub_resolution.json", "--strict"],
     ["shots", "--fidelity", "2"],
     ["budget", "--spec", "bad.json"],
+    ["chisq", "--p", "p3.json", "--q", "q3_zero.json"],  # a zero reference bin
 ]
 
 _BLOCKED_RUN = """
@@ -69,8 +79,8 @@ def _python(*args, cwd=None) -> subprocess.CompletedProcess:
 
 
 def test_planning_commands_print_the_same_without_numpy(tmp_path, monkeypatch, capsys):
-    for name, spec in BUDGET_SPECS.items():
-        (tmp_path / name).write_text(json.dumps(spec), encoding="utf-8")
+    for name, doc in INPUT_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     blocked = json.loads(_python("-c", _BLOCKED_RUN, json.dumps(NUMPY_FREE), cwd=tmp_path).stdout)
     unblocked = []
@@ -78,7 +88,7 @@ def test_planning_commands_print_the_same_without_numpy(tmp_path, monkeypatch, c
         code = cli.main(argv)
         unblocked.append([code, capsys.readouterr().out])
     assert blocked == unblocked
-    assert [code for code, _ in blocked] == [0] * (len(NUMPY_FREE) - 3) + [1, 2, 2]
+    assert [code for code, _ in blocked] == [0] * (len(NUMPY_FREE) - 4) + [1, 2, 2, 2]
 
 
 def test_importing_the_package_loads_no_numpy():

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import timeit
 
 import numpy as np
 import pytest
@@ -29,12 +30,55 @@ from shotbudget.errors import (
     ZeroExpectedBin,
 )
 from shotbudget.stat_power import (
+    _pairwise_sum,
     chi2_cdf,
     chi2_quantile,
     noncentral_chi2_cdf,
 )
 
+from conftest import walk_binomial_cdf, walk_rejection_threshold
+
 HALF = Distribution(np.array([0.5, 0.5]))
+SDS = (0, 1, 3, 6)
+
+
+def _grid(n):
+    """(q, count) at the mean and 1, 3 and 6 sd either side of it, counts in [0, n]."""
+    for q in (0.5, 0.9, 0.99, 0.999):
+        mean, sd = n * q, math.sqrt(n * q * (1.0 - q))
+        for count in sorted({round(mean + sign * z * sd) for z in SDS for sign in (-1, 1)}):
+            if 0 <= count <= n:
+                yield q, count
+
+
+def _mp_binomial_cdf(mpmath, count, n, q):
+    """P[Bin(n, q) <= count] as the exact point probability times the continued fraction
+    of Numerical Recipes (6.4) for I_x(a, b), on the side where it converges."""
+    if count == n:
+        return mpmath.mpf(1)
+    q = mpmath.mpf(q)
+
+    def point(k):
+        return mpmath.binomial(n, k) * q**k * (1 - q) ** (n - k)
+
+    def fraction(a, b, x):  # 1 / (1 + d1 / (1 + d2 / ...)), by Lentz at working precision
+        def term(i):
+            m = i // 2
+            return (m * (b - m) if i % 2 == 0 else -(a + m) * (a + b + m)) * x / ((a + i - 1) * (a + i))
+
+        c, d = mpmath.mpf(1), 1 / (1 + term(1))
+        h = d
+        for i in range(2, 10**6):
+            an = term(i)
+            d, c = 1 / (1 + an * d), 1 + an / c
+            h *= d * c
+            if abs(d * c - 1) < mpmath.mpf(10) ** (5 - mpmath.mp.dps):
+                return h
+        raise AssertionError("reference fraction did not converge")
+
+    if (1 - q) * (n + 3) < n - count + 1:
+        return q * point(count) * fraction(n - count, count + 1, 1 - q)
+    return 1 - (1 - q) * point(count + 1) * fraction(count + 1, n - count, q)
 SKEW = Distribution(np.array([0.25, 0.75]))
 
 
@@ -73,7 +117,7 @@ class TestDistances:
             q = p + delta
             pd, qd = Distribution(p), Distribution(q)
             w2 = chi2_distance(pd, qd)
-            h2 = 1.0 - float(np.sum(np.sqrt(pd.probs * qd.probs)))
+            h2 = 1.0 - float(np.sum(np.sqrt(np.asarray(pd.probs) * np.asarray(qd.probs))))
             assert w2 == pytest.approx(8.0 * h2, rel=1e-3)
 
 
@@ -231,11 +275,11 @@ class TestBinomialPlanning:
     def test_decision_matches_scipy_binom(self):
         for n, q0, x in ((50, 0.97, 44), (200, 0.999, 199), (30, 0.6, 12)):
             _, p = binomial_decision(x, n, q0, 0.05)
-            assert p == pytest.approx(scipy.stats.binom.cdf(x, n, q0), rel=1e-9)
+            assert p == pytest.approx(scipy.stats.binom.cdf(x, n, q0), rel=1e-11)
 
     def test_cdf_matches_scipy_and_the_decision(self):
         for n, q, k in ((50, 0.97, 44), (300, 0.95, 281), (1, 0.5, 0), (10, 0.9, 10)):
-            assert binomial_cdf(k, n, q) == pytest.approx(scipy.stats.binom.cdf(k, n, q), rel=1e-9)
+            assert binomial_cdf(k, n, q) == pytest.approx(scipy.stats.binom.cdf(k, n, q), rel=1e-11)
             assert binomial_cdf(k, n, q) == binomial_decision(k, n, q, 0.05)[1]
         assert binomial_cdf(9, 10, 1.0) == 0.0
         assert binomial_cdf(10, 10, 1.0) == 1.0
@@ -252,21 +296,52 @@ class TestBinomialPlanning:
                 assert not binomial_decision(threshold + 1, n, q0, alpha)[0]
 
     def test_tail_bits_are_pinned(self):
-        # recorded from the two separate log-space loops; thresholds and
-        # p-values (at the thresholds, their neighbours and a few fixed
-        # counts) must keep every bit
+        # recorded from the package's two log-space loops, now the walk oracle in
+        # conftest: its thresholds and p-values (at the thresholds, their
+        # neighbours and a few fixed counts) keep every bit, and the package
+        # finds the same thresholds
         h = hashlib.sha256()
         for n in (1, 7, 100, 1000, 100_000):
             for q0 in (0.5, 0.9, 0.999, 1.0):
                 counts = {0, n // 2, n - 1, n}
                 for alpha in (0.01, 0.05, 0.3):
-                    threshold = binomial_rejection_threshold(n, q0, alpha)
+                    threshold = walk_rejection_threshold(n, q0, alpha)
+                    assert binomial_rejection_threshold(n, q0, alpha) == threshold, (n, q0, alpha)
                     h.update(f"{n} {q0} {alpha} {threshold}\n".encode())
                     counts |= {threshold, threshold + 1}
                 for count in sorted(c for c in counts if 0 <= c <= n):
-                    reject, p = binomial_decision(count, n, q0, 0.05)
-                    h.update(f"{n} {q0} {count} {reject} {p.hex()}\n".encode())
+                    p = walk_binomial_cdf(count, n, q0)
+                    h.update(f"{n} {q0} {count} {p <= 0.05} {p.hex()}\n".encode())
         assert h.hexdigest() == "d120a7778e04a55324593cfcb7161fd095d1eba43108f2ada2f89ca99dc0ea2e"
+
+    @pytest.mark.parametrize("n", [10, 1_000, 100_000, 1_000_000, 10_000_000])
+    def test_cdf_matches_scipy_around_the_mean(self, n):
+        for q, count in _grid(n):
+            expected = scipy.stats.binom.cdf(count, n, q)
+            if expected >= 1e-300:
+                assert binomial_cdf(count, n, q) == pytest.approx(expected, rel=1e-11), (q, count)
+
+    def test_cdf_matches_40_digits_at_a_billion_shots(self):
+        # scipy's own error here reaches 1.9e-11 (q = 0.9, mean - 6 sd), so the
+        # reference is the textbook continued fraction summed at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        n = 10**9
+        with mpmath.workdps(40):
+            for q, count in _grid(n):
+                assert binomial_cdf(count, n, q) == pytest.approx(
+                    float(_mp_binomial_cdf(mpmath, count, n, q)), rel=1e-11), (q, count)
+
+    @pytest.mark.parametrize("n", [10, 300, 1_000, 100_000, 1_000_000, 10_000_000])
+    def test_threshold_is_scipys_largest_rejected_count(self, n):
+        for q0 in (0.5, 0.9, 0.99, 0.999):
+            for alpha in (1e-9, 0.001, 0.01, 0.05, 0.3, 0.7):
+                k = int(scipy.stats.binom.ppf(alpha, n, q0))  # smallest k with cdf(k) >= alpha
+                expected = k if scipy.stats.binom.cdf(k, n, q0) <= alpha else k - 1
+                assert binomial_rejection_threshold(n, q0, alpha) == expected, (q0, alpha)
+
+    def test_threshold_at_a_million_shots_takes_under_a_millisecond(self):
+        best = min(timeit.repeat(lambda: binomial_rejection_threshold(10**6, 0.99, 0.01), number=1, repeat=7))
+        assert best < 1e-3, best
 
     def test_threshold_perfect_baseline(self):
         # q0 = 1: any miss at all is proof of degradation
@@ -278,6 +353,19 @@ class TestBinomialPlanning:
 
 
 class TestDistributionContainer:
+    def test_pairwise_sum_is_numpys_sum(self):
+        # numpy is the oracle: a numpy that sums float64 another way fails here
+        rng = np.random.default_rng(20261018)
+        for _ in range(3000):
+            n = int(rng.integers(2, 10_001))
+            values = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+            assert _pairwise_sum(values.tolist()).hex() == float(np.sum(values)).hex(), n
+
+    def test_flattens_nothing(self):
+        with pytest.raises(TypeError):
+            Distribution(np.array([[0.5, 0.5], [0.25, 0.75]]))
+
+
     def test_renormalizes_within_slack(self):
         d = Distribution(np.array([0.5, 0.5 + 1e-9]))
         assert float(np.sum(d.probs)) == pytest.approx(1.0, abs=1e-15)

@@ -16,8 +16,8 @@ approximation (one-sided, no continuity correction, z values from
 `statistics.NormalDist().inv_cdf`, imported on the planner's first call);
 the decision applies the exact one-sample binomial test, the sharper tool
 once the baseline is known analytically, so the planner is conservative
-for the one-sample use.  One incomplete-beta tail, whose cost grows with
-sqrt(n), serves `binomial_cdf`, the decision and its rejection threshold.
+for the one-sample use.  One incomplete-beta tail, whose cost grows far
+slower than n, serves `binomial_cdf`, the decision and its rejection threshold.
 
 Nothing here imports numpy: a Distribution is a tuple of floats, summed
 the way numpy sums float64, so w^2 keeps numpy's bits.
@@ -345,7 +345,7 @@ def binomial_cdf(count: int, n_shots: int, q: float) -> float:
     I_x(a, b) = x^a y^b r / B(a, b) on the side where lam = (a + b) y - b >= 0, else
     1 - I_y(b, a), with r from BFRAC (Didonato and Morris, ACM TOMS 18, 1992) and
     x^a y^b / B(a, b) = a y P[Bin = k].  lam and k - n q, where the cancellation lies,
-    are exact.  The cost grows with sqrt(n_shots), not n_shots."""
+    are exact.  The cost grows about as n_shots^(1/3) at the mean and falls away from it."""
     check_range("shot count", n_shots, 1)
     if not 0 <= count <= n_shots:
         raise DomainError(f"observed count {count} outside [0, {n_shots}]")

@@ -617,8 +617,8 @@ def _state(n="1", data="[[1, 0], [0, 0]]", kind="pure"):
         ("budget", _SPEC.replace("1e-07", "true"), "/hardware/r1: expected a number, got True"),
         ("budget", _SPEC.replace("0.05", '"0.05"'), "/p_e: expected a number, got '0.05'"),
     ],
-    ids=["bin_huge_int", "bin_float_overflow", "bin_bool", "bin_string", "data_huge_int", "data_bool", "data_string",
-         "n_bool", "n_zero", "data_not_list", "malformed_pair", "density_size",
+    ids=["bin_huge_int", "bin_float_overflow", "bin_bool", "bin_string", "data_huge_int", "data_bool",
+         "data_string", "n_bool", "n_zero", "data_not_list", "malformed_pair", "density_size",
          "spec_huge_int", "spec_bool", "spec_string"],
 )
 def test_bad_input_files_exit_2_with_one_error_line(command, text, message, tmp_path, capsys):

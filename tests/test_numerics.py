@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.special
 
-from shotbudget.errors import DomainError, InvalidBracket, NoBracket
+from shotbudget.errors import DomainError, InvalidBracket, NoBracket, NoConvergence
 from shotbudget.numerics import (
     hermitian_eigendecomposition,
+    lentz_fraction,
     minimize_unimodal,
     regularized_gamma_p,
     solve_increasing,
@@ -71,6 +72,17 @@ class TestRegularizedGammaP:
             regularized_gamma_p(0.0, 1.0)
         with pytest.raises(DomainError):
             regularized_gamma_p(1.0, -0.1)
+
+
+class TestLentzFraction:
+    def test_golden_ratio(self):
+        # 1 / (1 + 1 / (1 + ...)) = 1 / phi
+        ones = ((1.0, 1.0) for _ in range(100))
+        assert lentz_fraction(1.0, ones, 1e-15, "ones") == pytest.approx((5**0.5 - 1) / 2, rel=1e-15)
+
+    def test_running_out_of_terms_names_the_fraction(self):
+        with pytest.raises(NoConvergence, match=r"^ones at 3 did not converge$"):
+            lentz_fraction(1.0, [(1.0, 1.0)] * 3, 1e-15, "ones at %s", (3,))
 
 
 class TestMinimizeUnimodal:

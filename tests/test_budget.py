@@ -229,6 +229,48 @@ class TestProgramSpecParsing:
         assert spec.hardware.r2 == 1e-10
 
 
+_BIG = "1" + "0" * 400  # an integer beyond float range
+
+
+def _bad_numbers(key: str, low: str | None) -> list[tuple[str, str, str]]:
+    # (id, JSON literal, message) for each kind of bad number in one block field
+    need = "finite" if low is None else f"finite and >= {low}"
+    rows = [
+        ("string", '"x"', f"/blocks/1/{key}: expected a number, got 'x'"),
+        ("bool", "true", f"/blocks/1/{key}: expected a number, got True"),
+        ("null", "null", f"/blocks/1/{key}: expected a number, got None"),
+        ("1e999", "1e999", f"/blocks/1/{key} must be {need}, got inf"),
+        ("minus_infinity", "-Infinity", f"/blocks/1/{key} must be {need}, got -inf"),
+        ("nan", "NaN", f"/blocks/1/{key} must be {need}, got nan"),
+        ("int_beyond_float", _BIG, f"/blocks/1/{key} must be {need}, got {_BIG}"),
+    ]
+    return rows + ([] if low is None else [("negative", "-1", f"/blocks/1/{key} must be {need}, got -1")])
+
+
+# (id, JSON text of /blocks/1 onward, message): the first fault in document order
+MALFORMED_BLOCKS = [
+    ("not_an_object", "5", "/blocks/1: expected an object"),
+    ("list_entry", "[]", "/blocks/1: expected an object"),
+    ("empty_name", '{"name": ""}', "/blocks/1/name: expected a nonempty string, got ''"),
+    ("int_name", '{"name": 7}', "/blocks/1/name: expected a nonempty string, got 7"),
+    ("no_name", '{"g1": 1}', "/blocks/1/name: expected a nonempty string, got None"),
+    ("bool_multiplicity", '{"name": "B", "multiplicity": true}',
+     "/blocks/1/multiplicity: expected an integer, got True"),
+    ("float_multiplicity", '{"name": "B", "multiplicity": 2.0}',
+     "/blocks/1/multiplicity: expected an integer, got 2.0"),
+    ("zero_multiplicity", '{"name": "B", "multiplicity": 0}', "/blocks/1/multiplicity must be >= 1, got 0"),
+    *[(f"{key}_{kind}", f'{{"name": "B", "{key}": {literal}}}', message)
+      for key, low in (("g1", "0"), ("g2", "0"), ("depth", "0"), ("weight", None))
+      for kind, literal, message in _bad_numbers(key, low)],
+    ("two_bad_fields", '{"name": "B", "g1": "x", "g2": -1}', "/blocks/1/g1: expected a number, got 'x'"),
+    ("bad_name_and_number", '{"name": "", "depth": -1}', "/blocks/1/name: expected a nonempty string, got ''"),
+    ("bad_count_and_weight", '{"name": "B", "multiplicity": 0, "weight": "x"}',
+     "/blocks/1/multiplicity must be >= 1, got 0"),
+    ("two_bad_blocks", '{"name": "B", "depth": -1}, {"name": "C", "g1": "x"}',
+     "/blocks/1/depth must be finite and >= 0, got -1"),
+]
+
+
 class TestFiniteInputs:
     @pytest.mark.parametrize(
         "make, field",
@@ -333,6 +375,25 @@ class TestFiniteInputs:
         spec_path.write_text(json.dumps(doc))
         assert cli.main(["budget", "--spec", str(spec_path)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("kind, entry, message", MALFORMED_BLOCKS, ids=[row[0] for row in MALFORMED_BLOCKS])
+    def test_malformed_block_entries(self, tmp_path, capsys, kind, entry, message):
+        head = json.dumps({**SPEC_DOC, "blocks": [SPEC_DOC["blocks"][0], "PROBE"]})
+        text = head.replace('"PROBE"', entry)
+        with pytest.raises(DomainError) as info:
+            parse_program_spec(json.loads(text))
+        assert str(info.value) == message
+        spec_path = tmp_path / "block.json"
+        spec_path.write_text(text)
+        assert cli.main(["budget", "--spec", str(spec_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_negative_explicit_weight_parses(self):
+        doc = json.loads(json.dumps(SPEC_DOC))
+        doc["blocks"][1] = {"name": "B", "weight": -1}
+        block = parse_program_spec(doc).blocks[1]
+        assert block == BlockSpec(name="B", multiplicity=1, explicit_weight=-1.0)
+        assert type(block.explicit_weight) is float
 
     def test_fractional_multiplicity_in_spec_is_rejected(self, tmp_path, capsys):
         doc = json.loads(json.dumps(SPEC_DOC))

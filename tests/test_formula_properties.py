@@ -1,5 +1,6 @@
 """Property tests of the paper's claims, drawn over the one formula table,
-the binomial planner and the budget allocator.
+the binomial planner and the budget allocator, and of the spec parser
+against the per-field checks that word its errors.
 
 Hypothesis runs derandomized, with a fixed example budget and no example
 database, so every run draws the same examples.
@@ -15,9 +16,9 @@ import textwrap
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from shotbudget.budget import BlockSpec, HardwareRates, allocate
+from shotbudget.budget import BlockSpec, HardwareRates, allocate, parse_program_spec
 from shotbudget.cli import _SHOT_TESTS
-from shotbudget.errors import DegenerateStates
+from shotbudget.errors import DegenerateStates, DomainError, check_range, json_float
 from shotbudget.shot_estimators import FORMULAS, Formula, ShotBounds, estimate
 from shotbudget.stat_power import (
     binomial_rejection_threshold,
@@ -229,6 +230,78 @@ class TestAllocation:
         assume(not (whole.any_infeasible or split.any_infeasible))
         for kind, total in whole.totals.items():
             assert split.totals[kind] >= total, kind
+
+
+# a block entry with every field valid or absent, or with exactly one bad field
+_NOT_NUMBERS = st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.lists(st.integers(), max_size=1))
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan, 10**400, -(10**400)])
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(10**30), 10**30))
+_NONNEGATIVE = st.one_of(st.floats(min_value=0.0, max_value=1e300), st.integers(0, 10**30))
+_ENTRY_FIELDS = {
+    "name": (st.text(min_size=1, max_size=5), st.one_of(st.just(""), st.integers(), st.none())),
+    "multiplicity": (st.integers(1, 10**30),
+                     st.one_of(st.integers(max_value=0), st.booleans(), st.floats(), _NOT_NUMBERS)),
+    "g1": (_NONNEGATIVE, st.one_of(_NOT_NUMBERS, _NON_FINITE, st.floats(max_value=-1e-300))),
+    "g2": (_NONNEGATIVE, st.one_of(_NOT_NUMBERS, _NON_FINITE, st.integers(max_value=-1))),
+    "depth": (_NONNEGATIVE, st.one_of(_NOT_NUMBERS, _NON_FINITE, st.floats(max_value=-1e-300))),
+    "weight": (_FINITE, st.one_of(_NOT_NUMBERS, _NON_FINITE)),
+}
+
+
+@st.composite
+def _block_entries(draw):
+    fault = draw(st.sampled_from([None, "entry", *_ENTRY_FIELDS]))
+    if fault == "entry":
+        return draw(st.one_of(_NOT_NUMBERS, _FINITE))
+    entry = {}
+    for key, (good, bad) in _ENTRY_FIELDS.items():
+        if key == fault:
+            if key == "name" and draw(st.booleans()):
+                continue  # a missing name
+            entry[key] = draw(bad)
+        elif key == "name" or draw(st.booleans()):
+            entry[key] = draw(good)
+    return entry
+
+
+def _entry_error(entry, path: str = "/blocks/0") -> str | None:
+    """The message the per-field checks give for one block entry, or None if it is valid."""
+    if not isinstance(entry, dict):
+        return f"{path}: expected an object"
+    name = entry.get("name")
+    if not isinstance(name, str) or not name:
+        return f"{path}/name: expected a nonempty string, got {name!r}"
+    count = entry.get("multiplicity", 1)
+    if type(count) is not int:
+        return f"{path}/multiplicity: expected an integer, got {count!r}"
+    try:
+        check_range(f"{path}/multiplicity", count, 1)
+        for key, low in (("g1", 0), ("g2", 0), ("depth", 0), ("weight", None)):
+            if key in entry:
+                json_float(f"{path}/{key}", entry[key])
+                check_range(f"{path}/{key}", entry[key], low, finite=True)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+class TestSpecParse:
+    @PROPERTY
+    @given(entry=_block_entries())
+    def test_a_block_parses_as_its_fields_or_fails_as_they_do(self, entry):
+        doc = {"fidelity_target": 0.99, "p_e": 0.05, "hardware": {"r1": 1e-3, "r2": 1e-2}, "blocks": [entry]}
+        message = _entry_error(entry)
+        if message is not None:
+            with pytest.raises(DomainError) as info:
+                parse_program_spec(doc)
+            assert str(info.value) == message
+            return
+        (block,) = parse_program_spec(doc).blocks
+        numbers = [float(entry.get(key, 0.0)) for key in ("g1", "g2", "depth")]
+        weight = float(entry["weight"]) if "weight" in entry else None
+        assert block == BlockSpec(entry["name"], entry.get("multiplicity", 1), *numbers, weight)
+        assert all(type(getattr(block, key)) is float for key in ("g1", "g2", "depth"))
+        assert weight is None or type(block.explicit_weight) is float
 
 
 _FALSE_PROPERTY = textwrap.dedent("""

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field, fields
 from functools import reduce
 from operator import add, mul
 
-from .errors import DomainError, ZeroBudget, ZeroWeight, check_range, json_float, read_json
+from .errors import _FLOAT_MAX, DomainError, ZeroBudget, ZeroWeight, check_range, json_float, read_json
 from .shot_estimators import FORMULAS, Formula, check_tolerances
-from .stat_power import lambda_noncentral, w2_fidelity_attaining, w2_small_discrepancy
+from .stat_power import _w2_fidelity_attaining, _w2_small_discrepancy, lambda_noncentral
 from . import tolerances as tol
 
 __all__ = [
@@ -72,6 +72,7 @@ class BlockSpec:
         n = self.multiplicity
         if type(n) is not int or n < 1:  # bool and float counts are rejected too
             raise DomainError(f"block {self.name!r}: multiplicity must be an integer >= 1, got {n!r}")
+        check_range("block %r: multiplicity", n, finite=True, args=(self.name,))  # a float-sized count
         for attr in ("g1", "g2", "depth"):
             check_range("block %r: %s", getattr(self, attr), 0, finite=True, args=(self.name, attr))
         if self.explicit_weight is not None:
@@ -140,13 +141,23 @@ def block_weight(block: BlockSpec, rates: HardwareRates) -> float:
     Raises ZeroWeight when the result is not strictly positive; a block
     with no error mass cannot receive an angle share.
     """
-    if block.explicit_weight is not None:
-        weight = block.explicit_weight
-    else:
-        weight = block.g1 * rates.r1 + block.g2 * rates.r2 + block.depth * rates.gamma
-    if weight <= 0.0:
-        raise ZeroWeight(f"block {block.name!r} resolves to weight {weight!r}")
-    return weight
+    return _weights(_block_columns((block,)), rates)[0]
+
+
+def _block_columns(blocks) -> dict[str, tuple]:
+    return {f.name: tuple(getattr(b, f.name) for b in blocks) for f in fields(BlockSpec)}
+
+
+def _weights(columns: dict[str, tuple], rates: HardwareRates, spec: bool = False) -> list[float]:
+    # block_weight for every block; a ZeroWeight from a spec also names the block's JSON path
+    r1, r2, gamma = rates.r1, rates.r2, rates.gamma
+    weights = [g1 * r1 + g2 * r2 + depth * gamma if w is None else w for g1, g2, depth, w in zip(
+        columns["g1"], columns["g2"], columns["depth"], columns["explicit_weight"])]
+    if weights and min(weights) <= 0.0:
+        i = next(i for i, w in enumerate(weights) if w <= 0.0)
+        path = f"/blocks/{i}: " if spec else ""
+        raise ZeroWeight(f"{path}block {columns['name'][i]!r} resolves to weight {weights[i]!r}")
+    return weights
 
 
 def bures_angle(fid: float) -> float:
@@ -180,8 +191,15 @@ def allocate(
 
     Raises ZeroBudget for f_prog = 1 and ZeroWeight for weightless blocks.
     """
-    blocks = tuple(blocks)
-    if not blocks:
+    return _allocate(_block_columns(tuple(blocks)), rates, f_prog, p_e, regime_factor,
+                     chisq_bins, chisq_alpha, chisq_beta)
+
+
+def _allocate(blocks: dict[str, tuple], rates: HardwareRates, f_prog: float, p_e: float,
+              regime_factor: float, chisq_bins: int, chisq_alpha: float, chisq_beta: float,
+              spec: bool = False) -> BudgetReport:
+    # allocate over the BlockSpec columns; `spec` puts JSON paths in ZeroWeight messages
+    if not blocks["name"]:
         raise DomainError("no blocks to allocate over")
     check_tolerances(p_e, regime_factor)
     check_range("program fidelity target", f_prog, 0, 1, "(]")
@@ -189,8 +207,8 @@ def allocate(
     if big_theta == 0.0:
         raise ZeroBudget("program fidelity target 1 leaves no error angle to allocate")
 
-    weights = [block_weight(b, rates) for b in blocks]
-    mult = [b.multiplicity for b in blocks]
+    weights = _weights(blocks, rates, spec)
+    mult = blocks["multiplicity"]
     total_weight = sum(map(mul, mult, weights))
     check_range("total weight sum n_j w_j", total_weight, finite=True)
     lam = lambda_noncentral(chisq_bins - 1, chisq_alpha, 1.0 - chisq_beta)
@@ -199,12 +217,12 @@ def allocate(
     theta = [w / total_weight * big_theta for w in weights]
     f_target = [math.cos(t) ** 2.0 for t in theta]
     inverse, swap = FORMULAS[Formula.INVERSE_REAL], FORMULAS[Formula.SWAP_REAL]
-    prices = (
-        lambda f: inverse.multiple * (log_pe / math.log(inverse.per_shot(f))) * regime_factor,
-        lambda f: swap.multiple * (log_pe / math.log(swap.per_shot(f))) * regime_factor,
-        lambda f: lam / w2_small_discrepancy(f),
-        lambda f: lam / w2_fidelity_attaining(f),
-    )
+    # theta below float resolution rounds cos^2 to 1 and every count overflows
+    raws = [
+        [math.inf if f >= 1.0 else row.multiple * (log_pe / math.log(q)) * regime_factor
+         for f, q in zip(f_target, map(row.per_shot, f_target))] for row in (inverse, swap)
+    ] + [[math.inf if f >= 1.0 else lam / w2(f) for f in f_target]
+         for w2 in (_w2_small_discrepancy, _w2_fidelity_attaining)]
     theta_sq = [t * t for t in theta]
     # every numerator is > 0, so a denominator that underflowed to 0 prices at inf
     taylors = [[num / d if d else math.inf for d in dens] for num, dens in (
@@ -215,32 +233,23 @@ def allocate(
     )]
 
     columns = {
-        "name": tuple(b.name for b in blocks),
-        "multiplicity": tuple(mult),
+        "name": blocks["name"],
+        "multiplicity": mult,
         "weight": tuple(weights),
         "theta": tuple(theta),
         "f_target": tuple(f_target),
     }
-    raws = {}
+    cap = tol.MAX_SCHEDULABLE_SHOTS
     totals: dict[str, int] = {}
-    infeasible = [()] * len(blocks)
-    for kind, price in zip(_TEST_KINDS, prices):
-        # theta below float resolution rounds cos^2 to 1 and every count overflows
-        raw = [math.inf if f >= 1.0 else price(f) for f in f_target]
-        shots, total = [], 0
-        for i, (r, n) in enumerate(zip(raw, mult)):
-            if r <= tol.MAX_SCHEDULABLE_SHOTS:
-                count = max(math.ceil(r), 1)
-                total += n * count
-            else:
-                # an infeasible count is ceil(raw), an exact int however large, or 0 when raw is inf
-                count = math.ceil(r) if r < math.inf else 0
-                infeasible[i] += (kind,)
-            shots.append(count)
+    infeasible = [()] * len(weights)
+    for kind, raw in zip(_TEST_KINDS, raws):
+        # an infeasible count is ceil(raw), an exact int however large, or 0 when raw is inf
+        shots = [max(math.ceil(r), 1) if r <= cap else math.ceil(r) if r < math.inf else 0 for r in raw]
         columns[f"shots_{kind}"] = tuple(shots)
-        raws[f"raw_{kind}"] = tuple(raw)
-        totals[kind] = total
-    columns.update(raws)
+        totals[kind] = sum([n * count for n, count, r in zip(mult, shots, raw) if r <= cap])
+        for i in [i for i, r in enumerate(raw) if not r <= cap]:
+            infeasible[i] += (kind,)
+    columns.update((f"raw_{k}", tuple(r)) for k, r in zip(_TEST_KINDS, raws))
     columns.update((f"taylor_shots_{k}", tuple(t)) for k, t in zip(_TEST_KINDS, taylors))
     columns["infeasible"] = tuple(infeasible)
 
@@ -262,30 +271,36 @@ def allocate(
 
 @dataclass(frozen=True)
 class ProgramSpec:
-    """Everything needed to budget one program: target, tolerances, blocks."""
+    """Everything needed to budget one program: target, tolerances, blocks.
+
+    The blocks are columnar, as parse_program_spec checked them: `columns`
+    maps each BlockSpec field name, in field order, to a tuple with one
+    entry per block.  `blocks` is a view that builds the BlockSpec rows on
+    read.
+    """
 
     fidelity_target: float
     p_e: float
     regime_factor: float
     hardware: HardwareRates
-    blocks: tuple[BlockSpec, ...]
+    columns: dict[str, tuple]
     chisq_bins: int = 16
     chisq_alpha: float = 0.01
     chisq_beta: float = 0.01
 
+    @property
+    def blocks(self) -> tuple[BlockSpec, ...]:
+        rows = zip(*(self.columns[f.name] for f in fields(BlockSpec)))
+        return tuple(BlockSpec(*row) for row in rows)
+
 
 def allocate_program(spec: ProgramSpec) -> BudgetReport:
-    """Run the allocator on a parsed ProgramSpec."""
-    return allocate(
-        spec.blocks,
-        spec.hardware,
-        spec.fidelity_target,
-        spec.p_e,
-        spec.regime_factor,
-        spec.chisq_bins,
-        spec.chisq_alpha,
-        spec.chisq_beta,
-    )
+    """Run the allocator on a parsed ProgramSpec's columns.
+
+    A ZeroWeight names the block's JSON path as well as its name.
+    """
+    return _allocate(spec.columns, spec.hardware, spec.fidelity_target, spec.p_e, spec.regime_factor,
+                     spec.chisq_bins, spec.chisq_alpha, spec.chisq_beta, spec=True)
 
 
 def _spec_number(obj: dict, key: str, path: str, low=None, high=None, ends: str = "[]", *,
@@ -301,8 +316,43 @@ def _spec_number(obj: dict, key: str, path: str, low=None, high=None, ends: str 
     return number
 
 
+_REAL = (int, float)  # exact types: a bool is no number
+
+
+def _block_row(entry, i: int) -> tuple:
+    """One block entry as a BlockSpec field tuple, each number checked once.
+
+    The valid case is one test; any other entry takes the per-field checks,
+    which raise on the first fault in field order, naming its JSON path.
+    """
+    if type(entry) is dict:
+        name, n = entry.get("name"), entry.get("multiplicity", 1)
+        g1, g2, depth = entry.get("g1", 0.0), entry.get("g2", 0.0), entry.get("depth", 0.0)
+        weight = entry.get("weight", 0.0)  # absent and 0.0 both pass; null does not
+        if (type(name) is str and name and type(n) is int and 1 <= n <= _FLOAT_MAX
+                and type(g1) in _REAL and type(g2) in _REAL and type(depth) in _REAL
+                and type(weight) in _REAL and 0 <= g1 <= _FLOAT_MAX and 0 <= g2 <= _FLOAT_MAX
+                and 0 <= depth <= _FLOAT_MAX and -_FLOAT_MAX <= weight <= _FLOAT_MAX):
+            return (name, n, float(g1), float(g2), float(depth),
+                    float(weight) if "weight" in entry else None)
+    path = f"/blocks/{i}"
+    if not isinstance(entry, dict):
+        raise DomainError(f"{path}: expected an object")
+    name = entry.get("name")
+    if not isinstance(name, str) or not name:
+        raise DomainError(f"{path}/name: expected a nonempty string, got {name!r}")
+    multiplicity = entry.get("multiplicity", 1)
+    if type(multiplicity) is not int:  # bool counts are rejected too
+        raise DomainError(f"{path}/multiplicity: expected an integer, got {multiplicity!r}")
+    check_range("%s/multiplicity", multiplicity, 1, args=(path,))
+    check_range("%s/multiplicity", multiplicity, finite=True, args=(path,))  # a float-sized count
+    return (name, multiplicity, *(_spec_number(entry, key, path, 0, default=0.0, required=False)
+                                  for key in ("g1", "g2", "depth")),
+            _spec_number(entry, "weight", path, default=None, required=False))
+
+
 def parse_program_spec(obj: dict) -> ProgramSpec:
-    """Build a ProgramSpec from its JSON object form.
+    """Build a ProgramSpec from its JSON object form, straight into columns.
 
     Error messages carry the JSON-pointer-style path of the offending
     field so a bad spec file is easy to fix.
@@ -335,34 +385,13 @@ def parse_program_spec(obj: dict) -> ProgramSpec:
     raw_blocks = obj.get("blocks")
     if not isinstance(raw_blocks, list) or not raw_blocks:
         raise DomainError("/blocks: missing or empty")
-    blocks = []
-    for i, entry in enumerate(raw_blocks):
-        path = f"/blocks/{i}"
-        if not isinstance(entry, dict):
-            raise DomainError(f"{path}: expected an object")
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            raise DomainError(f"{path}/name: expected a nonempty string, got {name!r}")
-        multiplicity = entry.get("multiplicity", 1)
-        if type(multiplicity) is not int:  # bool counts are rejected too
-            raise DomainError(f"{path}/multiplicity: expected an integer, got {multiplicity!r}")
-        check_range("%s/multiplicity", multiplicity, 1, args=(path,))
-        blocks.append(
-            BlockSpec(
-                name=name,
-                multiplicity=multiplicity,
-                g1=_spec_number(entry, "g1", path, 0, default=0.0, required=False),
-                g2=_spec_number(entry, "g2", path, 0, default=0.0, required=False),
-                depth=_spec_number(entry, "depth", path, 0, default=0.0, required=False),
-                explicit_weight=_spec_number(entry, "weight", path, default=None, required=False),
-            )
-        )
+    rows = zip(*map(_block_row, raw_blocks, range(len(raw_blocks))))
     return ProgramSpec(
         fidelity_target=fidelity_target,
         p_e=p_e,
         regime_factor=regime_factor,
         hardware=rates,
-        blocks=tuple(blocks),
+        columns={f.name: column for f, column in zip(fields(BlockSpec), rows)},
         chisq_bins=bins,
         chisq_alpha=alpha,
         chisq_beta=beta,

@@ -238,12 +238,20 @@ def shots_chisq(w2: float, bins: int, alpha: float, beta: float) -> ChiSquarePla
 def w2_fidelity_attaining(fid: float) -> float:
     """w^2 of the distribution pair attaining the fidelity bound: (1-sqrt(F))^2 / 4."""
     check_range("fidelity", fid, 0, 1)
+    return _w2_fidelity_attaining(fid)
+
+
+def _w2_fidelity_attaining(fid: float) -> float:  # unchecked, for a fidelity known to lie in [0, 1]
     return 0.25 * (1.0 - math.sqrt(fid)) ** 2
 
 
 def w2_small_discrepancy(fid: float) -> float:
     """Small-discrepancy ceiling w^2 ~= 8 d_H^2 <= 8 (1 - sqrt(F))."""
     check_range("fidelity", fid, 0, 1)
+    return _w2_small_discrepancy(fid)
+
+
+def _w2_small_discrepancy(fid: float) -> float:  # unchecked, for a fidelity known to lie in [0, 1]
     return 8.0 * (1.0 - math.sqrt(fid))
 
 

@@ -283,6 +283,7 @@ class TestFiniteInputs:
             (lambda: BlockSpec(name="a", multiplicity=1, explicit_weight=math.inf), "'a': weight"),
             (lambda: BlockSpec(name="a", multiplicity=1.5, g1=1.0), "'a': multiplicity"),
             (lambda: BlockSpec(name="a", multiplicity=True, g1=1.0), "'a': multiplicity"),
+            (lambda: BlockSpec(name="a", multiplicity=10**400, g1=1.0), "'a': multiplicity must be finite"),
         ],
     )
     def test_dataclasses_name_the_bad_field(self, make, field):
@@ -329,6 +330,7 @@ class TestFiniteInputs:
             ("/hardware/r1", -1, "/hardware/r1 must be finite and >= 0, got -1"),
             ("/hardware/gamma", -1e-9, "/hardware/gamma must be finite and >= 0, got -1e-09"),
             ("/blocks/0/multiplicity", 0, "/blocks/0/multiplicity must be >= 1, got 0"),
+            ("/blocks/0/multiplicity", 10**400, f"/blocks/0/multiplicity must be finite, got {10**400}"),
             ("/p_e", 5, "/p_e must lie in (0, 1), got 5"),
             ("/p_e", 0, "/p_e must lie in (0, 1), got 0"),
             ("/fidelity_target", 2, "/fidelity_target must lie in (0, 1], got 2"),
@@ -394,6 +396,18 @@ class TestFiniteInputs:
         block = parse_program_spec(doc).blocks[1]
         assert block == BlockSpec(name="B", multiplicity=1, explicit_weight=-1.0)
         assert type(block.explicit_weight) is float
+
+    @pytest.mark.parametrize("entry, weight", [({"name": "idle"}, "0.0"), ({"name": "idle", "weight": -1}, "-1.0")])
+    def test_weightless_block_error_names_its_path(self, tmp_path, capsys, entry, weight):
+        doc = json.loads(json.dumps(SPEC_DOC))
+        doc["blocks"][1] = entry
+        with pytest.raises(ZeroWeight, match=f"^block 'idle' resolves to weight {weight}$"):
+            spec = parse_program_spec(doc)
+            allocate(spec.blocks, spec.hardware, 0.99, 0.05)
+        spec_path = tmp_path / "idle.json"
+        spec_path.write_text(json.dumps(doc))
+        assert cli.main(["budget", "--spec", str(spec_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: /blocks/1: block 'idle' resolves to weight {weight}\n")
 
     def test_fractional_multiplicity_in_spec_is_rejected(self, tmp_path, capsys):
         doc = json.loads(json.dumps(SPEC_DOC))

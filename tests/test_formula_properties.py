@@ -111,6 +111,14 @@ class TestEveryRowIsMonotone:
         assert relaxed <= tight * (1.0 + _SLACK), (strict, loose)
 
 
+def _blocks(weights, multiplicities) -> list[BlockSpec]:
+    return [BlockSpec(name=f"b{i}", multiplicity=n, explicit_weight=w)
+            for i, (w, n) in enumerate(zip(weights, multiplicities))]
+
+
+_NO_RATES = HardwareRates(r1=0.0, r2=0.0)
+
+
 # alpha and beta up to 1/2 keep both z values >= 0
 risks = st.floats(min_value=1e-12, max_value=0.5)
 
@@ -149,6 +157,30 @@ class TestNoiseNeverLowersACount:
         for one_sided in (True, False):
             assert raw(loose, other, one_sided) <= raw(strict, other, one_sided) * (1.0 + _SLACK), strict
             assert raw(other, loose, one_sided) <= raw(other, strict, one_sided) * (1.0 + _SLACK), strict
+
+
+    # R scales the raw count of each circuit test after its log ratio, so a
+    # scaled row is R times its ideal row bit for bit, and never cheaper
+    @pytest.mark.parametrize("ideal, real", [(F.INVERSE_IDEAL, F.INVERSE_REAL), (F.SWAP_IDEAL, F.SWAP_REAL)],
+                             ids=["inverse", "swap"])
+    @PROPERTY
+    @given(fid=st.floats(min_value=0.0, max_value=1.0, exclude_max=True), p_e=error_probs,
+           regime_factor=regime_factors)
+    def test_a_scaled_row_is_r_times_its_ideal_row(self, ideal, real, fid, p_e, regime_factor):
+        clean, noisy = estimate(ideal, fid, p_e), estimate(real, fid, p_e, regime_factor)
+        assert noisy.raw == regime_factor * clean.raw
+        assert noisy.shots >= clean.shots
+
+    @PROPERTY
+    @given(weights=st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=20),
+           f_prog=st.floats(min_value=0.0, max_value=1.0 - 1e-12, exclude_min=True), p_e=error_probs,
+           regime_factor=regime_factors)
+    def test_budget_circuit_columns_are_r_times_the_ideal_ones(self, weights, f_prog, p_e, regime_factor):
+        blocks = _blocks(weights, [1] * len(weights))
+        clean = allocate(blocks, _NO_RATES, f_prog, p_e).columns
+        noisy = allocate(blocks, _NO_RATES, f_prog, p_e, regime_factor).columns
+        for kind in ("raw_inverse", "raw_swap"):
+            assert noisy[kind] == tuple(regime_factor * raw for raw in clean[kind]), kind
 
 
 # the bin counts of `curve test_comparison`, at its default alpha = beta = 0.01
@@ -195,14 +227,6 @@ class TestRejectionThresholdIsMonotone:
     def test_non_decreasing_in_shot_count(self, n1, n2, q0, alpha):
         few, many = sorted((n1, n2))
         assert binomial_rejection_threshold(few, q0, alpha) <= binomial_rejection_threshold(many, q0, alpha)
-
-
-def _blocks(weights, multiplicities) -> list[BlockSpec]:
-    return [BlockSpec(name=f"b{i}", multiplicity=n, explicit_weight=w)
-            for i, (w, n) in enumerate(zip(weights, multiplicities))]
-
-
-_NO_RATES = HardwareRates(r1=0.0, r2=0.0)
 
 
 class TestAllocation:

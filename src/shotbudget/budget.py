@@ -11,8 +11,10 @@ sum_j n_j theta_j = Theta* holds by construction.
 Weights default to g1 * r1 + g2 * r2 + depth * gamma (error mass from
 one- and two-qubit gate counts, optionally depth), and a block may pin
 an explicit weight instead, which is how hybrid policies are expressed.
-The report is columnar: one tuple per block field, priced a column at a
-time, with `BudgetReport.allocations` as a row view built on read.
+Spec and report are columnar: a spec file is parsed straight into one
+tuple per block field, each number checked once, and priced a column at
+a time; `ProgramSpec.blocks` and `BudgetReport.allocations` are row
+views built on read.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import reduce
-from operator import add, mul
+from itertools import compress
+from operator import add, mul, not_
 
 from .errors import _FLOAT_MAX, DomainError, ZeroBudget, ZeroWeight, check_range, json_float, read_json
 from .shot_estimators import FORMULAS, Formula, check_tolerances
@@ -42,6 +45,7 @@ __all__ = [
 ]
 
 _TEST_KINDS = ("inverse", "swap", "chisq_small", "chisq_attaining")
+_NUMBER = frozenset((int, float))  # exact types: a bool is no number
 
 
 @dataclass(frozen=True)
@@ -153,7 +157,7 @@ def _weights(columns: dict[str, tuple], rates: HardwareRates, spec: bool = False
     r1, r2, gamma = rates.r1, rates.r2, rates.gamma
     weights = [g1 * r1 + g2 * r2 + depth * gamma if w is None else w for g1, g2, depth, w in zip(
         columns["g1"], columns["g2"], columns["depth"], columns["explicit_weight"])]
-    if weights and min(weights) <= 0.0:
+    if min(weights) <= 0.0:
         i = next(i for i, w in enumerate(weights) if w <= 0.0)
         path = f"/blocks/{i}: " if spec else ""
         raise ZeroWeight(f"{path}block {columns['name'][i]!r} resolves to weight {weights[i]!r}")
@@ -166,16 +170,8 @@ def bures_angle(fid: float) -> float:
     return math.acos(min(1.0, math.sqrt(fid)))
 
 
-def allocate(
-    blocks,
-    rates: HardwareRates,
-    f_prog: float,
-    p_e: float,
-    regime_factor: float = 1.0,
-    chisq_bins: int = 16,
-    chisq_alpha: float = 0.01,
-    chisq_beta: float = 0.01,
-) -> BudgetReport:
+def allocate(blocks, rates: HardwareRates, f_prog: float, p_e: float, regime_factor: float = 1.0,
+             chisq_bins: int = 16, chisq_alpha: float = 0.01, chisq_beta: float = 0.01) -> BudgetReport:
     """Split the program error-angle budget over blocks and price each test.
 
     Per-instance angle theta_j = (w_j / W) Theta* with W = sum n_j w_j,
@@ -232,40 +228,26 @@ def _allocate(blocks: dict[str, tuple], rates: HardwareRates, f_prog: float, p_e
         (16.0 * lam, [t * t for t in theta_sq]),
     )]
 
-    columns = {
-        "name": blocks["name"],
-        "multiplicity": mult,
-        "weight": tuple(weights),
-        "theta": tuple(theta),
-        "f_target": tuple(f_target),
-    }
-    cap = tol.MAX_SCHEDULABLE_SHOTS
+    columns = {"name": blocks["name"], "multiplicity": mult, "weight": tuple(weights),
+               "theta": tuple(theta), "f_target": tuple(f_target)}
+    feasible = [[r <= tol.MAX_SCHEDULABLE_SHOTS for r in raw] for raw in raws]
     totals: dict[str, int] = {}
-    infeasible = [()] * len(weights)
-    for kind, raw in zip(_TEST_KINDS, raws):
-        # an infeasible count is ceil(raw), an exact int however large, or 0 when raw is inf
-        shots = [max(math.ceil(r), 1) if r <= cap else math.ceil(r) if r < math.inf else 0 for r in raw]
+    for kind, raw, flags in zip(_TEST_KINDS, raws, feasible):
+        # raw >= 0: ceil(raw) floored at one shot, an exact int however large, or 0 for inf
+        shots = [math.ceil(r) or 1 if r < math.inf else 0 for r in raw]
         columns[f"shots_{kind}"] = tuple(shots)
-        totals[kind] = sum([n * count for n, count, r in zip(mult, shots, raw) if r <= cap])
-        for i in [i for i, r in enumerate(raw) if not r <= cap]:
-            infeasible[i] += (kind,)
+        totals[kind] = sum(map(mul, compress(mult, flags), compress(shots, flags)))
     columns.update((f"raw_{k}", tuple(r)) for k, r in zip(_TEST_KINDS, raws))
     columns.update((f"taylor_shots_{k}", tuple(t)) for k, t in zip(_TEST_KINDS, taylors))
-    columns["infeasible"] = tuple(infeasible)
+    rows = list(zip(*feasible))  # each block's flags; few distinct rows occur
+    kinds = {row: tuple(compress(_TEST_KINDS, map(not_, row))) for row in set(rows)}
+    columns["infeasible"] = tuple(map(kinds.__getitem__, rows))
 
+    total_angle = reduce(add, map(mul, mult, theta), 0.0)  # sum() compensates on 3.12+
     return BudgetReport(
-        f_prog=f_prog,
-        p_e=p_e,
-        regime_factor=regime_factor,
-        chisq_bins=chisq_bins,
-        chisq_alpha=chisq_alpha,
-        chisq_beta=chisq_beta,
-        noncentrality=lam,
-        theta_star=big_theta,
-        total_weight=total_weight,
-        total_angle=reduce(add, map(mul, mult, theta), 0.0),  # sum() compensates on 3.12+
-        columns=columns,
-        totals=totals,
+        f_prog=f_prog, p_e=p_e, regime_factor=regime_factor, chisq_bins=chisq_bins,
+        chisq_alpha=chisq_alpha, chisq_beta=chisq_beta, noncentrality=lam, theta_star=big_theta,
+        total_weight=total_weight, total_angle=total_angle, columns=columns, totals=totals,
     )
 
 
@@ -273,10 +255,8 @@ def _allocate(blocks: dict[str, tuple], rates: HardwareRates, f_prog: float, p_e
 class ProgramSpec:
     """Everything needed to budget one program: target, tolerances, blocks.
 
-    The blocks are columnar, as parse_program_spec checked them: `columns`
-    maps each BlockSpec field name, in field order, to a tuple with one
-    entry per block.  `blocks` is a view that builds the BlockSpec rows on
-    read.
+    `columns` maps each BlockSpec field name, in field order, to a tuple with
+    one checked entry per block; `blocks` builds the BlockSpec rows on read.
     """
 
     fidelity_target: float
@@ -295,10 +275,7 @@ class ProgramSpec:
 
 
 def allocate_program(spec: ProgramSpec) -> BudgetReport:
-    """Run the allocator on a parsed ProgramSpec's columns.
-
-    A ZeroWeight names the block's JSON path as well as its name.
-    """
+    """Run the allocator on a parsed ProgramSpec; a ZeroWeight names the block's JSON path."""
     return _allocate(spec.columns, spec.hardware, spec.fidelity_target, spec.p_e, spec.regime_factor,
                      spec.chisq_bins, spec.chisq_alpha, spec.chisq_beta, spec=True)
 
@@ -316,26 +293,9 @@ def _spec_number(obj: dict, key: str, path: str, low=None, high=None, ends: str 
     return number
 
 
-_REAL = (int, float)  # exact types: a bool is no number
-
-
-def _block_row(entry, i: int) -> tuple:
-    """One block entry as a BlockSpec field tuple, each number checked once.
-
-    The valid case is one test; any other entry takes the per-field checks,
-    which raise on the first fault in field order, naming its JSON path.
-    """
-    if type(entry) is dict:
-        name, n = entry.get("name"), entry.get("multiplicity", 1)
-        g1, g2, depth = entry.get("g1", 0.0), entry.get("g2", 0.0), entry.get("depth", 0.0)
-        weight = entry.get("weight", 0.0)  # absent and 0.0 both pass; null does not
-        if (type(name) is str and name and type(n) is int and 1 <= n <= _FLOAT_MAX
-                and type(g1) in _REAL and type(g2) in _REAL and type(depth) in _REAL
-                and type(weight) in _REAL and 0 <= g1 <= _FLOAT_MAX and 0 <= g2 <= _FLOAT_MAX
-                and 0 <= depth <= _FLOAT_MAX and -_FLOAT_MAX <= weight <= _FLOAT_MAX):
-            return (name, n, float(g1), float(g2), float(depth),
-                    float(weight) if "weight" in entry else None)
-    path = f"/blocks/{i}"
+def _block_row(entry, path: str) -> tuple:
+    # the per-field checks: a block entry's BlockSpec fields, or a DomainError
+    # naming the JSON path of its first fault in field order
     if not isinstance(entry, dict):
         raise DomainError(f"{path}: expected an object")
     name = entry.get("name")
@@ -349,6 +309,32 @@ def _block_row(entry, i: int) -> tuple:
     return (name, multiplicity, *(_spec_number(entry, key, path, 0, default=0.0, required=False)
                                   for key in ("g1", "g2", "depth")),
             _spec_number(entry, "weight", path, default=None, required=False))
+
+
+def _parse_blocks(raw_blocks: list) -> dict[str, tuple]:
+    # the block entries as BlockSpec columns, each number checked once: a valid
+    # entry passes one inline test, and _block_row words the fault of any other
+    columns = tuple([] for _ in fields(BlockSpec))
+    names, counts, g1s, g2s, depths, weights = columns
+    for i, entry in enumerate(raw_blocks):
+        if type(entry) is dict:
+            name, n = entry.get("name"), entry.get("multiplicity", 1)
+            g1, g2, depth = entry.get("g1", 0.0), entry.get("g2", 0.0), entry.get("depth", 0.0)
+            weight = entry.get("weight", 0.0)  # an absent weight passes, a null one does not
+            if (type(name) is str and name and type(n) is int and 1 <= n <= _FLOAT_MAX
+                    and type(g1) in _NUMBER and type(g2) in _NUMBER and type(depth) in _NUMBER
+                    and type(weight) in _NUMBER and 0 <= g1 <= _FLOAT_MAX and 0 <= g2 <= _FLOAT_MAX
+                    and 0 <= depth <= _FLOAT_MAX and -_FLOAT_MAX <= weight <= _FLOAT_MAX):
+                names.append(name)
+                counts.append(n)
+                g1s.append(float(g1))
+                g2s.append(float(g2))
+                depths.append(float(depth))
+                weights.append(float(weight) if "weight" in entry else None)
+                continue
+        for column, value in zip(columns, _block_row(entry, f"/blocks/{i}")):
+            column.append(value)
+    return {f.name: tuple(column) for f, column in zip(fields(BlockSpec), columns)}
 
 
 def parse_program_spec(obj: dict) -> ProgramSpec:
@@ -385,16 +371,9 @@ def parse_program_spec(obj: dict) -> ProgramSpec:
     raw_blocks = obj.get("blocks")
     if not isinstance(raw_blocks, list) or not raw_blocks:
         raise DomainError("/blocks: missing or empty")
-    rows = zip(*map(_block_row, raw_blocks, range(len(raw_blocks))))
     return ProgramSpec(
-        fidelity_target=fidelity_target,
-        p_e=p_e,
-        regime_factor=regime_factor,
-        hardware=rates,
-        columns={f.name: column for f, column in zip(fields(BlockSpec), rows)},
-        chisq_bins=bins,
-        chisq_alpha=alpha,
-        chisq_beta=beta,
+        fidelity_target=fidelity_target, p_e=p_e, regime_factor=regime_factor, hardware=rates,
+        columns=_parse_blocks(raw_blocks), chisq_bins=bins, chisq_alpha=alpha, chisq_beta=beta,
     )
 
 

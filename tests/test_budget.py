@@ -401,8 +401,8 @@ class TestFiniteInputs:
     def test_weightless_block_error_names_its_path(self, tmp_path, capsys, entry, weight):
         doc = json.loads(json.dumps(SPEC_DOC))
         doc["blocks"][1] = entry
+        spec = parse_program_spec(doc)
         with pytest.raises(ZeroWeight, match=f"^block 'idle' resolves to weight {weight}$"):
-            spec = parse_program_spec(doc)
             allocate(spec.blocks, spec.hardware, 0.99, 0.05)
         spec_path = tmp_path / "idle.json"
         spec_path.write_text(json.dumps(doc))

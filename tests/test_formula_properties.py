@@ -158,7 +158,6 @@ class TestNoiseNeverLowersACount:
             assert raw(loose, other, one_sided) <= raw(strict, other, one_sided) * (1.0 + _SLACK), strict
             assert raw(other, loose, one_sided) <= raw(other, strict, one_sided) * (1.0 + _SLACK), strict
 
-
     # R scales the raw count of each circuit test after its log ratio, so a
     # scaled row is R times its ideal row bit for bit, and never cheaper
     @pytest.mark.parametrize("ideal, real", [(F.INVERSE_IDEAL, F.INVERSE_REAL), (F.SWAP_IDEAL, F.SWAP_REAL)],

@@ -15,11 +15,10 @@ formula can be checked against simulated truth.
 
 Importing the package loads no numpy.  The numpy-backed submodules `rng`,
 `states` and `montecarlo` are lazy: their code runs on first attribute
-access.  `budget` needs no numpy but is lazy too, because building its
-dataclasses costs ~4 ms that every command not budgeting would pay.  The
-public names resolve on first access too (PEP 562), so the shot formulas,
-the chi-square and binomial planners and the budget allocator run on the
-standard library alone.
+access.  So is `budget`, which needs no numpy, but running it takes ~1.3 ms
+that every command not budgeting would pay.  The public names resolve on
+first access too (PEP 562), so the shot formulas, the chi-square and
+binomial planners and the budget allocator run on the standard library alone.
 """
 
 import sys

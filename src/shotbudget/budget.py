@@ -20,12 +20,12 @@ views built on read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import compress
 from operator import add, mul, not_
+from typing import NamedTuple
 
-from .errors import _FLOAT_MAX, DomainError, ZeroBudget, ZeroWeight, check_range, json_float, read_json
+from .errors import _FLOAT_MAX, DomainError, Record, ZeroBudget, ZeroWeight, check_range, json_float, read_json
 from .shot_estimators import FORMULAS, Formula, check_tolerances
 from .stat_power import _w2_fidelity_attaining, _w2_small_discrepancy, lambda_noncentral
 from . import tolerances as tol
@@ -48,43 +48,35 @@ _TEST_KINDS = ("inverse", "swap", "chisq_small", "chisq_attaining")
 _NUMBER = frozenset((int, float))  # exact types: a bool is no number
 
 
-@dataclass(frozen=True)
-class HardwareRates:
+class HardwareRates(Record):
     """Per-gate error rates: r1 one-qubit, r2 two-qubit, gamma per depth layer."""
 
-    r1: float
-    r2: float
-    gamma: float = 0.0
+    __slots__ = _fields = ("r1", "r2", "gamma")
 
-    def __post_init__(self) -> None:
-        for name in ("r1", "r2", "gamma"):
-            check_range(f"hardware rate {name}", getattr(self, name), 0, finite=True)
+    def __init__(self, r1: float, r2: float, gamma: float = 0.0) -> None:
+        for name, rate in zip(self._fields, (r1, r2, gamma)):
+            check_range(f"hardware rate {name}", rate, 0, finite=True)
+        self._set(r1, r2, gamma)
 
 
-@dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(Record):
     """One program block archetype and how often it is instantiated."""
 
-    name: str
-    multiplicity: int
-    g1: float = 0.0
-    g2: float = 0.0
-    depth: float = 0.0
-    explicit_weight: float | None = None
+    __slots__ = _fields = ("name", "multiplicity", "g1", "g2", "depth", "explicit_weight")
 
-    def __post_init__(self) -> None:
-        n = self.multiplicity
-        if type(n) is not int or n < 1:  # bool and float counts are rejected too
-            raise DomainError(f"block {self.name!r}: multiplicity must be an integer >= 1, got {n!r}")
-        check_range("block %r: multiplicity", n, finite=True, args=(self.name,))  # a float-sized count
-        for attr in ("g1", "g2", "depth"):
-            check_range("block %r: %s", getattr(self, attr), 0, finite=True, args=(self.name, attr))
-        if self.explicit_weight is not None:
-            check_range("block %r: weight", self.explicit_weight, finite=True, args=(self.name,))
+    def __init__(self, name: str, multiplicity: int, g1: float = 0.0, g2: float = 0.0,
+                 depth: float = 0.0, explicit_weight: float | None = None) -> None:
+        if type(multiplicity) is not int or multiplicity < 1:  # bool and float counts are rejected too
+            raise DomainError(f"block {name!r}: multiplicity must be an integer >= 1, got {multiplicity!r}")
+        check_range("block %r: multiplicity", multiplicity, finite=True, args=(name,))  # a float-sized count
+        for attr, value in zip(("g1", "g2", "depth"), (g1, g2, depth)):
+            check_range("block %r: %s", value, 0, finite=True, args=(name, attr))
+        if explicit_weight is not None:
+            check_range("block %r: weight", explicit_weight, finite=True, args=(name,))
+        self._set(name, multiplicity, g1, g2, depth, explicit_weight)
 
 
-@dataclass(frozen=True)
-class BlockAllocation:
+class BlockAllocation(NamedTuple):
     """Angle share and shot prices for one block archetype (per instance)."""
 
     name: str
@@ -107,8 +99,7 @@ class BlockAllocation:
     infeasible: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class BudgetReport:
+class BudgetReport(NamedTuple):
     """Full allocation: Theta*, the block table by column, and program totals.
 
     `columns` maps each BlockAllocation field name, in field order, to a
@@ -127,12 +118,12 @@ class BudgetReport:
     total_weight: float
     total_angle: float
     columns: dict[str, tuple]
-    totals: dict = field(default_factory=dict)
+    totals: dict = {}  # one shared dict; the allocator always passes its own
 
     @property
     def allocations(self) -> tuple[BlockAllocation, ...]:
-        rows = zip(*(self.columns[f.name] for f in fields(BlockAllocation)))
-        return tuple(BlockAllocation(*row) for row in rows)
+        rows = zip(*(self.columns[name] for name in BlockAllocation._fields))
+        return tuple(map(BlockAllocation._make, rows))
 
     @property
     def any_infeasible(self) -> bool:
@@ -149,7 +140,7 @@ def block_weight(block: BlockSpec, rates: HardwareRates) -> float:
 
 
 def _block_columns(blocks) -> dict[str, tuple]:
-    return {f.name: tuple(getattr(b, f.name) for b in blocks) for f in fields(BlockSpec)}
+    return {name: tuple(getattr(b, name) for b in blocks) for name in BlockSpec._fields}
 
 
 def _weights(columns: dict[str, tuple], rates: HardwareRates, spec: bool = False) -> list[float]:
@@ -251,8 +242,7 @@ def _allocate(blocks: dict[str, tuple], rates: HardwareRates, f_prog: float, p_e
     )
 
 
-@dataclass(frozen=True)
-class ProgramSpec:
+class ProgramSpec(NamedTuple):
     """Everything needed to budget one program: target, tolerances, blocks.
 
     `columns` maps each BlockSpec field name, in field order, to a tuple with
@@ -270,7 +260,7 @@ class ProgramSpec:
 
     @property
     def blocks(self) -> tuple[BlockSpec, ...]:
-        rows = zip(*(self.columns[f.name] for f in fields(BlockSpec)))
+        rows = zip(*(self.columns[name] for name in BlockSpec._fields))
         return tuple(BlockSpec(*row) for row in rows)
 
 
@@ -314,7 +304,7 @@ def _block_row(entry, path: str) -> tuple:
 def _parse_blocks(raw_blocks: list) -> dict[str, tuple]:
     # the block entries as BlockSpec columns, each number checked once: a valid
     # entry passes one inline test, and _block_row words the fault of any other
-    columns = tuple([] for _ in fields(BlockSpec))
+    columns = tuple([] for _ in BlockSpec._fields)
     names, counts, g1s, g2s, depths, weights = columns
     for i, entry in enumerate(raw_blocks):
         if type(entry) is dict:
@@ -334,7 +324,7 @@ def _parse_blocks(raw_blocks: list) -> dict[str, tuple]:
                 continue
         for column, value in zip(columns, _block_row(entry, f"/blocks/{i}")):
             column.append(value)
-    return {f.name: tuple(column) for f, column in zip(fields(BlockSpec), columns)}
+    return dict(zip(BlockSpec._fields, map(tuple, columns)))
 
 
 def parse_program_spec(obj: dict) -> ProgramSpec:

@@ -29,12 +29,12 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
-from .errors import DegenerateStates, ShotBudgetError
+from .errors import DegenerateStates, Record, ShotBudgetError
 from . import budget as budget_mod
 from . import montecarlo as mc
 from . import shot_estimators as est
@@ -44,8 +44,7 @@ from . import states as st
 __all__ = ["TestPlanParams", "CurveRequest", "main", "entry"]
 
 
-@dataclass(frozen=True)
-class TestPlanParams:
+class TestPlanParams(NamedTuple):
     """Error tolerances of a curve sweep."""
 
     p_e: float = 0.05
@@ -54,23 +53,18 @@ class TestPlanParams:
     regime_factor: float = 1.0
 
 
-@dataclass(frozen=True)
-class CurveRequest:
+class CurveRequest(Record):
     """One CSV sweep: grid bounds plus the fixed test parameters."""
 
-    curve: str
-    start: float
-    stop: float
-    points: int
-    params: TestPlanParams
-    bins: tuple[int, ...] = ()
-    q1_values: tuple[float, ...] = ()
+    __slots__ = _fields = ("curve", "start", "stop", "points", "params", "bins", "q1_values")
 
-    def __post_init__(self) -> None:
-        if self.points < 2:
-            raise ShotBudgetError(f"curve needs at least 2 points, got {self.points}")
-        if not self.start < self.stop:
-            raise ShotBudgetError(f"curve needs start < stop, got [{self.start}, {self.stop}]")
+    def __init__(self, curve: str, start: float, stop: float, points: int, params: TestPlanParams,
+                 bins: tuple[int, ...] = (), q1_values: tuple[float, ...] = ()) -> None:
+        if points < 2:
+            raise ShotBudgetError(f"curve needs at least 2 points, got {points}")
+        if not start < stop:
+            raise ShotBudgetError(f"curve needs start < stop, got [{start}, {stop}]")
+        self._set(curve, start, stop, points, params, bins, q1_values)
 
 
 def _sig6(value: float) -> str:
@@ -97,8 +91,7 @@ def _print_table(rows: list, tail: str = "") -> None:
     _write_rows("", row, map(tuple, rows), tail=tail)
 
 
-@dataclass(frozen=True)
-class _Result:
+class _Result(NamedTuple):
     """What a planning command prints; see the module docstring."""
 
     doc: dict  # its "warnings" go to stderr under a table, its "notice" in both forms
@@ -272,8 +265,8 @@ def cmd_noise(args: argparse.Namespace) -> _Result:
     if args.mode == "plan":
         if args.q1 is None:
             raise ShotBudgetError("plan mode needs --q1")
-        doc = asdict(sp.two_proportion_shots(args.q0, args.q1, args.alpha, args.beta,
-                                             one_sided=not args.two_sided))
+        doc = sp.two_proportion_shots(args.q0, args.q1, args.alpha, args.beta,
+                                      one_sided=not args.two_sided)._asdict()
         rows = [["sided", "one" if value else "two"] if key == "one_sided" else [key, value]
                 for key, value in doc.items()]
         return _Result(doc, [["quantity", "value"], *rows])

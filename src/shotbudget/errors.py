@@ -108,3 +108,34 @@ def read_json(path: str, error: type = DomainError):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise error(f"{path}: not valid JSON ({exc})") from None
+
+
+class Record:
+    """Immutable `__slots__` record whose `__init__` checks its input, then stores
+    the fields `_fields` names through `_set`; equality, hash and repr go by them."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state) -> None:  # copy and pickle restore the saved slots
+        self._set(*map(state[1].__getitem__, self.__slots__))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"

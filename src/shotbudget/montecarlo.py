@@ -25,11 +25,11 @@ One kernel, `_count_below`, draws for all of them, in tiles of at most
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BaselineNotAboveTarget, DomainError, check_range
+from .errors import BaselineNotAboveTarget, DomainError, Record, check_range
 from .rng import MASK64, sub_seeds, uniform_block
 from .shot_estimators import FORMULAS, Formula
 from .stat_power import (
@@ -54,21 +54,19 @@ _CHUNK_ELEMENTS = 1 << 16
 _REJECT_SCAN = 64  # columns per tile while many early-exit trials are live
 
 
-@dataclass(frozen=True)
-class McConfig:
+class McConfig(Record):
     """Trial count and master seed; the RNG itself is fixed by the package."""
 
-    trials: int
-    seed: int = 20_260_822
+    __slots__ = _fields = ("trials", "seed")
 
-    def __post_init__(self) -> None:
-        check_range("trials", self.trials, 1)
-        if not 0 <= self.seed <= MASK64:  # an integer range, shown as 2^64
-            raise DomainError(f"seed must lie in [0, 2^64), got {self.seed}")
+    def __init__(self, trials: int, seed: int = 20_260_822) -> None:
+        check_range("trials", trials, 1)
+        if not 0 <= seed <= MASK64:  # an integer range, shown as 2^64
+            raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
+        self._set(trials, seed)
 
 
-@dataclass(frozen=True)
-class McResult:
+class McResult(NamedTuple):
     """Fraction of trials that hit, with the trial count it rests on.
 
     The error bar is the caller's: `validate` takes its standard error

@@ -25,11 +25,10 @@ estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .errors import DegenerateStates, DomainError, check_range
+from .errors import DegenerateStates, DomainError, Record, check_range
 
 __all__ = ["Formula", "FORMULAS", "ShotEstimate", "ShotBounds", "check_tolerances", "estimate",
            "shots_inverse_ideal", "shots_swap_ideal"]
@@ -53,8 +52,7 @@ class Formula(str, Enum):
     TRACE_MIXED_UPPER = "trace_mixed_upper"
 
 
-@dataclass(frozen=True)
-class ShotEstimate:
+class ShotEstimate(NamedTuple):
     """Raw formula value plus the integer shot count ceil(raw), >= 1."""
 
     raw: float
@@ -67,18 +65,15 @@ class ShotEstimate:
         return "lower-bound requirement" if self.conservative else "asymptotic estimate"
 
 
-@dataclass(frozen=True)
-class ShotBounds:
+class ShotBounds(Record):
     """Lower and upper shot estimates bracketing the true requirement."""
 
-    lower: ShotEstimate
-    upper: ShotEstimate
+    __slots__ = _fields = ("lower", "upper")
 
-    def __post_init__(self) -> None:
-        if self.lower.raw > self.upper.raw * (1.0 + 1e-12) + 1e-12:
-            raise DomainError(
-                f"shot bounds inverted: lower {self.lower.raw} > upper {self.upper.raw}"
-            )
+    def __init__(self, lower: ShotEstimate, upper: ShotEstimate) -> None:
+        if lower.raw > upper.raw * (1.0 + 1e-12) + 1e-12:
+            raise DomainError(f"shot bounds inverted: lower {lower.raw} > upper {upper.raw}")
+        self._set(lower, upper)
 
 
 class FormulaRow(NamedTuple):

@@ -28,8 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     BaselineNotAboveTarget,
@@ -37,6 +36,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     NoConvergence,
+    Record,
     ZeroExpectedBin,
     check_range,
     json_float,
@@ -81,8 +81,7 @@ def _pairwise_sum(values: Sequence[float]) -> float:
     return functools.reduce(operator.add, values[whole:], total)
 
 
-@dataclass(frozen=True, eq=False)
-class Distribution:
+class Distribution(Record):
     """Probability distribution over k >= 2 measurement bins.
 
     Entries must be finite, nonnegative and sum to 1 within 1e-8; the stored
@@ -90,10 +89,11 @@ class Distribution:
     flat: float() raises TypeError on a nested (2-D) entry.
     """
 
-    probs: tuple[float, ...]
+    __slots__ = _fields = ("probs",)
+    __eq__, __hash__ = object.__eq__, object.__hash__  # identity equality
 
-    def __post_init__(self) -> None:
-        probs = tuple(map(float, self.probs))
+    def __init__(self, probs: Sequence[float]) -> None:
+        probs = tuple(map(float, probs))
         if len(probs) < 2:
             raise DomainError(f"a distribution needs at least 2 bins, got {len(probs)}")
         for i, p in enumerate(probs):
@@ -104,7 +104,7 @@ class Distribution:
         total = _pairwise_sum(probs)
         if abs(total - 1.0) > tol.DISTRIBUTION_SUM_ATOL:
             raise DomainError(f"probabilities sum to {total!r}, not 1 within {tol.DISTRIBUTION_SUM_ATOL:.1e}")
-        object.__setattr__(self, "probs", tuple(p / total for p in probs))
+        self._set(tuple(p / total for p in probs))
 
     @property
     def k(self) -> int:
@@ -203,8 +203,7 @@ def lambda_noncentral(df: int, alpha: float, power: float) -> float:
     return solve_increasing(attained_power, power, 0.0, 8.0)
 
 
-@dataclass(frozen=True)
-class ChiSquarePlan:
+class ChiSquarePlan(NamedTuple):
     """Chi-square shot plan: N = ceil(lambda / w^2) for the given test size."""
 
     w2: float
@@ -275,8 +274,7 @@ def chisq_validity(n_shots: float, expected: Distribution) -> tuple[str, ...]:
     return tuple(warnings)
 
 
-@dataclass(frozen=True)
-class BinomialPlan:
+class BinomialPlan(NamedTuple):
     """Two-proportion plan for detecting a success-rate drop q0 -> q1."""
 
     q0: float

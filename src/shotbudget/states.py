@@ -19,12 +19,11 @@ error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidState, check_range, json_float, read_json
+from .errors import DimensionMismatch, InvalidState, Record, check_range, json_float, read_json
 from .numerics import hermitian_eigendecomposition, minimize_unimodal
 from .shot_estimators import FORMULAS, Formula
 from . import tolerances as tol
@@ -57,15 +56,14 @@ def _qubit_count(dim: int, what: str) -> int:
     return n
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(Record):
     """Normalized state vector on n qubits."""
 
-    amplitudes: np.ndarray
+    __slots__ = _fields = ("amplitudes",)
+    __eq__, __hash__ = object.__eq__, object.__hash__  # identity equality
 
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        object.__setattr__(self, "amplitudes", amps)
+    def __init__(self, amplitudes: np.ndarray) -> None:
+        amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
         _qubit_count(amps.size, "state vector")
         bad = _first_nonfinite(amps)
         if bad is not None:
@@ -73,6 +71,7 @@ class PureState:
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > tol.NORM_ATOL:
             raise InvalidState(f"state vector norm {norm!r} differs from 1 beyond {tol.NORM_ATOL:.1e}")
+        self._set(amps)
 
     @property
     def dim(self) -> int:
@@ -92,8 +91,7 @@ class PureState:
         return DensityMatrix(matrix=(mat + mat.conj().T) / 2.0, _validated=True)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(Record):
     """Density matrix on n qubits: Hermitian, unit trace, PSD.
 
     Validation reports the first failed invariant by name.  Eigenvalues in
@@ -101,17 +99,16 @@ class DensityMatrix:
     the spectrum is consumed.
     """
 
-    matrix: np.ndarray
-    _validated: bool = field(default=False, repr=False, compare=False)
-    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    __slots__, _fields = ("matrix", "_eig"), ("matrix",)
+    __eq__, __hash__ = object.__eq__, object.__hash__  # identity equality
 
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=np.complex128)
-        object.__setattr__(self, "matrix", mat)
+    def __init__(self, matrix: np.ndarray, _validated: bool = False, _eig=None) -> None:
+        mat = np.asarray(matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidState(f"density matrix must be square, got shape {mat.shape}")
         _qubit_count(mat.shape[0], "density matrix")
-        if self._validated:
+        self._set(mat, _eig)
+        if _validated:
             return
         bad = _first_nonfinite(mat)
         if bad is not None:
@@ -147,8 +144,7 @@ class DensityMatrix:
         return np.where(values > 0.0, values, 0.0), vectors
 
 
-@dataclass(frozen=True)
-class QcbResult:
+class QcbResult(NamedTuple):
     """Quantum Chernoff bound value with its minimizer and error exponent.
 
     q is min over s in [0, 1] of Tr(rho^s sigma^(1-s)); exponent is

@@ -100,6 +100,30 @@ def test_importing_the_package_loads_no_numpy():
     assert _python("-c", code).stdout == "[]\n[]\n[]\n"
 
 
+def test_no_command_loads_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize (~8 ms) on every command
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    loaded = f"print(sorted(m for m in sys.modules if m.partition('.')[0] in {heavy}))"
+    code = (f"import sys, shotbudget.cli; {loaded}; "
+            f"import shotbudget.budget; shotbudget.budget.allocate; {loaded}")
+    assert _python("-c", code).stdout == "[]\n[]\n"
+
+
+def test_no_module_imports_dataclasses():
+    # record types are typing.NamedTuples or errors.Record classes
+    importers = []
+    for path in sorted(pathlib.Path(shotbudget.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            importers += [path.name for module in modules if module.partition(".")[0] == "dataclasses"]
+    assert importers == []
+
+
 def _traced(tmp_path, name: str, *argv: str) -> dict:
     spans = tmp_path / f"{name}.json"
     _python(str(ROOT / "perfbench" / "launcher.py"), str(spans), "0", "spans", "--", *argv,

@@ -2,7 +2,6 @@
 say, the command examples print what README shows, and every shotbudget
 name README mentions is importable."""
 
-import dataclasses
 import importlib.util
 import json
 import pathlib
@@ -92,8 +91,6 @@ def _mentioned_names() -> set[str]:
 def _resolves(token: str) -> bool:
     obj = shotbudget
     for part in token.split(".")[1:] if token.startswith("shotbudget") else token.split("."):
-        if dataclasses.is_dataclass(obj) and part in {f.name for f in dataclasses.fields(obj)}:
-            return True  # a field without a class-level default
         if not hasattr(obj, part):
             return False
         obj = getattr(obj, part)

@@ -112,7 +112,7 @@ def read_json(path: str, error: type = DomainError):
 
 class Record:
     """Immutable `__slots__` record whose `__init__` checks its input, then stores
-    the fields `_fields` names through `_set`; equality, hash and repr go by them."""
+    the slots in order through `_set`; equality, hash and repr go by `_fields`."""
 
     __slots__ = ()
 

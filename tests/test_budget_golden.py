@@ -3,9 +3,9 @@
 Every (spec, format) case below pins the stdout of the `budget` command,
 and a change to the budget path must reproduce it byte for byte.  The
 digests are sha256 of the UTF-8 stdout; the 10k-block spec is built here
-from a seeded generator, so no large fixture is committed.  The last test recomputes every
-column block by block through the scalar shot estimators and requires
-equal bits.
+from a seeded generator, so no large fixture is committed.  The last test
+recomputes every column block by block through the scalar shot
+estimators and requires equal bits.
 """
 
 import hashlib

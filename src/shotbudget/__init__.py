@@ -36,8 +36,8 @@ _EXPORTS = {
               "fuchs_van_de_graaf_bounds load_state parse_state q_bounds_mixed qcb_q trace_distance",
     "shot_estimators": "Formula ShotBounds ShotEstimate estimate shots_inverse_ideal shots_swap_ideal",
     "stat_power": "BinomialPlan ChiSquarePlan Distribution binomial_cdf binomial_decision "
-                  "binomial_rejection_threshold chi2_distance chisq_validity lambda_noncentral "
-                  "load_distribution parse_distribution shots_chisq two_proportion_shots "
+                  "binomial_rejection_threshold chi2_distance chisq_noncentrality chisq_validity "
+                  "lambda_noncentral load_distribution parse_distribution shots_chisq two_proportion_shots "
                   "w2_fidelity_attaining w2_small_discrepancy",
     "budget": "BlockAllocation BlockSpec BudgetReport HardwareRates ProgramSpec allocate "
               "allocate_program bures_angle load_program_spec parse_program_spec",

@@ -11,23 +11,27 @@ sum_j n_j theta_j = Theta* holds by construction.
 Weights default to g1 * r1 + g2 * r2 + depth * gamma (error mass from
 one- and two-qubit gate counts, optionally depth), and a block may pin
 an explicit weight instead, which is how hybrid policies are expressed.
-Spec and report are columnar: a spec file is parsed straight into one
-tuple per block field, each number checked once, and priced a column at
-a time; `ProgramSpec.blocks` and `BudgetReport.allocations` are row
-views built on read.
+Spec and report are columnar: a ProgramSpec holds one tuple per block
+field, checked in one pass per column, and is priced a column at a time;
+`ProgramSpec.blocks` and `BudgetReport.allocations` are row views built
+on read.  There are three ways in, all checked: `parse_program_spec`
+(or `load_program_spec`), `allocate` over BlockSpecs, and a ProgramSpec
+built by hand.  `_BLOCK_RULES` states each block field's rule once, and
+BlockSpec, a spec entry's check and the column pass all read it.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
-from itertools import compress
-from operator import add, mul, not_
+from contextlib import suppress
+from functools import partial, reduce
+from itertools import compress, repeat
+from operator import add, is_not, mul, not_
 from typing import NamedTuple
 
 from .errors import _FLOAT_MAX, DomainError, Record, ZeroBudget, ZeroWeight, check_range, json_float, read_json
-from .shot_estimators import FORMULAS, Formula, check_tolerances
-from .stat_power import _w2_fidelity_attaining, _w2_small_discrepancy, lambda_noncentral
+from .shot_estimators import FORMULAS, Formula, _shot_count, check_tolerances
+from .stat_power import _check_chisq, _w2_fidelity_attaining, _w2_small_discrepancy, chisq_noncentrality
 from . import tolerances as tol
 
 __all__ = [
@@ -45,7 +49,36 @@ __all__ = [
 ]
 
 _TEST_KINDS = ("inverse", "swap", "chisq_small", "chisq_attaining")
-_NUMBER = frozenset((int, float))  # exact types: a bool is no number
+_NUMBER = (int, float)  # exact types: a bool is no number
+
+# Each block field's rule, read by BlockSpec, a spec entry's check and ProgramSpec's
+# column pass: (field, spec key, value when absent, exact types, least value).  Every
+# value is finite and a name nonempty; a weight of None is absent, and so is a number
+# that a spec entry leaves out, which takes its value unchecked.
+_BLOCK_RULES = (
+    ("name", "name", None, (str,), None),
+    ("multiplicity", "multiplicity", 1, (int,), 1),
+    ("g1", "g1", 0.0, _NUMBER, 0),
+    ("g2", "g2", 0.0, _NUMBER, 0),
+    ("depth", "depth", 0.0, _NUMBER, 0),
+    ("explicit_weight", "weight", None, _NUMBER, None),
+)
+
+
+def _checked(value, types: tuple, low, what: str, args: tuple = ()):
+    # a given value by a rule's exact types and least value, a number as a float, or a
+    # DomainError naming what % args
+    if types is _NUMBER:
+        number = json_float(what, value, args=args)
+        check_range(what, value, low, finite=True, args=args)  # names the value as given
+        return number
+    if type(value) not in types or value == "":
+        noun = "a nonempty string" if str in types else "an integer"
+        raise DomainError(f"{what % args}: expected {noun}, got {value!r}")
+    if low is not None:  # a count: its least value, then a float-sized one
+        check_range(what, value, low, args=args)
+        check_range(what, value, finite=True, args=args)
+    return value
 
 
 class HardwareRates(Record):
@@ -55,25 +88,28 @@ class HardwareRates(Record):
 
     def __init__(self, r1: float, r2: float, gamma: float = 0.0) -> None:
         for name, rate in zip(self._fields, (r1, r2, gamma)):
-            check_range(f"hardware rate {name}", rate, 0, finite=True)
+            _checked(rate, _NUMBER, 0, "hardware rate %s", (name,))  # a spec file's number rule
         self._set(r1, r2, gamma)
 
 
 class BlockSpec(Record):
-    """One program block archetype and how often it is instantiated."""
+    """One program block archetype and how often it is instantiated; its fields
+    obey the rules of a spec file's block entries, and its numbers are floats."""
 
     __slots__ = _fields = ("name", "multiplicity", "g1", "g2", "depth", "explicit_weight")
 
     def __init__(self, name: str, multiplicity: int, g1: float = 0.0, g2: float = 0.0,
                  depth: float = 0.0, explicit_weight: float | None = None) -> None:
-        if type(multiplicity) is not int or multiplicity < 1:  # bool and float counts are rejected too
-            raise DomainError(f"block {name!r}: multiplicity must be an integer >= 1, got {multiplicity!r}")
-        check_range("block %r: multiplicity", multiplicity, finite=True, args=(name,))  # a float-sized count
-        for attr, value in zip(("g1", "g2", "depth"), (g1, g2, depth)):
-            check_range("block %r: %s", value, 0, finite=True, args=(name, attr))
-        if explicit_weight is not None:
-            check_range("block %r: weight", explicit_weight, finite=True, args=(name,))
-        self._set(name, multiplicity, g1, g2, depth, explicit_weight)
+        name_rule, count_rule, *number_rules = _BLOCK_RULES
+        _checked(name, *name_rule[3:], "block name")
+        _, _, _, counts, least = count_rule
+        if type(multiplicity) not in counts or multiplicity < least:  # bool and float counts too
+            raise DomainError(f"block {name!r}: multiplicity must be an integer >= {least}, "
+                              f"got {multiplicity!r}")
+        _checked(multiplicity, *count_rule[3:], "block %r: multiplicity", (name,))
+        self._set(name, multiplicity, *(None if value is None and rule[2] is None else  # an absent weight
+                                        _checked(value, *rule[3:], "block %r: %s", (name, rule[1]))
+                                        for rule, value in zip(number_rules, (g1, g2, depth, explicit_weight))))
 
 
 class BlockAllocation(NamedTuple):
@@ -143,14 +179,14 @@ def _block_columns(blocks) -> dict[str, tuple]:
     return {name: tuple(getattr(b, name) for b in blocks) for name in BlockSpec._fields}
 
 
-def _weights(columns: dict[str, tuple], rates: HardwareRates, spec: bool = False) -> list[float]:
+def _weights(columns: dict[str, tuple], rates: HardwareRates, paths: bool = False) -> list[float]:
     # block_weight for every block; a ZeroWeight from a spec also names the block's JSON path
     r1, r2, gamma = rates.r1, rates.r2, rates.gamma
-    weights = [g1 * r1 + g2 * r2 + depth * gamma if w is None else w for g1, g2, depth, w in zip(
+    weights = [g1 * r1 + g2 * r2 + depth * gamma if w is None else float(w) for g1, g2, depth, w in zip(
         columns["g1"], columns["g2"], columns["depth"], columns["explicit_weight"])]
     if min(weights) <= 0.0:
         i = next(i for i, w in enumerate(weights) if w <= 0.0)
-        path = f"/blocks/{i}: " if spec else ""
+        path = f"/blocks/{i}: " if paths else ""
         raise ZeroWeight(f"{path}block {columns['name'][i]!r} resolves to weight {weights[i]!r}")
     return weights
 
@@ -178,27 +214,25 @@ def allocate(blocks, rates: HardwareRates, f_prog: float, p_e: float, regime_fac
 
     Raises ZeroBudget for f_prog = 1 and ZeroWeight for weightless blocks.
     """
-    return _allocate(_block_columns(tuple(blocks)), rates, f_prog, p_e, regime_factor,
-                     chisq_bins, chisq_alpha, chisq_beta)
+    spec = ProgramSpec(f_prog, p_e, regime_factor, rates, _block_columns(tuple(blocks)),
+                       chisq_bins, chisq_alpha, chisq_beta)
+    return _allocate(spec, paths=False)
 
 
-def _allocate(blocks: dict[str, tuple], rates: HardwareRates, f_prog: float, p_e: float,
-              regime_factor: float, chisq_bins: int, chisq_alpha: float, chisq_beta: float,
-              spec: bool = False) -> BudgetReport:
-    # allocate over the BlockSpec columns; `spec` puts JSON paths in ZeroWeight messages
+def _allocate(spec: ProgramSpec, paths: bool) -> BudgetReport:
+    # price a checked spec; `paths` puts JSON paths in ZeroWeight messages
+    blocks, f_prog, p_e, regime_factor = spec.columns, spec.fidelity_target, spec.p_e, spec.regime_factor
     if not blocks["name"]:
         raise DomainError("no blocks to allocate over")
-    check_tolerances(p_e, regime_factor)
-    check_range("program fidelity target", f_prog, 0, 1, "(]")
     big_theta = bures_angle(f_prog)
     if big_theta == 0.0:
         raise ZeroBudget("program fidelity target 1 leaves no error angle to allocate")
 
-    weights = _weights(blocks, rates, spec)
+    weights = _weights(blocks, spec.hardware, paths)
     mult = blocks["multiplicity"]
     total_weight = sum(map(mul, mult, weights))
     check_range("total weight sum n_j w_j", total_weight, finite=True)
-    lam = lambda_noncentral(chisq_bins - 1, chisq_alpha, 1.0 - chisq_beta)
+    lam = chisq_noncentrality(spec.chisq_bins, spec.chisq_alpha, spec.chisq_beta)
     log_pe = math.log(p_e)
 
     theta = [w / total_weight * big_theta for w in weights]
@@ -224,8 +258,7 @@ def _allocate(blocks: dict[str, tuple], rates: HardwareRates, f_prog: float, p_e
     feasible = [[r <= tol.MAX_SCHEDULABLE_SHOTS for r in raw] for raw in raws]
     totals: dict[str, int] = {}
     for kind, raw, flags in zip(_TEST_KINDS, raws, feasible):
-        # raw >= 0: ceil(raw) floored at one shot, an exact int however large, or 0 for inf
-        shots = [math.ceil(r) or 1 if r < math.inf else 0 for r in raw]
+        shots = [_shot_count(r) if r < math.inf else 0 for r in raw]  # an exact int however large
         columns[f"shots_{kind}"] = tuple(shots)
         totals[kind] = sum(map(mul, compress(mult, flags), compress(shots, flags)))
     columns.update((f"raw_{k}", tuple(r)) for k, r in zip(_TEST_KINDS, raws))
@@ -236,38 +269,62 @@ def _allocate(blocks: dict[str, tuple], rates: HardwareRates, f_prog: float, p_e
 
     total_angle = reduce(add, map(mul, mult, theta), 0.0)  # sum() compensates on 3.12+
     return BudgetReport(
-        f_prog=f_prog, p_e=p_e, regime_factor=regime_factor, chisq_bins=chisq_bins,
-        chisq_alpha=chisq_alpha, chisq_beta=chisq_beta, noncentrality=lam, theta_star=big_theta,
+        f_prog=f_prog, p_e=p_e, regime_factor=regime_factor, chisq_bins=spec.chisq_bins,
+        chisq_alpha=spec.chisq_alpha, chisq_beta=spec.chisq_beta, noncentrality=lam, theta_star=big_theta,
         total_weight=total_weight, total_angle=total_angle, columns=columns, totals=totals,
     )
 
 
-class ProgramSpec(NamedTuple):
+def _checked_columns(columns: dict) -> dict[str, tuple]:
+    # ProgramSpec's column pass: each column checked at once by its field's rule; on a
+    # fault the rows go through BlockSpec, which names the first
+    if not isinstance(columns, dict) or set(columns) != set(BlockSpec._fields):
+        raise DomainError(f"columns: expected one column for each BlockSpec field {BlockSpec._fields}")
+    checked = {field: tuple(columns[field]) for field in BlockSpec._fields}
+    blocks = len(checked["name"])
+    for (field, _, default, types, low), column in zip(_BLOCK_RULES, checked.values()):
+        if len(column) != blocks:
+            raise DomainError(f"columns: {field!r} has {len(column)} entries for {blocks} blocks")
+        if default is None and types is _NUMBER:  # a None weight is absent
+            column = tuple(filter(partial(is_not, None), column))
+        kinds = set(map(type, column))
+        if not kinds.issubset(types) or ("" in column if str in types else column and not (
+                (-_FLOAT_MAX if low is None else low) <= min(column) and max(column) <= _FLOAT_MAX
+                and not (float in kinds and any(map(math.isnan, column))))):  # min and max skip a NaN
+            return _block_columns([BlockSpec(*row) for row in zip(*checked.values())])
+    return checked
+
+
+class ProgramSpec(Record):
     """Everything needed to budget one program: target, tolerances, blocks.
 
-    `columns` maps each BlockSpec field name, in field order, to a tuple with
-    one checked entry per block; `blocks` builds the BlockSpec rows on read.
+    `columns` maps each BlockSpec field name, in field order, to a tuple with one entry
+    per block, checked a column at a time by BlockSpec's rules; `blocks` builds the
+    BlockSpec rows on read.  The other fields are checked as `allocate` checks them.
     """
 
-    fidelity_target: float
-    p_e: float
-    regime_factor: float
-    hardware: HardwareRates
-    columns: dict[str, tuple]
-    chisq_bins: int = 16
-    chisq_alpha: float = 0.01
-    chisq_beta: float = 0.01
+    __slots__ = _fields = ("fidelity_target", "p_e", "regime_factor", "hardware", "columns",
+                           "chisq_bins", "chisq_alpha", "chisq_beta")
+
+    def __init__(self, fidelity_target: float, p_e: float, regime_factor: float, hardware: HardwareRates,
+                 columns: dict, chisq_bins: int = 16, chisq_alpha: float = 0.01,
+                 chisq_beta: float = 0.01) -> None:
+        check_tolerances(p_e, regime_factor)
+        check_range("program fidelity target", fidelity_target, 0, 1, "(]")
+        if not isinstance(hardware, HardwareRates):
+            raise DomainError(f"hardware: expected HardwareRates, got {type(hardware).__name__}")
+        _check_chisq(chisq_bins, chisq_alpha, chisq_beta)
+        self._set(fidelity_target, p_e, regime_factor, hardware, _checked_columns(columns),
+                  chisq_bins, chisq_alpha, chisq_beta)
 
     @property
     def blocks(self) -> tuple[BlockSpec, ...]:
-        rows = zip(*(self.columns[name] for name in BlockSpec._fields))
-        return tuple(BlockSpec(*row) for row in rows)
+        return tuple(BlockSpec(*row) for row in zip(*self.columns.values()))
 
 
 def allocate_program(spec: ProgramSpec) -> BudgetReport:
-    """Run the allocator on a parsed ProgramSpec; a ZeroWeight names the block's JSON path."""
-    return _allocate(spec.columns, spec.hardware, spec.fidelity_target, spec.p_e, spec.regime_factor,
-                     spec.chisq_bins, spec.chisq_alpha, spec.chisq_beta, spec=True)
+    """Run the allocator on a ProgramSpec; a ZeroWeight names the block's JSON path."""
+    return _allocate(spec, paths=True)
 
 
 def _spec_number(obj: dict, key: str, path: str, low=None, high=None, ends: str = "[]", *,
@@ -284,54 +341,24 @@ def _spec_number(obj: dict, key: str, path: str, low=None, high=None, ends: str 
 
 
 def _block_row(entry, path: str) -> tuple:
-    # the per-field checks: a block entry's BlockSpec fields, or a DomainError
-    # naming the JSON path of its first fault in field order
+    # the per-entry check: an entry's BlockSpec fields, or a DomainError naming the
+    # JSON path of its first fault in field order
     if not isinstance(entry, dict):
         raise DomainError(f"{path}: expected an object")
-    name = entry.get("name")
-    if not isinstance(name, str) or not name:
-        raise DomainError(f"{path}/name: expected a nonempty string, got {name!r}")
-    multiplicity = entry.get("multiplicity", 1)
-    if type(multiplicity) is not int:  # bool counts are rejected too
-        raise DomainError(f"{path}/multiplicity: expected an integer, got {multiplicity!r}")
-    check_range("%s/multiplicity", multiplicity, 1, args=(path,))
-    check_range("%s/multiplicity", multiplicity, finite=True, args=(path,))  # a float-sized count
-    return (name, multiplicity, *(_spec_number(entry, key, path, 0, default=0.0, required=False)
-                                  for key in ("g1", "g2", "depth")),
-            _spec_number(entry, "weight", path, default=None, required=False))
-
-
-def _parse_blocks(raw_blocks: list) -> dict[str, tuple]:
-    # the block entries as BlockSpec columns, each number checked once: a valid
-    # entry passes one inline test, and _block_row words the fault of any other
-    columns = tuple([] for _ in BlockSpec._fields)
-    names, counts, g1s, g2s, depths, weights = columns
-    for i, entry in enumerate(raw_blocks):
-        if type(entry) is dict:
-            name, n = entry.get("name"), entry.get("multiplicity", 1)
-            g1, g2, depth = entry.get("g1", 0.0), entry.get("g2", 0.0), entry.get("depth", 0.0)
-            weight = entry.get("weight", 0.0)  # an absent weight passes, a null one does not
-            if (type(name) is str and name and type(n) is int and 1 <= n <= _FLOAT_MAX
-                    and type(g1) in _NUMBER and type(g2) in _NUMBER and type(depth) in _NUMBER
-                    and type(weight) in _NUMBER and 0 <= g1 <= _FLOAT_MAX and 0 <= g2 <= _FLOAT_MAX
-                    and 0 <= depth <= _FLOAT_MAX and -_FLOAT_MAX <= weight <= _FLOAT_MAX):
-                names.append(name)
-                counts.append(n)
-                g1s.append(float(g1))
-                g2s.append(float(g2))
-                depths.append(float(depth))
-                weights.append(float(weight) if "weight" in entry else None)
-                continue
-        for column, value in zip(columns, _block_row(entry, f"/blocks/{i}")):
-            column.append(value)
-    return dict(zip(BlockSpec._fields, map(tuple, columns)))
+    row = []
+    for _, key, default, types, low in _BLOCK_RULES:
+        absent = key not in entry and types is _NUMBER  # takes its value unchecked
+        row.append(default if absent else
+                   _checked(entry.get(key, default), types, low, "%s/%s", (path, key)))
+    return tuple(row)
 
 
 def parse_program_spec(obj: dict) -> ProgramSpec:
     """Build a ProgramSpec from its JSON object form, straight into columns.
 
-    Error messages carry the JSON-pointer-style path of the offending
-    field so a bad spec file is easy to fix.
+    ProgramSpec checks the block entries a column at a time; only when that
+    finds a fault are the entries checked one by one, so that the error
+    message carries the JSON-pointer-style path of the offending field.
     """
     if not isinstance(obj, dict):
         raise DomainError(f"program spec must be a JSON object, got {type(obj).__name__}")
@@ -342,10 +369,7 @@ def parse_program_spec(obj: dict) -> ProgramSpec:
     chisq = obj.get("chisq", {})
     if not isinstance(chisq, dict):
         raise DomainError("/chisq: expected an object")
-    bins = chisq.get("bins", 16)
-    if isinstance(bins, bool) or not isinstance(bins, int):
-        raise DomainError(f"/chisq/bins: expected an integer, got {bins!r}")
-    check_range("/chisq/bins", bins, 2)
+    bins = _checked(chisq.get("bins", 16), (int,), 2, "/chisq/bins")  # a count, as a multiplicity is
     alpha = _spec_number(chisq, "alpha", "/chisq", 0, 1, "()", default=0.01, required=False)
     beta = _spec_number(chisq, "beta", "/chisq", 0, 1, "()", default=0.01, required=False)
 
@@ -361,10 +385,17 @@ def parse_program_spec(obj: dict) -> ProgramSpec:
     raw_blocks = obj.get("blocks")
     if not isinstance(raw_blocks, list) or not raw_blocks:
         raise DomainError("/blocks: missing or empty")
-    return ProgramSpec(
-        fidelity_target=fidelity_target, p_e=p_e, regime_factor=regime_factor, hardware=rates,
-        columns=_parse_blocks(raw_blocks), chisq_bins=bins, chisq_alpha=alpha, chisq_beta=beta,
-    )
+    spec = partial(ProgramSpec, fidelity_target, p_e, regime_factor, rates,
+                   chisq_bins=bins, chisq_alpha=alpha, chisq_beta=beta)
+    if set(map(type, raw_blocks)) == {dict}:
+        columns = {field: list(map(dict.get, raw_blocks, repeat(key), repeat(default)))
+                   for field, key, default, _, _ in _BLOCK_RULES}
+        weights = columns["explicit_weight"]  # None where absent, and also where given as null
+        if weights.count(None) == len(raw_blocks) - sum(map(dict.__contains__, raw_blocks, repeat("weight"))):
+            with suppress(DomainError):  # the entries' own check names the fault
+                return spec(columns)
+    rows = [_block_row(entry, f"/blocks/{i}") for i, entry in enumerate(raw_blocks)]
+    return spec(dict(zip(BlockSpec._fields, zip(*rows))))
 
 
 def load_program_spec(path: str) -> ProgramSpec:

@@ -469,7 +469,7 @@ def emit_curve(request: CurveRequest, out=None) -> None:
         for x in grid:
             rows.append([x, 1.0 - x, *(est.estimate(f, x, params.p_e).shots for f in formulas)])
     elif request.curve == "test_comparison":
-        lams = {k: sp.lambda_noncentral(k - 1, params.alpha, 1.0 - params.beta) for k in request.bins}
+        lams = {k: sp.chisq_noncentrality(k, params.alpha, params.beta) for k in request.bins}
         header = ["F", "n_inverse", "n_swap"]
         for k in request.bins:
             header += [f"n_chisq_small_k{k}", f"n_chisq_attaining_k{k}"]
@@ -478,7 +478,7 @@ def emit_curve(request: CurveRequest, out=None) -> None:
             small = sp.w2_small_discrepancy(f)
             attain = sp.w2_fidelity_attaining(f)
             for k in request.bins:
-                row += [max(1, math.ceil(lams[k] / small)), max(1, math.ceil(lams[k] / attain))]
+                row += [est._shot_count(lams[k] / small), est._shot_count(lams[k] / attain)]
             rows.append(row)
     elif request.curve == "noise_binomial":
         header = ["q0"]

@@ -17,9 +17,10 @@ and `budget.allocate` all take it from there.  `check_tolerances` is the
 one p_e and regime-factor check.
 
 An estimate carries the raw formula value and the schedulable count
-ceil(raw), floored at one shot.  `conservative` changes no number; it
-labels the count a lower-bound requirement instead of an asymptotic
-estimate.
+ceil(raw), floored at one shot: `_shot_count` states that rule for the
+chi-square and binomial plans, the budget and the curves too.
+`conservative` changes no number; it labels the count a lower-bound
+requirement instead of an asymptotic estimate.
 """
 
 from __future__ import annotations
@@ -116,6 +117,11 @@ def check_tolerances(p_e: float, regime_factor: float = 1.0) -> None:
     check_range("regime factor", regime_factor, 1, 2)
 
 
+def _shot_count(raw: float) -> int:
+    """The schedulable count of a finite raw value >= 0: ceil(raw), at least one shot."""
+    return math.ceil(raw) or 1
+
+
 def estimate(formula: Formula, x: float, p_e: float, regime_factor: float = 1.0, *,
              conservative: bool = False) -> ShotEstimate:
     """Price one FORMULAS row at input x (a fidelity, trace distance or Q).
@@ -137,7 +143,7 @@ def estimate(formula: Formula, x: float, p_e: float, regime_factor: float = 1.0,
     raw = row.multiple * (math.log(p_e) / math.log(q)) if q > 0.0 else 0.0
     if row.scaled:
         raw *= regime_factor
-    return ShotEstimate(raw=raw, shots=max(1, math.ceil(raw)), formula=formula,
+    return ShotEstimate(raw=raw, shots=_shot_count(raw), formula=formula,
                         conservative=conservative)
 
 

@@ -5,10 +5,11 @@ a reference q is summarized by w^2 = sum (p_i - q_i)^2 / q_i, the test
 detects it at significance alpha and power 1 - beta once the shot count
 reaches lambda / w^2, where lambda is the noncentrality at which the
 noncentral chi-square clears the central critical value with the target
-power.  Hellinger distance connects w^2 to fidelity: w^2 >= (1/4) d_H^4
-always, w^2 ~= 8 d_H^2 <= 8 (1 - sqrt(F)) for small discrepancies, and
-(1/4)(1 - sqrt(F))^2 for the distribution pair that attains the fidelity
-bound.
+power; `chisq_noncentrality` is the one checked way from a test's bins,
+alpha and beta to lambda.  Hellinger distance connects w^2 to fidelity:
+w^2 >= (1/4) d_H^4 always, w^2 ~= 8 d_H^2 <= 8 (1 - sqrt(F)) for small
+discrepancies, and (1/4)(1 - sqrt(F))^2 for the distribution pair that
+attains the fidelity bound.
 
 The binomial path plans and decides a success-probability drop from a
 baseline q0 to a degraded q1: planning uses the two-sample normal
@@ -43,6 +44,7 @@ from .errors import (
     read_json,
 )
 from .numerics import lentz_fraction, regularized_gamma_p, solve_increasing
+from .shot_estimators import _shot_count
 from . import tolerances as tol
 
 __all__ = [
@@ -54,6 +56,7 @@ __all__ = [
     "chi2_quantile",
     "noncentral_chi2_cdf",
     "lambda_noncentral",
+    "chisq_noncentrality",
     "shots_chisq",
     "w2_fidelity_attaining",
     "w2_small_discrepancy",
@@ -215,23 +218,34 @@ class ChiSquarePlan(NamedTuple):
     shots: int
 
 
+def _check_chisq(bins: int, alpha: float, beta: float) -> None:
+    if type(bins) is not int:  # a bool or float count too
+        raise DomainError(f"bins must be an integer, got {bins!r}")
+    check_range("bins", bins, 2)
+    check_range("alpha", alpha, 0, 1, "()")
+    check_range("beta", beta, 0, 1, "()")
+
+
+def chisq_noncentrality(bins: int, alpha: float, beta: float) -> float:
+    """Noncentrality lambda of a chi-square test over an integer bins >= 2 at size
+    alpha and power 1 - beta, both in (0, 1); w^2 then takes lambda / w^2 shots."""
+    _check_chisq(bins, alpha, beta)
+    return lambda_noncentral(bins - 1, alpha, 1.0 - beta)
+
+
 def shots_chisq(w2: float, bins: int, alpha: float, beta: float) -> ChiSquarePlan:
     """Shots for the chi-square test to detect discrepancy w^2.
 
     Raises DegenerateStates when w2 = 0: identical distributions produce
     no detectable effect at any shot count.
     """
-    check_range("bins", bins, 2)
+    lam = chisq_noncentrality(bins, alpha, beta)
     check_range("w^2", w2, 0, finite=True)
     if w2 == 0.0:
         raise DegenerateStates("w^2 = 0: no discrepancy to detect")
-    check_range("beta", beta, 0, 1, "()")
-    lam = lambda_noncentral(bins - 1, alpha, 1.0 - beta)
     raw = lam / w2
-    return ChiSquarePlan(
-        w2=w2, bins=bins, alpha=alpha, beta=beta, noncentrality=lam,
-        raw=raw, shots=max(1, math.ceil(raw)),
-    )
+    return ChiSquarePlan(w2=w2, bins=bins, alpha=alpha, beta=beta, noncentrality=lam, raw=raw,
+                         shots=_shot_count(raw))
 
 
 def w2_fidelity_attaining(fid: float) -> float:
@@ -317,7 +331,7 @@ def two_proportion_shots(
     raw = numerator / (q0 - q1) ** 2
     return BinomialPlan(
         q0=q0, q1=q1, alpha=alpha, beta=beta, one_sided=one_sided,
-        raw=raw, shots=max(1, math.ceil(raw)),
+        raw=raw, shots=_shot_count(raw),
     )
 
 

@@ -164,6 +164,15 @@ class TestAllocateValidation:
         with pytest.raises(DomainError):
             allocate(explicit_blocks([1.0]), RATES_UNUSED, 0.99, 0.05, regime_factor=3.0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"chisq_beta": 1.5}, "beta must lie in (0, 1), got 1.5"),
+        ({"chisq_bins": 1}, "bins must be >= 2, got 1"),
+    ])
+    def test_bad_chisq_parameters_are_named_as_shots_chisq_names_them(self, kwargs, message):
+        with pytest.raises(DomainError) as info:
+            allocate(explicit_blocks([1.0]), RATES_UNUSED, 0.99, 0.05, **kwargs)
+        assert str(info.value) == message
+
 
 SPEC_DOC = {
     "fidelity_target": 0.99,

@@ -532,6 +532,16 @@ class TestCurve:
         assert "n_chisq_attaining_k16" in header
         assert len(rows) == 3
 
+    def test_test_comparison_prices_every_cell_as_shots_chisq(self, capsys):
+        assert cli.main(["curve", "test_comparison", "--points", "4", "--bins", "4,16,64"]) == 0
+        header, rows = self._rows(capsys)
+        for row in rows:
+            fid = float(row[0])
+            for k in (4, 16, 64):
+                for case, w2 in (("small", sp.w2_small_discrepancy), ("attaining", sp.w2_fidelity_attaining)):
+                    cell = int(row[header.index(f"n_chisq_{case}_k{k}")])
+                    assert cell == sp.shots_chisq(w2(fid), k, 0.01, 0.01).shots, (fid, k, case)
+
     def test_noise_binomial(self, capsys):
         code = cli.main(
             ["curve", "noise_binomial", "--points", "4", "--q1", "0.90,0.99"]
@@ -581,6 +591,8 @@ class TestCurve:
          "alpha and beta must lie in (0, 1), got alpha=0.0, beta=0.01"),
         (["validate", "--scenario", "inverse", "--fidelity", "1.0", "--shots", "10"],
          "fidelity must lie in [0, 1) to have misses, got 1.0"),
+        (["curve", "test_comparison", "--bins", "1"], "bins must be >= 2, got 1"),
+        (["curve", "test_comparison", "--beta", "1.5"], "beta must lie in (0, 1), got 1.5"),
     ],
 )
 def test_bad_flags_exit_2_with_one_error_line(argv, message, capsys):

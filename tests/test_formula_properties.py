@@ -16,7 +16,7 @@ import textwrap
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from shotbudget.budget import BlockSpec, HardwareRates, allocate, parse_program_spec
+from shotbudget.budget import BlockSpec, HardwareRates, ProgramSpec, allocate, parse_program_spec
 from shotbudget.cli import _SHOT_TESTS
 from shotbudget.errors import DegenerateStates, DomainError, check_range, json_float
 from shotbudget.shot_estimators import FORMULAS, Formula, ShotBounds, estimate
@@ -325,6 +325,25 @@ class TestSpecParse:
         assert block == BlockSpec(entry["name"], entry.get("multiplicity", 1), *numbers, weight)
         assert all(type(getattr(block, key)) is float for key in ("g1", "g2", "depth"))
         assert weight is None or type(block.explicit_weight) is float
+
+    @PROPERTY
+    @given(entries=st.lists(_block_entries(), min_size=1, max_size=3))
+    def test_hand_built_columns_check_as_their_rows_do(self, entries):
+        # ProgramSpec's column pass accepts the columns exactly when BlockSpec accepts
+        # every row, and otherwise raises what BlockSpec raises for the first bad row;
+        # a valid first row keeps a bad value from leading its column
+        keys = (("name", None), ("multiplicity", 1), ("g1", 0.0), ("g2", 0.0), ("depth", 0.0), ("weight", None))
+        rows = [["a", 2, 1.0, 1.0, 1.0, 1.0]]
+        rows += [[entry.get(key, default) for key, default in keys] for entry in entries if isinstance(entry, dict)]
+        columns = dict(zip(BlockSpec._fields, map(list, zip(*rows))))
+        try:
+            blocks = tuple(BlockSpec(*row) for row in rows)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as info:
+                ProgramSpec(0.99, 0.05, 1.0, HardwareRates(1e-3, 1e-2), columns)
+            assert str(info.value) == str(exc)
+            return
+        assert ProgramSpec(0.99, 0.05, 1.0, HardwareRates(1e-3, 1e-2), columns).blocks == blocks
 
 
 _FALSE_PROPERTY = textwrap.dedent("""

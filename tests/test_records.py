@@ -19,6 +19,7 @@ from shotbudget import (
     HardwareRates,
     McConfig,
     McResult,
+    ProgramSpec,
     PureState,
     ShotBounds,
     allocate,
@@ -34,6 +35,16 @@ from shotbudget.shot_estimators import FORMULAS, FormulaRow
 
 LOW, HIGH = estimate(Formula.MIXED_LOWER, 0.9, 0.05), estimate(Formula.MIXED_UPPER, 0.9, 0.05)
 PARAMS = cli.TestPlanParams()  # not imported by name: pytest would collect a Test* class
+RATES = HardwareRates(1e-11, 1e-10)
+
+
+def _spec(hardware=RATES, chisq_bins=16, **changes) -> dict:
+    """ProgramSpec keyword arguments in field order: one block 'a', with `changes` to its columns."""
+    columns = {"name": ("a",), "multiplicity": (1,), "g1": (5e4,), "g2": (1e4,), "depth": (0.0,),
+               "explicit_weight": (None,), **changes}
+    return {"fidelity_target": 0.99, "p_e": 0.05, "regime_factor": 1.0, "hardware": hardware,
+            "columns": columns, "chisq_bins": chisq_bins}
+
 
 # (type, keyword arguments in field order, error type, message): the messages are
 # those the dataclass versions of these types raised
@@ -71,6 +82,26 @@ BAD_INPUTS = [
     (DensityMatrix, {"matrix": np.eye(2)}, InvalidState, "trace (2+0j) differs from 1 beyond 1.0e-10"),
     (DensityMatrix, {"matrix": np.diag([1.5, -0.5])}, InvalidState,
      "not positive semidefinite: eigenvalue -5.000e-01 below -1.0e-10"),
+    # a hand-built spec's blocks obey BlockSpec's rules, its other fields allocate's
+    (ProgramSpec, _spec(multiplicity=(10**400,)), DomainError,
+     f"block 'a': multiplicity must be finite, got {10**400}"),
+    (ProgramSpec, _spec(multiplicity=(2.5,)), DomainError, "block 'a': multiplicity must be an integer >= 1, got 2.5"),
+    (ProgramSpec, _spec(name=(3,)), DomainError, "block name: expected a nonempty string, got 3"),
+    (ProgramSpec, _spec(g1=(5e4, 1.0)), DomainError, "columns: 'g1' has 2 entries for 1 blocks"),
+    (ProgramSpec, _spec(chisq_bins=2.5), DomainError, "bins must be an integer, got 2.5"),
+    (ProgramSpec, _spec(hardware={"r1": 0.0, "r2": 0.0}), DomainError, "hardware: expected HardwareRates, got dict"),
+    (ProgramSpec, _spec(name=("a", "b"), multiplicity=(1, 1), g1=(5e4, float("nan")), g2=(1e4, 1e4),
+                        depth=(0.0, 0.0), explicit_weight=(None, None)), DomainError,
+     "block 'b': g1 must be finite and >= 0, got nan"),  # a NaN that min and max pass over
+    # the spec file's number rule: a bool is no number
+    (HardwareRates, {"r1": "x", "r2": 0}, DomainError, "hardware rate r1: expected a number, got 'x'"),
+    (HardwareRates, {"r1": True, "r2": 0}, DomainError, "hardware rate r1: expected a number, got True"),
+    (BlockSpec, {"name": "a", "multiplicity": 1, "g1": "x"}, DomainError,
+     "block 'a': g1: expected a number, got 'x'"),
+    (BlockSpec, {"name": "a", "multiplicity": 1, "g1": 0.0, "g2": 0.0, "depth": 0.0, "explicit_weight": "1"},
+     DomainError, "block 'a': weight: expected a number, got '1'"),
+    (BlockSpec, {"name": "", "multiplicity": 1}, DomainError, "block name: expected a nonempty string, got ''"),
+    (BlockSpec, {"name": 3, "multiplicity": 1}, DomainError, "block name: expected a nonempty string, got 3"),
 ]
 
 

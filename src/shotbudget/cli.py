@@ -20,6 +20,10 @@ otherwise the table renders at 6 significant digits and the document's
 warnings go to stderr.  qcb's notice goes to stderr either way.  budget
 picks its form with --out table|json|csv and curve writes CSV only; both
 stream their rows.  Errors stay plain "error: ..." on stderr, --json or not.
+
+The console script and `python -m shotbudget` run main through entry, which
+flushes the output and ends the process with os._exit, so no command pays for
+interpreter teardown; main itself returns the exit code.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from functools import partial
@@ -620,4 +625,19 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    """Run main on the command line, flush its output and end the process at once.
+
+    os._exit skips interpreter teardown.  A stdout that cannot be flushed exits 120
+    with the message the interpreter prints at shutdown; a closed standard stream,
+    argparse's exits and uncaught exceptions end the process the normal way.
+    """
+    code = main(sys.argv[1:])
+    if sys.stdout is None or sys.stderr is None:
+        raise SystemExit(code)
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"Exception ignored in: {sys.stdout!r}\n{type(exc).__name__}: {exc}", file=sys.stderr)
+        code = 120
+    sys.stderr.flush()
+    os._exit(code)

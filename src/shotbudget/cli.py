@@ -11,6 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failure or infeasible strict budget,
 2 input or domain error, 3 degenerate input (nothing to distinguish).
+The console script and `python -m shotbudget` end through entry, which
+flushes the output and calls os._exit: no command pays for teardown.
 
 shots, qcb, chisq, noise and validate take --json.  Each of their cmd_*
 returns one _Result: the JSON document, the table (one cell for the line
@@ -20,10 +22,6 @@ otherwise the table renders at 6 significant digits and the document's
 warnings go to stderr.  qcb's notice goes to stderr either way.  budget
 picks its form with --out table|json|csv and curve writes CSV only; both
 stream their rows.  Errors stay plain "error: ..." on stderr, --json or not.
-
-The console script and `python -m shotbudget` run main through entry, which
-flushes the output and ends the process with os._exit, so no command pays for
-interpreter teardown; main itself returns the exit code.
 """
 
 from __future__ import annotations
@@ -528,91 +526,93 @@ def cmd_curve(args: argparse.Namespace) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+# command -> (help line, handler, its arguments as (name, add_argument keywords)); a
+# command that returns a _Result takes --json, last, as its help lists it
+_JSON = ("--json", {"action": "store_true"})
+_COMMANDS = {
+    "shots": ("shot formulas from a fidelity or trace distance", cmd_shots, [
+        ("--fidelity", {"type": float, "default": None}),
+        ("--trace-distance", {"type": float, "default": None}),
+        ("--pe", {"type": float, "default": 0.05, "help": "target error probability"}),
+        ("--test", {"choices": ["all", *dict.fromkeys(test for _, test in _SHOT_TESTS)], "default": "all"}),
+        ("--regime-factor", {"type": float, "default": 1.0}),
+        ("--conservative", {"action": "store_true"}),
+        _JSON]),
+    "qcb": ("Chernoff quantity and distances of two state files", cmd_qcb, [
+        ("state_a", {}),
+        ("state_b", {}),
+        ("--pe", {"type": float, "default": None}),
+        _JSON]),
+    "chisq": ("chi-square shot plan", cmd_chisq, [
+        ("--bins", {"type": int, "default": 16}),
+        ("--alpha", {"type": float, "default": 0.01}),
+        ("--beta", {"type": float, "default": 0.01}),
+        ("--w2", {"type": float, "default": None}),
+        ("--fidelity", {"type": float, "default": None}),
+        ("--case", {"choices": ["attaining", "small"], "default": "small"}),
+        ("--p", {"default": None, "help": "observed distribution file"}),
+        ("--q", {"default": None, "help": "reference distribution file"}),
+        _JSON]),
+    "noise": ("binomial noise-calibrated planning and decision", cmd_noise, [
+        ("mode", {"choices": ["plan", "decide"]}),
+        ("--q0", {"type": float, "required": True, "help": "baseline success probability"}),
+        ("--q1", {"type": float, "default": None, "help": "degraded success probability"}),
+        ("--alpha", {"type": float, "default": 0.01}),
+        ("--beta", {"type": float, "default": 0.01}),
+        ("--two-sided", {"action": "store_true"}),
+        ("--zeros", {"type": int, "default": None, "help": "observed all-zeros count"}),
+        ("--shots", {"type": int, "default": None}),
+        _JSON]),
+    "budget": ("allocate a program error budget from a spec file", cmd_budget, [
+        ("--spec", {"required": True}),
+        ("--out", {"choices": ["table", "json", "csv"], "default": "table"}),
+        ("--strict", {"action": "store_true"})]),
+    "validate": ("Monte Carlo check of a formula", cmd_validate, [
+        ("--scenario", {"choices": list(_VALIDATE_FLAGS), "required": True}),
+        ("--trials", {"type": int, "default": 100_000}),
+        ("--seed", {"type": int, "default": 20_260_822}),
+        ("--fidelity", {"type": float, "default": None}),
+        ("--shots", {"type": int, "default": None}),
+        ("--alpha", {"type": float, "default": 0.05}),
+        ("--p", {"default": None}),
+        ("--q", {"default": None}),
+        ("--q0", {"type": float, "default": None}),
+        ("--q1", {"type": float, "default": None}),
+        _JSON]),
+    "curve": ("CSV sweep of the shot formulas", cmd_curve, [
+        ("curve", {"choices": list(_CURVE_DEFAULTS)}),
+        ("--start", {"type": float, "default": None}),
+        ("--stop", {"type": float, "default": None}),
+        ("--points", {"type": int, "default": 200}),
+        ("--pe", {"type": float, "default": None}),
+        ("--alpha", {"type": float, "default": 0.01}),
+        ("--beta", {"type": float, "default": 0.01}),
+        ("--regime-factor", {"type": float, "default": 2.0}),
+        ("--bins", {"default": "2,4,8,16,32,64,128"}),
+        ("--q1", {"default": "0.90,0.99"})]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command and its help line, with the arguments of `command`
+    only if it names one, else of all: they take most of the parser's build time."""
     parser = argparse.ArgumentParser(
         prog="shotbudget",
         description="Measurement-shot planning for quantum program verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_shots = sub.add_parser("shots", help="shot formulas from a fidelity or trace distance")
-    p_shots.add_argument("--fidelity", type=float, default=None)
-    p_shots.add_argument("--trace-distance", type=float, default=None)
-    p_shots.add_argument("--pe", type=float, default=0.05, help="target error probability")
-    tests = dict.fromkeys(test for _, test in _SHOT_TESTS)  # pure, inverse, swap, mixed, pure-mixed
-    p_shots.add_argument("--test", choices=["all", *tests], default="all")
-    p_shots.add_argument("--regime-factor", type=float, default=1.0)
-    p_shots.add_argument("--conservative", action="store_true")
-    p_shots.set_defaults(func=cmd_shots)
-
-    p_qcb = sub.add_parser("qcb", help="Chernoff quantity and distances of two state files")
-    p_qcb.add_argument("state_a")
-    p_qcb.add_argument("state_b")
-    p_qcb.add_argument("--pe", type=float, default=None)
-    p_qcb.set_defaults(func=cmd_qcb)
-
-    p_chisq = sub.add_parser("chisq", help="chi-square shot plan")
-    p_chisq.add_argument("--bins", type=int, default=16)
-    p_chisq.add_argument("--alpha", type=float, default=0.01)
-    p_chisq.add_argument("--beta", type=float, default=0.01)
-    p_chisq.add_argument("--w2", type=float, default=None)
-    p_chisq.add_argument("--fidelity", type=float, default=None)
-    p_chisq.add_argument("--case", choices=["attaining", "small"], default="small")
-    p_chisq.add_argument("--p", default=None, help="observed distribution file")
-    p_chisq.add_argument("--q", default=None, help="reference distribution file")
-    p_chisq.set_defaults(func=cmd_chisq)
-
-    p_noise = sub.add_parser("noise", help="binomial noise-calibrated planning and decision")
-    p_noise.add_argument("mode", choices=["plan", "decide"])
-    p_noise.add_argument("--q0", type=float, required=True, help="baseline success probability")
-    p_noise.add_argument("--q1", type=float, default=None, help="degraded success probability")
-    p_noise.add_argument("--alpha", type=float, default=0.01)
-    p_noise.add_argument("--beta", type=float, default=0.01)
-    p_noise.add_argument("--two-sided", action="store_true")
-    p_noise.add_argument("--zeros", type=int, default=None, help="observed all-zeros count")
-    p_noise.add_argument("--shots", type=int, default=None)
-    p_noise.set_defaults(func=cmd_noise)
-
-    p_budget = sub.add_parser("budget", help="allocate a program error budget from a spec file")
-    p_budget.add_argument("--spec", required=True)
-    p_budget.add_argument("--out", choices=["table", "json", "csv"], default="table")
-    p_budget.add_argument("--strict", action="store_true")
-    p_budget.set_defaults(func=cmd_budget)
-
-    p_val = sub.add_parser("validate", help="Monte Carlo check of a formula")
-    p_val.add_argument("--scenario", choices=list(_VALIDATE_FLAGS), required=True)
-    p_val.add_argument("--trials", type=int, default=100_000)
-    p_val.add_argument("--seed", type=int, default=20_260_822)
-    p_val.add_argument("--fidelity", type=float, default=None)
-    p_val.add_argument("--shots", type=int, default=None)
-    p_val.add_argument("--alpha", type=float, default=0.05)
-    p_val.add_argument("--p", default=None)
-    p_val.add_argument("--q", default=None)
-    p_val.add_argument("--q0", type=float, default=None)
-    p_val.add_argument("--q1", type=float, default=None)
-    p_val.set_defaults(func=cmd_validate)
-
-    p_curve = sub.add_parser("curve", help="CSV sweep of the shot formulas")
-    p_curve.add_argument("curve", choices=list(_CURVE_DEFAULTS))
-    p_curve.add_argument("--start", type=float, default=None)
-    p_curve.add_argument("--stop", type=float, default=None)
-    p_curve.add_argument("--points", type=int, default=200)
-    p_curve.add_argument("--pe", type=float, default=None)
-    p_curve.add_argument("--alpha", type=float, default=0.01)
-    p_curve.add_argument("--beta", type=float, default=0.01)
-    p_curve.add_argument("--regime-factor", type=float, default=2.0)
-    p_curve.add_argument("--bins", default="2,4,8,16,32,64,128")
-    p_curve.add_argument("--q1", default="0.90,0.99")
-    p_curve.set_defaults(func=cmd_curve)
-    for p_json in (p_shots, p_qcb, p_chisq, p_noise, p_val):  # the commands that return a _Result
-        p_json.add_argument("--json", action="store_true")
-
+    for name, (text, func, arguments) in _COMMANDS.items():
+        p_command = sub.add_parser(name, help=text)
+        p_command.set_defaults(func=func)
+        if command == name or command not in _COMMANDS:
+            for flag, options in arguments:
+                p_command.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         result = args.func(args)  # budget and curve stream their own output and return the code
         return result if isinstance(result, int) else _render(result, args.json)
@@ -625,12 +625,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    """Run main on the command line, flush its output and end the process at once.
-
-    os._exit skips interpreter teardown.  A stdout that cannot be flushed exits 120
-    with the message the interpreter prints at shutdown; a closed standard stream,
-    argparse's exits and uncaught exceptions end the process the normal way.
-    """
+    """Run main, flush its output and end the process by os._exit, without teardown.
+    A stdout that cannot be flushed exits 120 with the interpreter's own message; a
+    closed standard stream, argparse's exits and uncaught exceptions end as usual."""
     code = main(sys.argv[1:])
     if sys.stdout is None or sys.stderr is None:
         raise SystemExit(code)

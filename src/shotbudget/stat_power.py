@@ -224,6 +224,8 @@ def _check_chisq(bins: int, alpha: float, beta: float) -> None:
     check_range("bins", bins, 2)
     check_range("alpha", alpha, 0, 1, "()")
     check_range("beta", beta, 0, 1, "()")
+    if not alpha < 1.0 - beta < 1.0:  # lambda_noncentral's rule on the power, checked before its search
+        raise DomainError(f"power must lie in (alpha, 1), got {1.0 - beta}")
 
 
 def chisq_noncentrality(bins: int, alpha: float, beta: float) -> float:

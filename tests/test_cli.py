@@ -593,6 +593,9 @@ class TestCurve:
          "fidelity must lie in [0, 1) to have misses, got 1.0"),
         (["curve", "test_comparison", "--bins", "1"], "bins must be >= 2, got 1"),
         (["curve", "test_comparison", "--beta", "1.5"], "beta must lie in (0, 1), got 1.5"),
+        # a power 1 - beta at or below alpha: the boundary itself is rejected
+        (["chisq", "--w2", "0.01", "--alpha", "0.5", "--beta", "0.5"], "power must lie in (alpha, 1), got 0.5"),
+        (["curve", "test_comparison", "--alpha", "0.6", "--beta", "0.5"], "power must lie in (alpha, 1), got 0.5"),
     ],
 )
 def test_bad_flags_exit_2_with_one_error_line(argv, message, capsys):
@@ -628,10 +631,12 @@ def _state(n="1", data="[[1, 0], [0, 0]]", kind="pure"):
         ("budget", _SPEC.replace("1e-07", _HUGE), f"/hardware/r1 must be finite and >= 0, got {_HUGE}"),
         ("budget", _SPEC.replace("1e-07", "true"), "/hardware/r1: expected a number, got True"),
         ("budget", _SPEC.replace("0.05", '"0.05"'), "/p_e: expected a number, got '0.05'"),
+        ("budget", _SPEC.replace('"blocks"', '"chisq": {"alpha": 0.5, "beta": 0.5}, "blocks"'),
+         "power must lie in (alpha, 1), got 0.5"),
     ],
     ids=["bin_huge_int", "bin_float_overflow", "bin_bool", "bin_string", "data_huge_int", "data_bool",
          "data_string", "n_bool", "n_zero", "data_not_list", "malformed_pair", "density_size",
-         "spec_huge_int", "spec_bool", "spec_string"],
+         "spec_huge_int", "spec_bool", "spec_string", "spec_chisq_power"],
 )
 def test_bad_input_files_exit_2_with_one_error_line(command, text, message, tmp_path, capsys):
     # distribution, state and spec files: the entry is named and nothing is traced back

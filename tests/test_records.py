@@ -89,6 +89,8 @@ BAD_INPUTS = [
     (ProgramSpec, _spec(name=(3,)), DomainError, "block name: expected a nonempty string, got 3"),
     (ProgramSpec, _spec(g1=(5e4, 1.0)), DomainError, "columns: 'g1' has 2 entries for 1 blocks"),
     (ProgramSpec, _spec(chisq_bins=2.5), DomainError, "bins must be an integer, got 2.5"),
+    (ProgramSpec, {**_spec(), "chisq_alpha": 0.6, "chisq_beta": 0.5}, DomainError,
+     "power must lie in (alpha, 1), got 0.5"),  # allocate's rule, checked when the spec is built
     (ProgramSpec, _spec(hardware={"r1": 0.0, "r2": 0.0}), DomainError, "hardware: expected HardwareRates, got dict"),
     (ProgramSpec, _spec(name=("a", "b"), multiplicity=(1, 1), g1=(5e4, float("nan")), g2=(1e4, 1e4),
                         depth=(0.0, 0.0), explicit_weight=(None, None)), DomainError,

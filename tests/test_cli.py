@@ -647,3 +647,17 @@ def test_bad_input_files_exit_2_with_one_error_line(command, text, message, tmp_
             "budget": ["budget", "--spec", path]}[command]
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["shots", "--fidelity", "0.99", "--test", "swap", "--json"],
+    ["qcb", "a.json", "b.json", "--pe", "0.01"],
+    ["chisq", "--p", "p.json", "--q", "q.json", "--bins", "8"],
+    ["noise", "decide", "--q0", "0.99", "--zeros", "3", "--shots", "9", "--two-sided"],
+    ["budget", "--spec", "s.json", "--out", "csv", "--strict"],
+    ["validate", "--scenario", "chisq", "--p", "p.json", "--q", "q.json", "--shots", "5"],
+    ["curve", "noise_binomial", "--q1", "0.9", "--points", "3"],
+], ids=lambda argv: argv[0])
+def test_the_parser_of_one_command_reads_as_the_parser_of_all(argv):
+    # main builds only the arguments of the command that argv[0] names
+    assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)

@@ -8,6 +8,7 @@ LC_ALL=C.UTF-8 and a block-buffered stdout (PYTHONUNBUFFERED is removed unless
 a case sets it), so the results do not depend on the shell that runs the tests.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -124,3 +125,16 @@ def test_full_device_reports_the_failed_flush(workdir):
     run = _redirected(">/dev/full", _SHOTS, workdir)
     assert (run.returncode, run.stderr.decode("utf-8")) == (
         120, _IGNORED + "OSError: [Errno 28] No space left on device\n")
+
+
+def test_only_entry_ends_the_process_without_teardown():
+    # main, and every library function, return to their caller
+    calls = []
+    for path in sorted(pathlib.Path(shotbudget.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_exit":
+                inside = [fn.name for fn in functions if fn.lineno <= node.lineno <= fn.end_lineno]
+                calls.append(f"{path.stem}.{'.'.join(inside) or '<module>'}")
+    assert calls == ["cli.entry"]

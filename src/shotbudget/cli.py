@@ -594,8 +594,8 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command and its help line, with the arguments of `command`
-    only if it names one, else of all: they take most of the parser's build time."""
+    """The parser of every command with its help line, and the arguments (most of the
+    build time) of `command` only, or of every command if it names none."""
     parser = argparse.ArgumentParser(
         prog="shotbudget",
         description="Measurement-shot planning for quantum program verification.",

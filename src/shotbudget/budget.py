@@ -16,17 +16,17 @@ field, checked in one pass per column, and is priced a column at a time;
 `ProgramSpec.blocks` and `BudgetReport.allocations` are row views built
 on read.  There are three ways in, all checked: `parse_program_spec`
 (or `load_program_spec`), `allocate` over BlockSpecs, and a ProgramSpec
-built by hand.  `_BLOCK_RULES` states each block field's rule once, and
-BlockSpec, a spec entry's check and the column pass all read it.
+built by hand.  `_BLOCK_RULES` states each block field's rule once: BlockSpec
+and a spec entry's check build their row through `_block_row` over it, and
+the column pass reads it too.
 """
-
-from __future__ import annotations
 
 import math
 from contextlib import suppress
 from functools import partial, reduce
 from itertools import compress, repeat
 from operator import add, is_not, mul, not_
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import _FLOAT_MAX, DomainError, Record, ZeroBudget, ZeroWeight, check_range, json_float, read_json
@@ -51,10 +51,9 @@ __all__ = [
 _TEST_KINDS = ("inverse", "swap", "chisq_small", "chisq_attaining")
 _NUMBER = (int, float)  # exact types: a bool is no number
 
-# Each block field's rule, read by BlockSpec, a spec entry's check and ProgramSpec's
-# column pass: (field, spec key, value when absent, exact types, least value).  Every
-# value is finite and a name nonempty; a weight of None is absent, and so is a number
-# that a spec entry leaves out, which takes its value unchecked.
+# Each block field's rule, read by `_block_row` and ProgramSpec's column pass:
+# (field, spec key, value when absent, exact types, least value).  Every value is
+# finite and a name nonempty; a weight of None is absent.
 _BLOCK_RULES = (
     ("name", "name", None, (str,), None),
     ("multiplicity", "multiplicity", 1, (int,), 1),
@@ -65,12 +64,12 @@ _BLOCK_RULES = (
 )
 
 
-def _checked(value, types: tuple, low, what: str, args: tuple = ()):
-    # a given value by a rule's exact types and least value, a number as a float, or a
+def _checked(value, types: tuple, low, what: str, args: tuple = (), high=None, ends: str = "[]"):
+    # a given value by a rule's exact types and range, a number as a float, or a
     # DomainError naming what % args
     if types is _NUMBER:
         number = json_float(what, value, args=args)
-        check_range(what, value, low, finite=True, args=args)  # names the value as given
+        check_range(what, value, low, high, ends, finite=True, args=args)  # names the value as given
         return number
     if type(value) not in types or value == "":
         noun = "a nonempty string" if str in types else "an integer"
@@ -100,16 +99,19 @@ class BlockSpec(Record):
 
     def __init__(self, name: str, multiplicity: int, g1: float = 0.0, g2: float = 0.0,
                  depth: float = 0.0, explicit_weight: float | None = None) -> None:
-        name_rule, count_rule, *number_rules = _BLOCK_RULES
+        name_rule, (*_, counts, least) = _BLOCK_RULES[:2]
         _checked(name, *name_rule[3:], "block name")
-        _, _, _, counts, least = count_rule
         if type(multiplicity) not in counts or multiplicity < least:  # bool and float counts too
-            raise DomainError(f"block {name!r}: multiplicity must be an integer >= {least}, "
-                              f"got {multiplicity!r}")
-        _checked(multiplicity, *count_rule[3:], "block %r: multiplicity", (name,))
-        self._set(name, multiplicity, *(None if value is None and rule[2] is None else  # an absent weight
-                                        _checked(value, *rule[3:], "block %r: %s", (name, rule[1]))
-                                        for rule, value in zip(number_rules, (g1, g2, depth, explicit_weight))))
+            raise DomainError(f"block {name!r}: multiplicity must be an integer >= {least}, got {multiplicity!r}")
+        self._set(*_block_row((name, multiplicity, g1, g2, depth, explicit_weight), "block %r: %s", name))
+
+
+def _block_row(values, what: str, head) -> tuple:
+    # a block's fields in field order, each checked by its rule and named what % (head, key);
+    # a None number whose rule has no default is an absent weight
+    return tuple(None if value is None and default is None and types is _NUMBER else
+                 _checked(value, types, low, what, (head, key))
+                 for (_, key, default, types, low), value in zip(_BLOCK_RULES, values))
 
 
 class BlockAllocation(NamedTuple):
@@ -219,7 +221,7 @@ def allocate(blocks, rates: HardwareRates, f_prog: float, p_e: float, regime_fac
     return _allocate(spec, paths=False)
 
 
-def _allocate(spec: ProgramSpec, paths: bool) -> BudgetReport:
+def _allocate(spec: "ProgramSpec", paths: bool) -> BudgetReport:
     # price a checked spec; `paths` puts JSON paths in ZeroWeight messages
     blocks, f_prog, p_e, regime_factor = spec.columns, spec.fidelity_target, spec.p_e, spec.regime_factor
     if not blocks["name"]:
@@ -298,9 +300,9 @@ def _checked_columns(columns: dict) -> dict[str, tuple]:
 class ProgramSpec(Record):
     """Everything needed to budget one program: target, tolerances, blocks.
 
-    `columns` maps each BlockSpec field name, in field order, to a tuple with one entry
-    per block, checked a column at a time by BlockSpec's rules; `blocks` builds the
-    BlockSpec rows on read.  The other fields are checked as `allocate` checks them.
+    `columns`, read-only, maps each BlockSpec field name in field order to a tuple with one
+    entry per block, checked a column at a time by BlockSpec's rules; `blocks` builds the
+    rows on read.  The other fields are checked as `allocate` checks them, and so is a copy.
     """
 
     __slots__ = _fields = ("fidelity_target", "p_e", "regime_factor", "hardware", "columns",
@@ -314,8 +316,11 @@ class ProgramSpec(Record):
         if not isinstance(hardware, HardwareRates):
             raise DomainError(f"hardware: expected HardwareRates, got {type(hardware).__name__}")
         _check_chisq(chisq_bins, chisq_alpha, chisq_beta)
-        self._set(fidelity_target, p_e, regime_factor, hardware, _checked_columns(columns),
+        self._set(fidelity_target, p_e, regime_factor, hardware, MappingProxyType(_checked_columns(columns)),
                   chisq_bins, chisq_alpha, chisq_beta)
+
+    def __reduce__(self):
+        return ProgramSpec, tuple(dict(v) if v is self.columns else v for v in self._values())
 
     @property
     def blocks(self) -> tuple[BlockSpec, ...]:
@@ -334,23 +339,18 @@ def _spec_number(obj: dict, key: str, path: str, low=None, high=None, ends: str 
         if required:
             raise DomainError(f"{path}/{key}: missing")
         return default
-    value = obj[key]
-    number = json_float("%s/%s", value, args=(path, key))
-    check_range("%s/%s", value, low, high, ends, finite=True, args=(path, key))  # names value as given
-    return number
+    return _checked(obj[key], _NUMBER, low, "%s/%s", (path, key), high, ends)
 
 
-def _block_row(entry, path: str) -> tuple:
+def _entry_row(entry, path: str) -> tuple:
     # the per-entry check: an entry's BlockSpec fields, or a DomainError naming the
     # JSON path of its first fault in field order
     if not isinstance(entry, dict):
         raise DomainError(f"{path}: expected an object")
-    row = []
-    for _, key, default, types, low in _BLOCK_RULES:
-        absent = key not in entry and types is _NUMBER  # takes its value unchecked
-        row.append(default if absent else
-                   _checked(entry.get(key, default), types, low, "%s/%s", (path, key)))
-    return tuple(row)
+    row = _block_row([entry.get(key, default) for _, key, default, _, _ in _BLOCK_RULES], "%s/%s", path)
+    if entry.get("weight", 0) is None:  # given as null, which the number rule rejects
+        _checked(None, _NUMBER, None, "%s/%s", (path, "weight"))
+    return row
 
 
 def parse_program_spec(obj: dict) -> ProgramSpec:
@@ -390,11 +390,10 @@ def parse_program_spec(obj: dict) -> ProgramSpec:
     if set(map(type, raw_blocks)) == {dict}:
         columns = {field: list(map(dict.get, raw_blocks, repeat(key), repeat(default)))
                    for field, key, default, _, _ in _BLOCK_RULES}
-        weights = columns["explicit_weight"]  # None where absent, and also where given as null
-        if weights.count(None) == len(raw_blocks) - sum(map(dict.__contains__, raw_blocks, repeat("weight"))):
+        if None not in map(dict.get, raw_blocks, repeat("weight"), repeat(0)):  # no weight given as null
             with suppress(DomainError):  # the entries' own check names the fault
                 return spec(columns)
-    rows = [_block_row(entry, f"/blocks/{i}") for i, entry in enumerate(raw_blocks)]
+    rows = [_entry_row(entry, f"/blocks/{i}") for i, entry in enumerate(raw_blocks)]
     return spec(dict(zip(BlockSpec._fields, zip(*rows))))
 
 

@@ -24,8 +24,6 @@ picks its form with --out table|json|csv and curve writes CSV only; both
 stream their rows.  Errors stay plain "error: ..." on stderr, --json or not.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math

@@ -22,8 +22,6 @@ One kernel, `_count_below`, draws for all of them, in tiles of at most
 `_CHUNK_ELEMENTS` draws, so memory stays bounded whatever the shot count.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -22,8 +22,6 @@ on uint64 overflow exactly like the scalar definition, which the tests
 keep as their reference and compare with bit for bit.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 __all__ = ["GAMMA", "MASK64", "sub_seeds", "uniform_block"]

@@ -23,8 +23,6 @@ chi-square and binomial plans, the budget and the curves too.
 requirement instead of an asymptotic estimate.
 """
 
-from __future__ import annotations
-
 import math
 from enum import Enum
 from typing import Callable, NamedTuple

@@ -24,8 +24,6 @@ Nothing here imports numpy: a Distribution is a tuple of floats, summed
 the way numpy sums float64, so w^2 keeps numpy's bits.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import operator

@@ -16,8 +16,6 @@ support yield Q = 0 (perfect one-shot distinguishability) instead of an
 error.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Callable, NamedTuple
 
@@ -63,7 +61,7 @@ class PureState(Record):
     __eq__, __hash__ = object.__eq__, object.__hash__  # identity equality
 
     def __init__(self, amplitudes: np.ndarray) -> None:
-        amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+        amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)  # the state's own copy
         _qubit_count(amps.size, "state vector")
         bad = _first_nonfinite(amps)
         if bad is not None:
@@ -71,6 +69,7 @@ class PureState(Record):
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > tol.NORM_ATOL:
             raise InvalidState(f"state vector norm {norm!r} differs from 1 beyond {tol.NORM_ATOL:.1e}")
+        amps.flags.writeable = False
         self._set(amps)
 
     @property
@@ -102,12 +101,13 @@ class DensityMatrix(Record):
     __slots__, _fields = ("matrix", "_eig"), ("matrix",)
     __eq__, __hash__ = object.__eq__, object.__hash__  # identity equality
 
-    def __init__(self, matrix: np.ndarray, _validated: bool = False, _eig=None) -> None:
-        mat = np.asarray(matrix, dtype=np.complex128)
+    def __init__(self, matrix: np.ndarray, _validated: bool = False) -> None:
+        mat = np.array(matrix, dtype=np.complex128)  # the state's own copy
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidState(f"density matrix must be square, got shape {mat.shape}")
         _qubit_count(mat.shape[0], "density matrix")
-        self._set(mat, _eig)
+        mat.flags.writeable = False
+        self._set(mat, None)
         if _validated:
             return
         bad = _first_nonfinite(mat)

@@ -124,6 +124,15 @@ def test_no_module_imports_dataclasses():
     assert importers == []
 
 
+def test_only_numerics_defers_its_annotations():
+    # deferred annotations make each NamedTuple field a ForwardRef; numerics keeps them
+    # so that its np.ndarray annotations load no numpy
+    deferring = [path.name for path in sorted(pathlib.Path(shotbudget.__file__).parent.glob("*.py"))
+                 if any(isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                        for node in ast.parse(path.read_text(encoding="utf-8")).body)]
+    assert deferring == ["numerics.py"]
+
+
 def _traced(tmp_path, name: str, *argv: str) -> dict:
     spans = tmp_path / f"{name}.json"
     _python(str(ROOT / "perfbench" / "launcher.py"), str(spans), "0", "spans", "--", *argv,

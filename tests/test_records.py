@@ -23,13 +23,14 @@ from shotbudget import (
     PureState,
     ShotBounds,
     allocate,
+    allocate_program,
     estimate,
     parse_program_spec,
     qcb_q,
     shots_chisq,
     two_proportion_shots,
 )
-from shotbudget import cli, states
+from shotbudget import budget, cli, states
 from shotbudget.errors import DomainError, InvalidState, ShotBudgetError
 from shotbudget.shot_estimators import FORMULAS, FormulaRow
 
@@ -196,3 +197,18 @@ def test_density_matrix_caches_its_eigensystem(monkeypatch):
     clone = copy.deepcopy(checked)  # the cache travels with a copy
     clone.eigensystem()
     assert len(calls) == 2
+
+
+def test_a_checked_spec_stays_checked(monkeypatch):
+    spec = ProgramSpec(**_spec(multiplicity=(3,)))
+    totals = allocate_program(spec).totals
+    with pytest.raises(TypeError):
+        spec.columns["multiplicity"] = (2.5,)
+    assert spec.columns["multiplicity"] == (3,) and allocate_program(spec).totals == totals
+    calls, check = [], budget._checked_columns
+    monkeypatch.setattr(budget, "_checked_columns", lambda columns: calls.append(columns) or check(columns))
+    for clone in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert clone == spec and clone.columns is not spec.columns
+        with pytest.raises(TypeError):
+            clone.columns["multiplicity"] = (2.5,)
+    assert len(calls) == 3  # each copy was built and checked anew

@@ -75,6 +75,16 @@ class TestStateValidation:
         with pytest.raises(InvalidState, match=r"entry \(0, 1\) is not finite"):
             DensityMatrix(mat)
 
+    def test_states_hold_a_read_only_copy(self):
+        amps, mat = np.array([1.0, 0.0]), np.diag([0.5, 0.5]).astype(complex)
+        pure, dm = PureState(amps), DensityMatrix(mat)
+        amps[0], mat[0, 0] = 3.0, 3.0  # the caller's arrays, edited after the check
+        assert pure.amplitudes[0] == 1.0 and dm.matrix[0, 0] == 0.5
+        assert np.array_equal(dm.eigensystem()[0], [0.5, 0.5])
+        for array in (pure.amplitudes, dm.matrix, pure.to_density().matrix):
+            with pytest.raises(ValueError):
+                array[0] = 3.0
+
     def test_to_density_round_trip(self, rng):
         psi = random_pure(rng, 2)
         rho = psi.to_density()

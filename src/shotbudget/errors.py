@@ -26,14 +26,6 @@ class NoConvergence(ShotBudgetError):
     """An iterative kernel exhausted its iteration budget."""
 
 
-class InvalidBracket(ShotBudgetError):
-    """Minimization bracket endpoints are not ordered."""
-
-
-class NoBracket(ShotBudgetError):
-    """Root solver could not enclose the target value."""
-
-
 class DimensionMismatch(ShotBudgetError):
     """Two states or distributions have incompatible dimensions."""
 

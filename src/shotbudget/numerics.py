@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .errors import DomainError, InvalidBracket, NoBracket, NoConvergence
+from .errors import DomainError, NoConvergence
 from . import tolerances as tol
 
 if TYPE_CHECKING:
@@ -131,10 +131,10 @@ def minimize_unimodal(
     its derivative is not worth maintaining.
 
     Raises:
-        InvalidBracket: if lo >= hi.
+        DomainError: if lo >= hi.
     """
     if not lo < hi:
-        raise InvalidBracket(f"need lo < hi, got [{lo}, {hi}]")
+        raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     a, b = lo, hi
     h = b - a
     c = a + _INVPHI2 * h
@@ -167,15 +167,15 @@ def solve_increasing(
     increasing function can never come back down to the target.
 
     Raises:
-        InvalidBracket: if hi <= lo.
-        NoBracket: if f(lo) > target, or the target is still not enclosed
-            after 128 doublings of the interval.
+        DomainError: if hi <= lo, or f(lo) > target.
+        NoConvergence: if the target is still not enclosed after 128
+            doublings of the interval.
     """
     if not lo < hi:
-        raise InvalidBracket(f"need lo < hi, got [{lo}, {hi}]")
+        raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     flo = f(lo)
     if flo > target:
-        raise NoBracket(f"f(lo)={flo} already exceeds target {target}")
+        raise DomainError(f"f(lo)={flo} already exceeds target {target}")
     if flo == target:
         return lo
     width = hi - lo
@@ -184,7 +184,7 @@ def solve_increasing(
     while fhi < target:
         doublings += 1
         if doublings > tol.ROOT_MAX_DOUBLINGS:
-            raise NoBracket(f"target {target} not enclosed after {tol.ROOT_MAX_DOUBLINGS} doublings")
+            raise NoConvergence(f"target {target} not enclosed after {tol.ROOT_MAX_DOUBLINGS} doublings")
         lo = hi
         width *= 2.0
         hi += width

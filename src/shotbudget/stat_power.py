@@ -75,7 +75,7 @@ def _pairwise_sum(values: Sequence[float]) -> float:
     if n > 128:
         half = n // 2 - n // 2 % 8
         return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    whole, total = n - n % 8 if n >= 8 else 0, 0.0
+    whole, total = n - n % 8, 0.0
     if whole:
         r = [functools.reduce(operator.add, values[j:whole:8]) for j in range(8)]
         total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
@@ -151,20 +151,17 @@ def _poisson_mixture(noncentrality: float, term: Callable[[int], float]) -> floa
     weight_covered = 0.0
     down, up = mode, mode + 1
     for _ in range(tol.GAMMA_MAX_ITER):
-        advanced = False
         if down >= 0:
             w = math.exp(log_weight(down))
             total += w * term(down)
             weight_covered += w
             down -= 1
-            advanced = True
         if weight_covered < 1.0 - tol.POISSON_TAIL:
             w = math.exp(log_weight(up))
             total += w * term(up)
             weight_covered += w
             up += 1
-            advanced = True
-        if weight_covered >= 1.0 - tol.POISSON_TAIL or not advanced:
+        if weight_covered >= 1.0 - tol.POISSON_TAIL:
             return min(1.0, total)
     raise NoConvergence(f"Poisson mixture did not cover its mass for lam={noncentrality}")
 
@@ -176,8 +173,6 @@ def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
     log-space sum keeps stable out to lam ~= 1e4.
     """
     check_range("noncentrality", noncentrality, 0)
-    if x <= 0.0:
-        return 0.0
     if noncentrality == 0.0:
         return chi2_cdf(x, df)
     return _poisson_mixture(noncentrality, lambda j: chi2_cdf(x, df + 2.0 * j))
@@ -412,8 +407,6 @@ def binomial_rejection_threshold(n_shots: int, q0: float, alpha: float) -> int:
     check_range("shot count", n_shots, 1)
     check_range("baseline q0", q0, 0, 1, "(]")
     check_range("alpha", alpha, 0, 1, "()")
-    if q0 == 1.0:
-        return n_shots - 1
 
     def rejected(k: int) -> bool:  # P[Bin(n_shots, q0) <= k] <= alpha, for -1 <= k < n_shots
         return k < 0 or binomial_cdf(k, n_shots, q0) <= alpha

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from shotbudget.errors import DomainError, InvalidBracket, NoBracket, NoConvergence
+from shotbudget.errors import DomainError, NoConvergence
 from shotbudget.numerics import (
     hermitian_eigendecomposition,
     lentz_fraction,
@@ -98,7 +98,7 @@ class TestMinimizeUnimodal:
         assert x == pytest.approx(0.0, abs=1e-8)
 
     def test_rejects_empty_bracket(self):
-        with pytest.raises(InvalidBracket):
+        with pytest.raises(DomainError):
             minimize_unimodal(lambda x: x, 1.0, 1.0, 1e-12)
 
 
@@ -113,9 +113,9 @@ class TestSolveIncreasing:
         assert root == pytest.approx(1e6, rel=1e-8)
 
     def test_rejects_target_below_range(self):
-        with pytest.raises(NoBracket):
+        with pytest.raises(DomainError):
             solve_increasing(lambda x: x, -1.0, 0.0, 1.0)
 
     def test_rejects_empty_bracket(self):
-        with pytest.raises(InvalidBracket):
+        with pytest.raises(DomainError):
             solve_increasing(lambda x: x, 0.5, 1.0, 1.0)

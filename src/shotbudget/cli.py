@@ -30,12 +30,12 @@ import math
 import os
 import re
 import sys
-from functools import partial
+from functools import cache, partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .errors import DegenerateStates, Record, ShotBudgetError
+from .errors import DegenerateStates, Record, ShotBudgetError, check_range
 from . import budget as budget_mod
 from . import montecarlo as mc
 from . import shot_estimators as est
@@ -65,6 +65,8 @@ class CurveRequest(Record):
             raise ShotBudgetError(f"curve needs at least 2 points, got {points}")
         if not start < stop:
             raise ShotBudgetError(f"curve needs start < stop, got [{start}, {stop}]")
+        check_range("curve start", start, finite=True)  # NaN and an inf start fail start < stop
+        check_range("curve stop", stop, finite=True)
         self._set(curve, start, stop, points, params, bins, q1_values)
 
 
@@ -485,15 +487,13 @@ def emit_curve(request: CurveRequest, out=None) -> None:
         header = ["q0"]
         for q1 in request.q1_values:
             header += [f"n_binomial_q1_{q1:g}", f"n_inverse_real_q1_{q1:g}", f"n_swap_real_q1_{q1:g}"]
-        refs = {
-            q1: [est.estimate(f, q1, params.p_e, params.regime_factor).shots
-                 for f in (F.INVERSE_REAL, F.SWAP_REAL)]
-            for q1 in request.q1_values
-        }
+        # priced on first use, after the binomial plan has checked q1 as a success probability
+        refs = cache(lambda q1: [est.estimate(f, q1, params.p_e, params.regime_factor).shots
+                                 for f in (F.INVERSE_REAL, F.SWAP_REAL)])
         for q0 in grid:
             row = [q0]
             for q1 in request.q1_values:
-                row += [sp.two_proportion_shots(q0, q1, params.alpha, params.beta).shots, *refs[q1]]
+                row += [sp.two_proportion_shots(q0, q1, params.alpha, params.beta).shots, *refs(q1)]
             rows.append(row)
     else:
         raise ShotBudgetError(f"unknown curve {request.curve!r}")

@@ -86,8 +86,8 @@ class Distribution(Record):
     """Probability distribution over k >= 2 measurement bins.
 
     Entries must be finite, nonnegative and sum to 1 within 1e-8; the stored
-    tuple of floats is renormalized to sum to 1 exactly.  The input must be
-    flat: float() raises TypeError on a nested (2-D) entry.
+    tuple holds each entry divided by their sum, so it sums to 1 only up to
+    round-off.  Input must be flat: float() raises TypeError on a 2-D entry.
     """
 
     __slots__ = _fields = ("probs",)

@@ -47,6 +47,13 @@ def _first_nonfinite(values: np.ndarray) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each set read-only."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def _qubit_count(dim: int, what: str) -> int:
     n = int(dim).bit_length() - 1
     if dim < 2 or 2**n != dim:
@@ -60,6 +67,10 @@ class PureState(Record):
     __slots__ = _fields = ("amplitudes",)
     __eq__, __hash__ = object.__eq__, object.__hash__  # identity equality
 
+    def __setstate__(self, state) -> None:  # copy and pickle restore writeable arrays (and DensityMatrix's cache)
+        Record.__setstate__(self, state)
+        _frozen(getattr(self, self._fields[0]), *(getattr(self, "_eig", None) or ()))
+
     def __init__(self, amplitudes: np.ndarray) -> None:
         amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)  # the state's own copy
         _qubit_count(amps.size, "state vector")
@@ -69,8 +80,7 @@ class PureState(Record):
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > tol.NORM_ATOL:
             raise InvalidState(f"state vector norm {norm!r} differs from 1 beyond {tol.NORM_ATOL:.1e}")
-        amps.flags.writeable = False
-        self._set(amps)
+        self._set(*_frozen(amps))
 
     @property
     def dim(self) -> int:
@@ -99,15 +109,14 @@ class DensityMatrix(Record):
     """
 
     __slots__, _fields = ("matrix", "_eig"), ("matrix",)
-    __eq__, __hash__ = object.__eq__, object.__hash__  # identity equality
+    __eq__, __hash__, __setstate__ = object.__eq__, object.__hash__, PureState.__setstate__  # identity equality
 
     def __init__(self, matrix: np.ndarray, _validated: bool = False) -> None:
         mat = np.array(matrix, dtype=np.complex128)  # the state's own copy
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidState(f"density matrix must be square, got shape {mat.shape}")
         _qubit_count(mat.shape[0], "density matrix")
-        mat.flags.writeable = False
-        self._set(mat, None)
+        self._set(*_frozen(mat), None)
         if _validated:
             return
         bad = _first_nonfinite(mat)
@@ -120,7 +129,7 @@ class DensityMatrix(Record):
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > tol.TRACE_ATOL:
             raise InvalidState(f"trace {tr!r} differs from 1 beyond {tol.TRACE_ATOL:.1e}")
-        eig = hermitian_eigendecomposition(mat)
+        eig = _frozen(*hermitian_eigendecomposition(mat))
         if float(eig[0][0]) < tol.PSD_CLAMP_FLOOR:
             raise InvalidState(
                 f"not positive semidefinite: eigenvalue {eig[0][0]:.3e} "
@@ -139,7 +148,7 @@ class DensityMatrix(Record):
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached (values, vectors) of the matrix, the values clamped to >= 0."""
         if self._eig is None:
-            object.__setattr__(self, "_eig", hermitian_eigendecomposition(self.matrix))
+            object.__setattr__(self, "_eig", _frozen(*hermitian_eigendecomposition(self.matrix)))
         values, vectors = self._eig
         return np.where(values > 0.0, values, 0.0), vectors
 

@@ -596,6 +596,10 @@ class TestCurve:
         # a power 1 - beta at or below alpha: the boundary itself is rejected
         (["chisq", "--w2", "0.01", "--alpha", "0.5", "--beta", "0.5"], "power must lie in (alpha, 1), got 0.5"),
         (["curve", "test_comparison", "--alpha", "0.6", "--beta", "0.5"], "power must lie in (alpha, 1), got 0.5"),
+        (["curve", "fid_vs_shots", "--stop", "inf"], "curve stop must be finite, got inf"),
+        # q1 is checked as a success probability before the reference columns price it as a fidelity
+        (["curve", "noise_binomial", "--q1", "1.5"],
+         "success probabilities must lie in [0, 1], got q0=0.991, q1=1.5"),
     ],
 )
 def test_bad_flags_exit_2_with_one_error_line(argv, message, capsys):

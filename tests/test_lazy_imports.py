@@ -206,3 +206,5 @@ def test_every_error_type_is_raised_somewhere():
     defined = {name for name, value in vars(errors).items() if isinstance(value, type)
                and issubclass(value, errors.ShotBudgetError) and value.__module__ == errors.__name__}
     assert sorted(defined - raised) == []
+    # and exported: a type the package does not export is one a caller cannot catch by name
+    assert sorted(defined - set(shotbudget._EXPORTS["errors"].split())) == []

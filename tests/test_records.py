@@ -4,6 +4,7 @@ repr, copy and pickle behave as they did for the frozen dataclasses."""
 
 import copy
 import importlib
+import math
 import pickle
 import pkgutil
 
@@ -105,6 +106,13 @@ BAD_INPUTS = [
      DomainError, "block 'a': weight: expected a number, got '1'"),
     (BlockSpec, {"name": "", "multiplicity": 1}, DomainError, "block name: expected a nonempty string, got ''"),
     (BlockSpec, {"name": 3, "multiplicity": 1}, DomainError, "block name: expected a nonempty string, got 3"),
+    # a curve's grid bounds are finite
+    (cli.CurveRequest, {"curve": "fid_vs_shots", "start": 0.9, "stop": math.inf, "points": 5, "params": PARAMS},
+     DomainError, "curve stop must be finite, got inf"),
+    (cli.CurveRequest, {"curve": "fid_vs_shots", "start": -math.inf, "stop": 0.9, "points": 5, "params": PARAMS},
+     DomainError, "curve start must be finite, got -inf"),
+    (cli.CurveRequest, {"curve": "fid_vs_shots", "start": math.nan, "stop": 0.9, "points": 5, "params": PARAMS},
+     ShotBudgetError, "curve needs start < stop, got [nan, 0.9]"),  # NaN fails the order test first
 ]
 
 

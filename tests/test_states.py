@@ -1,7 +1,9 @@
 """States, fidelity, trace distance, and the Chernoff quantity."""
 
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -84,6 +86,26 @@ class TestStateValidation:
         for array in (pure.amplitudes, dm.matrix, pure.to_density().matrix):
             with pytest.raises(ValueError):
                 array[0] = 3.0
+
+    def test_cached_spectrum_is_read_only(self):
+        a, b = DensityMatrix(np.diag([0.75, 0.25])), DensityMatrix([[0.5, 0.2], [0.2, 0.5]])
+        fid, q = fidelity(b, a), qcb_q(a, b).q
+        for dm in (a, b, PureState([0.6, 0.8]).to_density()):  # cached by the PSD check, or on first use
+            dm.eigensystem()
+            for array in dm._eig:
+                with pytest.raises(ValueError):
+                    array[:] = 0.0
+        assert fidelity(b, a) == fid == pytest.approx(0.897, abs=5e-4) and qcb_q(a, b).q == q
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s, 4))],
+                             ids=["copy", "deepcopy", "pickle4"])
+    def test_copies_and_pickles_stay_read_only(self, clone):
+        pure, checked, unsolved = PureState([0.6, 0.8]), DensityMatrix(np.diag([0.75, 0.25])), ZERO.to_density()
+        arrays = [clone(pure).amplitudes, clone(unsolved).matrix, clone(checked).matrix, *clone(checked)._eig]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        assert clone(unsolved)._eig is None and clone(checked).eigensystem()[1].flags.writeable is False
 
     def test_to_density_round_trip(self, rng):
         psi = random_pure(rng, 2)

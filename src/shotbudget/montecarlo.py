@@ -202,7 +202,7 @@ def simulate_binomial_detection(
     applies the one-sample decision against baseline q0.  The rule is
     monotone in the count, so trials are classified by the precomputed
     rejection threshold.  That threshold checks n_shots, q0 and alpha
-    before its O(n_shots) sum; q1 is checked here, before it.
+    before its tail bisection; q1 is checked here, before it.
     """
     check_range("true rate q1", q1, 0, 1)
     if q1 > q0:

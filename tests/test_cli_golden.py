@@ -273,3 +273,24 @@ def test_every_formula_on_the_seeded_grid():
             rows += 1
     assert rows == 402 * 13 - 1
     assert h.hexdigest() == ESTIMATOR_DIGEST
+
+# ---------------------------------------------------------------------------
+# curves long enough to cross the 1,024-row chunk joins of the row writer
+
+# 2,500 rows: two full chunks and a partial one.  Recorded from the writer
+# that joined the whole CSV into one string before it wrote.
+CURVE_CHUNK_DIGESTS = {
+    "fid_vs_shots": "8d98361bd418d6157a5e500db81550f0af24760a5045ea77d4d9b24a55189c76",
+    "test_comparison": "c92ba1f1d787f827a895e9eda5cc2b836de377a76326e1bad320fa32d7d1b005",
+    "noise_binomial": "2c20932fee428b59bd2969ad0f7e570c5c08d9ce788b8dafa9b711aa4c4fdb79",
+    "trace_vs_shots": "1c430f8c0221a15725172bf73b3ae7e055c39e744a075aecfe2184db8a9e3166",
+}
+
+
+@pytest.mark.parametrize("curve", sorted(CURVE_CHUNK_DIGESTS))
+def test_curve_across_chunk_joins_is_pinned(curve, capsys):
+    assert cli.main(["curve", curve, "--points", "2500"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("\n") == 2501
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == CURVE_CHUNK_DIGESTS[curve]

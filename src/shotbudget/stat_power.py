@@ -138,8 +138,8 @@ def chi2_quantile(prob: float, df: float) -> float:
 
 
 def _poisson_mixture(noncentrality: float, term: Callable[[int], float]) -> float:
-    """sum_j Pois(lam/2)(j) * term(j) for lam > 0, capped at 1, summed outward from
-    the Poisson mode in log space until all but 1e-12 of the weight is covered."""
+    """sum_j Pois(lam/2)(j) * term(j) for lam > 0, capped at 1, summed outward from the
+    Poisson mode in log space until all but 1e-12 of the weight is covered or a step covers none."""
     half = noncentrality / 2.0
     log_half = math.log(half)
 
@@ -151,6 +151,7 @@ def _poisson_mixture(noncentrality: float, term: Callable[[int], float]) -> floa
     weight_covered = 0.0
     down, up = mode, mode + 1
     for _ in range(tol.GAMMA_MAX_ITER):
+        before = weight_covered  # rounding can stall it short of 1 - 1e-12; the weights only shrink
         if down >= 0:
             w = math.exp(log_weight(down))
             total += w * term(down)
@@ -161,7 +162,7 @@ def _poisson_mixture(noncentrality: float, term: Callable[[int], float]) -> floa
             total += w * term(up)
             weight_covered += w
             up += 1
-        if weight_covered >= 1.0 - tol.POISSON_TAIL:
+        if weight_covered >= 1.0 - tol.POISSON_TAIL or 0.0 < weight_covered == before:
             return min(1.0, total)
     raise NoConvergence(f"Poisson mixture did not cover its mass for lam={noncentrality}")
 
@@ -169,8 +170,8 @@ def _poisson_mixture(noncentrality: float, term: Callable[[int], float]) -> floa
 def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
     """Noncentral chi-square CDF as a Poisson mixture of central CDFs.
 
-    F(x; df, lam) = sum_j Pois(lam/2)(j) * F_central(x; df + 2j), which the
-    log-space sum keeps stable out to lam ~= 1e4.
+    F(x; df, lam) = sum_j Pois(lam/2)(j) * F_central(x; df + 2j); the GAMMA_MAX_ITER
+    steps of the mixture reach lam ~= 2e6 (NoConvergence at 4e6).
     """
     check_range("noncentrality", noncentrality, 0)
     if noncentrality == 0.0:
@@ -239,6 +240,7 @@ def shots_chisq(w2: float, bins: int, alpha: float, beta: float) -> ChiSquarePla
     if w2 == 0.0:
         raise DegenerateStates("w^2 = 0: no discrepancy to detect")
     raw = lam / w2
+    check_range("lambda / w^2 (w^2 = %s)", raw, finite=True, args=(w2,))  # a subnormal w^2 overflows it
     return ChiSquarePlan(w2=w2, bins=bins, alpha=alpha, beta=beta, noncentrality=lam, raw=raw,
                          shots=_shot_count(raw))
 
@@ -323,6 +325,8 @@ def two_proportion_shots(
         z_a * math.sqrt(2.0 * pbar * (1.0 - pbar))
         + z_b * math.sqrt(q0 * (1.0 - q0) + q1 * (1.0 - q1))
     ) ** 2
+    if (q0 - q1) ** 2 == 0.0:  # a gap below ~1.5e-162 squares to 0
+        raise DomainError(f"q0 - q1 = {q0 - q1} is too small to plan for: its square underflows to 0")
     raw = numerator / (q0 - q1) ** 2
     return BinomialPlan(
         q0=q0, q1=q1, alpha=alpha, beta=beta, one_sided=one_sided,

@@ -151,6 +151,12 @@ class TestChiSquareCdf:
     def test_noncentral_zero_reduces_to_central(self):
         assert noncentral_chi2_cdf(5.0, 3, 0.0) == pytest.approx(chi2_cdf(5.0, 3), abs=1e-12)
 
+    @pytest.mark.parametrize("nc", [6000.0, 7160.0])
+    def test_noncentral_where_rounding_stalls_the_mixture_weight(self, nc):
+        # the summed Poisson weights stop short of 1 - 1e-12 here, by ~2.5e-12; 7160 is the
+        # noncentrality of `chisq --w2 0.1 --bins 1048576`
+        assert noncentral_chi2_cdf(nc, 100.0, nc) == pytest.approx(scipy.stats.ncx2.cdf(nc, 100.0, nc), abs=1e-11)
+
 
 class TestLambdaNoncentral:
     def test_frozen_anchors(self):

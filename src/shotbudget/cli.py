@@ -77,9 +77,9 @@ def _sig6(value: float) -> str:
 _CHUNK_ROWS = 1024  # rows per write, so output memory stays flat at any row count
 
 
-def _write_rows(head: str, row: str, rows, sep: str = "", tail: str = "") -> None:
-    """Write head, each row tuple through the %-template row joined by sep, then tail."""
-    stdout = sys.stdout
+def _write_rows(head: str, row: str, rows, sep: str = "", tail: str = "", out=None) -> None:
+    """Write head, each row tuple through the %-template row joined by sep, then tail, to out."""
+    stdout = out or sys.stdout
     stdout.write(head)
     first = True
     while chunk := sep.join(map(row.__mod__, islice(rows, _CHUNK_ROWS))):
@@ -460,45 +460,45 @@ _CURVE_FORMULAS = {
 def emit_curve(request: CurveRequest, out=None) -> None:
     """Write one curve as CSV (header plus one row per grid point).
 
-    Every row is computed before the first line is written, so an input
-    that fails part way along the grid leaves the output empty.
+    Each column is monotone in the grid point, so a point fails only where a grid end
+    fails: both ends are priced before the first write, and a failing input writes
+    nothing.  The rows then stream through _write_rows, so memory stays flat.
     """
     params = request.params
     step = (request.stop - request.start) / (request.points - 1)
-    grid = [request.start + i * step for i in range(request.points)]
-    rows = []
+    point = lambda i: request.start + i * step
     if request.curve in _CURVE_FORMULAS:
         header, formulas = _CURVE_FORMULAS[request.curve]
-        for x in grid:
-            rows.append([x, 1.0 - x, *(est.estimate(f, x, params.p_e).shots for f in formulas)])
+
+        def row(x):
+            return (x, 1.0 - x, *(est.estimate(f, x, params.p_e).shots for f in formulas))
     elif request.curve == "test_comparison":
-        lams = {k: sp.chisq_noncentrality(k, params.alpha, params.beta) for k in request.bins}
-        header = ["F", "n_inverse", "n_swap"]
-        for k in request.bins:
-            header += [f"n_chisq_small_k{k}", f"n_chisq_attaining_k{k}"]
-        for f in grid:
-            row = [f, *(est.estimate(k, f, params.p_e).shots for k in (F.INVERSE_IDEAL, F.SWAP_IDEAL))]
-            small = sp.w2_small_discrepancy(f)
-            attain = sp.w2_fidelity_attaining(f)
-            for k in request.bins:
-                row += [est._shot_count(lams[k] / small), est._shot_count(lams[k] / attain)]
-            rows.append(row)
+        lams = [sp.chisq_noncentrality(k, params.alpha, params.beta) for k in request.bins]
+        header = ["F", "n_inverse", "n_swap",
+                  *(f"n_chisq_{w2}_k{k}" for k in request.bins for w2 in ("small", "attaining"))]
+
+        def row(f):
+            ideal = [est.estimate(k, f, params.p_e).shots for k in (F.INVERSE_IDEAL, F.SWAP_IDEAL)]
+            w2s = (sp.w2_small_discrepancy(f), sp.w2_fidelity_attaining(f))
+            return (f, *ideal, *(est._shot_count(lam / w2) for lam in lams for w2 in w2s))
     elif request.curve == "noise_binomial":
-        header = ["q0"]
-        for q1 in request.q1_values:
-            header += [f"n_binomial_q1_{q1:g}", f"n_inverse_real_q1_{q1:g}", f"n_swap_real_q1_{q1:g}"]
+        header = ["q0", *(f"n_{kind}_q1_{q1:g}" for q1 in request.q1_values
+                          for kind in ("binomial", "inverse_real", "swap_real"))]
         # priced on first use, after the binomial plan has checked q1 as a success probability
         refs = cache(lambda q1: [est.estimate(f, q1, params.p_e, params.regime_factor).shots
                                  for f in (F.INVERSE_REAL, F.SWAP_REAL)])
-        for q0 in grid:
-            row = [q0]
+
+        def row(q0):
+            cells = [q0]
             for q1 in request.q1_values:
-                row += [sp.two_proportion_shots(q0, q1, params.alpha, params.beta).shots, *refs(q1)]
-            rows.append(row)
+                cells += [sp.two_proportion_shots(q0, q1, params.alpha, params.beta).shots, *refs(q1)]
+            return tuple(cells)
     else:
         raise ShotBudgetError(f"unknown curve {request.curve!r}")
-    # str spells a float as repr does
-    (out or sys.stdout).write("".join(",".join(map(str, row)) + "\n" for row in [header, *rows]))
+    row(point(0)), row(point(request.points - 1))  # if any point fails, an end does
+    # %s spells a float as repr does
+    _write_rows(",".join(header) + "\n", ",".join(["%s"] * len(header)) + "\n",
+                map(row, map(point, range(request.points))), out=out)
 
 
 def cmd_curve(args: argparse.Namespace) -> int:

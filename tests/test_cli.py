@@ -600,6 +600,8 @@ class TestCurve:
         # q1 is checked as a success probability before the reference columns price it as a fidelity
         (["curve", "noise_binomial", "--q1", "1.5"],
          "success probabilities must lie in [0, 1], got q0=0.991, q1=1.5"),
+        # an out-of-domain bound is named at the grid end, as given
+        (["curve", "test_comparison", "--stop", "1.5"], "fidelity must lie in [0, 1], got 1.5"),
         # a gap whose square underflows, and a w^2 so small that lambda / w^2 overflows
         (["noise", "plan", "--q0", "1e-300", "--q1", "0"],
          "q0 - q1 = 1e-300 is too small to plan for: its square underflows to 0"),

@@ -78,7 +78,7 @@ _CHUNK_ROWS = 1024  # rows per write, so output memory stays flat at any row cou
 
 
 def _write_rows(head: str, row: str, rows, sep: str = "", tail: str = "", out=None) -> None:
-    """Write head, each row tuple through the %-template row joined by sep, then tail, to out."""
+    """Write head, each row tuple through the %-template row joined by sep, then tail, to out or stdout."""
     stdout = out or sys.stdout
     stdout.write(head)
     first = True

@@ -155,7 +155,8 @@ class TestChiSquareCdf:
     def test_noncentral_where_rounding_stalls_the_mixture_weight(self, nc):
         # the summed Poisson weights stop short of 1 - 1e-12 here, by ~2.5e-12; 7160 is the
         # noncentrality of `chisq --w2 0.1 --bins 1048576`
-        assert noncentral_chi2_cdf(nc, 100.0, nc) == pytest.approx(scipy.stats.ncx2.cdf(nc, 100.0, nc), abs=1e-11)
+        expected = scipy.stats.ncx2.cdf(nc, 100.0, nc)
+        assert noncentral_chi2_cdf(nc, 100.0, nc) == pytest.approx(expected, abs=1e-11)
 
 
 class TestLambdaNoncentral:

@@ -27,7 +27,7 @@ the way numpy sums float64, so w^2 keeps numpy's bits.
 import functools
 import math
 import operator
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     BaselineNotAboveTarget,
@@ -137,9 +137,20 @@ def chi2_quantile(prob: float, df: float) -> float:
     return solve_increasing(lambda x: chi2_cdf(x, df), prob, 0.0, hi)
 
 
-def _poisson_mixture(noncentrality: float, term: Callable[[int], float]) -> float:
-    """sum_j Pois(lam/2)(j) * term(j) for lam > 0, capped at 1, summed outward from the
-    Poisson mode in log space until all but 1e-12 of the weight is covered or a step covers none."""
+# The central terms F(x; df + 2j) of the noncentral CDF, capped: one lambda search at df 2^22 reads ~5,950.
+_central_cdf = functools.lru_cache(maxsize=2**13)(chi2_cdf)
+
+
+def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
+    """Noncentral chi-square CDF as a Poisson mixture of central CDFs.
+
+    F(x; df, lam) = sum_j Pois(lam/2)(j) * F_central(x; df + 2j), capped at 1, summed outward from
+    the Poisson mode in log space until all but 1e-12 of the weight is covered or a step covers
+    none; the GAMMA_MAX_ITER steps of the mixture reach lam ~= 2e6 (NoConvergence at 4e6).
+    """
+    check_range("noncentrality", noncentrality, 0)
+    if noncentrality == 0.0:
+        return _central_cdf(x, df)
     half = noncentrality / 2.0
     log_half = math.log(half)
 
@@ -154,29 +165,17 @@ def _poisson_mixture(noncentrality: float, term: Callable[[int], float]) -> floa
         before = weight_covered  # rounding can stall it short of 1 - 1e-12; the weights only shrink
         if down >= 0:
             w = math.exp(log_weight(down))
-            total += w * term(down)
+            total += w * _central_cdf(x, df + 2.0 * down)
             weight_covered += w
             down -= 1
         if weight_covered < 1.0 - tol.POISSON_TAIL:
             w = math.exp(log_weight(up))
-            total += w * term(up)
+            total += w * _central_cdf(x, df + 2.0 * up)
             weight_covered += w
             up += 1
         if weight_covered >= 1.0 - tol.POISSON_TAIL or 0.0 < weight_covered == before:
             return min(1.0, total)
     raise NoConvergence(f"Poisson mixture did not cover its mass for lam={noncentrality}")
-
-
-def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
-    """Noncentral chi-square CDF as a Poisson mixture of central CDFs.
-
-    F(x; df, lam) = sum_j Pois(lam/2)(j) * F_central(x; df + 2j); the GAMMA_MAX_ITER
-    steps of the mixture reach lam ~= 2e6 (NoConvergence at 4e6).
-    """
-    check_range("noncentrality", noncentrality, 0)
-    if noncentrality == 0.0:
-        return chi2_cdf(x, df)
-    return _poisson_mixture(noncentrality, lambda j: chi2_cdf(x, df + 2.0 * j))
 
 
 def lambda_noncentral(df: int, alpha: float, power: float) -> float:
@@ -185,19 +184,14 @@ def lambda_noncentral(df: int, alpha: float, power: float) -> float:
     Solves P[ncx2(df, lam) > q_{1-alpha}(df)] = power for lam, with the
     critical value taken from the central distribution.  At lam = 0 the
     left side equals alpha, so power must exceed alpha.  Every search step
-    sums the same central terms F_central(crit; df + 2j), memoized once.
+    sums the same central terms F_central(crit; df + 2j), read from the memo.
     """
     check_range("degrees of freedom", df, 1)
     check_range("alpha", alpha, 0, 1, "()")
     if not alpha < power < 1.0:  # the low end is alpha itself, named in the message
         raise DomainError(f"power must lie in (alpha, 1), got {power}")
     crit = chi2_quantile(1.0 - alpha, float(df))
-    central_term = functools.cache(lambda j: chi2_cdf(crit, df + 2.0 * j))
-
-    def attained_power(lam: float) -> float:
-        return 1.0 - (_poisson_mixture(lam, central_term) if lam > 0.0 else chi2_cdf(crit, df))
-
-    return solve_increasing(attained_power, power, 0.0, 8.0)
+    return solve_increasing(lambda lam: 1.0 - noncentral_chi2_cdf(crit, df, lam), power, 0.0, 8.0)
 
 
 class ChiSquarePlan(NamedTuple):

@@ -146,7 +146,7 @@ def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
 
     F(x; df, lam) = sum_j Pois(lam/2)(j) * F_central(x; df + 2j), capped at 1, summed outward from
     the Poisson mode in log space until all but 1e-12 of the weight is covered or a step covers
-    none; the GAMMA_MAX_ITER steps of the mixture reach lam ~= 2e6 (NoConvergence at 4e6).
+    none; its GAMMA_MAX_ITER + 8 isqrt(lam/2) steps outlast the ~7.1 sqrt(lam/2) that coverage takes.
     """
     check_range("noncentrality", noncentrality, 0)
     if noncentrality == 0.0:
@@ -161,7 +161,7 @@ def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
     total = 0.0
     weight_covered = 0.0
     down, up = mode, mode + 1
-    for _ in range(tol.GAMMA_MAX_ITER):
+    for _ in range(tol.GAMMA_MAX_ITER + 8 * math.isqrt(mode)):
         before = weight_covered  # rounding can stall it short of 1 - 1e-12; the weights only shrink
         if down >= 0:
             w = math.exp(log_weight(down))
@@ -210,6 +210,8 @@ def _check_chisq(bins: int, alpha: float, beta: float) -> None:
     if type(bins) is not int:  # a bool or float count too
         raise DomainError(f"bins must be an integer, got {bins!r}")
     check_range("bins", bins, 2)
+    if bins > tol.CHISQ_MAX_BINS:  # named in full: check_range's :g would print 4.1943e+06
+        raise DomainError(f"bins must be at most {tol.CHISQ_MAX_BINS}, got {bins}")
     check_range("alpha", alpha, 0, 1, "()")
     check_range("beta", beta, 0, 1, "()")
     if not alpha < 1.0 - beta < 1.0:  # lambda_noncentral's rule on the power, checked before its search

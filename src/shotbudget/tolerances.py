@@ -35,6 +35,9 @@ ROOT_MAX_BISECTIONS = 200
 # Noncentral chi-square CDF: Poisson mixture tail mass dropped.
 POISSON_TAIL = 1e-12
 
+# Chi-square bin cap: past ~4.96e6 bins the gamma series runs out of its terms.
+CHISQ_MAX_BINS = 2**22 + 1
+
 # Distribution file normalization slack.
 DISTRIBUTION_SUM_ATOL = 1e-8
 

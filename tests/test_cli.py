@@ -442,6 +442,17 @@ class TestValidate:
             assert (code, len(calls)) == (1, 1), scenario
             assert "FAIL" in capsys.readouterr().out, scenario
 
+    def test_chisq_prediction_at_a_noncentrality_past_ten_thousand_mixture_steps(self, tmp_path, capsys):
+        # lam = 2e6 shots * w^2 2.7648 = 5.53e6, where the power is 1 to double precision
+        p, q = tmp_path / "p.json", tmp_path / "q.json"
+        p.write_text(json.dumps([0.97, 0.01, 0.01, 0.01]))
+        q.write_text(json.dumps([0.25, 0.25, 0.25, 0.25]))
+        code = cli.main(["validate", "--scenario", "chisq", "--p", str(p), "--q", str(q),
+                         "--shots", "2000000", "--trials", "1", "--json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["pass"], doc["expected"], doc["estimate"]) == (True, 1.0, 1.0)
+
     def test_missing_scenario_arguments(self):
         assert cli.main(["validate", "--scenario", "inverse"]) == 2
 
@@ -592,6 +603,10 @@ class TestCurve:
         (["validate", "--scenario", "inverse", "--fidelity", "1.0", "--shots", "10"],
          "fidelity must lie in [0, 1) to have misses, got 1.0"),
         (["curve", "test_comparison", "--bins", "1"], "bins must be >= 2, got 1"),
+        # past the bins cap the gamma series would run out of terms (NoConvergence)
+        (["chisq", "--w2", "0.01", "--bins", "4194306"], "bins must be at most 4194305, got 4194306"),
+        (["chisq", "--w2", "0.01", "--bins", "16777217"], "bins must be at most 4194305, got 16777217"),
+        (["curve", "test_comparison", "--bins", "16,4194306"], "bins must be at most 4194305, got 4194306"),
         (["curve", "test_comparison", "--beta", "1.5"], "beta must lie in (0, 1), got 1.5"),
         # a power 1 - beta at or below alpha: the boundary itself is rejected
         (["chisq", "--w2", "0.01", "--alpha", "0.5", "--beta", "0.5"], "power must lie in (alpha, 1), got 0.5"),
@@ -645,10 +660,13 @@ def _state(n="1", data="[[1, 0], [0, 0]]", kind="pure"):
         ("budget", _SPEC.replace("0.05", '"0.05"'), "/p_e: expected a number, got '0.05'"),
         ("budget", _SPEC.replace('"blocks"', '"chisq": {"alpha": 0.5, "beta": 0.5}, "blocks"'),
          "power must lie in (alpha, 1), got 0.5"),
+        ("budget", _SPEC.replace('"blocks"', '"chisq": {"bins": 4194306}, "blocks"'),
+         "bins must be at most 4194305, got 4194306"),
+        ("qcb", "[1, 0]", "state document must be a JSON object, got list"),
     ],
     ids=["bin_huge_int", "bin_float_overflow", "bin_bool", "bin_string", "data_huge_int", "data_bool",
          "data_string", "n_bool", "n_zero", "data_not_list", "malformed_pair", "density_size",
-         "spec_huge_int", "spec_bool", "spec_string", "spec_chisq_power"],
+         "spec_huge_int", "spec_bool", "spec_string", "spec_chisq_power", "spec_chisq_bins", "state_not_object"],
 )
 def test_bad_input_files_exit_2_with_one_error_line(command, text, message, tmp_path, capsys):
     # distribution, state and spec files: the entry is named and nothing is traced back

@@ -14,6 +14,7 @@ import functools
 import io
 import tracemalloc
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from shotbudget import cli
@@ -85,6 +86,13 @@ def test_grid_ends_decide_every_point_and_a_failing_grid_writes_nothing(curve, d
     else:
         assert all(priced)
         assert out.getvalue().count("\n") == points + 1
+
+
+def test_an_unknown_curve_writes_nothing():
+    out = io.StringIO()
+    with pytest.raises(ShotBudgetError, match=r"^unknown curve 'bogus'$"):
+        cli.emit_curve(cli.CurveRequest("bogus", 0.9, 0.99, 5, PARAMS), out=out)
+    assert out.getvalue() == ""
 
 
 class _Sink:

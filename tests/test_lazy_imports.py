@@ -151,10 +151,13 @@ def test_benchmark_tracer_reaches_the_lazy_modules(tmp_path):
     validate = _traced(tmp_path, "validate", "validate", "--scenario", "inverse", "--fidelity",
                        "0.99", "--shots", "458", "--trials", "2000", "--json")
     qcb = _traced(tmp_path, "qcb", "qcb", "a.json", "b.json")
-    assert validate["absent"] == qcb["absent"] == []
+    chisq = _traced(tmp_path, "chisq", "chisq", "--w2", "0.01", "--bins", "16")
+    assert validate["absent"] == qcb["absent"] == chisq["absent"] == []
     assert {"montecarlo.simulate_inverse_miss_rate", "rng.uniform_block"} <= validate["spans"]
     assert {"states.load_state", "states.qcb_q", "states.fidelity", "states.trace_distance",
             "numerics.hermitian_eigendecomposition"} <= qcb["spans"]
+    # the lambda search prices each step through the one noncentral CDF
+    assert {"stat_power.lambda_noncentral", "stat_power.noncentral_chi2_cdf"} <= chisq["spans"]
 
 
 def test_dir_lists_every_public_name():

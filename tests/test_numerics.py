@@ -112,9 +112,16 @@ class TestSolveIncreasing:
         root = solve_increasing(lambda x: x, 1e6, 0.0, 1.0)
         assert root == pytest.approx(1e6, rel=1e-8)
 
+    def test_target_at_the_low_end_is_the_low_end(self):
+        assert solve_increasing(lambda x: max(x, 0.5), 0.5, 0.25, 1.0) == 0.25
+
     def test_rejects_target_below_range(self):
         with pytest.raises(DomainError):
             solve_increasing(lambda x: x, -1.0, 0.0, 1.0)
+
+    def test_target_never_enclosed(self):
+        with pytest.raises(NoConvergence, match=r"^target 1.0 not enclosed after 128 doublings$"):
+            solve_increasing(lambda x: 0.0, 1.0, 0.0, 1.0)
 
     def test_rejects_empty_bracket(self):
         with pytest.raises(DomainError):

@@ -91,6 +91,9 @@ BAD_INPUTS = [
     (ProgramSpec, _spec(name=(3,)), DomainError, "block name: expected a nonempty string, got 3"),
     (ProgramSpec, _spec(g1=(5e4, 1.0)), DomainError, "columns: 'g1' has 2 entries for 1 blocks"),
     (ProgramSpec, _spec(chisq_bins=2.5), DomainError, "bins must be an integer, got 2.5"),
+    (ProgramSpec, _spec(chisq_bins=2**22 + 2), DomainError, "bins must be at most 4194305, got 4194306"),
+    (ProgramSpec, {**_spec(), "columns": [("a",)]}, DomainError,
+     f"columns: expected one column for each BlockSpec field {BlockSpec._fields}"),
     (ProgramSpec, {**_spec(), "chisq_alpha": 0.6, "chisq_beta": 0.5}, DomainError,
      "power must lie in (alpha, 1), got 0.5"),  # allocate's rule, checked when the spec is built
     (ProgramSpec, _spec(hardware={"r1": 0.0, "r2": 0.0}), DomainError, "hardware: expected HardwareRates, got dict"),

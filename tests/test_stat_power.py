@@ -22,11 +22,13 @@ from shotbudget import (
     w2_small_discrepancy,
 )
 from shotbudget import stat_power
+from shotbudget import tolerances as tol
 from shotbudget.errors import (
     BaselineNotAboveTarget,
     DegenerateStates,
     DimensionMismatch,
     DomainError,
+    NoConvergence,
     ZeroExpectedBin,
 )
 from shotbudget.stat_power import (
@@ -158,6 +160,27 @@ class TestChiSquareCdf:
         expected = scipy.stats.ncx2.cdf(nc, 100.0, nc)
         assert noncentral_chi2_cdf(nc, 100.0, nc) == pytest.approx(expected, abs=1e-11)
 
+    @pytest.mark.parametrize("x, atol", [(chi2_quantile(0.99, 3.0), 1e-12), (5662621.5, 2e-9)])
+    def test_noncentral_past_ten_thousand_mixture_steps(self, x, atol):
+        # lam = 2.7648 * 2e6, the expected rate of a 2e6-shot validate run, takes ~11,800 steps;
+        # up in the tail the rounded log-space weights sum to 1 - 1.1e-9
+        expected = scipy.stats.ncx2.cdf(x, 3.0, 5529600.0)
+        assert noncentral_chi2_cdf(x, 3.0, 5529600.0) == pytest.approx(expected, abs=atol)
+
+    def test_the_term_memo_stays_within_its_cap(self):
+        # ~129,000 central terms at lam = 1e8, far more than the memo keeps
+        assert noncentral_chi2_cdf(chi2_quantile(0.99, 3.0), 3.0, 1e8) == 0.0
+        info = stat_power._central_cdf.cache_info()
+        assert info.currsize <= info.maxsize == 2**13
+
+    def test_kernel_faults_are_named(self):
+        # the j = 0 term checks df before x <= 0 could make it 0
+        with pytest.raises(DomainError, match=r"^degrees of freedom must be positive, got -5.0$"):
+            noncentral_chi2_cdf(-1.0, -5.0, 1.0)
+        # past the bins cap: the gamma series runs out of terms
+        with pytest.raises(NoConvergence, match=r"^gamma series did not converge for a=8388608.0, "):
+            chi2_quantile(0.99, 2**24)
+
 
 class TestLambdaNoncentral:
     def test_frozen_anchors(self):
@@ -177,6 +200,18 @@ class TestLambdaNoncentral:
         assert lams == sorted(lams)
         lams = [lambda_noncentral(df, 0.05, 0.9) for df in (1, 3, 15, 63)]
         assert lams == sorted(lams)
+
+    @pytest.mark.parametrize("df, lam, gamma_calls", [
+        (15, "0x1.676cbd0a00000p+5", 108), (1023, "0x1.cf275c3600000p+7", 244),
+        (2**16, "0x1.aa81bfb600000p+10", 1287)])
+    def test_one_search_computes_each_central_term_once(self, df, lam, gamma_calls, monkeypatch):
+        # the gamma calls of the search's own term memo before the shared one, critical value included
+        calls = []
+        gamma_p = stat_power.regularized_gamma_p
+        monkeypatch.setattr(stat_power, "regularized_gamma_p", lambda a, x: calls.append(a) or gamma_p(a, x))
+        stat_power._central_cdf.cache_clear()
+        assert lambda_noncentral(df, 0.01, 0.99).hex() == lam
+        assert len(calls) <= gamma_calls
 
     def test_rejects_bad_domain(self):
         with pytest.raises(DomainError):
@@ -208,6 +243,15 @@ class TestChiSquarePlanning:
     def test_attaining_needs_more_than_small(self):
         for f in (0.9, 0.99, 0.999):
             assert w2_fidelity_attaining(f) < w2_small_discrepancy(f)
+
+    def test_every_power_of_two_bins_answers_up_to_the_cap(self):
+        # bins = 2^k + 1 up to 2^22 + 1, the last ~4-5 s of the sweep's ~9-11 s
+        shots = [shots_chisq(0.1, 2**k + 1, 0.01, 0.01).shots for k in range(1, 23)]
+        assert tol.CHISQ_MAX_BINS == 2**22 + 1
+        assert shots == sorted(shots) and (shots[0], shots[-1]) == (275, 134973)
+        for bins in (tol.CHISQ_MAX_BINS + 1, 2**24 + 1):
+            with pytest.raises(DomainError, match=f"^bins must be at most 4194305, got {bins}$"):
+                shots_chisq(0.1, bins, 0.01, 0.01)
 
     def test_zero_w2_is_degenerate(self):
         with pytest.raises(DegenerateStates):

@@ -205,7 +205,7 @@ class TestLambdaNoncentral:
         (15, "0x1.676cbd0a00000p+5", 108), (1023, "0x1.cf275c3600000p+7", 244),
         (2**16, "0x1.aa81bfb600000p+10", 1287)])
     def test_one_search_computes_each_central_term_once(self, df, lam, gamma_calls, monkeypatch):
-        # the gamma calls of the search's own term memo before the shared one, critical value included
+        # a cold search computes each central term F(crit; df + 2j) once; the bounds count the critical value too
         calls = []
         gamma_p = stat_power.regularized_gamma_p
         monkeypatch.setattr(stat_power, "regularized_gamma_p", lambda a, x: calls.append(a) or gamma_p(a, x))

@@ -137,42 +137,68 @@ def chi2_quantile(prob: float, df: float) -> float:
     return solve_increasing(lambda x: chi2_cdf(x, df), prob, 0.0, hi)
 
 
-# The central terms F(x; df + 2j) of the noncentral CDF, capped: one lambda search at df 2^22 reads ~5,950.
-_central_cdf = functools.lru_cache(maxsize=2**13)(chi2_cdf)
+def _stirlerr(n: float) -> float:
+    """ln(n!) - ln(sqrt(2 pi n) (n/e)^n) for n > 0: the Stirling-series remainder."""
+    if n <= 15:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2.0 * math.pi)
+    nn = 1.0 / (n * n)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - nn / 1188) * nn) * nn) * nn) / n
+
+
+def _bd0(x: float, m: float, d: float) -> float:
+    """Deviance x ln(x/m) + m - x, from d = x - m, to full precision when x ~= m."""
+    if abs(d) >= 0.1 * (x + m):
+        return x * math.log(x / m) - d
+    v = d / (x + m)  # |v| < 1/19: the series d v + 2 x sum v^j / j over odd j >= 3 is done by v^17
+    u = v * v
+    return d * v + 2.0 * x * v * u * (1 / 3 + u * (1 / 5 + u * (1 / 7 + u * (1 / 9 + u * (
+        1 / 11 + u * (1 / 13 + u * (1 / 15 + u / 17)))))))
+
+
+def _poisson_point(k: float, mean: float) -> float:
+    """mean^k e^-mean / Gamma(k + 1) for k > 0 in Loader's saddle-point form."""
+    return math.exp(-_stirlerr(k) - _bd0(k, mean, k - mean)) / math.sqrt(2.0 * math.pi * k)
 
 
 def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
     """Noncentral chi-square CDF as a Poisson mixture of central CDFs.
 
-    F(x; df, lam) = sum_j Pois(lam/2)(j) * F_central(x; df + 2j), capped at 1, summed outward from
-    the Poisson mode in log space until all but 1e-12 of the weight is covered or a step covers
-    none; its GAMMA_MAX_ITER + 8 isqrt(lam/2) steps outlast the ~7.1 sqrt(lam/2) that coverage takes.
+    F(x; df, lam) = sum_j Pois(lam/2)(j) * P(df/2 + j, x/2), capped at 1, summed outward from
+    the Poisson mode m until all but 1e-12 of the weight is covered or a step covers none; its
+    GAMMA_MAX_ITER + 8 isqrt(m) steps outlast the ~7.1 sqrt(m) that coverage takes.  Only the
+    mode's term runs the incomplete gamma; the others follow by recurrence (Ding, AS 275, 1992):
+    P(a + 1, y) = P(a, y) - t(a) with t(a) = y^a e^-y / Gamma(a + 1), and
+    Pois(j + 1) = Pois(j) (lam/2) / (j + 1), both started at the mode in Loader's form.
     """
     check_range("noncentrality", noncentrality, 0)
-    if noncentrality == 0.0:
-        return _central_cdf(x, df)
-    half = noncentrality / 2.0
-    log_half = math.log(half)
-
-    def log_weight(j: int) -> float:
-        return -half + j * log_half - math.lgamma(j + 1.0)
-
+    if noncentrality == 0.0 or x <= 0.0 or df <= 0.0:  # one term, or chi2_cdf names the bad df
+        return chi2_cdf(x, df)
+    half, y = noncentrality / 2.0, x / 2.0
     mode = int(half)
+    a = df / 2.0 + mode
+    p_down = regularized_gamma_p(a, y)
+    t_down = _poisson_point(a, y)
+    w_down = _poisson_point(mode, half) if mode else math.exp(-half)
+    p_up, t_up, w_up = p_down - t_down, t_down * y / (a + 1.0), w_down * half / (mode + 1)
     total = 0.0
     weight_covered = 0.0
     down, up = mode, mode + 1
     for _ in range(tol.GAMMA_MAX_ITER + 8 * math.isqrt(mode)):
         before = weight_covered  # rounding can stall it short of 1 - 1e-12; the weights only shrink
         if down >= 0:
-            w = math.exp(log_weight(down))
-            total += w * _central_cdf(x, df + 2.0 * down)
-            weight_covered += w
+            total += w_down * p_down
+            weight_covered += w_down
+            t_down = t_down * (df / 2.0 + down) / y  # t(a - 1) = t(a) a / y, 0 once it underflows
+            p_down += t_down
+            w_down *= down / half
             down -= 1
         if weight_covered < 1.0 - tol.POISSON_TAIL:
-            w = math.exp(log_weight(up))
-            total += w * _central_cdf(x, df + 2.0 * up)
-            weight_covered += w
+            total += w_up * p_up
+            weight_covered += w_up
+            p_up -= t_up
             up += 1
+            t_up *= y / (df / 2.0 + up)
+            w_up *= half / up
         if weight_covered >= 1.0 - tol.POISSON_TAIL or 0.0 < weight_covered == before:
             return min(1.0, total)
     raise NoConvergence(f"Poisson mixture did not cover its mass for lam={noncentrality}")
@@ -336,21 +362,7 @@ def _binomial_log_pmf(k: int, n: int, q: float, d: float) -> float:
     if k == 0 or k == n:
         return n * (math.log1p(-q) if k == 0 else math.log(q))
 
-    def stirlerr(j: int) -> float:  # ln(j!) - ln(sqrt(2 pi j) (j/e)^j)
-        if j <= 15:
-            return math.lgamma(j + 1.0) - (j + 0.5) * math.log(j) + j - 0.5 * math.log(2.0 * math.pi)
-        jj = 1.0 / (j * j)
-        return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - jj / 1188) * jj) * jj) * jj) / j
-
-    def bd0(x: int, m: float, d: float) -> float:  # x ln(x/m) + m - x, from d = x - m
-        if abs(d) >= 0.1 * (x + m):
-            return x * math.log(x / m) - d
-        v = d / (x + m)  # |v| < 1/19: the series d v + 2 x sum v^j / j over odd j >= 3 is done by v^17
-        u = v * v
-        return d * v + 2.0 * x * v * u * (1 / 3 + u * (1 / 5 + u * (1 / 7 + u * (1 / 9 + u * (
-            1 / 11 + u * (1 / 13 + u * (1 / 15 + u / 17)))))))
-
-    return (stirlerr(n) - stirlerr(k) - stirlerr(n - k) - bd0(k, n * q, d) - bd0(n - k, n * (1.0 - q), -d)
+    return (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, n * q, d) - _bd0(n - k, n * (1.0 - q), -d)
             - 0.5 * math.log(2.0 * math.pi * k * (n - k) / n))
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -167,11 +168,37 @@ class TestChiSquareCdf:
         expected = scipy.stats.ncx2.cdf(x, 3.0, 5529600.0)
         assert noncentral_chi2_cdf(x, 3.0, 5529600.0) == pytest.approx(expected, abs=atol)
 
-    def test_the_term_memo_stays_within_its_cap(self):
-        # ~129,000 central terms at lam = 1e8, far more than the memo keeps
+    def test_a_hundred_million_noncentrality_answers_at_the_critical_value(self):
+        # ~129,000 mixture terms, all but the mode's by recurrence
         assert noncentral_chi2_cdf(chi2_quantile(0.99, 3.0), 3.0, 1e8) == 0.0
-        info = stat_power._central_cdf.cache_info()
-        assert info.currsize <= info.maxsize == 2**13
+
+    def test_noncentral_grid_against_scipy(self):
+        # df up to 2^16 and lam up to 1e5, at fixed x and at the mean +- 5 sd
+        for df in (1, 3, 15, 255, 4095, 2**16):
+            for nc in (0.5, 44.9, 1e3, 1e5):
+                mean, sd = df + nc, math.sqrt(2.0 * (df + 2.0 * nc))
+                for x in (1.0, 10.0, 40.0, 90.0, mean - 5.0 * sd, mean + 5.0 * sd):
+                    assert noncentral_chi2_cdf(x, df, nc) == pytest.approx(
+                        scipy.stats.ncx2.cdf(x, df, nc), abs=1e-10
+                    ), (df, nc, x)
+
+    def test_noncentral_against_a_forty_digit_mixture(self):
+        # the full-precision `expected` of `validate --scenario chisq` in the golden tests:
+        # 120 shots at w^2 = 0.12 over 4 bins, alpha 0.05
+        mpmath = pytest.importorskip("mpmath")
+        crit = chi2_quantile(0.95, 3.0)
+        with mpmath.workdps(40):
+            half = mpmath.mpf(14.4) / 2
+            exact = 1 - mpmath.nsum(lambda j: mpmath.exp(-half) * half**j / mpmath.factorial(j)
+                                    * mpmath.gammainc(mpmath.mpf(1.5) + j, 0, mpmath.mpf(crit) / 2,
+                                                      regularized=True), [0, mpmath.inf])
+            assert abs(exact - mpmath.mpf("0.90497585652763443640")) < mpmath.mpf(10) ** -20
+            assert abs(1.0 - noncentral_chi2_cdf(crit, 3.0, 14.4) - exact) <= 2e-15
+
+    @pytest.mark.parametrize("nc", [1e5, 1e6, 5529600.0, 1e8])
+    def test_noncentral_far_in_the_upper_tail_leaves_only_the_dropped_weight(self, nc):
+        # F = 1 to double precision 40 sd above the mean; all it may lose is the 1e-12 of weight not summed
+        assert 1.0 - noncentral_chi2_cdf(nc + 40.0 * math.sqrt(2.0 * nc), 3.0, nc) <= 2e-12
 
     def test_kernel_faults_are_named(self):
         # the j = 0 term checks df before x <= 0 could make it 0
@@ -201,17 +228,19 @@ class TestLambdaNoncentral:
         lams = [lambda_noncentral(df, 0.05, 0.9) for df in (1, 3, 15, 63)]
         assert lams == sorted(lams)
 
-    @pytest.mark.parametrize("df, lam, gamma_calls", [
-        (15, "0x1.676cbd0a00000p+5", 108), (1023, "0x1.cf275c3600000p+7", 244),
-        (2**16, "0x1.aa81bfb600000p+10", 1287)])
-    def test_one_search_computes_each_central_term_once(self, df, lam, gamma_calls, monkeypatch):
-        # a cold search computes each central term F(crit; df + 2j) once; the bounds count the critical value too
-        calls = []
-        gamma_p = stat_power.regularized_gamma_p
-        monkeypatch.setattr(stat_power, "regularized_gamma_p", lambda a, x: calls.append(a) or gamma_p(a, x))
-        stat_power._central_cdf.cache_clear()
+    @pytest.mark.parametrize("df, lam", [
+        (15, "0x1.676cbd0a00000p+5"), (1023, "0x1.cf275c3600000p+7"), (2**16, "0x1.aa81bfb600000p+10")])
+    def test_one_gamma_call_per_mixture(self, df, lam, monkeypatch):
+        # besides the critical value's bisection, a search runs one incomplete gamma per CDF it reads
+        gamma_calls, cdf_calls = [], []
+        gamma_p, cdf = stat_power.regularized_gamma_p, stat_power.noncentral_chi2_cdf
+        monkeypatch.setattr(stat_power, "regularized_gamma_p", lambda a, x: gamma_calls.append(a) or gamma_p(a, x))
+        chi2_quantile(0.99, float(df))
+        quantile_calls = len(gamma_calls)
+        gamma_calls.clear()
+        monkeypatch.setattr(stat_power, "noncentral_chi2_cdf", lambda *args: cdf_calls.append(args) or cdf(*args))
         assert lambda_noncentral(df, 0.01, 0.99).hex() == lam
-        assert len(calls) <= gamma_calls
+        assert cdf_calls and len(gamma_calls) <= quantile_calls + len(cdf_calls)
 
     def test_rejects_bad_domain(self):
         with pytest.raises(DomainError):
@@ -245,8 +274,10 @@ class TestChiSquarePlanning:
             assert w2_fidelity_attaining(f) < w2_small_discrepancy(f)
 
     def test_every_power_of_two_bins_answers_up_to_the_cap(self):
-        # bins = 2^k + 1 up to 2^22 + 1, the last ~4-5 s of the sweep's ~9-11 s
+        # bins = 2^k + 1 up to 2^22 + 1, ~0.2 s on a 2-vCPU VM; the bound leaves room for a slow machine
+        start = time.perf_counter()
         shots = [shots_chisq(0.1, 2**k + 1, 0.01, 0.01).shots for k in range(1, 23)]
+        assert time.perf_counter() - start < 3.0
         assert tol.CHISQ_MAX_BINS == 2**22 + 1
         assert shots == sorted(shots) and (shots[0], shots[-1]) == (275, 134973)
         for bins in (tol.CHISQ_MAX_BINS + 1, 2**24 + 1):

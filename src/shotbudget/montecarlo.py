@@ -15,8 +15,9 @@ Sampling contracts (fixed, documented, test-pinned):
   Multinomial(N, q) sequential binomial conditioning: bins 0..k-2 in
                     order draw Binomial(remaining, q_i / tail_i) from
                     the trial stream, the last bin takes the remainder.
-  Inverse/swap      a trial stops at its first reject; the result is
-                    unchanged.
+  Early exit        an inverse or swap trial stops at its first reject, a
+                    binomial-test trial once it has n - threshold rejects
+                    and so is detected; the result is unchanged.
 
 One kernel, `_count_below`, draws for all of them, in tiles of at most
 `_CHUNK_ELEMENTS` draws, so memory stays bounded whatever the shot count.
@@ -81,14 +82,14 @@ def _finish(hits: int, drawn: int, config: McConfig, warnings: tuple[str, ...] =
     return McResult(hits / config.trials, config.trials, warnings, drawn)
 
 
-def _count_below(seeds, p: float, lengths, starts=0, stop_at_reject: bool = False):
+def _count_below(seeds, p: float, lengths, starts=0, stop_after: int | None = None):
     """Per row i, how many of its draws starts[i] .. starts[i]+lengths[i]-1 lie below p.
 
     Walks column tiles over the live rows in row blocks of at most
     _CHUNK_ELEMENTS draws, masking draws past a row's length.  With
-    stop_at_reject a row leaves after the tile of its first draw >= p, so
-    its count reaches its length only if it never rejects.  Returns the
-    counts and the number of draws generated.
+    stop_after = k a row leaves after the tile that holds its k-th draw >= p;
+    its count is then at most lengths[i] - k, and exact otherwise.  Returns
+    the counts and the number of draws generated.
     """
     lengths, starts = np.broadcast_to(lengths, seeds.shape), np.broadcast_to(starts, seeds.shape)
     limit = np.uint64(min(math.ceil(p * 2.0**53), 2**53))
@@ -98,7 +99,7 @@ def _count_below(seeds, p: float, lengths, starts=0, stop_at_reject: bool = Fals
     done = drawn = 0
     while live.size:
         width = int(lengths[live].max()) - done
-        if stop_at_reject:
+        if stop_after:
             width = min(width, max(_REJECT_SCAN, _CHUNK_ELEMENTS // live.size))
         width = min(width, _CHUNK_ELEMENTS)
         block = max(1, _CHUNK_ELEMENTS // width)
@@ -112,8 +113,8 @@ def _count_below(seeds, p: float, lengths, starts=0, stop_at_reject: bool = Fals
             drawn += below.size
         done += width
         live = live[lengths[live] > done]
-        if stop_at_reject:
-            live = live[counts[live] == done]
+        if stop_after:
+            live = live[done - counts[live] < stop_after]
     return counts, drawn
 
 
@@ -123,7 +124,7 @@ def _miss_rate(fid: float, formula: Formula, n_shots: int, config: McConfig) -> 
         raise DomainError(f"fidelity must lie in [0, 1) to have misses, got {fid}")
     check_range("n_shots", n_shots, 1)
     seeds = sub_seeds(config.seed, 0, config.trials)
-    counts, drawn = _count_below(seeds, FORMULAS[formula].per_shot(fid), n_shots, stop_at_reject=True)
+    counts, drawn = _count_below(seeds, FORMULAS[formula].per_shot(fid), n_shots, stop_after=1)
     return _finish(int(np.count_nonzero(counts == n_shots)), drawn, config)
 
 
@@ -201,12 +202,15 @@ def simulate_binomial_detection(
     Each trial draws the all-zeros count from Binomial(n_shots, q1) and
     applies the one-sample decision against baseline q0.  The rule is
     monotone in the count, so trials are classified by the precomputed
-    rejection threshold.  That threshold checks n_shots, q0 and alpha
-    before its tail bisection; q1 is checked here, before it.
+    rejection threshold, and a trial stops drawing once n_shots - threshold
+    of its shots fail, since its count can then no longer exceed the
+    threshold.  That threshold checks n_shots, q0 and alpha before its tail
+    bisection; q1 is checked here, before it.
     """
     check_range("true rate q1", q1, 0, 1)
     if q1 > q0:
         raise BaselineNotAboveTarget(f"true rate q1={q1} exceeds baseline q0={q0}")
     threshold = binomial_rejection_threshold(n_shots, q0, alpha)
-    counts, drawn = _count_below(sub_seeds(config.seed, 0, config.trials), q1, n_shots)
+    counts, drawn = _count_below(sub_seeds(config.seed, 0, config.trials), q1, n_shots,
+                                 stop_after=n_shots - threshold)
     return _finish(int(np.count_nonzero(counts <= threshold)), drawn, config)

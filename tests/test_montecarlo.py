@@ -244,7 +244,7 @@ class TestKernelInvariants:
         assert tiled == baseline
 
     @pytest.mark.parametrize("simulate", [
-        lambda shots: simulate_binomial_detection(0.999, 0.99, shots, 0.05, McConfig(trials=1, seed=3)),
+        lambda shots: simulate_binomial_detection(1.0, 1.0 - 1e-12, shots, 0.05, McConfig(trials=1, seed=3)),
         lambda shots: simulate_inverse_miss_rate(1.0 - 1e-12, shots, McConfig(trials=1, seed=3)),
     ], ids=["binomial_full_read", "inverse_no_reject"])
     def test_one_long_trial_stays_under_the_tile_cap(self, simulate):

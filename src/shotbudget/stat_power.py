@@ -27,6 +27,7 @@ the way numpy sums float64, so w^2 keeps numpy's bits.
 import functools
 import math
 import operator
+import sys
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -137,16 +138,14 @@ def chi2_quantile(prob: float, df: float) -> float:
     return solve_increasing(lambda x: chi2_cdf(x, df), prob, 0.0, hi)
 
 
-def _stirlerr(n: float) -> float:
-    """ln(n!) - ln(sqrt(2 pi n) (n/e)^n) for n > 0: the Stirling-series remainder."""
+def _stirlerr(n: float) -> float:  # ln(n!) - ln(sqrt(2 pi n) (n/e)^n), n > 0
     if n <= 15:
         return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2.0 * math.pi)
     nn = 1.0 / (n * n)
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - nn / 1188) * nn) * nn) * nn) / n
 
 
-def _bd0(x: float, m: float, d: float) -> float:
-    """Deviance x ln(x/m) + m - x, from d = x - m, to full precision when x ~= m."""
+def _bd0(x: float, m: float, d: float) -> float:  # x ln(x/m) + m - x, from d = x - m
     if abs(d) >= 0.1 * (x + m):
         return x * math.log(x / m) - d
     v = d / (x + m)  # |v| < 1/19: the series d v + 2 x sum v^j / j over odd j >= 3 is done by v^17
@@ -155,8 +154,7 @@ def _bd0(x: float, m: float, d: float) -> float:
         1 / 11 + u * (1 / 13 + u * (1 / 15 + u / 17)))))))
 
 
-def _poisson_point(k: float, mean: float) -> float:
-    """mean^k e^-mean / Gamma(k + 1) for k > 0 in Loader's saddle-point form."""
+def _poisson_point(k: float, mean: float) -> float:  # mean^k e^-mean / Gamma(k + 1), k > 0, in Loader's form
     return math.exp(-_stirlerr(k) - _bd0(k, mean, k - mean)) / math.sqrt(2.0 * math.pi * k)
 
 
@@ -166,39 +164,37 @@ def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
     F(x; df, lam) = sum_j Pois(lam/2)(j) * P(df/2 + j, x/2), capped at 1, summed outward from
     the Poisson mode m until all but 1e-12 of the weight is covered or a step covers none; its
     GAMMA_MAX_ITER + 8 isqrt(m) steps outlast the ~7.1 sqrt(m) that coverage takes.  Only the
-    mode's term runs the incomplete gamma; the others follow by recurrence (Ding, AS 275, 1992):
-    P(a + 1, y) = P(a, y) - t(a) with t(a) = y^a e^-y / Gamma(a + 1), and
-    Pois(j + 1) = Pois(j) (lam/2) / (j + 1), both started at the mode in Loader's form.
+    mode's term runs the incomplete gamma; AS 275's recurrences (Ding, 1992) give the others:
+    P(a + 1, y) = P(a, y) - t(a), t(a) = y^a e^-y / Gamma(a + 1), and Pois(j + 1) = Pois(j) lam / (2j + 2).
     """
     check_range("noncentrality", noncentrality, 0)
-    if noncentrality == 0.0 or x <= 0.0 or df <= 0.0:  # one term, or chi2_cdf names the bad df
-        return chi2_cdf(x, df)
     half, y = noncentrality / 2.0, x / 2.0
+    if half == 0.0 or y <= 0.0 or df <= 0.0:  # one term, or chi2_cdf names the bad df
+        return chi2_cdf(x, df)
     mode = int(half)
-    a = df / 2.0 + mode
-    p_down = regularized_gamma_p(a, y)
-    t_down = _poisson_point(a, y)
-    w_down = _poisson_point(mode, half) if mode else math.exp(-half)
-    p_up, t_up, w_up = p_down - t_down, t_down * y / (a + 1.0), w_down * half / (mode + 1)
+    p_up = p_down = regularized_gamma_p(df / 2.0 + mode, y)
+    t_up = t_down = _poisson_point(df / 2.0 + mode, y)
+    w_up = w_down = _poisson_point(mode, half) if mode else math.exp(-half)
     total = 0.0
     weight_covered = 0.0
-    down, up = mode, mode + 1
+    down = up = mode
     for _ in range(tol.GAMMA_MAX_ITER + 8 * math.isqrt(mode)):
         before = weight_covered  # rounding can stall it short of 1 - 1e-12; the weights only shrink
         if down >= 0:
             total += w_down * p_down
             weight_covered += w_down
-            t_down = t_down * (df / 2.0 + down) / y  # t(a - 1) = t(a) a / y, 0 once it underflows
+            a = df / 2.0 + down  # t(a - 1) = t(a) a / y, but a t(a) below the normal floats has lost its bits
+            t_down = _poisson_point(a - 1.0, y) if t_down < sys.float_info.min and a > 1.0 else t_down * a / y
             p_down += t_down
             w_down *= down / half
             down -= 1
         if weight_covered < 1.0 - tol.POISSON_TAIL:
-            total += w_up * p_up
-            weight_covered += w_up
             p_up -= t_up
             up += 1
             t_up *= y / (df / 2.0 + up)
             w_up *= half / up
+            total += w_up * p_up
+            weight_covered += w_up
         if weight_covered >= 1.0 - tol.POISSON_TAIL or 0.0 < weight_covered == before:
             return min(1.0, total)
     raise NoConvergence(f"Poisson mixture did not cover its mass for lam={noncentrality}")
@@ -209,8 +205,7 @@ def lambda_noncentral(df: int, alpha: float, power: float) -> float:
 
     Solves P[ncx2(df, lam) > q_{1-alpha}(df)] = power for lam, with the
     critical value taken from the central distribution.  At lam = 0 the
-    left side equals alpha, so power must exceed alpha.  Every search step
-    sums the same central terms F_central(crit; df + 2j), read from the memo.
+    left side equals alpha, so power must exceed alpha.
     """
     check_range("degrees of freedom", df, 1)
     check_range("alpha", alpha, 0, 1, "()")

@@ -153,6 +153,12 @@ class TestChiSquareCdf:
 
     def test_noncentral_zero_reduces_to_central(self):
         assert noncentral_chi2_cdf(5.0, 3, 0.0) == pytest.approx(chi2_cdf(5.0, 3), abs=1e-12)
+        assert noncentral_chi2_cdf(5.0, 3, 5e-324) == chi2_cdf(5.0, 3)  # lam / 2 rounds to 0
+
+    def test_noncentral_where_the_modes_gamma_term_underflows(self):
+        # y^a e^-y / Gamma(a + 1) is 0 at the mode a = 2.0008 but P(0.0008, y) ~= 0.66 at j = 0
+        x, df, nc = 3.706236248360553e-226, 0.0016349202115137488, 4.154127155578954
+        assert noncentral_chi2_cdf(x, df, nc) == pytest.approx(scipy.stats.ncx2.cdf(x, df, nc), abs=1e-12)
 
     @pytest.mark.parametrize("nc", [6000.0, 7160.0])
     def test_noncentral_where_rounding_stalls_the_mixture_weight(self, nc):

@@ -15,9 +15,8 @@ Sampling contracts (fixed, documented, test-pinned):
   Multinomial(N, q) sequential binomial conditioning: bins 0..k-2 in
                     order draw Binomial(remaining, q_i / tail_i) from
                     the trial stream, the last bin takes the remainder.
-  Early exit        an inverse or swap trial stops at its first reject, a
-                    binomial-test trial once it has n - threshold rejects
-                    and so is detected; the result is unchanged.
+  Early exit        a trial stops at its first reject (inverse, swap) or
+                    once it is detected (binomial); the result is unchanged.
 
 One kernel, `_count_below`, draws for all of them, in tiles of at most
 `_CHUNK_ELEMENTS` draws, so memory stays bounded whatever the shot count.
@@ -202,10 +201,9 @@ def simulate_binomial_detection(
     Each trial draws the all-zeros count from Binomial(n_shots, q1) and
     applies the one-sample decision against baseline q0.  The rule is
     monotone in the count, so trials are classified by the precomputed
-    rejection threshold, and a trial stops drawing once n_shots - threshold
-    of its shots fail, since its count can then no longer exceed the
-    threshold.  That threshold checks n_shots, q0 and alpha before its tail
-    bisection; q1 is checked here, before it.
+    rejection threshold and stop once n_shots - threshold shots fail.  The
+    threshold checks n_shots, q0 and alpha before its tail bisection; q1 is
+    checked here, before it.
     """
     check_range("true rate q1", q1, 0, 1)
     if q1 > q0:

@@ -356,7 +356,6 @@ def _binomial_log_pmf(k: int, n: int, q: float, d: float) -> float:
     Stirling-series remainders of n!, k! and (n - k)!, and two deviance terms."""
     if k == 0 or k == n:
         return n * (math.log1p(-q) if k == 0 else math.log(q))
-
     return (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, n * q, d) - _bd0(n - k, n * (1.0 - q), -d)
             - 0.5 * math.log(2.0 * math.pi * k * (n - k) / n))
 

@@ -183,7 +183,7 @@ def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
         if down >= 0:
             total += w_down * p_down
             weight_covered += w_down
-            a = df / 2.0 + down  # t(a - 1) = t(a) a / y, but a t(a) below the normal floats has lost its bits
+            a = df / 2.0 + down  # t(a - 1) = t(a) a / y; for y << a a subnormal t(a) can grow back to matter
             t_down = _poisson_point(a - 1.0, y) if t_down < sys.float_info.min and a > 1.0 else t_down * a / y
             p_down += t_down
             w_down *= down / half

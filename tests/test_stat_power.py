@@ -175,7 +175,7 @@ class TestChiSquareCdf:
         assert noncentral_chi2_cdf(x, 3.0, 5529600.0) == pytest.approx(expected, abs=atol)
 
     def test_a_hundred_million_noncentrality_answers_at_the_critical_value(self):
-        # ~129,000 mixture terms, all but the mode's by recurrence
+        # ~10^5 mixture terms, all but the mode's by recurrence
         assert noncentral_chi2_cdf(chi2_quantile(0.99, 3.0), 3.0, 1e8) == 0.0
 
     def test_noncentral_grid_against_scipy(self):
@@ -207,7 +207,7 @@ class TestChiSquareCdf:
         assert 1.0 - noncentral_chi2_cdf(nc + 40.0 * math.sqrt(2.0 * nc), 3.0, nc) <= 2e-12
 
     def test_kernel_faults_are_named(self):
-        # the j = 0 term checks df before x <= 0 could make it 0
+        # chi2_cdf checks df before x <= 0 could make it 0
         with pytest.raises(DomainError, match=r"^degrees of freedom must be positive, got -5.0$"):
             noncentral_chi2_cdf(-1.0, -5.0, 1.0)
         # past the bins cap: the gamma series runs out of terms
@@ -240,7 +240,8 @@ class TestLambdaNoncentral:
         # besides the critical value's bisection, a search runs one incomplete gamma per CDF it reads
         gamma_calls, cdf_calls = [], []
         gamma_p, cdf = stat_power.regularized_gamma_p, stat_power.noncentral_chi2_cdf
-        monkeypatch.setattr(stat_power, "regularized_gamma_p", lambda a, x: gamma_calls.append(a) or gamma_p(a, x))
+        monkeypatch.setattr(stat_power, "regularized_gamma_p",
+                            lambda a, x: gamma_calls.append(a) or gamma_p(a, x))
         chi2_quantile(0.99, float(df))
         quantile_calls = len(gamma_calls)
         gamma_calls.clear()

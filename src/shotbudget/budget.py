@@ -332,11 +332,10 @@ def allocate_program(spec: ProgramSpec) -> BudgetReport:
     return _allocate(spec, paths=True)
 
 
-def _spec_number(obj: dict, key: str, path: str, low=None, high=None, ends: str = "[]", *,
-                 default=None, required: bool = True):
-    # a finite number in the range, or an error naming its JSON path
+def _spec_number(obj: dict, key: str, path: str, low=None, high=None, ends: str = "[]", *, default=None):
+    # a finite number in the range, or an error naming its JSON path; required without a default
     if key not in obj:
-        if required:
+        if default is None:
             raise DomainError(f"{path}/{key}: missing")
         return default
     return _checked(obj[key], _NUMBER, low, "%s/%s", (path, key), high, ends)
@@ -364,14 +363,14 @@ def parse_program_spec(obj: dict) -> ProgramSpec:
         raise DomainError(f"program spec must be a JSON object, got {type(obj).__name__}")
     fidelity_target = _spec_number(obj, "fidelity_target", "", 0, 1, "(]")
     p_e = _spec_number(obj, "p_e", "", 0, 1, "()")
-    regime_factor = _spec_number(obj, "regime_factor", "", 1, 2, default=1.0, required=False)
+    regime_factor = _spec_number(obj, "regime_factor", "", 1, 2, default=1.0)
 
     chisq = obj.get("chisq", {})
     if not isinstance(chisq, dict):
         raise DomainError("/chisq: expected an object")
     bins = _checked(chisq.get("bins", 16), (int,), 2, "/chisq/bins")  # a count, as a multiplicity is
-    alpha = _spec_number(chisq, "alpha", "/chisq", 0, 1, "()", default=0.01, required=False)
-    beta = _spec_number(chisq, "beta", "/chisq", 0, 1, "()", default=0.01, required=False)
+    alpha = _spec_number(chisq, "alpha", "/chisq", 0, 1, "()", default=0.01)
+    beta = _spec_number(chisq, "beta", "/chisq", 0, 1, "()", default=0.01)
 
     hw = obj.get("hardware")
     if not isinstance(hw, dict):
@@ -379,7 +378,7 @@ def parse_program_spec(obj: dict) -> ProgramSpec:
     rates = HardwareRates(
         r1=_spec_number(hw, "r1", "/hardware", 0),
         r2=_spec_number(hw, "r2", "/hardware", 0),
-        gamma=_spec_number(hw, "gamma", "/hardware", 0, default=0.0, required=False),
+        gamma=_spec_number(hw, "gamma", "/hardware", 0, default=0.0),
     )
 
     raw_blocks = obj.get("blocks")

@@ -145,34 +145,14 @@ def simulate_swap_miss_rate(fid: float, n_shots: int, config: McConfig) -> McRes
     return _miss_rate(fid, Formula.SWAP_IDEAL, n_shots, config)
 
 
-def _multinomial_counts(seeds: np.ndarray, n_shots: int, probs: tuple[float, ...]):
-    """Bin counts per trial seed, shape (trials, k), and the draws generated.
-
-    Each bin conditions all trials at once, each from its own stream position.
-    """
-    counts = np.empty((seeds.size, len(probs)), dtype=np.int64)
-    position = np.zeros(seeds.size, dtype=np.int64)
-    remaining = np.full(seeds.size, n_shots, dtype=np.int64)
-    tail, drawn = 1.0, 0
-    for i in range(len(probs) - 1):
-        p_cond = 1.0 if tail <= probs[i] else probs[i] / tail
-        counts[:, i], used = _count_below(seeds, p_cond, remaining, position)
-        drawn += used
-        position += remaining
-        remaining -= counts[:, i]
-        tail = max(tail - probs[i], 0.0)
-    counts[:, -1] = remaining
-    return counts, drawn
-
-
 def simulate_chisq_power(p: Distribution, q: Distribution, n_shots: int, alpha: float,
                          config: McConfig) -> McResult:
     """Rejection rate of the chi-square test when data follow p and q is tested.
 
-    Each trial samples a multinomial of n_shots outcomes from p, forms
-    the Pearson statistic against q, and rejects above the central
-    1 - alpha quantile at k - 1 degrees of freedom.  With p = q this
-    estimates the realized Type I rate; with p != q, the power.  Results
+    Each trial samples a multinomial of n_shots outcomes from p, adds each
+    bin's Pearson term against q as that bin is drawn, and rejects above
+    the central 1 - alpha quantile at k - 1 degrees of freedom.  With p = q
+    this estimates the realized Type I rate; with p != q, the power.  Results
     carry the chi-square validity warnings for the planned shot count.
     A bin-count mismatch or a zero reference bin raises before any draw.
     """
@@ -180,16 +160,25 @@ def simulate_chisq_power(p: Distribution, q: Distribution, n_shots: int, alpha: 
     check_range("alpha", alpha, 0, 1, "()")
     chi2_distance(p, q)  # raises DimensionMismatch or ZeroExpectedBin
     crit = chi2_quantile(1.0 - alpha, float(q.k - 1))
-    expected = n_shots * np.asarray(q.probs)
-    # trial blocks keep the (trials, k) count matrix within the tile cap
+    # trial blocks bound the per-trial arrays: block x bins stays within one tile
     block = max(1, _CHUNK_ELEMENTS // q.k)
     rejections = drawn = 0
     for first in range(0, config.trials, block):
         seeds = sub_seeds(config.seed, first, min(block, config.trials - first))
-        counts, used = _multinomial_counts(seeds, n_shots, p.probs)
-        stat = np.sum((counts - expected) ** 2 / expected, axis=1)
+        position = np.zeros(seeds.size, dtype=np.int64)
+        remaining = np.full(seeds.size, n_shots, dtype=np.int64)
+        stat = np.zeros(seeds.size)
+        tail = 1.0
+        for p_i, q_i in zip(p.probs[:-1], q.probs):
+            p_cond = 1.0 if tail <= p_i else p_i / tail
+            counts, used = _count_below(seeds, p_cond, remaining, position)
+            stat += (counts - n_shots * q_i) ** 2 / (n_shots * q_i)
+            drawn += used
+            position += remaining
+            remaining -= counts
+            tail = max(tail - p_i, 0.0)
+        stat += (remaining - n_shots * q.probs[-1]) ** 2 / (n_shots * q.probs[-1])
         rejections += int(np.count_nonzero(stat > crit))
-        drawn += used
     return _finish(rejections, drawn, config, warnings=chisq_validity(n_shots, q))
 
 

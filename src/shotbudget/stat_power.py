@@ -167,7 +167,7 @@ def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
     mode's term runs the incomplete gamma; AS 275's recurrences (Ding, 1992) give the others:
     P(a + 1, y) = P(a, y) - t(a), t(a) = y^a e^-y / Gamma(a + 1), and Pois(j + 1) = Pois(j) lam / (2j + 2).
     """
-    check_range("noncentrality", noncentrality, 0)
+    check_range("noncentrality", noncentrality, 0, finite=True)
     half, y = noncentrality / 2.0, x / 2.0
     if half == 0.0 or y <= 0.0 or df <= 0.0:  # one term, or chi2_cdf names the bad df
         return chi2_cdf(x, df)
@@ -370,9 +370,9 @@ def binomial_cdf(count: int, n_shots: int, q: float) -> float:
     check_range("shot count", n_shots, 1)
     if not 0 <= count <= n_shots:
         raise DomainError(f"observed count {count} outside [0, {n_shots}]")
-    check_range("success probability", q, 0, 1, "(]")
-    if count == n_shots or q == 1.0:
-        return float(count == n_shots)
+    check_range("success probability", q, 0, 1)
+    if count == n_shots or q in (0.0, 1.0):  # all the mass at 0 or at n_shots
+        return float(count == n_shots or q == 0.0)
     n, count, (num, den) = int(n_shots), int(count), float(q).as_integer_ratio()  # exact ints, not numpy's
     lam = ((n + 1) * num - (count + 1) * den) / den  # (n + 1) q - (count + 1)
     k, a, b, x = (count, n - count, count + 1, 1.0 - q) if lam >= 0.0 else (count + 1, count + 1, n - count, q)

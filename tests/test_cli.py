@@ -472,6 +472,12 @@ class TestValidate:
         assert [args for args in tails if args[2] != 0.99] == [(thresholds[0], 100000, 0.985)]
         assert "PASS" in capsys.readouterr().out
 
+    def test_binomial_true_rate_zero_is_always_detected(self, capsys):
+        # every shot fails, so every trial is detected and the prediction is the tail at q = 0
+        code = cli.main(["validate", "--scenario", "binomial", "--q0", "0.99", "--q1", "0",
+                         "--shots", "17", "--trials", "500", "--seed", "34"])
+        assert (code, capsys.readouterr().out) == (0, "binomial: estimate=1 expected=1 band(4SE)=0 PASS\n")
+
     def test_binomial_bad_shots_has_one_message(self, capsys):
         # the rejection threshold owns the shot count and q0, with one spelling
         code = cli.main(["validate", "--scenario", "binomial", "--q0", "0.99", "--q1", "0.9",

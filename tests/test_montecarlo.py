@@ -169,13 +169,14 @@ class TestChiSquareSimulator:
         result = simulate_chisq_power(p, p, 10, 0.05, McConfig(trials=100, seed=23))
         assert result.warnings
 
-    def test_multinomial_counts_partition_shots(self):
-        probs = np.array([0.1, 0.2, 0.0, 0.3, 0.4])
-        counts, drawn = mc._multinomial_counts(sub_seeds(3, 0, 50), 1000, probs)
-        assert counts.shape == (50, 5)
-        assert np.all(counts.sum(axis=1) == 1000)
-        assert np.all(counts >= 0) and np.all(counts[:, 2] == 0)
-        assert drawn >= 50 * 1000
+    @pytest.mark.parametrize("shots, rate", [(3, 0.0), (4, 1.0)])
+    def test_every_shot_lands_in_the_one_live_bin(self, shots, rate):
+        # counts (0, N) against expected (N/2, N/2) give a statistic of exactly N,
+        # either side of the 3.84 critical value at 1 df
+        result = simulate_chisq_power(Distribution([0.0, 1.0]), Distribution([0.5, 0.5]), shots,
+                                      0.05, McConfig(trials=50, seed=3))
+        assert result.estimate == rate
+        assert result.uniforms_drawn == 50 * shots
 
     def test_bin_mismatch_and_zero_reference_bin_fail_before_drawing(self, monkeypatch):
         def no_draws(*args, **kwargs):
@@ -246,7 +247,9 @@ class TestKernelInvariants:
     @pytest.mark.parametrize("simulate", [
         lambda shots: simulate_binomial_detection(1.0, 1.0 - 1e-12, shots, 0.05, McConfig(trials=1, seed=3)),
         lambda shots: simulate_inverse_miss_rate(1.0 - 1e-12, shots, McConfig(trials=1, seed=3)),
-    ], ids=["binomial_full_read", "inverse_no_reject"])
+        lambda shots: simulate_chisq_power(Distribution([0.5, 0.5]), Distribution([0.5, 0.5]), shots,
+                                           0.05, McConfig(trials=1, seed=3)),
+    ], ids=["binomial_full_read", "inverse_no_reject", "chisq_full_read"])
     def test_one_long_trial_stays_under_the_tile_cap(self, simulate):
         # two uint64 tile buffers plus boolean masks: under 32 bytes a draw
         # of the cap, where holding the whole trial would take 40

@@ -206,6 +206,11 @@ class TestChiSquareCdf:
         # F = 1 to double precision 40 sd above the mean; all it may lose is the 1e-12 of weight not summed
         assert 1.0 - noncentral_chi2_cdf(nc + 40.0 * math.sqrt(2.0 * nc), 3.0, nc) <= 2e-12
 
+    @pytest.mark.parametrize("nc", [math.inf, math.nan])
+    def test_noncentrality_must_be_finite(self, nc):
+        with pytest.raises(DomainError, match=r"^noncentrality must be finite and >= 0, got (inf|nan)$"):
+            noncentral_chi2_cdf(5.0, 3.0, nc)
+
     def test_kernel_faults_are_named(self):
         # chi2_cdf checks df before x <= 0 could make it 0
         with pytest.raises(DomainError, match=r"^degrees of freedom must be positive, got -5.0$"):
@@ -371,7 +376,8 @@ class TestBinomialPlanning:
             assert binomial_cdf(k, n, q) == binomial_decision(k, n, q, 0.05)[1]
         assert binomial_cdf(9, 10, 1.0) == 0.0
         assert binomial_cdf(10, 10, 1.0) == 1.0
-        for args in ((5, 0, 0.5), (11, 10, 0.5), (-1, 10, 0.5), (5, 10, 0.0), (5, 10, 1.5)):
+        assert binomial_cdf(5, 10, 0.0) == 1.0 == scipy.stats.binom.cdf(5, 10, 0.0)
+        for args in ((5, 0, 0.5), (11, 10, 0.5), (-1, 10, 0.5), (5, 10, 1.5)):
             with pytest.raises(DomainError):
                 binomial_cdf(*args)
 

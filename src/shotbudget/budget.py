@@ -16,9 +16,10 @@ field, checked in one pass per column, and is priced a column at a time;
 `ProgramSpec.blocks` and `BudgetReport.allocations` are row views built
 on read.  There are three ways in, all checked: `parse_program_spec`
 (or `load_program_spec`), `allocate` over BlockSpecs, and a ProgramSpec
-built by hand.  `_BLOCK_RULES` states each block field's rule once: BlockSpec
-and a spec entry's check build their row through `_block_row` over it, and
-the column pass reads it too.
+built by hand.  `_BLOCK_RULES` states each block field's rule once, as a
+`check_range` kind and least value: BlockSpec and a spec entry's check build
+their row through `_block_row` over it, and the column pass reads it too.
+Every other spec value goes through `check_range` by its kind as well.
 """
 
 import math
@@ -29,7 +30,7 @@ from operator import add, is_not, mul, not_
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import _FLOAT_MAX, DomainError, Record, ZeroBudget, ZeroWeight, check_range, json_float, read_json
+from .errors import _FLOAT_MAX, MISSING, DomainError, Record, ZeroBudget, ZeroWeight, check_range, read_json
 from .shot_estimators import FORMULAS, Formula, _shot_count, check_tolerances
 from .stat_power import _check_chisq, _w2_fidelity_attaining, _w2_small_discrepancy, chisq_noncentrality
 from . import tolerances as tol
@@ -49,35 +50,18 @@ __all__ = [
 ]
 
 _TEST_KINDS = ("inverse", "swap", "chisq_small", "chisq_attaining")
-_NUMBER = (int, float)  # exact types: a bool is no number
 
 # Each block field's rule, read by `_block_row` and ProgramSpec's column pass:
-# (field, spec key, value when absent, exact types, least value).  Every value is
-# finite and a name nonempty; a weight of None is absent.
+# (field, spec key, value when absent, check_range kind, least value).  A weight
+# of None is absent.
 _BLOCK_RULES = (
-    ("name", "name", None, (str,), None),
-    ("multiplicity", "multiplicity", 1, (int,), 1),
-    ("g1", "g1", 0.0, _NUMBER, 0),
-    ("g2", "g2", 0.0, _NUMBER, 0),
-    ("depth", "depth", 0.0, _NUMBER, 0),
-    ("explicit_weight", "weight", None, _NUMBER, None),
+    ("name", "name", None, str, None),
+    ("multiplicity", "multiplicity", 1, int, 1),
+    ("g1", "g1", 0.0, float, 0),
+    ("g2", "g2", 0.0, float, 0),
+    ("depth", "depth", 0.0, float, 0),
+    ("explicit_weight", "weight", None, float, None),
 )
-
-
-def _checked(value, types: tuple, low, what: str, args: tuple = (), high=None, ends: str = "[]"):
-    # a given value by a rule's exact types and range, a number as a float, or a
-    # DomainError naming what % args
-    if types is _NUMBER:
-        number = json_float(what, value, args=args)
-        check_range(what, value, low, high, ends, finite=True, args=args)  # names the value as given
-        return number
-    if type(value) not in types or value == "":
-        noun = "a nonempty string" if str in types else "an integer"
-        raise DomainError(f"{what % args}: expected {noun}, got {value!r}")
-    if low is not None:  # a count: its least value, then a float-sized one
-        check_range(what, value, low, args=args)
-        check_range(what, value, finite=True, args=args)
-    return value
 
 
 class HardwareRates(Record):
@@ -87,7 +71,7 @@ class HardwareRates(Record):
 
     def __init__(self, r1: float, r2: float, gamma: float = 0.0) -> None:
         for name, rate in zip(self._fields, (r1, r2, gamma)):
-            _checked(rate, _NUMBER, 0, "hardware rate %s", (name,))  # a spec file's number rule
+            check_range("hardware rate %s", rate, 0, kind=float, args=(name,))  # a spec file's number rule
         self._set(r1, r2, gamma)
 
 
@@ -99,9 +83,9 @@ class BlockSpec(Record):
 
     def __init__(self, name: str, multiplicity: int, g1: float = 0.0, g2: float = 0.0,
                  depth: float = 0.0, explicit_weight: float | None = None) -> None:
-        name_rule, (*_, counts, least) = _BLOCK_RULES[:2]
-        _checked(name, *name_rule[3:], "block name")
-        if type(multiplicity) not in counts or multiplicity < least:  # bool and float counts too
+        *_, least = _BLOCK_RULES[1]  # multiplicity's rule
+        check_range("block name", name, kind=str)
+        if type(multiplicity) is not int or multiplicity < least:  # bool and float counts too
             raise DomainError(f"block {name!r}: multiplicity must be an integer >= {least}, got {multiplicity!r}")
         self._set(*_block_row((name, multiplicity, g1, g2, depth, explicit_weight), "block %r: %s", name))
 
@@ -109,9 +93,9 @@ class BlockSpec(Record):
 def _block_row(values, what: str, head) -> tuple:
     # a block's fields in field order, each checked by its rule and named what % (head, key);
     # a None number whose rule has no default is an absent weight
-    return tuple(None if value is None and default is None and types is _NUMBER else
-                 _checked(value, types, low, what, (head, key))
-                 for (_, key, default, types, low), value in zip(_BLOCK_RULES, values))
+    return tuple(None if value is None and default is None and kind is float else
+                 check_range(what, value, low, kind=kind, args=(head, key))
+                 for (_, key, default, kind, low), value in zip(_BLOCK_RULES, values))
 
 
 class BlockAllocation(NamedTuple):
@@ -284,15 +268,15 @@ def _checked_columns(columns: dict) -> dict[str, tuple]:
         raise DomainError(f"columns: expected one column for each BlockSpec field {BlockSpec._fields}")
     checked = {field: tuple(columns[field]) for field in BlockSpec._fields}
     blocks = len(checked["name"])
-    for (field, _, default, types, low), column in zip(_BLOCK_RULES, checked.values()):
+    for (field, _, default, kind, low), column in zip(_BLOCK_RULES, checked.values()):
         if len(column) != blocks:
             raise DomainError(f"columns: {field!r} has {len(column)} entries for {blocks} blocks")
-        if default is None and types is _NUMBER:  # a None weight is absent
+        if default is None and kind is float:  # a None weight is absent
             column = tuple(filter(partial(is_not, None), column))
-        kinds = set(map(type, column))
-        if not kinds.issubset(types) or ("" in column if str in types else column and not (
+        types = set(map(type, column))  # exact types: a bool is no number
+        if types - {kind, int if kind is float else kind} or ("" in column if kind is str else column and not (
                 (-_FLOAT_MAX if low is None else low) <= min(column) and max(column) <= _FLOAT_MAX
-                and not (float in kinds and any(map(math.isnan, column))))):  # min and max skip a NaN
+                and not (float in types and any(map(math.isnan, column))))):  # min and max skip a NaN
             return _block_columns([BlockSpec(*row) for row in zip(*checked.values())])
     return checked
 
@@ -332,15 +316,6 @@ def allocate_program(spec: ProgramSpec) -> BudgetReport:
     return _allocate(spec, paths=True)
 
 
-def _spec_number(obj: dict, key: str, path: str, low=None, high=None, ends: str = "[]", *, default=None):
-    # a finite number in the range, or an error naming its JSON path; required without a default
-    if key not in obj:
-        if default is None:
-            raise DomainError(f"{path}/{key}: missing")
-        return default
-    return _checked(obj[key], _NUMBER, low, "%s/%s", (path, key), high, ends)
-
-
 def _entry_row(entry, path: str) -> tuple:
     # the per-entry check: an entry's BlockSpec fields, or a DomainError naming the
     # JSON path of its first fault in field order
@@ -348,7 +323,7 @@ def _entry_row(entry, path: str) -> tuple:
         raise DomainError(f"{path}: expected an object")
     row = _block_row([entry.get(key, default) for _, key, default, _, _ in _BLOCK_RULES], "%s/%s", path)
     if entry.get("weight", 0) is None:  # given as null, which the number rule rejects
-        _checked(None, _NUMBER, None, "%s/%s", (path, "weight"))
+        check_range("%s/weight", None, kind=float, args=(path,))
     return row
 
 
@@ -361,25 +336,22 @@ def parse_program_spec(obj: dict) -> ProgramSpec:
     """
     if not isinstance(obj, dict):
         raise DomainError(f"program spec must be a JSON object, got {type(obj).__name__}")
-    fidelity_target = _spec_number(obj, "fidelity_target", "", 0, 1, "(]")
-    p_e = _spec_number(obj, "p_e", "", 0, 1, "()")
-    regime_factor = _spec_number(obj, "regime_factor", "", 1, 2, default=1.0)
+    fidelity_target = check_range("/fidelity_target", obj.get("fidelity_target", MISSING), 0, 1, "(]", kind=float)
+    p_e = check_range("/p_e", obj.get("p_e", MISSING), 0, 1, "()", kind=float)
+    regime_factor = check_range("/regime_factor", obj.get("regime_factor", 1.0), 1, 2, kind=float)
 
     chisq = obj.get("chisq", {})
     if not isinstance(chisq, dict):
         raise DomainError("/chisq: expected an object")
-    bins = _checked(chisq.get("bins", 16), (int,), 2, "/chisq/bins")  # a count, as a multiplicity is
-    alpha = _spec_number(chisq, "alpha", "/chisq", 0, 1, "()", default=0.01)
-    beta = _spec_number(chisq, "beta", "/chisq", 0, 1, "()", default=0.01)
+    bins = check_range("/chisq/bins", chisq.get("bins", 16), 2, kind=int)  # a count, as a multiplicity is
+    alpha = check_range("/chisq/alpha", chisq.get("alpha", 0.01), 0, 1, "()", kind=float)
+    beta = check_range("/chisq/beta", chisq.get("beta", 0.01), 0, 1, "()", kind=float)
 
     hw = obj.get("hardware")
     if not isinstance(hw, dict):
         raise DomainError("/hardware: missing or not an object")
-    rates = HardwareRates(
-        r1=_spec_number(hw, "r1", "/hardware", 0),
-        r2=_spec_number(hw, "r2", "/hardware", 0),
-        gamma=_spec_number(hw, "gamma", "/hardware", 0, default=0.0),
-    )
+    rates = HardwareRates(*(check_range("/hardware/%s", hw.get(key, default), 0, kind=float, args=(key,))
+                            for key, default in (("r1", MISSING), ("r2", MISSING), ("gamma", 0.0))))
 
     raw_blocks = obj.get("blocks")
     if not isinstance(raw_blocks, list) or not raw_blocks:

@@ -4,11 +4,10 @@ Everything derives from ShotBudgetError so callers can catch the whole
 family with one clause.  DomainError doubles as a ValueError: most of its
 sites are argument-range violations, raised by `check_range` in one message
 shape.  `read_json` reads the state, distribution and program-spec files,
-and `json_float` takes each number out of them.
+and `check_range`, given the value's kind, checks every value taken out of them.
 """
 
 import json
-import math
 import sys
 
 _FLOAT_MAX = sys.float_info.max
@@ -54,51 +53,57 @@ class ZeroBudget(ShotBudgetError):
     """Program fidelity target of 1 leaves a zero error-angle budget."""
 
 
-def check_range(what: str, value, low=None, high=None, ends: str = "[]", *,
-                finite: bool = False, args: tuple = ()) -> None:
-    """Raise DomainError unless value lies in the interval low..high, whose
-    brackets `ends` gives, or without a high end is >= low.  `finite` first
-    rejects inf and NaN; NaN fails every range.  The name is `what % args`
-    when args are given, formatted only on failure.
+MISSING = object()  # check_range's value for a required key that a file leaves out
+_EXPECTED = {float: "a number", int: "an integer", str: "a nonempty string"}
 
-    Messages: "<what> must lie in (0, 1], got 2", "<what> must be >= 1,
-    got 0", "<what> must be finite[ and >= 0], got inf".
+
+def check_range(what: str, value, low=None, high=None, ends: str = "[]", *, finite: bool = False,
+                kind: type | None = None, error: type = DomainError, args: tuple = ()):
+    """Return value if it lies in the interval low..high, whose brackets `ends` gives, or
+    without a high end is >= low; else raise `error` naming `what % args`, formatted only
+    on failure.  `finite` first rejects inf and NaN; NaN fails every range.
+
+    `kind` checks a value read from a file first.  float takes a number that is no bool
+    and returns it, finite, as a float (an int beyond float range is not finite); int
+    takes a float-sized integer, whose message names the one bound it fails; str a
+    nonempty string.  MISSING stands for a required key that is absent.
+
+    Messages: "<what> must lie in (0, 1], got 2", "<what> must be >= 1, got 0", "<what>
+    must be finite[ and >= 0], got inf", "<what>: expected a number, got True",
+    "<what>: missing".
     """
+    if type(value) is float and kind is float and low is high is None and abs(value) <= _FLOAT_MAX:
+        return value  # a plain file entry
+    if value is MISSING:
+        raise error(f"{what % args if args else what}: missing")
+    if kind is not None and not (isinstance(value, (int, float)) and type(value) is not bool if kind is float
+                                 else type(value) is kind and value != ""):
+        raise error(f"{what % args if args else what}: expected {_EXPECTED[kind]}, got {value!r}")
+    if kind is str:
+        return value
+    finite = finite or kind is not None
     if high is None:
         if (not finite or abs(value) <= _FLOAT_MAX) and (low is None or value >= low):
-            return
+            return float(value) if kind is float else value
         bounds = (["finite"] if finite else []) + ([] if low is None else [f">= {low:g}"])
-        need = "be " + " and ".join(bounds)
+        need = "be " + (bounds[value < low] if kind is int else " and ".join(bounds))
     elif finite and not abs(value) <= _FLOAT_MAX:
         need = "be finite"
     else:
         above = low < value if ends[0] == "(" else low <= value
         if above and (value < high if ends[1] == ")" else value <= high):
-            return
+            return float(value) if kind is float else value
         need = f"lie in {ends[0]}{low:g}, {high:g}{ends[1]}"
-    raise DomainError(f"{what % args if args else what} must {need}, got {value}")
-
-
-def json_float(what: str, value, error: type = DomainError, *, args: tuple = ()) -> float:
-    """A JSON number as a float, else `error` "<what % args>: expected a number, got ...".
-
-    A bool is no number; an int beyond float range becomes inf, as 1e999 does,
-    so the caller's finiteness check names it.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise error(f"{what % args if args else what}: expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
+    raise error(f"{what % args if args else what} must {need}, got {value}")
 
 
 def read_json(path: str, error: type = DomainError):
-    """The JSON document in the file at path; invalid JSON raises `error` naming the path."""
+    """The JSON document in the file at path; a file that does not read as JSON (bad syntax or
+    UTF-8, an integer literal past Python's digit limit) raises `error` naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise error(f"{path}: not valid JSON ({exc})") from None
 
 

@@ -52,13 +52,20 @@ _CHUNK_ELEMENTS = 1 << 16
 _REJECT_SCAN = 64  # columns per tile while many early-exit trials are live
 
 
+def _check_count(what: str, count: int) -> None:
+    # a trial or shot count, which int64 arrays hold: checked before any draw
+    check_range(what, count, 1)
+    if count > np.iinfo(np.int64).max:
+        raise DomainError(f"{what} must lie in [1, 2^63), got {count}")
+
+
 class McConfig(Record):
     """Trial count and master seed; the RNG itself is fixed by the package."""
 
     __slots__ = _fields = ("trials", "seed")
 
     def __init__(self, trials: int, seed: int = 20_260_822) -> None:
-        check_range("trials", trials, 1)
+        _check_count("trials", trials)
         if not 0 <= seed <= MASK64:  # an integer range, shown as 2^64
             raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
         self._set(trials, seed)
@@ -121,7 +128,7 @@ def _miss_rate(fid: float, formula: Formula, n_shots: int, config: McConfig) -> 
     """Trials in which all n_shots shots accept at the formula's per-shot acceptance."""
     if not 0.0 <= fid < 1.0:  # the message says why 1 is left out
         raise DomainError(f"fidelity must lie in [0, 1) to have misses, got {fid}")
-    check_range("n_shots", n_shots, 1)
+    _check_count("n_shots", n_shots)
     seeds = sub_seeds(config.seed, 0, config.trials)
     counts, drawn = _count_below(seeds, FORMULAS[formula].per_shot(fid), n_shots, stop_after=1)
     return _finish(int(np.count_nonzero(counts == n_shots)), drawn, config)
@@ -156,29 +163,30 @@ def simulate_chisq_power(p: Distribution, q: Distribution, n_shots: int, alpha: 
     carry the chi-square validity warnings for the planned shot count.
     A bin-count mismatch or a zero reference bin raises before any draw.
     """
-    check_range("n_shots", n_shots, 1)
+    _check_count("n_shots", n_shots)
     check_range("alpha", alpha, 0, 1, "()")
     chi2_distance(p, q)  # raises DimensionMismatch or ZeroExpectedBin
     crit = chi2_quantile(1.0 - alpha, float(q.k - 1))
     # trial blocks bound the per-trial arrays: block x bins stays within one tile
     block = max(1, _CHUNK_ELEMENTS // q.k)
     rejections = drawn = 0
-    for first in range(0, config.trials, block):
-        seeds = sub_seeds(config.seed, first, min(block, config.trials - first))
-        position = np.zeros(seeds.size, dtype=np.int64)
-        remaining = np.full(seeds.size, n_shots, dtype=np.int64)
-        stat = np.zeros(seeds.size)
-        tail = 1.0
-        for p_i, q_i in zip(p.probs[:-1], q.probs):
-            p_cond = 1.0 if tail <= p_i else p_i / tail
-            counts, used = _count_below(seeds, p_cond, remaining, position)
-            stat += (counts - n_shots * q_i) ** 2 / (n_shots * q_i)
-            drawn += used
-            position += remaining
-            remaining -= counts
-            tail = max(tail - p_i, 0.0)
-        stat += (remaining - n_shots * q.probs[-1]) ** 2 / (n_shots * q.probs[-1])
-        rejections += int(np.count_nonzero(stat > crit))
+    with np.errstate(over="ignore"):  # a reference bin below ~1e-300 / n_shots: its Pearson term is inf
+        for first in range(0, config.trials, block):
+            seeds = sub_seeds(config.seed, first, min(block, config.trials - first))
+            position = np.zeros(seeds.size, dtype=np.int64)
+            remaining = np.full(seeds.size, n_shots, dtype=np.int64)
+            stat = np.zeros(seeds.size)
+            tail = 1.0
+            for p_i, q_i in zip(p.probs[:-1], q.probs):
+                p_cond = 1.0 if tail <= p_i else p_i / tail
+                counts, used = _count_below(seeds, p_cond, remaining, position)
+                stat += (counts - n_shots * q_i) ** 2 / (n_shots * q_i)
+                drawn += used
+                position += remaining
+                remaining -= counts
+                tail = max(tail - p_i, 0.0)
+            stat += (remaining - n_shots * q.probs[-1]) ** 2 / (n_shots * q.probs[-1])
+            rejections += int(np.count_nonzero(stat > crit))
     return _finish(rejections, drawn, config, warnings=chisq_validity(n_shots, q))
 
 
@@ -191,12 +199,13 @@ def simulate_binomial_detection(
     applies the one-sample decision against baseline q0.  The rule is
     monotone in the count, so trials are classified by the precomputed
     rejection threshold and stop once n_shots - threshold shots fail.  The
-    threshold checks n_shots, q0 and alpha before its tail bisection; q1 is
-    checked here, before it.
+    threshold checks q0 and alpha before its tail bisection; q1 and n_shots
+    are checked here, before it.
     """
     check_range("true rate q1", q1, 0, 1)
     if q1 > q0:
         raise BaselineNotAboveTarget(f"true rate q1={q1} exceeds baseline q0={q0}")
+    _check_count("shot count", n_shots)  # the threshold's own spelling
     threshold = binomial_rejection_threshold(n_shots, q0, alpha)
     counts, drawn = _count_below(sub_seeds(config.seed, 0, config.trials), q1, n_shots,
                                  stop_after=n_shots - threshold)

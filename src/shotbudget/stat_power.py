@@ -39,7 +39,6 @@ from .errors import (
     Record,
     ZeroExpectedBin,
     check_range,
-    json_float,
     read_json,
 )
 from .numerics import lentz_fraction, regularized_gamma_p, solve_increasing
@@ -146,8 +145,8 @@ def _stirlerr(n: float) -> float:  # ln(n!) - ln(sqrt(2 pi n) (n/e)^n), n > 0
 
 
 def _bd0(x: float, m: float, d: float) -> float:  # x ln(x/m) + m - x, from d = x - m
-    if abs(d) >= 0.1 * (x + m):
-        return x * math.log(x / m) - d
+    if abs(d) >= 0.1 * (x + m):  # x / m may overflow at a subnormal m, so each is logged alone
+        return x * (math.log(x) - math.log(m)) - d if x > m * 1e300 else x * math.log(x / m) - d
     v = d / (x + m)  # |v| < 1/19: the series d v + 2 x sum v^j / j over odd j >= 3 is done by v^17
     u = v * v
     return d * v + 2.0 * x * v * u * (1 / 3 + u * (1 / 5 + u * (1 / 7 + u * (1 / 9 + u * (
@@ -432,14 +431,12 @@ def binomial_rejection_threshold(n_shots: int, q0: float, alpha: float) -> int:
 
 
 def parse_distribution(obj) -> Distribution:
-    """Build a Distribution from its JSON array form."""
+    """Build a Distribution from its JSON array form; `check_range` takes each entry as a
+    finite number, named by its bin, and Distribution checks the rest."""
     if not isinstance(obj, list):
         raise DomainError(f"distribution document must be a JSON array, got {type(obj).__name__}")
-    probs = [json_float("bin %d probability", x, args=(i,)) for i, x in enumerate(obj)]
-    for i, p in enumerate(probs):  # named as the file gives it, as parse_state does
-        if not math.isfinite(p):
-            raise DomainError(f"bin {i} probability is not finite: {obj[i]!r}")
-    return Distribution(probs=probs)
+    return Distribution(probs=[check_range("bin %d probability", p, kind=float, args=(i,))
+                               for i, p in enumerate(obj)])
 
 
 def load_distribution(path: str) -> Distribution:

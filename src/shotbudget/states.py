@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidState, Record, check_range, json_float, read_json
+from .errors import DimensionMismatch, InvalidState, Record, check_range, read_json
 from .numerics import hermitian_eigendecomposition, minimize_unimodal
 from .shot_estimators import FORMULAS, Formula
 from . import tolerances as tol
@@ -77,7 +77,8 @@ class PureState(Record):
         bad = _first_nonfinite(amps)
         if bad is not None:
             raise InvalidState(f"amplitude {bad} is not finite: {amps[bad]!r}")
-        norm = float(np.linalg.norm(amps))
+        with np.errstate(over="ignore"):  # an entry near 1e308 overflows the norm to inf, named below
+            norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > tol.NORM_ATOL:
             raise InvalidState(f"state vector norm {norm!r} differs from 1 beyond {tol.NORM_ATOL:.1e}")
         self._set(*_frozen(amps))
@@ -123,14 +124,15 @@ class DensityMatrix(Record):
         if bad is not None:
             i, j = divmod(bad, mat.shape[1])
             raise InvalidState(f"density matrix entry ({i}, {j}) is not finite: {mat[i, j]!r}")
-        dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if dev > tol.HERMITICITY_ATOL:
-            raise InvalidState(f"not Hermitian: max |rho - rho^dagger| = {dev:.3e}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > tol.TRACE_ATOL:
-            raise InvalidState(f"trace {tr!r} differs from 1 beyond {tol.TRACE_ATOL:.1e}")
-        eig = _frozen(*hermitian_eigendecomposition(mat))
-        if float(eig[0][0]) < tol.PSD_CLAMP_FLOOR:
+        with np.errstate(over="ignore", invalid="ignore"):  # entries near 1e308 overflow, and fail a check
+            dev = float(np.max(np.abs(mat - mat.conj().T)))
+            if dev > tol.HERMITICITY_ATOL:
+                raise InvalidState(f"not Hermitian: max |rho - rho^dagger| = {dev:.3e}")
+            tr = complex(np.trace(mat))
+            if abs(tr - 1.0) > tol.TRACE_ATOL:
+                raise InvalidState(f"trace {tr!r} differs from 1 beyond {tol.TRACE_ATOL:.1e}")
+            eig = _frozen(*hermitian_eigendecomposition(mat))
+        if not float(eig[0][0]) >= tol.PSD_CLAMP_FLOOR:  # a NaN spectrum fails too
             raise InvalidState(
                 f"not positive semidefinite: eigenvalue {eig[0][0]:.3e} "
                 f"below {tol.PSD_CLAMP_FLOOR:.1e}"
@@ -330,7 +332,8 @@ def fuchs_van_de_graaf_bounds(fid: float) -> tuple[float, float]:
 
 
 def parse_state(obj: dict) -> PureState | DensityMatrix:
-    """Build a state from its JSON object form, validating invariants."""
+    """Build a state from its JSON object form.  `check_range` takes each re and im as a
+    finite number, named by its entry; the constructors check the invariants."""
     if not isinstance(obj, dict):
         raise InvalidState(f"state document must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
@@ -346,19 +349,16 @@ def parse_state(obj: dict) -> PureState | DensityMatrix:
         pairs = [(re, im) for re, im in data]
     except (TypeError, ValueError) as exc:
         raise InvalidState(f'state "data" entries must be [re, im] pairs: {exc}') from None
-    flat = np.array([complex(*(json_float('state "data"[%d]', x, InvalidState, args=(i,)) for x in pair))
-                     for i, pair in enumerate(pairs)], dtype=np.complex128)
-    bad = _first_nonfinite(flat)
-    if bad is not None:
-        raise InvalidState(f'state "data"[{bad}] is not finite: {data[bad]!r}')
-    dim = 2**n
-    if kind == "pure":
-        if flat.size != dim:
-            raise InvalidState(f"pure state on {n} qubits needs {dim} amplitudes, got {flat.size}")
-        return PureState(amplitudes=flat)
-    if flat.size != dim * dim:
-        raise InvalidState(f"density matrix on {n} qubits needs {dim * dim} entries, got {flat.size}")
-    return DensityMatrix(matrix=flat.reshape(dim, dim))
+    flat = np.array([complex(*(check_range('state "data"[%d]', x, kind=float, error=InvalidState, args=(i,))
+                               for x in pair)) for i, pair in enumerate(pairs)], dtype=np.complex128)
+    pure = kind == "pure"
+    # n qubits take 2**n or 4**n entries; an n far past the entry count's bit length cannot
+    # match it, and its count is written as a power, never computed
+    need = (2**n if pure else 4**n) if n <= flat.size.bit_length() + 64 else f"{2 if pure else 4}**{n}"
+    if flat.size != need:
+        what, unit = ("pure state", "amplitudes") if pure else ("density matrix", "entries")
+        raise InvalidState(f"{what} on {n} qubits needs {need} {unit}, got {flat.size}")
+    return PureState(amplitudes=flat) if pure else DensityMatrix(matrix=flat.reshape(2**n, 2**n))
 
 
 def load_state(path: str) -> PureState | DensityMatrix:

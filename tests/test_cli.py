@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -209,7 +210,19 @@ class TestQcb:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert '"data"[5] is not finite' in captured.err
+        assert '"data"[5] must be finite, got nan' in captured.err
+
+    @pytest.mark.parametrize("n", [10**6, 10**10])
+    @pytest.mark.parametrize("kind, need", [("pure", "2**{n} amplitudes"), ("density", "4**{n} entries")])
+    def test_a_qubit_count_far_past_the_data_exits_2_at_once(self, n, kind, need, state_files, tmp_path, capsys):
+        # 2**n is never computed: its digits or its memory would fail first
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps({"kind": kind, "n": n, "data": [[1, 0]]}))
+        start = time.perf_counter()
+        assert cli.main(["qcb", str(bad), state_files["zero"]]) == 2
+        assert time.perf_counter() - start < 1.0
+        what = "pure state" if kind == "pure" else "density matrix"
+        assert capsys.readouterr() == ("", f"error: {what} on {n} qubits needs {need.format(n=n)}, got 1\n")
 
     @pytest.mark.parametrize("pair", [("zero", "one"), ("zero", "zero"), ("zero", "plus")],
                              ids=["orthogonal", "identical", "partial_overlap"])
@@ -271,7 +284,7 @@ class TestChisq:
             assert cli.main(argv) == 2, argv
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert f"error: bin {bin_index} probability is not finite" in captured.err, argv
+            assert f"error: bin {bin_index} probability must be finite, got " in captured.err, argv
 
 
 class TestNoise:
@@ -497,6 +510,21 @@ class TestValidate:
                          "--shots", "1000000"])
         assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--scenario", "chisq", "--p", "{p}", "--q", "{q}", "--shots", str(2**63)],
+         f"n_shots must lie in [1, 2^63), got {2**63}"),
+        (["--scenario", "inverse", "--fidelity", "0.9", "--shots", str(10**30)],
+         f"n_shots must lie in [1, 2^63), got {10**30}"),
+        (["--scenario", "binomial", "--q0", "0.99", "--q1", "0.9", "--shots", str(2**64)],
+         f"shot count must lie in [1, 2^63), got {2**64}"),
+        (["--scenario", "swap", "--fidelity", "0.9", "--shots", "5", "--trials", str(2**63)],
+         f"trials must lie in [1, 2^63), got {2**63}"),
+    ], ids=["chisq_shots", "inverse_shots", "binomial_shots", "trials"])
+    def test_counts_past_int64_fail_before_any_draw(self, argv, message, dist_files, monkeypatch, capsys):
+        monkeypatch.setattr(mc, "uniform_block", None)  # a draw would raise TypeError
+        argv = ["validate", *(arg.format(**dist_files) for arg in argv)]
+        assert (cli.main(argv), capsys.readouterr()) == (2, ("", f"error: {message}\n"))
+
     @pytest.mark.parametrize("seed", ["-5", str(2**64), "99999999999999999999999"])
     def test_seed_outside_64_bits_rejected(self, seed, capsys):
         code = cli.main(
@@ -602,6 +630,7 @@ class TestCurve:
         (["curve", "test_comparison", "--bins", "2,x"],
          "expected a comma-separated integer list, got '2,x'"),
         (["curve", "fid_vs_shots", "--points", "1"], "curve needs at least 2 points, got 1"),
+        (["curve", "fid_vs_shots", "--points", str(2**63)], f"curve needs fewer than 2^63 points, got {2**63}"),
         (["noise", "plan", "--q0", "1.5", "--q1", "0.9"],
          "success probabilities must lie in [0, 1], got q0=1.5, q1=0.9"),
         (["noise", "plan", "--q0", "0.99", "--q1", "0.9", "--alpha", "0"],
@@ -648,11 +677,11 @@ def _state(n="1", data="[[1, 0], [0, 0]]", kind="pure"):
 @pytest.mark.parametrize(
     "command, text, message",
     [
-        ("chisq", f"[{_HUGE}, 0]", f"bin 0 probability is not finite: {_HUGE}"),
-        ("chisq", "[0.5, -1e999]", "bin 1 probability is not finite: -inf"),
+        ("chisq", f"[{_HUGE}, 0]", f"bin 0 probability must be finite, got {_HUGE}"),
+        ("chisq", "[0.5, -1e999]", "bin 1 probability must be finite, got -inf"),
         ("chisq", "[true, false]", "bin 0 probability: expected a number, got True"),
         ("chisq", '[0.5, "0.5"]', "bin 1 probability: expected a number, got '0.5'"),
-        ("qcb", _state(data=f"[[1, 0], [0, {_HUGE}]]"), f'state "data"[1] is not finite: [0, {_HUGE}]'),
+        ("qcb", _state(data=f"[[1, 0], [0, {_HUGE}]]"), f'state "data"[1] must be finite, got {_HUGE}'),
         ("qcb", _state(data="[[true, 0], [0, 0]]"), 'state "data"[0]: expected a number, got True'),
         ("qcb", _state(data='[[1, 0], ["0", 0]]'), 'state "data"[1]: expected a number, got \'0\''),
         ("qcb", _state(n="true"), 'state "n" must be a positive integer qubit count, got True'),

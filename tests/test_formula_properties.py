@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from shotbudget.budget import BlockSpec, HardwareRates, ProgramSpec, allocate, parse_program_spec
 from shotbudget.cli import _SHOT_TESTS
-from shotbudget.errors import DegenerateStates, DomainError, check_range, json_float
+from shotbudget.errors import DegenerateStates, DomainError, check_range
 from shotbudget.shot_estimators import FORMULAS, Formula, ShotBounds, estimate
 from shotbudget.stat_power import (
     binomial_rejection_threshold,
@@ -301,8 +301,10 @@ def _entry_error(entry, path: str = "/blocks/0") -> str | None:
         check_range(f"{path}/multiplicity", count, 1)
         for key, low in (("g1", 0), ("g2", 0), ("depth", 0), ("weight", None)):
             if key in entry:
-                json_float(f"{path}/{key}", entry[key])
-                check_range(f"{path}/{key}", entry[key], low, finite=True)
+                value = entry[key]
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    return f"{path}/{key}: expected a number, got {value!r}"
+                check_range(f"{path}/{key}", value, low, finite=True)
     except DomainError as exc:
         return str(exc)
     return None

@@ -151,6 +151,11 @@ class TestChiSquareCdf:
                         scipy.stats.ncx2.cdf(x, df, nc), abs=1e-10
                     ), (df, nc, x)
 
+    def test_noncentral_at_a_subnormal_point(self):
+        # x / m overflows in the Poisson point's deviance at y = 5e-324; logged apart, it reads 2.06e-163
+        expected = scipy.stats.ncx2.cdf(1e-323, 1.0, 5.0)
+        assert noncentral_chi2_cdf(1e-323, 1.0, 5.0) == pytest.approx(expected, rel=1e-11, abs=0.0)
+
     def test_noncentral_zero_reduces_to_central(self):
         assert noncentral_chi2_cdf(5.0, 3, 0.0) == pytest.approx(chi2_cdf(5.0, 3), abs=1e-12)
         assert noncentral_chi2_cdf(5.0, 3, 5e-324) == chi2_cdf(5.0, 3)  # lam / 2 rounds to 0

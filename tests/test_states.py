@@ -77,6 +77,18 @@ class TestStateValidation:
         with pytest.raises(InvalidState, match=r"entry \(0, 1\) is not finite"):
             DensityMatrix(mat)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PureState([1e308, 1e308]), "state vector norm inf differs from 1"),
+        (lambda: DensityMatrix([[0.5, 1e308], [-1e308, 0.5]]), "not Hermitian: max |rho - rho^dagger| = inf"),
+        (lambda: DensityMatrix([[1e308, 0], [0, 1e308]]), "trace (inf+0j) differs from 1"),
+        (lambda: DensityMatrix([[0.5, 1e308], [1e308, 0.5]]), "not positive semidefinite: eigenvalue nan"),
+    ], ids=["norm", "hermitian", "trace", "spectrum"])
+    def test_entries_near_the_float_limit_fail_their_check_without_a_warning(self, build, message):
+        # the overflow to inf (and the NaN spectrum eigh makes of it) is named, not warned
+        with pytest.raises(InvalidState) as info:
+            build()
+        assert str(info.value).startswith(message)
+
     def test_states_hold_a_read_only_copy(self):
         amps, mat = np.array([1.0, 0.0]), np.diag([0.5, 0.5]).astype(complex)
         pure, dm = PureState(amps), DensityMatrix(mat)
@@ -335,9 +347,9 @@ class TestStateFiles:
         path = tmp_path / "nan.json"
         path.write_text('{"kind": "density", "n": 1, '
                         '"data": [[0.5, 0], [0, 0], [NaN, 0], [0.5, 0]]}')
-        with pytest.raises(InvalidState, match=r'"data"\[2\] is not finite'):
+        with pytest.raises(InvalidState, match=r'"data"\[2\] must be finite, got nan'):
             load_state(str(path))
-        with pytest.raises(InvalidState, match=r'"data"\[0\] is not finite'):
+        with pytest.raises(InvalidState, match=r'"data"\[0\] must be finite, got inf'):
             parse_state({"kind": "pure", "n": 1, "data": [[float("inf"), 0.0], [0.0, 0.0]]})
 
     def test_rejects_invalid_density(self):
@@ -345,8 +357,10 @@ class TestStateFiles:
         with pytest.raises(InvalidState, match="trace"):
             parse_state({"kind": "density", "n": 1, "data": data})
 
-    def test_rejects_bad_json_file(self, tmp_path):
+    @pytest.mark.parametrize("content", [b"{not json", b'{"n": ' + b"1" * 5000 + b"}", b'{"n": "\xff"}'],
+                             ids=["syntax", "integer_past_digit_limit", "not_utf8"])
+    def test_rejects_bad_json_file(self, tmp_path, content):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(InvalidState, match="JSON"):
+        path.write_bytes(content)
+        with pytest.raises(InvalidState, match="not valid JSON"):
             load_state(str(path))

@@ -4,8 +4,9 @@ Every simulator draws from fixed splitmix64 substreams, so a (seed,
 trials, shots, distribution) case has exactly one outcome.  The counts
 below were recorded from the straightforward per-trial implementation
 and must survive any change to how the draws are tiled or vectorized.
-The cases span several chunks, single trials far longer than one tile,
-F = 0 and F near 1, and a chi-square data distribution with a zero bin.
+The cases span several chunks, runs of more trials than one trial block,
+single trials far longer than one tile, F = 0 and F near 1, and a
+chi-square data distribution with a zero bin.
 """
 
 import numpy as np
@@ -38,6 +39,8 @@ MISS_CASES = [
     ("swap", 0.8, 33, 14, 4321, 151),
     ("swap", 1.0 - 1e-12, 2000, 15, 300, 300),
     ("swap", 0.9999, 20_000, 16, 20, 7),
+    ("inverse", 0.9, 5, 50, 70_000, 41430),  # more trials than one block holds
+    ("swap", 0.8, 12, 51, 70_000, 19752),
 ]
 
 BINOMIAL_CASES = [
@@ -51,6 +54,7 @@ BINOMIAL_CASES = [
     (0.999, 0.998, 300_000, 0.05, 35, 1, 1),
     (0.999, 0.9988, 100_000, 0.05, 37, 6, 1),
     (0.9, 0.85, 70_001, 0.05, 36, 3, 3),
+    (0.99, 0.9, 20, 0.05, 52, 70_000, 42586),
 ]
 
 _RAMP16 = np.linspace(1.0, 2.0, 16) / np.linspace(1.0, 2.0, 16).sum()
@@ -68,6 +72,7 @@ CHISQ_CASES = [
     ([0.25] * 4, [0.25] * 4, 1, 0.05, 45, 300, 0),
     ([0.2, 0.3, 0.5], [0.21, 0.3, 0.49], 5000, 0.05, 46, 40, 13),
     ([0.2, 0.3, 0.5], [0.205, 0.3, 0.495], 70_000, 0.05, 47, 3, 3),
+    ([0.6, 0.4], [0.5, 0.5], 20, 0.05, 53, 70_000, 8910),
 ]
 
 

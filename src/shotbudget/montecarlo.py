@@ -19,7 +19,8 @@ Sampling contracts (fixed, documented, test-pinned):
                     once it is detected (binomial); the result is unchanged.
 
 One kernel, `_count_below`, draws for all of them, in tiles of at most
-`_CHUNK_ELEMENTS` draws, so memory stays bounded whatever the shot count.
+`_CHUNK_ELEMENTS` draws over blocks of as many trials, so memory stays
+bounded whatever the shot or trial count.
 """
 
 import math
@@ -47,13 +48,13 @@ __all__ = [
     "simulate_binomial_detection",
 ]
 
-# Cap on draws held per tile, sized to stay in cache; results do not depend on it.
+# Cap on draws per tile and trials per block, sized to stay in cache; results do not depend on it.
 _CHUNK_ELEMENTS = 1 << 16
 _REJECT_SCAN = 64  # columns per tile while many early-exit trials are live
 
 
 def _check_count(what: str, count: int) -> None:
-    # a trial or shot count, which int64 arrays hold: checked before any draw
+    # a trial or shot count, below 2^63 by the recorded count bound: checked before any draw
     check_range(what, count, 1)
     if count > np.iinfo(np.int64).max:
         raise DomainError(f"{what} must lie in [1, 2^63), got {count}")
@@ -84,8 +85,10 @@ class McResult(NamedTuple):
     uniforms_drawn: int = 0  # draws generated; a diagnostic kept out of the CLI output
 
 
-def _finish(hits: int, drawn: int, config: McConfig, warnings: tuple[str, ...] = ()) -> McResult:
-    return McResult(hits / config.trials, config.trials, warnings, drawn)
+def _trial_blocks(config: McConfig):
+    """Substream seeds of the configured trials, _CHUNK_ELEMENTS trials at a time."""
+    for first in range(0, config.trials, _CHUNK_ELEMENTS):
+        yield sub_seeds(config.seed, first, min(_CHUNK_ELEMENTS, config.trials - first))
 
 
 def _count_below(seeds, p: float, lengths, starts=0, stop_after: int | None = None):
@@ -124,14 +127,23 @@ def _count_below(seeds, p: float, lengths, starts=0, stop_after: int | None = No
     return counts, drawn
 
 
+def _early_exit(p: float, n_shots: int, stop_after: int, config: McConfig) -> tuple[int, int]:
+    """Trials with at least stop_after of their n_shots draws >= p, and the draws generated."""
+    reached = drawn = 0
+    for seeds in _trial_blocks(config):
+        counts, used = _count_below(seeds, p, n_shots, stop_after=stop_after)
+        reached += int(np.count_nonzero(n_shots - counts >= stop_after))
+        drawn += used
+    return reached, drawn
+
+
 def _miss_rate(fid: float, formula: Formula, n_shots: int, config: McConfig) -> McResult:
     """Trials in which all n_shots shots accept at the formula's per-shot acceptance."""
     if not 0.0 <= fid < 1.0:  # the message says why 1 is left out
         raise DomainError(f"fidelity must lie in [0, 1) to have misses, got {fid}")
     _check_count("n_shots", n_shots)
-    seeds = sub_seeds(config.seed, 0, config.trials)
-    counts, drawn = _count_below(seeds, FORMULAS[formula].per_shot(fid), n_shots, stop_after=1)
-    return _finish(int(np.count_nonzero(counts == n_shots)), drawn, config)
+    rejected, drawn = _early_exit(FORMULAS[formula].per_shot(fid), n_shots, 1, config)
+    return McResult((config.trials - rejected) / config.trials, config.trials, (), drawn)
 
 
 def simulate_inverse_miss_rate(fid: float, n_shots: int, config: McConfig) -> McResult:
@@ -167,12 +179,9 @@ def simulate_chisq_power(p: Distribution, q: Distribution, n_shots: int, alpha: 
     check_range("alpha", alpha, 0, 1, "()")
     chi2_distance(p, q)  # raises DimensionMismatch or ZeroExpectedBin
     crit = chi2_quantile(1.0 - alpha, float(q.k - 1))
-    # trial blocks bound the per-trial arrays: block x bins stays within one tile
-    block = max(1, _CHUNK_ELEMENTS // q.k)
     rejections = drawn = 0
     with np.errstate(over="ignore"):  # a reference bin below ~1e-300 / n_shots: its Pearson term is inf
-        for first in range(0, config.trials, block):
-            seeds = sub_seeds(config.seed, first, min(block, config.trials - first))
+        for seeds in _trial_blocks(config):
             position = np.zeros(seeds.size, dtype=np.int64)
             remaining = np.full(seeds.size, n_shots, dtype=np.int64)
             stat = np.zeros(seeds.size)
@@ -187,7 +196,7 @@ def simulate_chisq_power(p: Distribution, q: Distribution, n_shots: int, alpha: 
                 tail = max(tail - p_i, 0.0)
             stat += (remaining - n_shots * q.probs[-1]) ** 2 / (n_shots * q.probs[-1])
             rejections += int(np.count_nonzero(stat > crit))
-    return _finish(rejections, drawn, config, warnings=chisq_validity(n_shots, q))
+    return McResult(rejections / config.trials, config.trials, chisq_validity(n_shots, q), drawn)
 
 
 def simulate_binomial_detection(
@@ -207,6 +216,5 @@ def simulate_binomial_detection(
         raise BaselineNotAboveTarget(f"true rate q1={q1} exceeds baseline q0={q0}")
     _check_count("shot count", n_shots)  # the threshold's own spelling
     threshold = binomial_rejection_threshold(n_shots, q0, alpha)
-    counts, drawn = _count_below(sub_seeds(config.seed, 0, config.trials), q1, n_shots,
-                                 stop_after=n_shots - threshold)
-    return _finish(int(np.count_nonzero(counts <= threshold)), drawn, config)
+    detected, drawn = _early_exit(q1, n_shots, n_shots - threshold, config)
+    return McResult(detected / config.trials, config.trials, (), drawn)

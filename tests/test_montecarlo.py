@@ -263,6 +263,28 @@ class TestKernelInvariants:
         assert result.uniforms_drawn == 5 * cap
         assert peak < 32 * cap
 
+    @pytest.mark.parametrize("simulate", [
+        lambda config: simulate_inverse_miss_rate(0.9, 5, config),
+        lambda config: simulate_swap_miss_rate(0.9, 5, config),
+        lambda config: simulate_binomial_detection(0.99, 0.9, 20, 0.05, config),
+        lambda config: simulate_chisq_power(Distribution([0.6, 0.4]), Distribution([0.5, 0.5]), 20,
+                                            0.05, config),
+    ], ids=["inverse", "swap", "binomial", "chisq"])
+    def test_memory_does_not_grow_with_the_trial_count(self, simulate, monkeypatch):
+        # trials walk in blocks of the cap, so 64 blocks peak where 4 do; the
+        # slack covers a few Python objects, where one int64 per trial adds 240 KiB
+        monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 512)
+        simulate(McConfig(trials=1, seed=3))  # fill the quantile and threshold caches first
+        peaks = []
+        for blocks in (4, 64):
+            tracemalloc.start()
+            try:
+                simulate(McConfig(trials=blocks * 512, seed=3))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 1024, peaks
+
 
 class TestGridOracle:
     def test_matches_minimizer_on_mixed_pairs(self, rng):

@@ -48,13 +48,13 @@ __all__ = [
     "simulate_binomial_detection",
 ]
 
-# Cap on draws per tile and trials per block, sized to stay in cache; results do not depend on it.
+# Cap on draws per tile, sized to stay in cache, and on trials per block; results depend on neither.
 _CHUNK_ELEMENTS = 1 << 16
 _REJECT_SCAN = 64  # columns per tile while many early-exit trials are live
 
 
 def _check_count(what: str, count: int) -> None:
-    # a trial or shot count, below 2^63 by the recorded count bound: checked before any draw
+    # a trial or shot count, below 2^63 as any schedulable count: checked before any draw
     check_range(what, count, 1)
     if count > np.iinfo(np.int64).max:
         raise DomainError(f"{what} must lie in [1, 2^63), got {count}")

@@ -274,7 +274,7 @@ class TestKernelInvariants:
         # trials walk in blocks of the cap, so 64 blocks peak where 4 do; the
         # slack covers a few Python objects, where one int64 per trial adds 240 KiB
         monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 512)
-        simulate(McConfig(trials=1, seed=3))  # fill the quantile and threshold caches first
+        simulate(McConfig(trials=1, seed=3))  # one-time allocations happen outside the trace
         peaks = []
         for blocks in (4, 64):
             tracemalloc.start()

@@ -216,7 +216,7 @@ def _allocate(spec: "ProgramSpec", paths: bool) -> BudgetReport:
 
     weights = _weights(blocks, spec.hardware, paths)
     mult = blocks["multiplicity"]
-    total_weight = sum(map(mul, mult, weights))
+    total_weight = reduce(add, map(mul, mult, weights), 0.0)  # sum() compensates on 3.12+
     check_range("total weight sum n_j w_j", total_weight, finite=True)
     lam = chisq_noncentrality(spec.chisq_bins, spec.chisq_alpha, spec.chisq_beta)
     log_pe = math.log(p_e)

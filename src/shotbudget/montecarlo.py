@@ -38,6 +38,7 @@ from .stat_power import (
     chi2_quantile,
     chisq_validity,
 )
+from . import tolerances as tol
 
 __all__ = [
     "McConfig",
@@ -56,7 +57,7 @@ _REJECT_SCAN = 64  # columns per tile while many early-exit trials are live
 def _check_count(what: str, count: int) -> None:
     # a trial or shot count, below 2^63 as any schedulable count: checked before any draw
     check_range(what, count, 1)
-    if count > np.iinfo(np.int64).max:
+    if count >= tol.MAX_SCHEDULABLE_SHOTS:
         raise DomainError(f"{what} must lie in [1, 2^63), got {count}")
 
 

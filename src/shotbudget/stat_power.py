@@ -20,13 +20,11 @@ once the baseline is known analytically, so the planner is conservative
 for the one-sample use.  One incomplete-beta tail, whose cost grows far
 slower than n, serves `binomial_cdf`, the decision and its rejection threshold.
 
-Nothing here imports numpy: a Distribution is a tuple of floats, summed
-the way numpy sums float64, so w^2 keeps numpy's bits.
+Nothing here imports numpy: a Distribution is a tuple of floats, and its
+total and w^2 are correctly rounded sums (`math.fsum`).
 """
 
-import functools
 import math
-import operator
 import sys
 from typing import NamedTuple, Sequence
 
@@ -41,7 +39,7 @@ from .errors import (
     check_range,
     read_json,
 )
-from .numerics import lentz_fraction, regularized_gamma_p, solve_increasing
+from .numerics import _bd0, _poisson_point, _stirlerr, lentz_fraction, regularized_gamma_p, solve_increasing
 from .shot_estimators import _shot_count
 from . import tolerances as tol
 
@@ -68,26 +66,19 @@ __all__ = [
 ]
 
 
-def _pairwise_sum(values: Sequence[float]) -> float:
-    """numpy's float64 sum, bit for bit: halves cut at multiples of 8 down to blocks of
-    at most 128, each summed in 8 interleaved accumulators and then the rest in order."""
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    whole, total = n - n % 8, 0.0
-    if whole:
-        r = [functools.reduce(operator.add, values[j:whole:8]) for j in range(8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    return functools.reduce(operator.add, values[whole:], total)
+def _fsum(values) -> float:  # math.fsum of nonnegative floats, inf where their exact sum overflows
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 class Distribution(Record):
     """Probability distribution over k >= 2 measurement bins.
 
     Entries must be finite, nonnegative and sum to 1 within 1e-8; the stored
-    tuple holds each entry divided by their sum, so it sums to 1 only up to
-    round-off.  Input must be flat: float() raises TypeError on a 2-D entry.
+    tuple holds each entry divided by their correctly rounded sum, so it sums
+    to 1 only up to round-off.  Input must be flat: float() raises TypeError on a 2-D entry.
     """
 
     __slots__ = _fields = ("probs",)
@@ -102,7 +93,7 @@ class Distribution(Record):
                 raise DomainError(f"bin {i} probability is not finite: {p!r}")
         if min(probs) < 0.0:
             raise DomainError(f"negative probability {min(probs)!r}")
-        total = _pairwise_sum(probs)
+        total = _fsum(probs)
         if abs(total - 1.0) > tol.DISTRIBUTION_SUM_ATOL:
             raise DomainError(f"probabilities sum to {total!r}, not 1 within {tol.DISTRIBUTION_SUM_ATOL:.1e}")
         self._set(tuple(p / total for p in probs))
@@ -118,7 +109,7 @@ def chi2_distance(p: Distribution, q: Distribution) -> float:
         raise DimensionMismatch(f"bin count mismatch: {p.k} vs {q.k}")
     if 0.0 in q.probs:
         raise ZeroExpectedBin(f"reference bin {q.probs.index(0.0)} has zero probability")
-    return _pairwise_sum([(a - b) * (a - b) / b for a, b in zip(p.probs, q.probs)])
+    return _fsum((a - b) * (a - b) / b for a, b in zip(p.probs, q.probs))
 
 
 def chi2_cdf(x: float, df: float) -> float:
@@ -135,26 +126,6 @@ def chi2_quantile(prob: float, df: float) -> float:
     check_range("quantile probability", prob, 0, 1, "()")
     hi = df + 10.0 * math.sqrt(2.0 * df) + 10.0
     return solve_increasing(lambda x: chi2_cdf(x, df), prob, 0.0, hi)
-
-
-def _stirlerr(n: float) -> float:  # ln(n!) - ln(sqrt(2 pi n) (n/e)^n), n > 0
-    if n <= 15:
-        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2.0 * math.pi)
-    nn = 1.0 / (n * n)
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - nn / 1188) * nn) * nn) * nn) / n
-
-
-def _bd0(x: float, m: float, d: float) -> float:  # x ln(x/m) + m - x, from d = x - m
-    if abs(d) >= 0.1 * (x + m):  # x / m may overflow at a subnormal m, so each is logged alone
-        return x * (math.log(x) - math.log(m)) - d if x > m * 1e300 else x * math.log(x / m) - d
-    v = d / (x + m)  # |v| < 1/19: the series d v + 2 x sum v^j / j over odd j >= 3 is done by v^17
-    u = v * v
-    return d * v + 2.0 * x * v * u * (1 / 3 + u * (1 / 5 + u * (1 / 7 + u * (1 / 9 + u * (
-        1 / 11 + u * (1 / 13 + u * (1 / 15 + u / 17)))))))
-
-
-def _poisson_point(k: float, mean: float) -> float:  # mean^k e^-mean / Gamma(k + 1), k > 0, in Loader's form
-    return math.exp(-_stirlerr(k) - _bd0(k, mean, k - mean)) / math.sqrt(2.0 * math.pi * k)
 
 
 def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:

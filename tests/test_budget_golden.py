@@ -177,7 +177,9 @@ KINDS = ("inverse", "swap", "chisq_small", "chisq_attaining")
 def _scalar_rows(spec, report):
     """Every column recomputed block by block through the scalar shot formulas."""
     weights = [block_weight(b, spec.hardware) for b in spec.blocks]
-    total_weight = sum(b.multiplicity * w for b, w in zip(spec.blocks, weights))
+    total_weight = 0.0  # left to right, as the allocator adds: sum() compensates on 3.12+
+    for block, weight in zip(spec.blocks, weights):
+        total_weight += block.multiplicity * weight
     r, p_e, lam = spec.regime_factor, spec.p_e, report.noncentrality
     rows = []
     for block, weight in zip(spec.blocks, weights):

@@ -12,7 +12,10 @@ validate_binomial were recorded again when the binomial tail moved from
 an O(n) log-space walk to the incomplete beta function: their p-value
 and expected rate moved in the last digits, to within 3e-15 of
 scipy.stats.binom.cdf (the walk was 1.4e-13 to 2.8e-10 off).  The
-digests are sha256 of the UTF-8 stdout; state and
+--json form of validate_chisq_alt was recorded again twice, each time
+nearer a 40-digit reference of its expected rate: when the noncentral
+chi-square CDF became a recurrence, and when the incomplete gamma took
+Loader's prefactor (CHANGES.md, Decisions).  The digests are sha256 of the UTF-8 stdout; state and
 distribution files are written here, so no fixture is committed.
 """
 
@@ -140,7 +143,7 @@ GOLDEN = {
     ('validate_binomial_no_reject', False): (0, "2d77bd89811d98d29e4d0e2db46cce03bdc16b0c604be1314087162172118dc3"),
     ('validate_binomial_no_reject', True): (0, "dc6665a7186d10209a67f5330c74cb8c11afbfa62b55a3787a4533fd1e872457"),
     ('validate_chisq_alt', False): (0, "62b2e832f1f3f8d02e3bcf1e0a598f6886e98362a1308395790fd23cc3c3c6d1"),
-    ('validate_chisq_alt', True): (0, "6641304d91c58f2c66b8c1d30761ab1665cf4c2156eb032852c5f57f4ccc5739"),
+    ('validate_chisq_alt', True): (0, "4093e0dd699b7011ae42ea8da9f2b7c59776ccf5817996f072b49b3efb852c20"),
     ('validate_chisq_null', False): (0, "5f526e39b75599a2ba544717c36c00b842403f26ab65df7d2923140690a5e356"),
     ('validate_chisq_null', True): (0, "06eb65d7973f273fc41b6008ce338ec0f4ca31daa6eeac329508c63eeb26374b"),
     ('validate_inverse', False): (0, "d07124f3c4f28b17eecf57221c61e587a503dbf1d556b4bc45ec70bd5a66b036"),

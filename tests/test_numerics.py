@@ -1,5 +1,7 @@
 """Kernels against library oracles and hand-frozen values."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.special
@@ -66,6 +68,23 @@ class TestRegularizedGammaP:
                 mine = regularized_gamma_p(a, x)
                 ref = scipy.special.gammainc(a, x)
                 assert mine == pytest.approx(ref, abs=1e-12, rel=1e-10), (a, x)
+
+    @pytest.mark.parametrize("a", [1e4 + 0.5, 2.0**16 + 0.5, 2.0**20 + 0.5, 2.0**21 + 0.5])
+    def test_upper_tail_two_sd_out_against_forty_digits(self, a):
+        # Q = 1 - P at x = a + 2 sqrt(a), where the prefactor x^a e^-x / Gamma(a) must not cancel:
+        # the reference sums the gamma series P = x^a e^-x / Gamma(a + 1) sum_k x^k / (a+1)...(a+k)
+        mpmath = pytest.importorskip("mpmath")
+        x = a + 2.0 * math.sqrt(a)
+        with mpmath.workdps(40):
+            ma, mx = mpmath.mpf(a), mpmath.mpf(x)
+            term = total = mpmath.mpf(1)
+            k = 0
+            while term > total * mpmath.mpf(10) ** -42:
+                k += 1
+                term *= mx / (ma + k)
+                total += term
+            exact = 1 - mpmath.exp(ma * mpmath.log(mx) - mx - mpmath.loggamma(ma + 1)) * total
+            assert abs((1.0 - regularized_gamma_p(a, x)) - exact) <= 1e-12 * exact
 
     def test_rejects_bad_domain(self):
         with pytest.raises(DomainError):

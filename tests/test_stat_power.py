@@ -3,6 +3,7 @@
 import hashlib
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from shotbudget.errors import (
     ZeroExpectedBin,
 )
 from shotbudget.stat_power import (
-    _pairwise_sum,
     chi2_cdf,
     chi2_quantile,
     noncentral_chi2_cdf,
@@ -467,13 +467,28 @@ class TestBinomialPlanning:
 
 
 class TestDistributionContainer:
-    def test_pairwise_sum_is_numpys_sum(self):
-        # numpy is the oracle: a numpy that sums float64 another way fails here
-        rng = np.random.default_rng(20261018)
-        for _ in range(3000):
-            n = int(rng.integers(2, 10_001))
-            values = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
-            assert _pairwise_sum(values.tolist()).hex() == float(np.sum(values)).hex(), n
+    def test_totals_are_correctly_rounded_sums(self):
+        # Fraction is the oracle: w^2 is the correctly rounded sum of its terms, and each stored
+        # entry is its input over the correctly rounded total; numpy's pairwise order fails here
+        rng = np.random.default_rng(20261020)
+        for _ in range(150):
+            k = int(rng.integers(2, 1025))
+            w = rng.random((2, k)) * 10.0 ** rng.uniform(-3, 3, (2, k))
+            raw = (w / w.sum(axis=1, keepdims=True)).tolist()
+            p, q = Distribution(raw[0]), Distribution(raw[1])
+            total = float(sum(map(Fraction, raw[0])))
+            assert p.probs == tuple(v / total for v in raw[0]), k
+            terms = [(a - b) * (a - b) / b for a, b in zip(p.probs, q.probs)]
+            assert chi2_distance(p, q) == float(sum(map(Fraction, terms))), k
+
+    def test_an_overflowing_sum_is_inf(self):
+        # the exact sums pass 2^1024, so they round to inf, which the checks name
+        with pytest.raises(DomainError, match=r"^probabilities sum to inf, not 1 within 1.0e-08$"):
+            Distribution([1e308, 1e308])
+        p, q = Distribution([0.5, 0.5, 0.0]), Distribution([2e-309, 2e-309, 1.0])
+        assert chi2_distance(p, q) == math.inf
+        with pytest.raises(DomainError, match=r"^w\^2 must be finite and >= 0, got inf$"):
+            shots_chisq(chi2_distance(p, q), 3, 0.01, 0.01)
 
     def test_rejects_2d_input(self):
         with pytest.raises(TypeError):

@@ -83,10 +83,7 @@ class BlockSpec(Record):
 
     def __init__(self, name: str, multiplicity: int, g1: float = 0.0, g2: float = 0.0,
                  depth: float = 0.0, explicit_weight: float | None = None) -> None:
-        *_, least = _BLOCK_RULES[1]  # multiplicity's rule
         check_range("block name", name, kind=str)
-        if type(multiplicity) is not int or multiplicity < least:  # bool and float counts too
-            raise DomainError(f"block {name!r}: multiplicity must be an integer >= {least}, got {multiplicity!r}")
         self._set(*_block_row((name, multiplicity, g1, g2, depth, explicit_weight), "block %r: %s", name))
 
 
@@ -299,7 +296,7 @@ class ProgramSpec(Record):
         check_range("program fidelity target", fidelity_target, 0, 1, "(]")
         if not isinstance(hardware, HardwareRates):
             raise DomainError(f"hardware: expected HardwareRates, got {type(hardware).__name__}")
-        _check_chisq(chisq_bins, chisq_alpha, chisq_beta)
+        chisq_bins = _check_chisq(chisq_bins, chisq_alpha, chisq_beta)
         self._set(fidelity_target, p_e, regime_factor, hardware, MappingProxyType(_checked_columns(columns)),
                   chisq_bins, chisq_alpha, chisq_beta)
 

@@ -61,6 +61,7 @@ class CurveRequest(Record):
 
     def __init__(self, curve: str, start: float, stop: float, points: int, params: TestPlanParams,
                  bins: tuple[int, ...] = (), q1_values: tuple[float, ...] = ()) -> None:
+        points = check_range("curve points", points, kind=int)
         if points < 2:
             raise ShotBudgetError(f"curve needs at least 2 points, got {points}")
         if points >= 2**63:  # a grid that long never ends; it fails before its first row

@@ -63,9 +63,10 @@ def check_range(what: str, value, low=None, high=None, ends: str = "[]", *, fini
     without a high end is >= low; else raise `error` naming `what % args`, formatted only
     on failure.  `finite` first rejects inf and NaN; NaN fails every range.
 
-    `kind` checks a value read from a file first.  float takes a number that is no bool
-    and returns it, finite, as a float (an int beyond float range is not finite); int
-    takes a float-sized integer, whose message names the one bound it fails; str a
+    `kind` checks the value's type first.  float takes a number that is no bool and
+    returns it, finite, as a float (an int beyond float range is not finite); int takes
+    a value with `__index__` but a bool (a numpy integer, not `np.True_`) and returns
+    it, float-sized, as a Python int, whose message names the one bound it fails; str a
     nonempty string.  MISSING stands for a required key that is absent.
 
     Messages: "<what> must lie in (0, 1], got 2", "<what> must be >= 1, got 0", "<what>
@@ -76,6 +77,8 @@ def check_range(what: str, value, low=None, high=None, ends: str = "[]", *, fini
         return value  # a plain file entry
     if value is MISSING:
         raise error(f"{what % args if args else what}: missing")
+    if kind is int and type(value) is not bool and hasattr(value, "__index__"):
+        value = value.__index__()  # a numpy integer as a Python int
     if kind is not None and not (isinstance(value, (int, float)) and type(value) is not bool if kind is float
                                  else type(value) is kind and value != ""):
         raise error(f"{what % args if args else what}: expected {_EXPECTED[kind]}, got {value!r}")
@@ -86,7 +89,7 @@ def check_range(what: str, value, low=None, high=None, ends: str = "[]", *, fini
         if (not finite or abs(value) <= _FLOAT_MAX) and (low is None or value >= low):
             return float(value) if kind is float else value
         bounds = (["finite"] if finite else []) + ([] if low is None else [f">= {low:g}"])
-        need = "be " + (bounds[value < low] if kind is int else " and ".join(bounds))
+        need = "be " + (bounds[low is not None and value < low] if kind is int else " and ".join(bounds))
     elif finite and not abs(value) <= _FLOAT_MAX:
         need = "be finite"
     else:
@@ -95,6 +98,15 @@ def check_range(what: str, value, low=None, high=None, ends: str = "[]", *, fini
             return float(value) if kind is float else value
         need = f"lie in {ends[0]}{low:g}, {high:g}{ends[1]}"
     raise error(f"{what % args if args else what} must {need}, got {value}")
+
+
+def check_count(what: str, count) -> int:
+    """A trial or shot count as a Python int in [1, 2^63): the Monte Carlo kernel's int64 range,
+    which also caps the cost of an exact binomial tail (about n^(1/3) near the mean)."""
+    count = check_range(what, count, 1, kind=int)
+    if count >= 2**63:  # the bound the message names
+        raise DomainError(f"{what} must lie in [1, 2^63), got {count}")
+    return count
 
 
 def read_json(path: str, error: type = DomainError):

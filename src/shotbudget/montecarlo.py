@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BaselineNotAboveTarget, DomainError, Record, check_range
+from .errors import BaselineNotAboveTarget, DomainError, Record, check_count, check_range
 from .rng import MASK64, sub_seeds, uniform_block
 from .shot_estimators import FORMULAS, Formula
 from .stat_power import (
@@ -38,7 +38,6 @@ from .stat_power import (
     chi2_quantile,
     chisq_validity,
 )
-from . import tolerances as tol
 
 __all__ = [
     "McConfig",
@@ -54,20 +53,13 @@ _CHUNK_ELEMENTS = 1 << 16
 _REJECT_SCAN = 64  # columns per tile while many early-exit trials are live
 
 
-def _check_count(what: str, count: int) -> None:
-    # a trial or shot count, below 2^63 as any schedulable count: checked before any draw
-    check_range(what, count, 1)
-    if count >= tol.MAX_SCHEDULABLE_SHOTS:
-        raise DomainError(f"{what} must lie in [1, 2^63), got {count}")
-
-
 class McConfig(Record):
     """Trial count and master seed; the RNG itself is fixed by the package."""
 
     __slots__ = _fields = ("trials", "seed")
 
     def __init__(self, trials: int, seed: int = 20_260_822) -> None:
-        _check_count("trials", trials)
+        trials, seed = check_count("trials", trials), check_range("seed", seed, kind=int)
         if not 0 <= seed <= MASK64:  # an integer range, shown as 2^64
             raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
         self._set(trials, seed)
@@ -142,7 +134,7 @@ def _miss_rate(fid: float, formula: Formula, n_shots: int, config: McConfig) -> 
     """Trials in which all n_shots shots accept at the formula's per-shot acceptance."""
     if not 0.0 <= fid < 1.0:  # the message says why 1 is left out
         raise DomainError(f"fidelity must lie in [0, 1) to have misses, got {fid}")
-    _check_count("n_shots", n_shots)
+    n_shots = check_count("n_shots", n_shots)
     rejected, drawn = _early_exit(FORMULAS[formula].per_shot(fid), n_shots, 1, config)
     return McResult((config.trials - rejected) / config.trials, config.trials, (), drawn)
 
@@ -176,7 +168,7 @@ def simulate_chisq_power(p: Distribution, q: Distribution, n_shots: int, alpha: 
     carry the chi-square validity warnings for the planned shot count.
     A bin-count mismatch or a zero reference bin raises before any draw.
     """
-    _check_count("n_shots", n_shots)
+    n_shots = check_count("n_shots", n_shots)
     check_range("alpha", alpha, 0, 1, "()")
     chi2_distance(p, q)  # raises DimensionMismatch or ZeroExpectedBin
     crit = chi2_quantile(1.0 - alpha, float(q.k - 1))
@@ -215,7 +207,7 @@ def simulate_binomial_detection(
     check_range("true rate q1", q1, 0, 1)
     if q1 > q0:
         raise BaselineNotAboveTarget(f"true rate q1={q1} exceeds baseline q0={q0}")
-    _check_count("shot count", n_shots)  # the threshold's own spelling
+    n_shots = check_count("shot count", n_shots)
     threshold = binomial_rejection_threshold(n_shots, q0, alpha)
     detected, drawn = _early_exit(q1, n_shots, n_shots - threshold, config)
     return McResult(detected / config.trials, config.trials, (), drawn)

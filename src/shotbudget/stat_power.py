@@ -36,6 +36,7 @@ from .errors import (
     NoConvergence,
     Record,
     ZeroExpectedBin,
+    check_count,
     check_range,
     read_json,
 )
@@ -197,23 +198,21 @@ class ChiSquarePlan(NamedTuple):
     shots: int
 
 
-def _check_chisq(bins: int, alpha: float, beta: float) -> None:
-    if type(bins) is not int:  # a bool or float count too
-        raise DomainError(f"bins must be an integer, got {bins!r}")
-    check_range("bins", bins, 2)
+def _check_chisq(bins: int, alpha: float, beta: float) -> int:
+    bins = check_range("bins", bins, 2, kind=int)
     if bins > tol.CHISQ_MAX_BINS:  # named in full: check_range's :g would print 4.1943e+06
         raise DomainError(f"bins must be at most {tol.CHISQ_MAX_BINS}, got {bins}")
     check_range("alpha", alpha, 0, 1, "()")
     check_range("beta", beta, 0, 1, "()")
     if not alpha < 1.0 - beta < 1.0:  # lambda_noncentral's rule on the power, checked before its search
         raise DomainError(f"power must lie in (alpha, 1), got {1.0 - beta}")
+    return bins
 
 
 def chisq_noncentrality(bins: int, alpha: float, beta: float) -> float:
     """Noncentrality lambda of a chi-square test over an integer bins >= 2 at size
     alpha and power 1 - beta, both in (0, 1); w^2 then takes lambda / w^2 shots."""
-    _check_chisq(bins, alpha, beta)
-    return lambda_noncentral(bins - 1, alpha, 1.0 - beta)
+    return lambda_noncentral(_check_chisq(bins, alpha, beta) - 1, alpha, 1.0 - beta)
 
 
 def shots_chisq(w2: float, bins: int, alpha: float, beta: float) -> ChiSquarePlan:
@@ -337,13 +336,13 @@ def binomial_cdf(count: int, n_shots: int, q: float) -> float:
     1 - I_y(b, a), with r from BFRAC (Didonato and Morris, ACM TOMS 18, 1992) and
     x^a y^b / B(a, b) = a y P[Bin = k].  lam and k - n q, where the cancellation lies,
     are exact.  The cost grows about as n_shots^(1/3) at the mean and falls away from it."""
-    check_range("shot count", n_shots, 1)
-    if not 0 <= count <= n_shots:
-        raise DomainError(f"observed count {count} outside [0, {n_shots}]")
+    n, count = check_count("shot count", n_shots), check_range("observed count", count, kind=int)
+    if not 0 <= count <= n:
+        raise DomainError(f"observed count {count} outside [0, {n}]")
     check_range("success probability", q, 0, 1)
-    if count == n_shots or q in (0.0, 1.0):  # all the mass at 0 or at n_shots
-        return float(count == n_shots or q == 0.0)
-    n, count, (num, den) = int(n_shots), int(count), float(q).as_integer_ratio()  # exact ints, not numpy's
+    if count == n or q in (0.0, 1.0):  # all the mass at 0 or at n_shots
+        return float(count == n or q == 0.0)
+    num, den = float(q).as_integer_ratio()
     lam = ((n + 1) * num - (count + 1) * den) / den  # (n + 1) q - (count + 1)
     k, a, b, x = (count, n - count, count + 1, 1.0 - q) if lam >= 0.0 else (count + 1, count + 1, n - count, q)
     y, c, c0, c1 = 1.0 - x, abs(lam) + 1.0, b / a, 1.0 + 1.0 / a
@@ -380,7 +379,7 @@ def binomial_rejection_threshold(n_shots: int, q0: float, alpha: float) -> int:
     <= alpha < P[... <= hi], for alpha < 1/2 from the normal approximation's
     bracket: sqrt(2 ln(1/alpha)) sd below the mean, or -1 if that misses.
     """
-    check_range("shot count", n_shots, 1)
+    n_shots = check_count("shot count", n_shots)
     check_range("baseline q0", q0, 0, 1, "(]")
     check_range("alpha", alpha, 0, 1, "()")
 

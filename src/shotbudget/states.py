@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidState, Record, check_range, read_json
+from .errors import MISSING, DimensionMismatch, InvalidState, Record, check_range, read_json
 from .numerics import hermitian_eigendecomposition, minimize_unimodal
 from .shot_estimators import FORMULAS, Formula
 from . import tolerances as tol
@@ -339,9 +339,7 @@ def parse_state(obj: dict) -> PureState | DensityMatrix:
     kind = obj.get("kind")
     if kind not in ("pure", "density"):
         raise InvalidState(f'state "kind" must be "pure" or "density", got {kind!r}')
-    n = obj.get("n")
-    if type(n) is not int or n < 1:  # a bool count is rejected too
-        raise InvalidState(f'state "n" must be a positive integer qubit count, got {n!r}')
+    n = check_range('state "n"', obj.get("n", MISSING), 1, kind=int, error=InvalidState)
     data = obj.get("data")
     if not isinstance(data, list):
         raise InvalidState('state "data" must be a list of [re, im] pairs')

@@ -1,9 +1,11 @@
 """Shared builders for random test states, the grid oracle for Chernoff Q,
 the scalar splitmix64 reference for the vectorized streams in `rng`, and
 the O(n) log-space binomial tail the package used before its incomplete
-beta route."""
+beta route, and a wall-clock deadline for cases that must fail fast."""
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -38,6 +40,26 @@ def random_hermitian(rng, dim):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260822)
+
+
+class Overtime(BaseException):
+    """Raised by `deadline`; no Exception, so no handler in the code under test takes it."""
+
+
+@contextlib.contextmanager
+def deadline(seconds: int = 1):
+    """Raise Overtime in the block once `seconds` of wall time pass (SIGALRM), so a
+    case that never returns fails instead of stalling the suite."""
+    def expire(signum, frame):
+        raise Overtime(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def qcb_grid_oracle(rho, sigma, grid_points: int = 100_001) -> tuple[float, float]:

@@ -1,18 +1,42 @@
 """The boundary gate: mutated state, distribution and spec files, and edge values on
 every numeric flag, run in process through `cli.main`.  Every case exits 0, 1, 2 or 3;
 no exception leaves main (it turns each ShotBudgetError into exit 2 or 3, and argparse
-exits 2), and nothing warns."""
+exits 2), and nothing warns.  Below the CLI, every public entry that takes a count is
+driven directly, where argparse's `int` does not stand in front of it."""
 
+import ast
 import contextlib
 import copy
 import io
 import json
 import math
+import pathlib
 import random
 import warnings
 
+import numpy as np
 import pytest
 
+from conftest import deadline
+from shotbudget import (
+    BlockSpec,
+    Distribution,
+    HardwareRates,
+    McConfig,
+    ProgramSpec,
+    ShotBudgetError,
+    binomial_cdf,
+    binomial_decision,
+    binomial_rejection_threshold,
+    chisq_noncentrality,
+    parse_state,
+    shots_chisq,
+    simulate_binomial_detection,
+    simulate_chisq_power,
+    simulate_inverse_miss_rate,
+    simulate_swap_miss_rate,
+)
+import shotbudget
 from shotbudget import cli
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-320, 1e308, 1.0 - 2.0**-53]
@@ -143,3 +167,71 @@ def test_every_numeric_flag_exits_with_a_code(base, flag, values, tmp_path):
         code = _run(case + [f"{flag}={value}"])
         if _is_work(base, flag) and value >= 2**63:
             assert code == 2, (case, flag, value)
+
+
+# Every public entry that takes a count: (id, the field its message names, a valid count k,
+# the least valid count, a call with the count as its one free argument).
+_P, _Q, _TRIALS = Distribution([0.3, 0.7]), Distribution([0.5, 0.5]), McConfig(50, seed=7)
+_RATES = HardwareRates(1e-3, 1e-2)
+
+
+def _spec(multiplicity=2, bins=16) -> ProgramSpec:
+    columns = {"name": ("a",), "multiplicity": (multiplicity,), "g1": (5.0,), "g2": (2.0,), "depth": (0.0,),
+               "explicit_weight": (None,)}
+    return ProgramSpec(0.99, 0.05, 1.0, _RATES, columns, chisq_bins=bins)
+
+
+COUNT_ENTRIES = [
+    ("McConfig-trials", "trials", 3, 1, lambda v: McConfig(v)),
+    ("McConfig-seed", "seed", 5, 0, lambda v: McConfig(3, seed=v)),
+    ("inverse-n_shots", "n_shots", 5, 1, lambda v: simulate_inverse_miss_rate(0.9, v, _TRIALS)),
+    ("swap-n_shots", "n_shots", 5, 1, lambda v: simulate_swap_miss_rate(0.9, v, _TRIALS)),
+    ("chisq-n_shots", "n_shots", 5, 1, lambda v: simulate_chisq_power(_P, _Q, v, 0.05, _TRIALS)),
+    ("binomial-n_shots", "shot count", 5, 1, lambda v: simulate_binomial_detection(0.99, 0.9, v, 0.05, _TRIALS)),
+    ("binomial_cdf-n", "shot count", 10, 1, lambda v: binomial_cdf(3, v, 0.5)),
+    ("binomial_cdf-count", "observed count", 3, 0, lambda v: binomial_cdf(v, 10, 0.5)),
+    ("binomial_decision-n", "shot count", 10, 1, lambda v: binomial_decision(3, v, 0.9, 0.05)),
+    ("binomial_decision-count", "observed count", 3, 0, lambda v: binomial_decision(v, 10, 0.9, 0.05)),
+    ("threshold-n", "shot count", 100, 1, lambda v: binomial_rejection_threshold(v, 0.99, 0.05)),
+    ("shots_chisq-bins", "bins", 16, 2, lambda v: shots_chisq(0.01, v, 0.01, 0.01)),
+    ("chisq_noncentrality-bins", "bins", 16, 2, lambda v: chisq_noncentrality(v, 0.01, 0.01)),
+    ("BlockSpec-multiplicity", "multiplicity", 2, 1, lambda v: BlockSpec("a", v, g1=1.0)),
+    ("ProgramSpec-multiplicity", "multiplicity", 2, 1, lambda v: _spec(multiplicity=v)),
+    ("ProgramSpec-bins", "bins", 16, 2, lambda v: _spec(bins=v)),
+    ("CurveRequest-points", "points", 5, 2,
+     lambda v: cli.CurveRequest("fid_vs_shots", 0.9, 0.99, v, cli.TestPlanParams())),
+    ("parse_state-n", 'state "n"', 1, 1,  # a state's equality is identity, so its amplitudes stand in
+     lambda v: parse_state({"kind": "pure", "n": v, "data": [[1, 0], [0, 0]]}).amplitudes.tolist()),
+]
+NOT_COUNTS = [2.5, True, False, np.True_, np.float64(3.0), "3", None]
+
+
+@pytest.mark.parametrize("field, k, least, call", [entry[1:] for entry in COUNT_ENTRIES],
+                         ids=[entry[0] for entry in COUNT_ENTRIES])
+def test_every_count_takes_integers_only(field, k, least, call):
+    # a bad count raises a typed error naming its field, at once; a numpy integer is the
+    # Python int it equals
+    for value in NOT_COUNTS + [v for v in (-1, 0) if v < least]:
+        with deadline(1), pytest.raises(ShotBudgetError) as info:
+            call(value)
+        assert field in str(info.value), (value, str(info.value))
+    with deadline(1):
+        expected = call(k)
+        assert call(np.int64(k)) == expected and call(np.uint64(k)) == expected
+
+
+def _compares_type_with_int(node) -> bool:
+    """Whether node is a `type(...) is int` test, or its `is not`, `==` or `!=` form."""
+    return (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+            and isinstance(node.left.func, ast.Name) and node.left.func.id == "type"
+            and any(isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq))
+                    and isinstance(right, ast.Name) and right.id == "int"
+                    for op, right in zip(node.ops, node.comparators)))
+
+
+def test_the_integer_rule_is_stated_once():
+    # check_range(kind=int) is the package's one integer test; no other module writes its own
+    sites = [f"{path.name}:{node.lineno}"
+             for path in sorted(pathlib.Path(shotbudget.__file__).parent.glob("*.py")) if path.name != "errors.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if _compares_type_with_int(node)]
+    assert sites == []

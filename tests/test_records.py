@@ -4,6 +4,7 @@ repr, copy and pickle behave as they did for the frozen dataclasses."""
 
 import copy
 import importlib
+import json
 import math
 import pickle
 import pkgutil
@@ -29,6 +30,7 @@ from shotbudget import (
     parse_program_spec,
     qcb_q,
     shots_chisq,
+    simulate_inverse_miss_rate,
     two_proportion_shots,
 )
 from shotbudget import budget, cli, states
@@ -56,9 +58,9 @@ BAD_INPUTS = [
     (HardwareRates, {"r1": 1e-11, "r2": 1e-10, "gamma": -1.0}, DomainError,
      "hardware rate gamma must be finite and >= 0, got -1.0"),
     (BlockSpec, {"name": "a", "multiplicity": 0}, DomainError,
-     "block 'a': multiplicity must be an integer >= 1, got 0"),
+     "block 'a': multiplicity must be >= 1, got 0"),
     (BlockSpec, {"name": "a", "multiplicity": 2.0}, DomainError,
-     "block 'a': multiplicity must be an integer >= 1, got 2.0"),
+     "block 'a': multiplicity: expected an integer, got 2.0"),
     (BlockSpec, {"name": "a", "multiplicity": 10**400}, DomainError,
      f"block 'a': multiplicity must be finite, got {10**400}"),
     (BlockSpec, {"name": "a", "multiplicity": 1, "g1": 0.0, "g2": -1.0}, DomainError,
@@ -87,10 +89,10 @@ BAD_INPUTS = [
     # a hand-built spec's blocks obey BlockSpec's rules, its other fields allocate's
     (ProgramSpec, _spec(multiplicity=(10**400,)), DomainError,
      f"block 'a': multiplicity must be finite, got {10**400}"),
-    (ProgramSpec, _spec(multiplicity=(2.5,)), DomainError, "block 'a': multiplicity must be an integer >= 1, got 2.5"),
+    (ProgramSpec, _spec(multiplicity=(2.5,)), DomainError, "block 'a': multiplicity: expected an integer, got 2.5"),
     (ProgramSpec, _spec(name=(3,)), DomainError, "block name: expected a nonempty string, got 3"),
     (ProgramSpec, _spec(g1=(5e4, 1.0)), DomainError, "columns: 'g1' has 2 entries for 1 blocks"),
-    (ProgramSpec, _spec(chisq_bins=2.5), DomainError, "bins must be an integer, got 2.5"),
+    (ProgramSpec, _spec(chisq_bins=2.5), DomainError, "bins: expected an integer, got 2.5"),
     (ProgramSpec, _spec(chisq_bins=2**22 + 2), DomainError, "bins must be at most 4194305, got 4194306"),
     (ProgramSpec, {**_spec(), "columns": [("a",)]}, DomainError,
      f"columns: expected one column for each BlockSpec field {BlockSpec._fields}"),
@@ -223,3 +225,15 @@ def test_a_checked_spec_stays_checked(monkeypatch):
         with pytest.raises(TypeError):
             clone.columns["multiplicity"] = (2.5,)
     assert len(calls) == 3  # each copy was built and checked anew
+
+
+def test_records_store_the_python_ints_their_checks_return():
+    # a numpy count is kept as the Python int it equals, so what is built on it serializes
+    result = simulate_inverse_miss_rate(0.9, 5, McConfig(np.int64(1000)))
+    assert json.loads(json.dumps(result._asdict())) == {**result._asdict(), "warnings": []}
+    config = McConfig(np.uint64(10), seed=np.int64(3))
+    request = cli.CurveRequest("fid_vs_shots", 0.9, 0.99, np.int64(5), PARAMS)
+    spec = ProgramSpec(**_spec(multiplicity=(np.int64(3),), chisq_bins=np.int32(16)))
+    counts = (config.trials, config.seed, request.points, BlockSpec("a", np.int16(2)).multiplicity,
+              spec.columns["multiplicity"][0], spec.chisq_bins)
+    assert counts == (10, 3, 5, 2, 3, 16) and {type(count) for count in counts} == {int}

@@ -47,7 +47,7 @@ class Overtime(BaseException):
 
 
 @contextlib.contextmanager
-def deadline(seconds: int = 1):
+def deadline(seconds: int):
     """Raise Overtime in the block once `seconds` of wall time pass (SIGALRM), so a
     case that never returns fails instead of stalling the suite."""
     def expire(signum, frame):

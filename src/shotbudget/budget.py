@@ -42,7 +42,6 @@ __all__ = [
     "BudgetReport",
     "ProgramSpec",
     "bures_angle",
-    "block_weight",
     "allocate",
     "allocate_program",
     "parse_program_spec",
@@ -70,9 +69,8 @@ class HardwareRates(Record):
     __slots__ = _fields = ("r1", "r2", "gamma")
 
     def __init__(self, r1: float, r2: float, gamma: float = 0.0) -> None:
-        for name, rate in zip(self._fields, (r1, r2, gamma)):
-            check_range("hardware rate %s", rate, 0, kind=float, args=(name,))  # a spec file's number rule
-        self._set(r1, r2, gamma)
+        self._set(*(check_range("hardware rate %s", rate, 0, args=(name,))  # a spec file's number rule
+                    for name, rate in zip(self._fields, (r1, r2, gamma))))
 
 
 class BlockSpec(Record):
@@ -137,7 +135,7 @@ class BudgetReport(NamedTuple):
     total_weight: float
     total_angle: float
     columns: dict[str, tuple]
-    totals: dict = {}  # one shared dict; the allocator always passes its own
+    totals: dict
 
     @property
     def allocations(self) -> tuple[BlockAllocation, ...]:
@@ -149,21 +147,13 @@ class BudgetReport(NamedTuple):
         return any(self.columns["infeasible"])
 
 
-def block_weight(block: BlockSpec, rates: HardwareRates) -> float:
-    """Weight of one block instance: explicit, or g1 r1 + g2 r2 + depth gamma.
-
-    Raises ZeroWeight when the result is not strictly positive; a block
-    with no error mass cannot receive an angle share.
-    """
-    return _weights(_block_columns((block,)), rates)[0]
-
-
 def _block_columns(blocks) -> dict[str, tuple]:
     return {name: tuple(getattr(b, name) for b in blocks) for name in BlockSpec._fields}
 
 
-def _weights(columns: dict[str, tuple], rates: HardwareRates, paths: bool = False) -> list[float]:
-    # block_weight for every block; a ZeroWeight from a spec also names the block's JSON path
+def _weights(columns: dict[str, tuple], rates: HardwareRates, paths: bool) -> list[float]:
+    # each block instance's weight: explicit, or g1 r1 + g2 r2 + depth gamma; a block with no
+    # error mass gets no angle share, and its ZeroWeight from a spec also names its JSON path
     r1, r2, gamma = rates.r1, rates.r2, rates.gamma
     weights = [g1 * r1 + g2 * r2 + depth * gamma if w is None else float(w) for g1, g2, depth, w in zip(
         columns["g1"], columns["g2"], columns["depth"], columns["explicit_weight"])]
@@ -176,8 +166,7 @@ def _weights(columns: dict[str, tuple], rates: HardwareRates, paths: bool = Fals
 
 def bures_angle(fid: float) -> float:
     """Bures angle arccos(sqrt(F)), the metric the budget allocator splits."""
-    check_range("fidelity", fid, 0, 1)
-    return math.acos(min(1.0, math.sqrt(fid)))
+    return math.acos(min(1.0, math.sqrt(check_range("fidelity", fid, 0, 1))))
 
 
 def allocate(blocks, rates: HardwareRates, f_prog: float, p_e: float, regime_factor: float = 1.0,
@@ -214,7 +203,7 @@ def _allocate(spec: "ProgramSpec", paths: bool) -> BudgetReport:
     weights = _weights(blocks, spec.hardware, paths)
     mult = blocks["multiplicity"]
     total_weight = reduce(add, map(mul, mult, weights), 0.0)  # sum() compensates on 3.12+
-    check_range("total weight sum n_j w_j", total_weight, finite=True)
+    check_range("total weight sum n_j w_j", total_weight)
     lam = chisq_noncentrality(spec.chisq_bins, spec.chisq_alpha, spec.chisq_beta)
     log_pe = math.log(p_e)
 
@@ -292,11 +281,11 @@ class ProgramSpec(Record):
     def __init__(self, fidelity_target: float, p_e: float, regime_factor: float, hardware: HardwareRates,
                  columns: dict, chisq_bins: int = 16, chisq_alpha: float = 0.01,
                  chisq_beta: float = 0.01) -> None:
-        check_tolerances(p_e, regime_factor)
-        check_range("program fidelity target", fidelity_target, 0, 1, "(]")
+        p_e, regime_factor = check_tolerances(p_e, regime_factor)
+        fidelity_target = check_range("program fidelity target", fidelity_target, 0, 1, "(]")
         if not isinstance(hardware, HardwareRates):
             raise DomainError(f"hardware: expected HardwareRates, got {type(hardware).__name__}")
-        chisq_bins = _check_chisq(chisq_bins, chisq_alpha, chisq_beta)
+        chisq_bins, chisq_alpha, chisq_beta = _check_chisq(chisq_bins, chisq_alpha, chisq_beta)
         self._set(fidelity_target, p_e, regime_factor, hardware, MappingProxyType(_checked_columns(columns)),
                   chisq_bins, chisq_alpha, chisq_beta)
 
@@ -320,7 +309,7 @@ def _entry_row(entry, path: str) -> tuple:
         raise DomainError(f"{path}: expected an object")
     row = _block_row([entry.get(key, default) for _, key, default, _, _ in _BLOCK_RULES], "%s/%s", path)
     if entry.get("weight", 0) is None:  # given as null, which the number rule rejects
-        check_range("%s/weight", None, kind=float, args=(path,))
+        check_range("%s/weight", None, args=(path,))
     return row
 
 
@@ -333,21 +322,21 @@ def parse_program_spec(obj: dict) -> ProgramSpec:
     """
     if not isinstance(obj, dict):
         raise DomainError(f"program spec must be a JSON object, got {type(obj).__name__}")
-    fidelity_target = check_range("/fidelity_target", obj.get("fidelity_target", MISSING), 0, 1, "(]", kind=float)
-    p_e = check_range("/p_e", obj.get("p_e", MISSING), 0, 1, "()", kind=float)
-    regime_factor = check_range("/regime_factor", obj.get("regime_factor", 1.0), 1, 2, kind=float)
+    fidelity_target = check_range("/fidelity_target", obj.get("fidelity_target", MISSING), 0, 1, "(]")
+    p_e = check_range("/p_e", obj.get("p_e", MISSING), 0, 1, "()")
+    regime_factor = check_range("/regime_factor", obj.get("regime_factor", 1.0), 1, 2)
 
     chisq = obj.get("chisq", {})
     if not isinstance(chisq, dict):
         raise DomainError("/chisq: expected an object")
     bins = check_range("/chisq/bins", chisq.get("bins", 16), 2, kind=int)  # a count, as a multiplicity is
-    alpha = check_range("/chisq/alpha", chisq.get("alpha", 0.01), 0, 1, "()", kind=float)
-    beta = check_range("/chisq/beta", chisq.get("beta", 0.01), 0, 1, "()", kind=float)
+    alpha = check_range("/chisq/alpha", chisq.get("alpha", 0.01), 0, 1, "()")
+    beta = check_range("/chisq/beta", chisq.get("beta", 0.01), 0, 1, "()")
 
     hw = obj.get("hardware")
     if not isinstance(hw, dict):
         raise DomainError("/hardware: missing or not an object")
-    rates = HardwareRates(*(check_range("/hardware/%s", hw.get(key, default), 0, kind=float, args=(key,))
+    rates = HardwareRates(*(check_range("/hardware/%s", hw.get(key, default), 0, args=(key,))
                             for key, default in (("r1", MISSING), ("r2", MISSING), ("gamma", 0.0))))
 
     raw_blocks = obj.get("blocks")

@@ -66,10 +66,9 @@ class CurveRequest(Record):
             raise ShotBudgetError(f"curve needs at least 2 points, got {points}")
         if points >= 2**63:  # a grid that long never ends; it fails before its first row
             raise DomainError(f"curve needs fewer than 2^63 points, got {points}")
+        start, stop = check_range("curve start", start), check_range("curve stop", stop)
         if not start < stop:
             raise ShotBudgetError(f"curve needs start < stop, got [{start}, {stop}]")
-        check_range("curve start", start, finite=True)  # NaN and an inf start fail start < stop
-        check_range("curve stop", stop, finite=True)
         self._set(curve, start, stop, points, params, bins, q1_values)
 
 

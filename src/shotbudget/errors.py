@@ -3,8 +3,9 @@
 Everything derives from ShotBudgetError so callers can catch the whole
 family with one clause.  DomainError doubles as a ValueError: most of its
 sites are argument-range violations, raised by `check_range` in one message
-shape.  `read_json` reads the state, distribution and program-spec files,
-and `check_range`, given the value's kind, checks every value taken out of them.
+shape.  `check_range` checks every value the package takes by its kind, a real
+number by default, a count or a name, whether a caller passes it or `read_json`
+reads it out of a state, distribution or program-spec file.
 """
 
 import json
@@ -57,47 +58,46 @@ MISSING = object()  # check_range's value for a required key that a file leaves 
 _EXPECTED = {float: "a number", int: "an integer", str: "a nonempty string"}
 
 
-def check_range(what: str, value, low=None, high=None, ends: str = "[]", *, finite: bool = False,
-                kind: type | None = None, error: type = DomainError, args: tuple = ()):
-    """Return value if it lies in the interval low..high, whose brackets `ends` gives, or
-    without a high end is >= low; else raise `error` naming `what % args`, formatted only
-    on failure.  `finite` first rejects inf and NaN; NaN fails every range.
+def check_range(what: str, value, low=None, high=None, ends: str = "[]", *, kind: type = float,
+                error: type = DomainError, args: tuple = ()):
+    """Return value, checked by its kind, if it lies in the interval low..high, whose brackets
+    `ends` gives, or without a high end is >= low; else raise `error` naming `what % args`,
+    formatted only on failure.  MISSING stands for a required key that is absent.
 
-    `kind` checks the value's type first.  float takes a number that is no bool and
-    returns it, finite, as a float (an int beyond float range is not finite); int takes
-    a value with `__index__` but a bool (a numpy integer, not `np.True_`) and returns
-    it, float-sized, as a Python int, whose message names the one bound it fails; str a
-    nonempty string.  MISSING stands for a required key that is absent.
+    float, the default, takes a real number but a bool (a numpy integer or floating scalar
+    too; not a string, None, a complex or `np.True_`) and returns it, finite, as a Python
+    float: NaN, inf and an int beyond float range are not finite.  int takes a value with
+    `__index__` but a bool and returns it, float-sized, as a Python int, whose message
+    names the one bound it fails.  str takes a nonempty string.
 
     Messages: "<what> must lie in (0, 1], got 2", "<what> must be >= 1, got 0", "<what>
     must be finite[ and >= 0], got inf", "<what>: expected a number, got True",
     "<what>: missing".
     """
-    if type(value) is float and kind is float and low is high is None and abs(value) <= _FLOAT_MAX:
-        return value  # a plain file entry
-    if value is MISSING:
-        raise error(f"{what % args if args else what}: missing")
-    if kind is int and type(value) is not bool and hasattr(value, "__index__"):
-        value = value.__index__()  # a numpy integer as a Python int
-    if kind is not None and not (isinstance(value, (int, float)) and type(value) is not bool if kind is float
-                                 else type(value) is kind and value != ""):
-        raise error(f"{what % args if args else what}: expected {_EXPECTED[kind]}, got {value!r}")
-    if kind is str:
-        return value
-    finite = finite or kind is not None
+    if kind is not float or type(value) is not float:  # a plain float needs no type test
+        if value is MISSING:
+            raise error(f"{what % args if args else what}: missing")
+        if not (type(value) is str and value != "" if kind is str else type(value) is not bool and (
+                hasattr(value, "__index__") if kind is int else isinstance(value, int) or _real(value))):
+            raise error(f"{what % args if args else what}: expected {_EXPECTED[kind]}, got {value!r}")
+        if kind is str:
+            return value
+        value = value.__index__() if kind is int or isinstance(value, int) else float(value)
     if high is None:
-        if (not finite or abs(value) <= _FLOAT_MAX) and (low is None or value >= low):
+        if abs(value) <= _FLOAT_MAX and (low is None or value >= low):
             return float(value) if kind is float else value
-        bounds = (["finite"] if finite else []) + ([] if low is None else [f">= {low:g}"])
+        bounds = ["finite"] + ([] if low is None else [f">= {low:g}"])
         need = "be " + (bounds[low is not None and value < low] if kind is int else " and ".join(bounds))
-    elif finite and not abs(value) <= _FLOAT_MAX:
-        need = "be finite"
-    else:
-        above = low < value if ends[0] == "(" else low <= value
-        if above and (value < high if ends[1] == ")" else value <= high):
+    else:  # the bounds are finite, so a value that is not fails them
+        if (low < value if ends[0] == "(" else low <= value) and (value < high if ends[1] == ")" else value <= high):
             return float(value) if kind is float else value
-        need = f"lie in {ends[0]}{low:g}, {high:g}{ends[1]}"
+        need = f"lie in {ends[0]}{low:g}, {high:g}{ends[1]}" if abs(value) <= _FLOAT_MAX else "be finite"
     raise error(f"{what % args if args else what} must {need}, got {value}")
+
+
+def _real(value) -> bool:  # numpy's integer and floating scalars join numbers.Real; loaded only for them
+    from numbers import Real
+    return isinstance(value, Real)
 
 
 def check_count(what: str, count) -> int:

@@ -132,6 +132,7 @@ def _early_exit(p: float, n_shots: int, stop_after: int, config: McConfig) -> tu
 
 def _miss_rate(fid: float, formula: Formula, n_shots: int, config: McConfig) -> McResult:
     """Trials in which all n_shots shots accept at the formula's per-shot acceptance."""
+    fid = check_range("fidelity", fid)
     if not 0.0 <= fid < 1.0:  # the message says why 1 is left out
         raise DomainError(f"fidelity must lie in [0, 1) to have misses, got {fid}")
     n_shots = check_count("n_shots", n_shots)
@@ -169,7 +170,7 @@ def simulate_chisq_power(p: Distribution, q: Distribution, n_shots: int, alpha: 
     A bin-count mismatch or a zero reference bin raises before any draw.
     """
     n_shots = check_count("n_shots", n_shots)
-    check_range("alpha", alpha, 0, 1, "()")
+    alpha = check_range("alpha", alpha, 0, 1, "()")
     chi2_distance(p, q)  # raises DimensionMismatch or ZeroExpectedBin
     crit = chi2_quantile(1.0 - alpha, float(q.k - 1))
     rejections = drawn = 0
@@ -201,10 +202,10 @@ def simulate_binomial_detection(
     applies the one-sample decision against baseline q0.  The rule is
     monotone in the count, so trials are classified by the precomputed
     rejection threshold and stop once n_shots - threshold shots fail.  The
-    threshold checks q0 and alpha before its tail bisection; q1 and n_shots
+    threshold checks alpha before its tail bisection; q0, q1 and n_shots
     are checked here, before it.
     """
-    check_range("true rate q1", q1, 0, 1)
+    q0, q1 = check_range("baseline q0", q0, 0, 1, "(]"), check_range("true rate q1", q1, 0, 1)
     if q1 > q0:
         raise BaselineNotAboveTarget(f"true rate q1={q1} exceeds baseline q0={q0}")
     n_shots = check_count("shot count", n_shots)

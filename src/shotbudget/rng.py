@@ -49,21 +49,17 @@ def sub_seeds(seed: int, start: int, count: int) -> np.ndarray:
     return _mix64_inplace(states, np.empty_like(states))
 
 
-def uniform_block(
-    trial_seeds: np.ndarray, start: int | np.ndarray, count: int, scratch: np.ndarray | None = None
-) -> np.ndarray:
+def uniform_block(trial_seeds: np.ndarray, start: int | np.ndarray, count: int, scratch: np.ndarray) -> np.ndarray:
     """53-bit draws start .. start+count-1 of each trial seed, shape (trials, count).
 
     `start` is one stream position for every row or an array holding each
     row's own position.  The block is computed in place in `scratch`, a
     uint64 buffer of at least 2 * trials * count elements that callers
-    reuse across blocks (a fresh one when None), and the result is a view
-    into it, valid until the buffer is reused.
+    reuse across blocks, and the result is a view into it, valid until the
+    buffer is reused.
     """
     rows = trial_seeds.size
     size = rows * count
-    if scratch is None:
-        scratch = np.empty(2 * size, dtype=np.uint64)
     z = scratch[:size].reshape(rows, count)
     tmp = scratch[size : 2 * size].reshape(rows, count)
     with np.errstate(over="ignore"):

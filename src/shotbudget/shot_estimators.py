@@ -109,10 +109,9 @@ FORMULAS[Formula.INVERSE_REAL] = FORMULAS[Formula.INVERSE_IDEAL]._replace(scaled
 FORMULAS[Formula.SWAP_REAL] = FORMULAS[Formula.SWAP_IDEAL]._replace(scaled=True)
 
 
-def check_tolerances(p_e: float, regime_factor: float = 1.0) -> None:
-    """Raise DomainError unless p_e lies in (0, 1) and R in [1, 2]."""
-    check_range("error probability", p_e, 0, 1, "()")
-    check_range("regime factor", regime_factor, 1, 2)
+def check_tolerances(p_e: float, regime_factor: float = 1.0) -> tuple[float, float]:
+    """The checked (p_e, R): raise DomainError unless p_e lies in (0, 1) and R in [1, 2]."""
+    return check_range("error probability", p_e, 0, 1, "()"), check_range("regime factor", regime_factor, 1, 2)
 
 
 def _shot_count(raw: float) -> int:
@@ -130,9 +129,9 @@ def estimate(formula: Formula, x: float, p_e: float, regime_factor: float = 1.0,
     DegenerateStates when the per-shot Q rounds to 1.
     """
     row = FORMULAS[formula]
-    check_tolerances(p_e, regime_factor)
+    p_e, regime_factor = check_tolerances(p_e, regime_factor)
     # every input lies in [0, 1]; callers report Q = 0 (orthogonal states) as one shot
-    check_range(row.kind, x, 0, 1, "(]" if row.kind == "Q" else "[]")
+    x = check_range(row.kind, x, 0, 1, "(]" if row.kind == "Q" else "[]")
     q = row.per_shot(x)
     if q >= 1.0:
         raise DegenerateStates(

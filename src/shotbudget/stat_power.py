@@ -77,23 +77,18 @@ def _fsum(values) -> float:  # math.fsum of nonnegative floats, inf where their 
 class Distribution(Record):
     """Probability distribution over k >= 2 measurement bins.
 
-    Entries must be finite, nonnegative and sum to 1 within 1e-8; the stored
-    tuple holds each entry divided by their correctly rounded sum, so it sums
-    to 1 only up to round-off.  Input must be flat: float() raises TypeError on a 2-D entry.
+    Each entry is a number >= 0 by `check_range`'s rule, named by its bin, and the
+    entries sum to 1 within 1e-8; the stored tuple holds each entry divided by their
+    correctly rounded sum, so it sums to 1 only up to round-off.
     """
 
     __slots__ = _fields = ("probs",)
     __eq__, __hash__ = object.__eq__, object.__hash__  # identity equality
 
     def __init__(self, probs: Sequence[float]) -> None:
-        probs = tuple(map(float, probs))
+        probs = tuple(check_range("bin %d probability", p, 0, args=(i,)) for i, p in enumerate(probs))
         if len(probs) < 2:
             raise DomainError(f"a distribution needs at least 2 bins, got {len(probs)}")
-        for i, p in enumerate(probs):
-            if not math.isfinite(p):
-                raise DomainError(f"bin {i} probability is not finite: {p!r}")
-        if min(probs) < 0.0:
-            raise DomainError(f"negative probability {min(probs)!r}")
         total = _fsum(probs)
         if abs(total - 1.0) > tol.DISTRIBUTION_SUM_ATOL:
             raise DomainError(f"probabilities sum to {total!r}, not 1 within {tol.DISTRIBUTION_SUM_ATOL:.1e}")
@@ -138,7 +133,7 @@ def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
     mode's term runs the incomplete gamma; AS 275's recurrences (Ding, 1992) give the others:
     P(a + 1, y) = P(a, y) - t(a), t(a) = y^a e^-y / Gamma(a + 1), and Pois(j + 1) = Pois(j) lam / (2j + 2).
     """
-    check_range("noncentrality", noncentrality, 0, finite=True)
+    check_range("noncentrality", noncentrality, 0)
     half, y = noncentrality / 2.0, x / 2.0
     if half == 0.0 or y <= 0.0 or df <= 0.0:  # one term, or chi2_cdf names the bad df
         return chi2_cdf(x, df)
@@ -178,8 +173,8 @@ def lambda_noncentral(df: int, alpha: float, power: float) -> float:
     critical value taken from the central distribution.  At lam = 0 the
     left side equals alpha, so power must exceed alpha.
     """
-    check_range("degrees of freedom", df, 1)
-    check_range("alpha", alpha, 0, 1, "()")
+    df = check_range("degrees of freedom", df, 1, kind=int)
+    alpha, power = check_range("alpha", alpha, 0, 1, "()"), check_range("power", power)
     if not alpha < power < 1.0:  # the low end is alpha itself, named in the message
         raise DomainError(f"power must lie in (alpha, 1), got {power}")
     crit = chi2_quantile(1.0 - alpha, float(df))
@@ -198,21 +193,21 @@ class ChiSquarePlan(NamedTuple):
     shots: int
 
 
-def _check_chisq(bins: int, alpha: float, beta: float) -> int:
+def _check_chisq(bins: int, alpha: float, beta: float) -> tuple[int, float, float]:
     bins = check_range("bins", bins, 2, kind=int)
     if bins > tol.CHISQ_MAX_BINS:  # named in full: check_range's :g would print 4.1943e+06
         raise DomainError(f"bins must be at most {tol.CHISQ_MAX_BINS}, got {bins}")
-    check_range("alpha", alpha, 0, 1, "()")
-    check_range("beta", beta, 0, 1, "()")
+    alpha, beta = check_range("alpha", alpha, 0, 1, "()"), check_range("beta", beta, 0, 1, "()")
     if not alpha < 1.0 - beta < 1.0:  # lambda_noncentral's rule on the power, checked before its search
         raise DomainError(f"power must lie in (alpha, 1), got {1.0 - beta}")
-    return bins
+    return bins, alpha, beta
 
 
 def chisq_noncentrality(bins: int, alpha: float, beta: float) -> float:
     """Noncentrality lambda of a chi-square test over an integer bins >= 2 at size
     alpha and power 1 - beta, both in (0, 1); w^2 then takes lambda / w^2 shots."""
-    return lambda_noncentral(_check_chisq(bins, alpha, beta) - 1, alpha, 1.0 - beta)
+    bins, alpha, beta = _check_chisq(bins, alpha, beta)
+    return lambda_noncentral(bins - 1, alpha, 1.0 - beta)
 
 
 def shots_chisq(w2: float, bins: int, alpha: float, beta: float) -> ChiSquarePlan:
@@ -221,20 +216,20 @@ def shots_chisq(w2: float, bins: int, alpha: float, beta: float) -> ChiSquarePla
     Raises DegenerateStates when w2 = 0: identical distributions produce
     no detectable effect at any shot count.
     """
+    bins, alpha, beta = _check_chisq(bins, alpha, beta)  # the plan stores the checked values
     lam = chisq_noncentrality(bins, alpha, beta)
-    check_range("w^2", w2, 0, finite=True)
+    w2 = check_range("w^2", w2, 0)
     if w2 == 0.0:
         raise DegenerateStates("w^2 = 0: no discrepancy to detect")
     raw = lam / w2
-    check_range("lambda / w^2 (w^2 = %s)", raw, finite=True, args=(w2,))  # a subnormal w^2 overflows it
+    check_range("lambda / w^2 (w^2 = %s)", raw, args=(w2,))  # a subnormal w^2 overflows it
     return ChiSquarePlan(w2=w2, bins=bins, alpha=alpha, beta=beta, noncentrality=lam, raw=raw,
                          shots=_shot_count(raw))
 
 
 def w2_fidelity_attaining(fid: float) -> float:
     """w^2 of the distribution pair attaining the fidelity bound: (1-sqrt(F))^2 / 4."""
-    check_range("fidelity", fid, 0, 1)
-    return _w2_fidelity_attaining(fid)
+    return _w2_fidelity_attaining(check_range("fidelity", fid, 0, 1))
 
 
 def _w2_fidelity_attaining(fid: float) -> float:  # unchecked, for a fidelity known to lie in [0, 1]
@@ -243,20 +238,20 @@ def _w2_fidelity_attaining(fid: float) -> float:  # unchecked, for a fidelity kn
 
 def w2_small_discrepancy(fid: float) -> float:
     """Small-discrepancy ceiling w^2 ~= 8 d_H^2 <= 8 (1 - sqrt(F))."""
-    check_range("fidelity", fid, 0, 1)
-    return _w2_small_discrepancy(fid)
+    return _w2_small_discrepancy(check_range("fidelity", fid, 0, 1))
 
 
 def _w2_small_discrepancy(fid: float) -> float:  # unchecked, for a fidelity known to lie in [0, 1]
     return 8.0 * (1.0 - math.sqrt(fid))
 
 
-def chisq_validity(n_shots: float, expected: Distribution) -> tuple[str, ...]:
+def chisq_validity(n_shots: int, expected: Distribution) -> tuple[str, ...]:
     """Cochran-style validity heuristics for the chi-square approximation.
 
     Advisory only: flags shot counts below 13 and bins whose expected
     count N q_i falls below 5.
     """
+    n_shots = check_range("shot count", n_shots, 1, kind=int)
     warnings: list[str] = []
     if n_shots < 13:
         warnings.append(f"only {n_shots:g} shots planned; chi-square approximation wants at least 13")
@@ -293,7 +288,8 @@ def two_proportion_shots(
     with no continuity correction.  One-sided by default; the two-sided
     variant swaps z_{1-a} for z_{1-a/2}.  Neither z may be negative.
     """
-    if not 0.0 <= q1 <= 1.0 or not 0.0 <= q0 <= 1.0:  # names both values, unlike check_range
+    q0, q1, alpha, beta = map(check_range, ("q0", "q1", "alpha", "beta"), (q0, q1, alpha, beta))
+    if not 0.0 <= q1 <= 1.0 or not 0.0 <= q0 <= 1.0:  # names both values, unlike check_range's range
         raise DomainError(f"success probabilities must lie in [0, 1], got q0={q0}, q1={q1}")
     if q1 >= q0:
         raise BaselineNotAboveTarget(f"baseline q0={q0} must exceed degraded q1={q1}")
@@ -339,10 +335,10 @@ def binomial_cdf(count: int, n_shots: int, q: float) -> float:
     n, count = check_count("shot count", n_shots), check_range("observed count", count, kind=int)
     if not 0 <= count <= n:
         raise DomainError(f"observed count {count} outside [0, {n}]")
-    check_range("success probability", q, 0, 1)
+    q = check_range("success probability", q, 0, 1)
     if count == n or q in (0.0, 1.0):  # all the mass at 0 or at n_shots
         return float(count == n or q == 0.0)
-    num, den = float(q).as_integer_ratio()
+    num, den = q.as_integer_ratio()
     lam = ((n + 1) * num - (count + 1) * den) / den  # (n + 1) q - (count + 1)
     k, a, b, x = (count, n - count, count + 1, 1.0 - q) if lam >= 0.0 else (count + 1, count + 1, n - count, q)
     y, c, c0, c1 = 1.0 - x, abs(lam) + 1.0, b / a, 1.0 + 1.0 / a
@@ -365,7 +361,7 @@ def binomial_decision(zero_count: int, n_shots: int, q0: float, alpha: float) ->
     p_value = P[Bin(n_shots, q0) <= zero_count] (see binomial_cdf).
     Rejects (the success rate has dropped below q0) when p_value <= alpha.
     """
-    check_range("alpha", alpha, 0, 1, "()")
+    alpha = check_range("alpha", alpha, 0, 1, "()")
     p_value = binomial_cdf(zero_count, n_shots, q0)
     return p_value <= alpha, p_value
 
@@ -375,24 +371,15 @@ def binomial_rejection_threshold(n_shots: int, q0: float, alpha: float) -> int:
 
     The decision rule is monotone in the observed count, so a single
     threshold characterizes it; simulation code uses this to classify
-    many trials without recomputing tail sums.  Bisection keeps P[... <= lo]
-    <= alpha < P[... <= hi], for alpha < 1/2 from the normal approximation's
-    bracket: sqrt(2 ln(1/alpha)) sd below the mean, or -1 if that misses.
+    many trials without recomputing tail sums.  Bisection over [-1, n_shots]
+    keeps P[... <= lo] <= alpha < P[... <= hi].
     """
     n_shots = check_count("shot count", n_shots)
-    check_range("baseline q0", q0, 0, 1, "(]")
-    check_range("alpha", alpha, 0, 1, "()")
-
-    def rejected(k: int) -> bool:  # P[Bin(n_shots, q0) <= k] <= alpha, for -1 <= k < n_shots
-        return k < 0 or binomial_cdf(k, n_shots, q0) <= alpha
-
-    lo, hi, mean = -1, n_shots, n_shots * q0  # P[... <= -1] = 0 <= alpha < 1 = P[... <= n_shots]
-    if alpha < 0.5:  # a median lies within 1 of the mean, so P[... <= hi] >= 1/2 > alpha
-        lo = max(lo, math.floor(mean - math.sqrt(-2.0 * math.log(alpha) * mean * (1.0 - q0)) - 1.0))
-        lo, hi = lo if rejected(lo) else -1, min(hi, math.ceil(mean) + 1)
+    q0, alpha = check_range("baseline q0", q0, 0, 1, "(]"), check_range("alpha", alpha, 0, 1, "()")
+    lo, hi = -1, n_shots  # P[... <= -1] = 0 <= alpha < 1 = P[... <= n_shots]
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if rejected(mid) else (lo, mid)
+        lo, hi = (mid, hi) if binomial_cdf(mid, n_shots, q0) <= alpha else (lo, mid)
     return lo
 
 
@@ -401,12 +388,10 @@ def binomial_rejection_threshold(n_shots: int, q0: float, alpha: float) -> int:
 
 
 def parse_distribution(obj) -> Distribution:
-    """Build a Distribution from its JSON array form; `check_range` takes each entry as a
-    finite number, named by its bin, and Distribution checks the rest."""
+    """Build a Distribution from its JSON array form; Distribution checks every entry."""
     if not isinstance(obj, list):
         raise DomainError(f"distribution document must be a JSON array, got {type(obj).__name__}")
-    return Distribution(probs=[check_range("bin %d probability", p, kind=float, args=(i,))
-                               for i, p in enumerate(obj)])
+    return Distribution(obj)
 
 
 def load_distribution(path: str) -> Distribution:

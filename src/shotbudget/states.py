@@ -87,10 +87,6 @@ class PureState(Record):
     def dim(self) -> int:
         return self.amplitudes.size
 
-    @property
-    def qubits(self) -> int:
-        return self.dim.bit_length() - 1
-
     def to_density(self) -> "DensityMatrix":
         """Rank-1 projector |psi><psi| as a DensityMatrix.
 
@@ -142,10 +138,6 @@ class DensityMatrix(Record):
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def qubits(self) -> int:
-        return self.dim.bit_length() - 1
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached (values, vectors) of the matrix, the values clamped to >= 0."""
@@ -316,13 +308,13 @@ def qcb_q(rho, sigma) -> QcbResult:
 
 def q_bounds_mixed(fid: float) -> tuple[float, float]:
     """Fidelity-only sandwich on Q: 1 - sqrt(1 - F) <= Q <= sqrt(F)."""
-    check_range("fidelity", fid, 0, 1)
+    fid = check_range("fidelity", fid, 0, 1)
     return FORMULAS[Formula.MIXED_LOWER].per_shot(fid), math.sqrt(fid)
 
 
 def fuchs_van_de_graaf_bounds(fid: float) -> tuple[float, float]:
     """Fuchs-van de Graaf bounds on trace distance: 1 - sqrt(F) <= T <= sqrt(1 - F)."""
-    check_range("fidelity", fid, 0, 1)
+    fid = check_range("fidelity", fid, 0, 1)
     return 1.0 - math.sqrt(fid), math.sqrt(1.0 - fid)
 
 
@@ -333,7 +325,7 @@ def fuchs_van_de_graaf_bounds(fid: float) -> tuple[float, float]:
 
 def parse_state(obj: dict) -> PureState | DensityMatrix:
     """Build a state from its JSON object form.  `check_range` takes each re and im as a
-    finite number, named by its entry; the constructors check the invariants."""
+    number, named by its entry; the constructors check the invariants."""
     if not isinstance(obj, dict):
         raise InvalidState(f"state document must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
@@ -347,7 +339,7 @@ def parse_state(obj: dict) -> PureState | DensityMatrix:
         pairs = [(re, im) for re, im in data]
     except (TypeError, ValueError) as exc:
         raise InvalidState(f'state "data" entries must be [re, im] pairs: {exc}') from None
-    flat = np.array([complex(*(check_range('state "data"[%d]', x, kind=float, error=InvalidState, args=(i,))
+    flat = np.array([complex(*(check_range('state "data"[%d]', x, error=InvalidState, args=(i,))
                                for x in pair)) for i, pair in enumerate(pairs)], dtype=np.complex128)
     pure = kind == "pure"
     # n qubits take 2**n or 4**n entries; an n far past the entry count's bit length cannot

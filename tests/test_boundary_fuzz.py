@@ -1,8 +1,9 @@
 """The boundary gate: mutated state, distribution and spec files, and edge values on
 every numeric flag, run in process through `cli.main`.  Every case exits 0, 1, 2 or 3;
 no exception leaves main (it turns each ShotBudgetError into exit 2 or 3, and argparse
-exits 2), and nothing warns.  Below the CLI, every public entry that takes a count is
-driven directly, where argparse's `int` does not stand in front of it."""
+exits 2), and nothing warns.  Below the CLI, every public entry that takes a count or a
+real number is driven directly, where argparse's `int` and `float` do not stand in front
+of it."""
 
 import ast
 import contextlib
@@ -21,20 +22,35 @@ from conftest import deadline
 from shotbudget import (
     BlockSpec,
     Distribution,
+    Formula,
     HardwareRates,
     McConfig,
     ProgramSpec,
     ShotBudgetError,
+    allocate,
     binomial_cdf,
     binomial_decision,
     binomial_rejection_threshold,
+    bures_angle,
     chisq_noncentrality,
+    chisq_validity,
+    estimate,
+    fuchs_van_de_graaf_bounds,
+    lambda_noncentral,
+    parse_distribution,
+    parse_program_spec,
     parse_state,
+    q_bounds_mixed,
     shots_chisq,
+    shots_inverse_ideal,
+    shots_swap_ideal,
     simulate_binomial_detection,
     simulate_chisq_power,
     simulate_inverse_miss_rate,
     simulate_swap_miss_rate,
+    two_proportion_shots,
+    w2_fidelity_attaining,
+    w2_small_discrepancy,
 )
 import shotbudget
 from shotbudget import cli
@@ -175,10 +191,11 @@ _P, _Q, _TRIALS = Distribution([0.3, 0.7]), Distribution([0.5, 0.5]), McConfig(5
 _RATES = HardwareRates(1e-3, 1e-2)
 
 
-def _spec(multiplicity=2, bins=16) -> ProgramSpec:
-    columns = {"name": ("a",), "multiplicity": (multiplicity,), "g1": (5.0,), "g2": (2.0,), "depth": (0.0,),
+def _spec(multiplicity=2, g1=5.0, **fields) -> ProgramSpec:
+    columns = {"name": ("a",), "multiplicity": (multiplicity,), "g1": (g1,), "g2": (2.0,), "depth": (0.0,),
                "explicit_weight": (None,)}
-    return ProgramSpec(0.99, 0.05, 1.0, _RATES, columns, chisq_bins=bins)
+    return ProgramSpec(**{"fidelity_target": 0.99, "p_e": 0.05, "regime_factor": 1.0, "hardware": _RATES,
+                          "columns": columns, **fields})
 
 
 COUNT_ENTRIES = [
@@ -195,9 +212,11 @@ COUNT_ENTRIES = [
     ("threshold-n", "shot count", 100, 1, lambda v: binomial_rejection_threshold(v, 0.99, 0.05)),
     ("shots_chisq-bins", "bins", 16, 2, lambda v: shots_chisq(0.01, v, 0.01, 0.01)),
     ("chisq_noncentrality-bins", "bins", 16, 2, lambda v: chisq_noncentrality(v, 0.01, 0.01)),
+    ("lambda_noncentral-df", "degrees of freedom", 15, 1, lambda v: lambda_noncentral(v, 0.01, 0.99)),
+    ("chisq_validity-n_shots", "shot count", 12, 1, lambda v: chisq_validity(v, _Q)),
     ("BlockSpec-multiplicity", "multiplicity", 2, 1, lambda v: BlockSpec("a", v, g1=1.0)),
     ("ProgramSpec-multiplicity", "multiplicity", 2, 1, lambda v: _spec(multiplicity=v)),
-    ("ProgramSpec-bins", "bins", 16, 2, lambda v: _spec(bins=v)),
+    ("ProgramSpec-bins", "bins", 16, 2, lambda v: _spec(chisq_bins=v)),
     ("CurveRequest-points", "points", 5, 2,
      lambda v: cli.CurveRequest("fid_vs_shots", 0.9, 0.99, v, cli.TestPlanParams())),
     ("parse_state-n", 'state "n"', 1, 1,  # a state's equality is identity, so its amplitudes stand in
@@ -218,6 +237,101 @@ def test_every_count_takes_integers_only(field, k, least, call):
     with deadline(1):
         expected = call(k)
         assert call(np.int64(k)) == expected and call(np.uint64(k)) == expected
+
+
+# Every public entry that takes a real number: (id, the field its message names, a valid
+# value, a call with the number as its one free argument).
+def _block(**number) -> BlockSpec:
+    return BlockSpec("a", 2, **{"g1": 5.0, "g2": 2.0, **number})
+
+
+def _spec_doc(**numbers) -> dict:
+    return {"fidelity_target": 0.99, "p_e": 0.05, "hardware": {"r1": 1e-3, "r2": 1e-2},
+            "blocks": [{"name": "a", "g1": 5}], **numbers}
+
+
+_BLOCKS = [_block()]
+NUMBER_ENTRIES = [
+    ("estimate-x", "fidelity", 0.9, lambda v: estimate(Formula.PURE, v, 0.05)),
+    ("estimate-p_e", "error probability", 0.05, lambda v: estimate(Formula.PURE, 0.9, v)),
+    ("estimate-regime_factor", "regime factor", 1.5, lambda v: estimate(Formula.INVERSE_REAL, 0.9, 0.05, v)),
+    ("shots_inverse_ideal-fid", "fidelity", 0.9, lambda v: shots_inverse_ideal(v, 0.05)),
+    ("shots_inverse_ideal-p_e", "error probability", 0.05, lambda v: shots_inverse_ideal(0.9, v)),
+    ("shots_swap_ideal-fid", "fidelity", 0.9, lambda v: shots_swap_ideal(v, 0.05)),
+    ("shots_swap_ideal-p_e", "error probability", 0.05, lambda v: shots_swap_ideal(0.9, v)),
+    ("fuchs_van_de_graaf_bounds-fid", "fidelity", 0.9, fuchs_van_de_graaf_bounds),
+    ("q_bounds_mixed-fid", "fidelity", 0.9, q_bounds_mixed),
+    ("bures_angle-fid", "fidelity", 0.9, bures_angle),
+    ("w2_small_discrepancy-fid", "fidelity", 0.9, w2_small_discrepancy),
+    ("w2_fidelity_attaining-fid", "fidelity", 0.9, w2_fidelity_attaining),
+    ("lambda_noncentral-alpha", "alpha", 0.01, lambda v: lambda_noncentral(15, v, 0.99)),
+    ("lambda_noncentral-power", "power", 0.99, lambda v: lambda_noncentral(15, 0.01, v)),
+    ("chisq_noncentrality-alpha", "alpha", 0.01, lambda v: chisq_noncentrality(16, v, 0.01)),
+    ("chisq_noncentrality-beta", "beta", 0.01, lambda v: chisq_noncentrality(16, 0.01, v)),
+    ("shots_chisq-w2", "w^2", 0.01, lambda v: shots_chisq(v, 16, 0.01, 0.01)),
+    ("shots_chisq-alpha", "alpha", 0.01, lambda v: shots_chisq(0.01, 16, v, 0.01)),
+    ("shots_chisq-beta", "beta", 0.01, lambda v: shots_chisq(0.01, 16, 0.01, v)),
+    ("two_proportion_shots-q0", "q0", 0.99, lambda v: two_proportion_shots(v, 0.9, 0.01, 0.01)),
+    ("two_proportion_shots-q1", "q1", 0.9, lambda v: two_proportion_shots(0.99, v, 0.01, 0.01)),
+    ("two_proportion_shots-alpha", "alpha", 0.01, lambda v: two_proportion_shots(0.99, 0.9, v, 0.01)),
+    ("two_proportion_shots-beta", "beta", 0.01, lambda v: two_proportion_shots(0.99, 0.9, 0.01, v)),
+    ("binomial_cdf-q", "success probability", 0.5, lambda v: binomial_cdf(3, 10, v)),
+    ("binomial_decision-q0", "success probability", 0.9, lambda v: binomial_decision(3, 10, v, 0.05)),
+    ("binomial_decision-alpha", "alpha", 0.05, lambda v: binomial_decision(3, 10, 0.9, v)),
+    ("threshold-q0", "baseline q0", 0.99, lambda v: binomial_rejection_threshold(100, v, 0.05)),
+    ("threshold-alpha", "alpha", 0.05, lambda v: binomial_rejection_threshold(100, 0.99, v)),
+    ("Distribution-entry", "bin 1 probability", 0.5, lambda v: Distribution([0.5, v]).probs),
+    ("parse_distribution-entry", "bin 1 probability", 0.5, lambda v: parse_distribution([0.5, v]).probs),
+    ("parse_state-entry", 'state "data"[0]', 1.0,
+     lambda v: parse_state({"kind": "pure", "n": 1, "data": [[v, 0], [0, 0]]}).amplitudes.tolist()),
+    ("inverse-fid", "fidelity", 0.9, lambda v: simulate_inverse_miss_rate(v, 5, _TRIALS)),
+    ("swap-fid", "fidelity", 0.9, lambda v: simulate_swap_miss_rate(v, 5, _TRIALS)),
+    ("chisq_power-alpha", "alpha", 0.05, lambda v: simulate_chisq_power(_P, _Q, 5, v, _TRIALS)),
+    ("binomial_detection-q0", "baseline q0", 0.99, lambda v: simulate_binomial_detection(v, 0.9, 5, 0.05, _TRIALS)),
+    ("binomial_detection-q1", "true rate q1", 0.9, lambda v: simulate_binomial_detection(0.99, v, 5, 0.05, _TRIALS)),
+    ("binomial_detection-alpha", "alpha", 0.05, lambda v: simulate_binomial_detection(0.99, 0.9, 5, v, _TRIALS)),
+    ("HardwareRates-r1", "rate r1", 1e-3, lambda v: HardwareRates(v, 1e-2)),
+    ("HardwareRates-r2", "rate r2", 1e-2, lambda v: HardwareRates(1e-3, v)),
+    ("HardwareRates-gamma", "rate gamma", 1e-4, lambda v: HardwareRates(1e-3, 1e-2, v)),
+    ("BlockSpec-g1", "g1", 5.0, lambda v: _block(g1=v)),
+    ("BlockSpec-g2", "g2", 2.0, lambda v: _block(g2=v)),
+    ("BlockSpec-depth", "depth", 3.0, lambda v: _block(depth=v)),
+    ("BlockSpec-weight", "weight", 0.25, lambda v: _block(explicit_weight=v)),
+    ("parse_program_spec-weight", "/blocks/0/weight", 0.25,  # a null weight is no number in a file
+     lambda v: parse_program_spec(_spec_doc(blocks=[{"name": "a", "weight": v}]))),
+    ("ProgramSpec-g1", "g1", 5.0, lambda v: _spec(g1=v)),
+    ("ProgramSpec-fidelity_target", "program fidelity target", 0.99, lambda v: _spec(fidelity_target=v)),
+    ("ProgramSpec-p_e", "error probability", 0.05, lambda v: _spec(p_e=v)),
+    ("ProgramSpec-regime_factor", "regime factor", 1.5, lambda v: _spec(regime_factor=v)),
+    ("ProgramSpec-chisq_alpha", "alpha", 0.01, lambda v: _spec(chisq_alpha=v)),
+    ("ProgramSpec-chisq_beta", "beta", 0.01, lambda v: _spec(chisq_beta=v)),
+    ("allocate-f_prog", "program fidelity target", 0.99, lambda v: allocate(_BLOCKS, _RATES, v, 0.05)),
+    ("allocate-p_e", "error probability", 0.05, lambda v: allocate(_BLOCKS, _RATES, 0.99, v)),
+    ("allocate-regime_factor", "regime factor", 1.5, lambda v: allocate(_BLOCKS, _RATES, 0.99, 0.05, v)),
+    ("allocate-chisq_alpha", "alpha", 0.01, lambda v: allocate(_BLOCKS, _RATES, 0.99, 0.05, chisq_alpha=v)),
+    ("allocate-chisq_beta", "beta", 0.01, lambda v: allocate(_BLOCKS, _RATES, 0.99, 0.05, chisq_beta=v)),
+    ("parse_program_spec-p_e", "/p_e", 0.05, lambda v: parse_program_spec(_spec_doc(p_e=v))),
+    ("CurveRequest-start", "curve start", 0.9,
+     lambda v: cli.CurveRequest("fid_vs_shots", v, 0.99, 5, cli.TestPlanParams())),
+    ("CurveRequest-stop", "curve stop", 0.99,
+     lambda v: cli.CurveRequest("fid_vs_shots", 0.9, v, 5, cli.TestPlanParams())),
+]
+NOT_REALS = [True, False, np.True_, "0.5", None, 1j, np.complex64(1)]
+
+
+@pytest.mark.parametrize("field, v, call", [entry[1:] for entry in NUMBER_ENTRIES],
+                         ids=[entry[0] for entry in NUMBER_ENTRIES])
+def test_every_number_takes_real_numbers_only(field, v, call):
+    # a bad number raises a typed error naming its field, at once; a numpy scalar is the
+    # Python float it equals
+    for value in NOT_REALS:
+        if value is None and field == "weight":
+            continue  # BlockSpec's absent weight
+        with deadline(1), pytest.raises(ShotBudgetError) as info:
+            call(value)
+        assert field in str(info.value), (value, str(info.value))
+    with deadline(1):
+        assert call(np.float32(v)) == call(float(np.float32(v))) and call(np.float64(v)) == call(v)
 
 
 def _compares_type_with_int(node) -> bool:

@@ -16,7 +16,6 @@ from shotbudget import (
     parse_program_spec,
 )
 from shotbudget import cli
-from shotbudget.budget import block_weight
 from shotbudget.errors import DomainError, ZeroBudget, ZeroWeight
 
 RATES_UNUSED = HardwareRates(r1=0.0, r2=0.0)
@@ -43,25 +42,28 @@ class TestAngles:
         assert bures_angle(1.0) == 0.0
         with pytest.raises(ZeroBudget):
             allocate(explicit_blocks([1.0]), RATES_UNUSED, 1.0, 0.05)
-        for f_prog in (0.0, 1.2, -0.5, math.nan):
+        for f_prog in (0.0, 1.2, -0.5):
             with pytest.raises(DomainError, match=r"^program fidelity target must lie in \(0, 1\], got "):
                 allocate(explicit_blocks([1.0]), RATES_UNUSED, f_prog, 0.05)
+        with pytest.raises(DomainError, match=r"^program fidelity target must be finite, got nan$"):
+            allocate(explicit_blocks([1.0]), RATES_UNUSED, math.nan, 0.05)
 
 
-class TestBlockWeight:
+class TestBlockWeight:  # a block's weight as the allocator reports it
     def test_gate_count_route(self):
         rates = HardwareRates(r1=1e-11, r2=1e-10, gamma=1e-9)
         block = BlockSpec(name="a", multiplicity=1, g1=5e4, g2=1e4, depth=100)
-        assert block_weight(block, rates) == pytest.approx(1.5e-6 + 1e-7, rel=1e-12)
+        [weight] = allocate([block], rates, 0.99, 0.05).columns["weight"]
+        assert weight == pytest.approx(1.5e-6 + 1e-7, rel=1e-12)
 
     def test_explicit_weight_wins(self):
         rates = HardwareRates(r1=1e-11, r2=1e-10)
         block = BlockSpec(name="a", multiplicity=1, g1=5e4, g2=1e4, explicit_weight=7e-9)
-        assert block_weight(block, rates) == 7e-9
+        assert allocate([block], rates, 0.99, 0.05).columns["weight"] == (7e-9,)
 
     def test_zero_weight_rejected(self):
-        with pytest.raises(ZeroWeight):
-            block_weight(BlockSpec(name="a", multiplicity=1), RATES_UNUSED)
+        with pytest.raises(ZeroWeight, match="^block 'a' resolves to weight 0.0$"):
+            allocate([BlockSpec(name="a", multiplicity=1)], RATES_UNUSED, 0.99, 0.05)
 
 
 class TestWorkedAllocations:

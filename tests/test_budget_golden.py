@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from shotbudget import BlockAllocation, allocate_program, cli, parse_program_spec
-from shotbudget.budget import block_weight
 from shotbudget.shot_estimators import Formula, estimate
 from shotbudget.stat_power import w2_fidelity_attaining, w2_small_discrepancy
 
@@ -176,7 +175,9 @@ KINDS = ("inverse", "swap", "chisq_small", "chisq_attaining")
 
 def _scalar_rows(spec, report):
     """Every column recomputed block by block through the scalar shot formulas."""
-    weights = [block_weight(b, spec.hardware) for b in spec.blocks]
+    rates = spec.hardware  # a weight is explicit, or g1 r1 + g2 r2 + depth gamma
+    weights = [b.g1 * rates.r1 + b.g2 * rates.r2 + b.depth * rates.gamma if b.explicit_weight is None
+               else b.explicit_weight for b in spec.blocks]
     total_weight = 0.0  # left to right, as the allocator adds: sum() compensates on 3.12+
     for block, weight in zip(spec.blocks, weights):
         total_weight += block.multiplicity * weight

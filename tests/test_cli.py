@@ -284,7 +284,7 @@ class TestChisq:
             assert cli.main(argv) == 2, argv
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert f"error: bin {bin_index} probability must be finite, got " in captured.err, argv
+            assert f"error: bin {bin_index} probability must be finite and >= 0, got " in captured.err, argv
 
 
 class TestNoise:
@@ -470,8 +470,8 @@ class TestValidate:
         assert cli.main(["validate", "--scenario", "inverse"]) == 2
 
     def test_binomial_op_predicts_at_the_simulators_threshold(self, monkeypatch, capsys):
-        # simulator and prediction each find the rejection threshold, a bracketed
-        # search over tails at q0, and must find the same one; the prediction
+        # simulator and prediction each find the rejection threshold, a bisection
+        # over tails at q0, and must find the same one; the prediction
         # then takes one tail at q1
         thresholds, tails = [], []
         threshold, cdf = sp.binomial_rejection_threshold, sp.binomial_cdf
@@ -684,8 +684,8 @@ def _state(n="1", data="[[1, 0], [0, 0]]", kind="pure"):
 @pytest.mark.parametrize(
     "command, text, message",
     [
-        ("chisq", f"[{_HUGE}, 0]", f"bin 0 probability must be finite, got {_HUGE}"),
-        ("chisq", "[0.5, -1e999]", "bin 1 probability must be finite, got -inf"),
+        ("chisq", f"[{_HUGE}, 0]", f"bin 0 probability must be finite and >= 0, got {_HUGE}"),
+        ("chisq", "[0.5, -1e999]", "bin 1 probability must be finite and >= 0, got -inf"),
         ("chisq", "[true, false]", "bin 0 probability: expected a number, got True"),
         ("chisq", '[0.5, "0.5"]', "bin 1 probability: expected a number, got '0.5'"),
         ("qcb", _state(data=f"[[1, 0], [0, {_HUGE}]]"), f'state "data"[1] must be finite, got {_HUGE}'),

@@ -298,13 +298,13 @@ def _entry_error(entry, path: str = "/blocks/0") -> str | None:
     if type(count) is not int:
         return f"{path}/multiplicity: expected an integer, got {count!r}"
     try:
-        check_range(f"{path}/multiplicity", count, 1)
+        check_range(f"{path}/multiplicity", count, 1, kind=int)
         for key, low in (("g1", 0), ("g2", 0), ("depth", 0), ("weight", None)):
             if key in entry:
                 value = entry[key]
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     return f"{path}/{key}: expected a number, got {value!r}"
-                check_range(f"{path}/{key}", value, low, finite=True)
+                check_range(f"{path}/{key}", value, low)
     except DomainError as exc:
         return str(exc)
     return None

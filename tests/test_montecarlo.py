@@ -59,23 +59,23 @@ class TestSplitmix:
     def test_uniform_block_range_and_determinism(self):
         # each draw is exactly the top 53 bits of the scalar stream output
         seeds = sub_seeds(7, 0, 4)
-        a = uniform_block(seeds, 0, 100)
+        a = uniform_block(seeds, 0, 100, np.empty(800, dtype=np.uint64))
         assert a.shape == (4, 100)
         expected = [[stream_output(int(s), j) >> 11 for j in range(100)] for s in seeds]
         assert a.tolist() == expected
-        assert np.array_equal(uniform_block(seeds, 0, 100), a)
+        assert np.array_equal(uniform_block(seeds, 0, 100, np.empty(800, dtype=np.uint64)), a)
 
     def test_uniform_block_offset_slices_stream(self):
         seeds = sub_seeds(7, 0, 2)
-        whole = uniform_block(seeds, 0, 50)
-        tail = uniform_block(seeds, 20, 30)
+        whole = uniform_block(seeds, 0, 50, np.empty(200, dtype=np.uint64))
+        tail = uniform_block(seeds, 20, 30, np.empty(120, dtype=np.uint64))
         assert np.array_equal(whole[:, 20:], tail)
 
     def test_uniform_block_row_starts_slice_one_stream(self):
         # per-row start positions read the same draws as slices of one block,
         # also when the block reuses a scratch buffer
         seeds = sub_seeds(99, 0, 4)
-        whole = uniform_block(seeds, 0, 60)
+        whole = uniform_block(seeds, 0, 60, np.empty(480, dtype=np.uint64))
         starts = np.array([0, 7, 31, 50])
         scratch = np.empty(2 * 4 * 10, dtype=np.uint64)
         rows = uniform_block(seeds, starts, 10, scratch)
@@ -289,8 +289,8 @@ class TestKernelInvariants:
 class TestGridOracle:
     def test_matches_minimizer_on_mixed_pairs(self, rng):
         for _ in range(8):
-            rho = random_density(rng, rng.integers(1, 3))
-            sigma = random_density(rng, rho.qubits)
+            qubits = rng.integers(1, 3)
+            rho, sigma = random_density(rng, qubits), random_density(rng, qubits)
             q_min, s_min = qcb_grid_oracle(rho, sigma, grid_points=20_001)
             result = qcb_q(rho, sigma)
             assert result.q == pytest.approx(q_min, abs=1e-6)

@@ -70,8 +70,8 @@ BAD_INPUTS = [
     (ShotBounds, {"lower": HIGH, "upper": LOW}, DomainError,
      f"shot bounds inverted: lower {HIGH.raw} > upper {LOW.raw}"),
     (Distribution, {"probs": (1.0,)}, DomainError, "a distribution needs at least 2 bins, got 1"),
-    (Distribution, {"probs": (0.5, float("nan"))}, DomainError, "bin 1 probability is not finite: nan"),
-    (Distribution, {"probs": (1.5, -0.5)}, DomainError, "negative probability -0.5"),
+    (Distribution, {"probs": (0.5, float("nan"))}, DomainError, "bin 1 probability must be finite and >= 0, got nan"),
+    (Distribution, {"probs": (1.5, -0.5)}, DomainError, "bin 1 probability must be finite and >= 0, got -0.5"),
     (Distribution, {"probs": (0.7, 0.7)}, DomainError, "probabilities sum to 1.4, not 1 within 1.0e-08"),
     (McConfig, {"trials": 0}, DomainError, "trials must be >= 1, got 0"),
     (McConfig, {"trials": 1, "seed": 2**64}, DomainError, f"seed must lie in [0, 2^64), got {2**64}"),
@@ -117,7 +117,7 @@ BAD_INPUTS = [
     (cli.CurveRequest, {"curve": "fid_vs_shots", "start": -math.inf, "stop": 0.9, "points": 5, "params": PARAMS},
      DomainError, "curve start must be finite, got -inf"),
     (cli.CurveRequest, {"curve": "fid_vs_shots", "start": math.nan, "stop": 0.9, "points": 5, "params": PARAMS},
-     ShotBudgetError, "curve needs start < stop, got [nan, 0.9]"),  # NaN fails the order test first
+     DomainError, "curve start must be finite, got nan"),  # checked before the order test
 ]
 
 
@@ -228,9 +228,15 @@ def test_a_checked_spec_stays_checked(monkeypatch):
 
 
 def test_records_store_the_python_ints_their_checks_return():
-    # a numpy count is kept as the Python int it equals, so what is built on it serializes
+    # a numpy count or number is kept as the Python int or float it equals, so what is built
+    # on it serializes
     result = simulate_inverse_miss_rate(0.9, 5, McConfig(np.int64(1000)))
     assert json.loads(json.dumps(result._asdict())) == {**result._asdict(), "warnings": []}
+    chisq = shots_chisq(np.float32(0.01), np.int64(16), np.float64(0.01), np.float32(0.01))
+    binomial = two_proportion_shots(np.float32(0.99), np.float32(0.9), np.float64(0.01), np.float32(0.01))
+    for plan in (chisq, binomial):
+        assert json.loads(json.dumps(plan._asdict())) == plan._asdict()
+        assert {type(value) for value in plan} <= {int, float, bool}, plan
     config = McConfig(np.uint64(10), seed=np.int64(3))
     request = cli.CurveRequest("fid_vs_shots", 0.9, 0.99, np.int64(5), PARAMS)
     spec = ProgramSpec(**_spec(multiplicity=(np.int64(3),), chisq_bins=np.int32(16)))

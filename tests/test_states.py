@@ -123,7 +123,7 @@ class TestStateValidation:
         psi = random_pure(rng, 2)
         rho = psi.to_density()
         assert np.allclose(rho.matrix, np.outer(psi.amplitudes, psi.amplitudes.conj()))
-        assert rho.qubits == 2
+        assert rho.dim == 4
 
 
 class TestFidelity:
@@ -138,8 +138,8 @@ class TestFidelity:
 
     def test_matches_numpy_oracle_on_mixed_pairs(self, rng):
         for _ in range(25):
-            rho = random_density(rng, rng.integers(1, 3))
-            sigma = random_density(rng, rho.qubits)
+            qubits = rng.integers(1, 3)
+            rho, sigma = random_density(rng, qubits), random_density(rng, qubits)
             f = fidelity(rho, sigma)
             assert f == pytest.approx(numpy_fidelity(rho.matrix, sigma.matrix), abs=1e-9)
 
@@ -191,8 +191,8 @@ class TestBoundsAndAngles:
 
     def test_fuchs_van_de_graaf_encloses_distance(self, rng):
         for _ in range(25):
-            rho = random_density(rng, rng.integers(1, 3))
-            sigma = random_density(rng, rho.qubits)
+            qubits = rng.integers(1, 3)
+            rho, sigma = random_density(rng, qubits), random_density(rng, qubits)
             lo, hi = fuchs_van_de_graaf_bounds(fidelity(rho, sigma))
             t = trace_distance(rho, sigma)
             assert lo - 1e-9 <= t <= hi + 1e-9
@@ -211,7 +211,7 @@ class TestChernoffQuantity:
     def test_pure_pure_collapses_to_fidelity(self, rng):
         for _ in range(10):
             a, b = random_pure(rng, 1), random_pure(rng, 2 if rng.random() < 0.5 else 1)
-            if a.qubits != b.qubits:
+            if a.dim != b.dim:
                 continue
             result = qcb_q(a, b)
             assert result.q == pytest.approx(fidelity_pure(a, b), abs=1e-9)
@@ -278,8 +278,8 @@ class TestChernoffQuantity:
 
     def test_sandwich_bounds_hold(self, rng):
         for _ in range(25):
-            rho = random_density(rng, rng.integers(1, 3))
-            sigma = random_density(rng, rho.qubits)
+            qubits = rng.integers(1, 3)
+            rho, sigma = random_density(rng, qubits), random_density(rng, qubits)
             f = fidelity(rho, sigma)
             lo, hi = q_bounds_mixed(f)
             q = qcb_q(rho, sigma).q

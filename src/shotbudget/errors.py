@@ -74,6 +74,9 @@ def check_range(what: str, value, low=None, high=None, ends: str = "[]", *, kind
     must be finite[ and >= 0], got inf", "<what>: expected a number, got True",
     "<what>: missing".
     """
+    if type(value) is float and kind is float and high is None and abs(value) <= _FLOAT_MAX and (
+            low is None or value >= low):
+        return value  # a plain float without a high end: a file entry's fast path
     if kind is not float or type(value) is not float:  # a plain float needs no type test
         if value is MISSING:
             raise error(f"{what % args if args else what}: missing")

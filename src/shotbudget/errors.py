@@ -4,8 +4,8 @@ Everything derives from ShotBudgetError so callers can catch the whole
 family with one clause.  DomainError doubles as a ValueError: most of its
 sites are argument-range violations, raised by `check_range` in one message
 shape.  `check_range` checks every value the package takes by its kind, a real
-number by default, a count or a name, whether a caller passes it or `read_json`
-reads it out of a state, distribution or program-spec file.
+number by default, a state's entry, a count or a name, whether a caller passes it
+or `read_json` reads it out of a state, distribution or program-spec file.
 """
 
 import json
@@ -55,7 +55,7 @@ class ZeroBudget(ShotBudgetError):
 
 
 MISSING = object()  # check_range's value for a required key that a file leaves out
-_EXPECTED = {float: "a number", int: "an integer", str: "a nonempty string"}
+_EXPECTED = {float: "a number", complex: "a number", int: "an integer", str: "a nonempty string"}
 
 
 def check_range(what: str, value, low=None, high=None, ends: str = "[]", *, kind: type = float,
@@ -66,9 +66,10 @@ def check_range(what: str, value, low=None, high=None, ends: str = "[]", *, kind
 
     float, the default, takes a real number but a bool (a numpy integer or floating scalar
     too; not a string, None, a complex or `np.True_`) and returns it, finite, as a Python
-    float: NaN, inf and an int beyond float range are not finite.  int takes a value with
-    `__index__` but a bool and returns it, float-sized, as a Python int, whose message
-    names the one bound it fails.  str takes a nonempty string.
+    float: NaN, inf and a number beyond float range are not finite.  complex, a state's entry,
+    also takes a complex number and returns a Python complex whose two parts are finite.
+    int takes a value with `__index__` but a bool and returns it, float-sized, as a Python
+    int, whose message names the one bound it fails.  str takes a nonempty string.
 
     Messages: "<what> must lie in (0, 1], got 2", "<what> must be >= 1, got 0", "<what>
     must be finite[ and >= 0], got inf", "<what>: expected a number, got True",
@@ -81,14 +82,18 @@ def check_range(what: str, value, low=None, high=None, ends: str = "[]", *, kind
         if value is MISSING:
             raise error(f"{what % args if args else what}: missing")
         if not (type(value) is str and value != "" if kind is str else type(value) is not bool and (
-                hasattr(value, "__index__") if kind is int else isinstance(value, int) or _real(value))):
+                hasattr(value, "__index__") if kind is int else isinstance(value, int) or _number(value, kind))):
             raise error(f"{what % args if args else what}: expected {_EXPECTED[kind]}, got {value!r}")
         if kind is str:
             return value
-        value = value.__index__() if kind is int or isinstance(value, int) else float(value)
+        try:
+            value = value.__index__() if kind is int or isinstance(value, int) else kind(value)
+        except OverflowError:  # a Fraction beyond float range stays itself, and is not finite below
+            pass
     if high is None:
-        if abs(value) <= _FLOAT_MAX and (low is None or value >= low):
-            return float(value) if kind is float else value
+        if (abs(value.real) <= _FLOAT_MAX >= abs(value.imag) if kind is complex else abs(value) <= _FLOAT_MAX) and (
+                low is None or value >= low):
+            return value if kind is int else kind(value)
         bounds = ["finite"] + ([] if low is None else [f">= {low:g}"])
         need = "be " + (bounds[low is not None and value < low] if kind is int else " and ".join(bounds))
     else:  # the bounds are finite, so a value that is not fails them
@@ -98,9 +103,9 @@ def check_range(what: str, value, low=None, high=None, ends: str = "[]", *, kind
     raise error(f"{what % args if args else what} must {need}, got {value}")
 
 
-def _real(value) -> bool:  # numpy's integer and floating scalars join numbers.Real; loaded only for them
-    from numbers import Real
-    return isinstance(value, Real)
+def _number(value, kind: type) -> bool:  # numpy's number scalars join numbers.Complex; loaded only for them
+    from numbers import Complex, Real
+    return isinstance(value, Complex if kind is complex else Real)
 
 
 def check_count(what: str, count) -> int:

@@ -41,12 +41,6 @@ __all__ = [
 ]
 
 
-def _first_nonfinite(values: np.ndarray) -> int | None:
-    """Flat index of the first NaN or infinite entry, or None."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    return int(bad[0]) if bad.size else None
-
-
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """The arrays, each set read-only."""
     for array in arrays:
@@ -54,11 +48,23 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _qubit_count(dim: int, what: str) -> int:
-    n = int(dim).bit_length() - 1
-    if dim < 2 or 2**n != dim:
-        raise InvalidState(f"{what} dimension {dim} is not 2**n for n >= 1")
-    return n
+def _state_array(values, square: bool) -> np.ndarray:
+    """A state's own complex128 copy of values, square or else flattened, 2**n entries a side.
+    A numeric array of finite entries passes in one numpy pass; any other input goes to
+    `check_range` entry by entry before numpy converts it, so a bool or a string fails by name."""
+    numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iufc"
+    entries = np.asarray(values, dtype=None if numeric else object)
+    entries = entries if square else entries.reshape(-1)
+    if square and (entries.ndim != 2 or entries.shape[0] != entries.shape[1]):
+        raise InvalidState(f"density matrix must be square, got shape {entries.shape}")
+    if entries.shape[0] < 2 or entries.shape[0] & (entries.shape[0] - 1):
+        what = "density matrix" if square else "state vector"
+        raise InvalidState(f"{what} dimension {entries.shape[0]} is not 2**n for n >= 1")
+    if numeric and np.isfinite(array := entries.astype(np.complex128)).all():
+        return array
+    what = "density matrix entry (%d, %d)" if square else "amplitude %d"
+    return np.array([check_range(what, entry, kind=complex, error=InvalidState, args=index)
+                     for index, entry in np.ndenumerate(entries)]).reshape(entries.shape)
 
 
 class PureState(Record):
@@ -72,11 +78,7 @@ class PureState(Record):
         _frozen(getattr(self, self._fields[0]), *(getattr(self, "_eig", None) or ()))
 
     def __init__(self, amplitudes: np.ndarray) -> None:
-        amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)  # the state's own copy
-        _qubit_count(amps.size, "state vector")
-        bad = _first_nonfinite(amps)
-        if bad is not None:
-            raise InvalidState(f"amplitude {bad} is not finite: {amps[bad]!r}")
+        amps = _state_array(amplitudes, square=False)
         with np.errstate(over="ignore"):  # an entry near 1e308 overflows the norm to inf, named below
             norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > tol.NORM_ATOL:
@@ -109,17 +111,10 @@ class DensityMatrix(Record):
     __eq__, __hash__, __setstate__ = object.__eq__, object.__hash__, PureState.__setstate__  # identity equality
 
     def __init__(self, matrix: np.ndarray, _validated: bool = False) -> None:
-        mat = np.array(matrix, dtype=np.complex128)  # the state's own copy
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise InvalidState(f"density matrix must be square, got shape {mat.shape}")
-        _qubit_count(mat.shape[0], "density matrix")
+        mat = _state_array(matrix, square=True)
         self._set(*_frozen(mat), None)
         if _validated:
             return
-        bad = _first_nonfinite(mat)
-        if bad is not None:
-            i, j = divmod(bad, mat.shape[1])
-            raise InvalidState(f"density matrix entry ({i}, {j}) is not finite: {mat[i, j]!r}")
         with np.errstate(over="ignore", invalid="ignore"):  # entries near 1e308 overflow, and fail a check
             dev = float(np.max(np.abs(mat - mat.conj().T)))
             if dev > tol.HERMITICITY_ATOL:

@@ -70,11 +70,11 @@ class TestStateValidation:
 
     def test_non_finite_entries_rejected(self):
         # NaN also passes the norm, trace and Hermiticity tests
-        with pytest.raises(InvalidState, match="amplitude 1 is not finite"):
+        with pytest.raises(InvalidState, match=r"amplitude 1 must be finite, got \(nan\+0j\)"):
             PureState(np.array([1.0, np.nan]))
         mat = np.diag([0.5, 0.5]).astype(complex)
         mat[0, 1] = mat[1, 0] = np.inf
-        with pytest.raises(InvalidState, match=r"entry \(0, 1\) is not finite"):
+        with pytest.raises(InvalidState, match=r"entry \(0, 1\) must be finite, got \(inf\+0j\)"):
             DensityMatrix(mat)
 
     @pytest.mark.parametrize("build, message", [

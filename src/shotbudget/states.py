@@ -1,15 +1,15 @@
 """Quantum state containers and distinguishability functionals.
 
-PureState and DensityMatrix validate their invariants at construction and
-report exactly which one failed; `parse_state` checks a state file's
-fields before either is built.  These are the only places a state is
-checked.  On top of them sit the Uhlmann fidelity, trace distance, the
-quantum Chernoff bound Q with its error exponent, the fidelity-only
-sandwich bounds on Q and the Fuchs-van de Graaf bounds, which trust the
-states they are given.  Every eigendecomposition goes through
-`numerics.hermitian_eigendecomposition`, which checks nothing; those of
-validated density matrices are cached on the instance because every
-functional needs them again.
+PureState and DensityMatrix check each entry by `errors.check_range`, then
+their invariants, at construction, and report exactly which one failed;
+`parse_state` checks a state file's fields before either is built.  These
+are the only places a state is checked.  On top of them sit the Uhlmann
+fidelity, trace distance, the quantum Chernoff bound Q with its error
+exponent, the fidelity-only sandwich bounds on Q and the Fuchs-van de
+Graaf bounds, which trust the states they are given.  Every
+eigendecomposition goes through `numerics.hermitian_eigendecomposition`,
+which checks nothing; those of validated density matrices are cached on
+the instance because every functional needs them again.
 
 Support convention: 0^0 = 0 in matrix powers, so states with disjoint
 support yield Q = 0 (perfect one-shot distinguishability) instead of an
@@ -52,18 +52,17 @@ def _state_array(values, square: bool) -> np.ndarray:
     """A state's own complex128 copy of values, square or else flattened, 2**n entries a side.
     A numeric array of finite entries passes in one numpy pass; any other input goes to
     `check_range` entry by entry before numpy converts it, so a bool or a string fails by name."""
+    what, name = ("density matrix", "density matrix entry (%d, %d)") if square else ("state vector", "amplitude %d")
     numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iufc"
     entries = np.asarray(values, dtype=None if numeric else object)
     entries = entries if square else entries.reshape(-1)
     if square and (entries.ndim != 2 or entries.shape[0] != entries.shape[1]):
         raise InvalidState(f"density matrix must be square, got shape {entries.shape}")
     if entries.shape[0] < 2 or entries.shape[0] & (entries.shape[0] - 1):
-        what = "density matrix" if square else "state vector"
         raise InvalidState(f"{what} dimension {entries.shape[0]} is not 2**n for n >= 1")
     if numeric and np.isfinite(array := entries.astype(np.complex128)).all():
         return array
-    what = "density matrix entry (%d, %d)" if square else "amplitude %d"
-    return np.array([check_range(what, entry, kind=complex, error=InvalidState, args=index)
+    return np.array([check_range(name, entry, kind=complex, error=InvalidState, args=index)
                      for index, entry in np.ndenumerate(entries)]).reshape(entries.shape)
 
 

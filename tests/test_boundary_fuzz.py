@@ -2,8 +2,8 @@
 every numeric flag, run in process through `cli.main`.  Every case exits 0, 1, 2 or 3;
 no exception leaves main (it turns each ShotBudgetError into exit 2 or 3, and argparse
 exits 2), and nothing warns.  Below the CLI, every public entry that takes a count or a
-real number is driven directly, where argparse's `int` and `float` do not stand in front
-of it."""
+real number, and both state constructors, are driven directly, where argparse's `int`
+and `float` do not stand in front of them."""
 
 import ast
 import contextlib
@@ -13,7 +13,9 @@ import json
 import math
 import pathlib
 import random
+import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,11 +23,13 @@ import pytest
 from conftest import deadline
 from shotbudget import (
     BlockSpec,
+    DensityMatrix,
     Distribution,
     Formula,
     HardwareRates,
     McConfig,
     ProgramSpec,
+    PureState,
     ShotBudgetError,
     allocate,
     binomial_cdf,
@@ -54,6 +58,7 @@ from shotbudget import (
 )
 import shotbudget
 from shotbudget import cli
+from shotbudget.errors import DomainError, InvalidState, check_range
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-320, 1e308, 1.0 - 2.0**-53]
 EDGE_INTS = [2**62, 2**63 - 1, 2**63, 2**64, 10**30]
@@ -180,7 +185,9 @@ def test_every_numeric_flag_exits_with_a_code(base, flag, values, tmp_path):
         case = list(argv)
         if flag in case:
             del case[case.index(flag):case.index(flag) + 2]
-        code = _run(case + [f"{flag}={value}"])
+        # a work count that passes its check runs until the alarm, not forever
+        with deadline(1) if _is_work(base, flag) else contextlib.nullcontext():
+            code = _run(case + [f"{flag}={value}"])
         if _is_work(base, flag) and value >= 2**63:
             assert code == 2, (case, flag, value)
 
@@ -332,6 +339,65 @@ def test_every_number_takes_real_numbers_only(field, v, call):
         assert field in str(info.value), (value, str(info.value))
     with deadline(1):
         assert call(np.float32(v)) == call(float(np.float32(v))) and call(np.float64(v)) == call(v)
+
+
+@pytest.mark.parametrize("field, v, call", [entry[1:] for entry in NUMBER_ENTRIES],
+                         ids=[entry[0] for entry in NUMBER_ENTRIES])
+def test_every_number_beyond_float_range_is_not_finite(field, v, call):
+    # float() of such a Fraction overflows; the rule reads it as a number that is not finite
+    for value in (Fraction(10**400), Fraction(-(10**400), 3)):
+        with deadline(1), pytest.raises(ShotBudgetError) as info:
+            call(value)
+        assert field in str(info.value) and "finite" in str(info.value), (value, str(info.value))
+
+
+@pytest.mark.parametrize("kind, low, high", [(float, None, None), (float, 0, 1), (complex, None, None)],
+                         ids=["float", "float-interval", "complex"])
+def test_check_range_reads_a_fraction_beyond_float_range_as_not_finite(kind, low, high):
+    with pytest.raises(DomainError, match=r"^x must be finite, got 10{400}$"):
+        check_range("x", Fraction(10**400), low, high, kind=kind)
+
+
+# Both state constructors, fed as a list and as an ndarray of objects: (id, the entry its
+# message names, a call that builds a state, and reads its entries, with the entry as its
+# one free argument; 1/2 makes a valid state).
+STATE_ENTRIES = [
+    ("PureState-list", "amplitude 3", lambda v: PureState([0.5, 0.5, 0.5, v]).amplitudes.tolist()),
+    ("PureState-ndarray", "amplitude 3",
+     lambda v: PureState(np.array([0.5, 0.5, 0.5, v], dtype=object)).amplitudes.tolist()),
+    ("DensityMatrix-list", "density matrix entry (1, 1)", lambda v: DensityMatrix([[0.5, 0], [0, v]]).matrix.tolist()),
+    ("DensityMatrix-ndarray", "density matrix entry (1, 1)",
+     lambda v: DensityMatrix(np.array([[0.5, 0], [0, v]], dtype=object)).matrix.tolist()),
+]
+# a ragged nesting is an entry that is a list; an int or Fraction beyond float range is a
+# number that is not finite
+NOT_ENTRIES = ["1", True, np.True_, None, {"a": 1}, [0.5], 10**400, Fraction(10**400)]
+
+
+@pytest.mark.parametrize("entry, call", [entry[1:] for entry in STATE_ENTRIES],
+                         ids=[entry[0] for entry in STATE_ENTRIES])
+def test_every_state_entry_takes_numbers_only(entry, call):
+    # an entry that is no number raises InvalidState naming it, at once, before numpy
+    # converts it; a numpy complex or a Fraction builds the state its Python complex builds
+    for value in NOT_ENTRIES:
+        with deadline(1), pytest.raises(InvalidState) as info:
+            call(value)
+        assert re.match(rf"{re.escape(entry)}(: expected a number| must be finite), got ", str(info.value)), (
+            value, str(info.value))
+    with deadline(1):
+        for value in (np.complex64(0.5), Fraction(1, 2)):
+            assert call(value) == call(complex(value)), value
+
+
+@pytest.mark.parametrize("build, entry", [
+    (lambda: PureState(np.array([True, False])), "amplitude 0"),
+    (lambda: PureState(np.array(["1", "0"])), "amplitude 0"),
+    (lambda: DensityMatrix(np.array([[True, False], [False, False]])), "density matrix entry (0, 0)"),
+    (lambda: DensityMatrix(np.array([["1", "0"], ["0", "0"]])), "density matrix entry (0, 0)"),
+], ids=["PureState-bool", "PureState-str", "DensityMatrix-bool", "DensityMatrix-str"])
+def test_bool_and_string_arrays_are_no_state(build, entry):
+    with deadline(1), pytest.raises(InvalidState, match=rf"^{re.escape(entry)}: expected a number, got "):
+        build()
 
 
 def _compares_type_with_int(node) -> bool:

@@ -22,6 +22,7 @@ from shotbudget import (
     qcb_q,
     trace_distance,
 )
+from shotbudget import tolerances as tol
 from shotbudget.errors import DomainError, InvalidState
 from shotbudget.states import _chernoff_objective
 
@@ -76,6 +77,19 @@ class TestStateValidation:
         mat[0, 1] = mat[1, 0] = np.inf
         with pytest.raises(InvalidState, match=r"entry \(0, 1\) must be finite, got \(inf\+0j\)"):
             DensityMatrix(mat)
+
+    @pytest.mark.parametrize("build, atol, message", [
+        (lambda t: PureState([1.0 + t, 0.0]), tol.NORM_ATOL, "state vector norm "),
+        (lambda t: DensityMatrix(np.diag([0.5 + t, 0.5])), tol.TRACE_ATOL, "trace "),
+        (lambda t: DensityMatrix([[0.5, t], [0.0, 0.5]]), tol.HERMITICITY_ATOL, "not Hermitian: "),
+        (lambda t: DensityMatrix(np.diag([1.0 - t, t])), tol.PSD_CLAMP_FLOOR, "not positive semidefinite: "),
+    ], ids=["NORM_ATOL", "TRACE_ATOL", "HERMITICITY_ATOL", "PSD_CLAMP_FLOOR"])
+    def test_each_tolerance_holds_at_its_edge(self, build, atol, message):
+        # read from tolerances, so a changed constant moves the edge, while a check that
+        # compares against another value fails one side
+        build(atol / 2)
+        with pytest.raises(InvalidState, match=f"^{message}"):
+            build(2 * atol)
 
     @pytest.mark.parametrize("build, message", [
         (lambda: PureState([1e308, 1e308]), "state vector norm inf differs from 1"),

@@ -35,7 +35,7 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .errors import DegenerateStates, DomainError, Record, ShotBudgetError, check_range
+from .errors import DegenerateStates, Record, ShotBudgetError, check_count, check_range
 from . import budget as budget_mod
 from . import montecarlo as mc
 from . import shot_estimators as est
@@ -61,11 +61,7 @@ class CurveRequest(Record):
 
     def __init__(self, curve: str, start: float, stop: float, points: int, params: TestPlanParams,
                  bins: tuple[int, ...] = (), q1_values: tuple[float, ...] = ()) -> None:
-        points = check_range("curve points", points, kind=int)
-        if points < 2:
-            raise ShotBudgetError(f"curve needs at least 2 points, got {points}")
-        if points >= 2**63:  # a grid that long never ends; it fails before its first row
-            raise DomainError(f"curve needs fewer than 2^63 points, got {points}")
+        points = check_count("curve points", points, 2)  # a grid of 2^63 fails before its first row
         start, stop = check_range("curve start", start), check_range("curve stop", stop)
         if not start < stop:
             raise ShotBudgetError(f"curve needs start < stop, got [{start}, {stop}]")

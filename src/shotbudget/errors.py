@@ -69,7 +69,8 @@ def check_range(what: str, value, low=None, high=None, ends: str = "[]", *, kind
     float: NaN, inf and a number beyond float range are not finite.  complex, a state's entry,
     also takes a complex number and returns a Python complex whose two parts are finite.
     int takes a value with `__index__` but a bool and returns it, float-sized, as a Python
-    int, whose message names the one bound it fails.  str takes a nonempty string.
+    int, whose message names the one bound it fails, or an interval with its bounds shown
+    whole.  str takes a nonempty string.
 
     Messages: "<what> must lie in (0, 1], got 2", "<what> must be >= 1, got 0", "<what>
     must be finite[ and >= 0], got inf", "<what>: expected a number, got True",
@@ -99,7 +100,8 @@ def check_range(what: str, value, low=None, high=None, ends: str = "[]", *, kind
     else:  # the bounds are finite, so a value that is not fails them
         if (low < value if ends[0] == "(" else low <= value) and (value < high if ends[1] == ")" else value <= high):
             return float(value) if kind is float else value
-        need = f"lie in {ends[0]}{low:g}, {high:g}{ends[1]}" if abs(value) <= _FLOAT_MAX else "be finite"
+        shown = "d" if kind is int else "g"
+        need = f"lie in {ends[0]}{low:{shown}}, {high:{shown}}{ends[1]}" if abs(value) <= _FLOAT_MAX else "be finite"
     raise error(f"{what % args if args else what} must {need}, got {value}")
 
 
@@ -108,12 +110,12 @@ def _number(value, kind: type) -> bool:  # numpy's number scalars join numbers.C
     return isinstance(value, numbers.Complex if kind is complex else numbers.Real)
 
 
-def check_count(what: str, count) -> int:
-    """A trial or shot count as a Python int in [1, 2^63): the Monte Carlo kernel's int64 range,
-    which also caps the cost of an exact binomial tail (about n^(1/3) near the mean)."""
-    count = check_range(what, count, 1, kind=int)
+def check_count(what: str, count, low: int = 1) -> int:
+    """A trial, shot or point count as a Python int in [low, 2^63): the Monte Carlo kernel's int64
+    range, which also caps the cost of an exact binomial tail (about n^(1/3) near the mean)."""
+    count = check_range(what, count, low, kind=int)
     if count >= 2**63:  # the bound the message names
-        raise DomainError(f"{what} must lie in [1, 2^63), got {count}")
+        raise DomainError(f"{what} must lie in [{low}, 2^63), got {count}")
     return count
 
 

@@ -132,9 +132,7 @@ def _early_exit(p: float, n_shots: int, stop_after: int, config: McConfig) -> tu
 
 def _miss_rate(fid: float, formula: Formula, n_shots: int, config: McConfig) -> McResult:
     """Trials in which all n_shots shots accept at the formula's per-shot acceptance."""
-    fid = check_range("fidelity", fid)
-    if not 0.0 <= fid < 1.0:  # the message says why 1 is left out
-        raise DomainError(f"fidelity must lie in [0, 1) to have misses, got {fid}")
+    fid = check_range("fidelity", fid, 0, 1, "[)")  # at 1 every shot accepts, so no trial misses
     n_shots = check_count("n_shots", n_shots)
     rejected, drawn = _early_exit(FORMULAS[formula].per_shot(fid), n_shots, 1, config)
     return McResult((config.trials - rejected) / config.trials, config.trials, (), drawn)

@@ -194,9 +194,7 @@ class ChiSquarePlan(NamedTuple):
 
 
 def _check_chisq(bins: int, alpha: float, beta: float) -> tuple[int, float, float]:
-    bins = check_range("bins", bins, 2, kind=int)
-    if bins > tol.CHISQ_MAX_BINS:  # named in full: check_range's :g would print 4.1943e+06
-        raise DomainError(f"bins must be at most {tol.CHISQ_MAX_BINS}, got {bins}")
+    bins = check_range("bins", bins, 2, tol.CHISQ_MAX_BINS, kind=int)
     alpha, beta = check_range("alpha", alpha, 0, 1, "()"), check_range("beta", beta, 0, 1, "()")
     if not alpha < 1.0 - beta < 1.0:  # lambda_noncentral's rule on the power, checked before its search
         raise DomainError(f"power must lie in (alpha, 1), got {1.0 - beta}")
@@ -288,13 +286,10 @@ def two_proportion_shots(
     with no continuity correction.  One-sided by default; the two-sided
     variant swaps z_{1-a} for z_{1-a/2}.  Neither z may be negative.
     """
-    q0, q1, alpha, beta = map(check_range, ("q0", "q1", "alpha", "beta"), (q0, q1, alpha, beta))
-    if not 0.0 <= q1 <= 1.0 or not 0.0 <= q0 <= 1.0:  # names both values, unlike check_range's range
-        raise DomainError(f"success probabilities must lie in [0, 1], got q0={q0}, q1={q1}")
+    q0, q1 = check_range("q0", q0, 0, 1), check_range("q1", q1, 0, 1)
+    alpha, beta = check_range("alpha", alpha, 0, 1, "()"), check_range("beta", beta, 0, 1, "()")
     if q1 >= q0:
         raise BaselineNotAboveTarget(f"baseline q0={q0} must exceed degraded q1={q1}")
-    if not 0.0 < alpha < 1.0 or not 0.0 < beta < 1.0:  # likewise
-        raise DomainError(f"alpha and beta must lie in (0, 1), got alpha={alpha}, beta={beta}")
     p_a, p_b = 1.0 - (alpha if one_sided else alpha / 2.0), 1.0 - beta
     for p in (p_a, p_b):  # an alpha or beta below ~1e-16 rounds 1 - it to 1
         check_range("quantile probability", p, 0, 1, "()")
@@ -332,9 +327,8 @@ def binomial_cdf(count: int, n_shots: int, q: float) -> float:
     1 - I_y(b, a), with r from BFRAC (Didonato and Morris, ACM TOMS 18, 1992) and
     x^a y^b / B(a, b) = a y P[Bin = k].  lam and k - n q, where the cancellation lies,
     are exact.  The cost grows about as n_shots^(1/3) at the mean and falls away from it."""
-    n, count = check_count("shot count", n_shots), check_range("observed count", count, kind=int)
-    if not 0 <= count <= n:
-        raise DomainError(f"observed count {count} outside [0, {n}]")
+    n = check_count("shot count", n_shots)
+    count = check_range("observed count", count, 0, n, kind=int)
     q = check_range("success probability", q, 0, 1)
     if count == n or q in (0.0, 1.0):  # all the mass at 0 or at n_shots
         return float(count == n or q == 0.0)

@@ -168,7 +168,7 @@ class TestAllocateValidation:
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"chisq_beta": 1.5}, "beta must lie in (0, 1), got 1.5"),
-        ({"chisq_bins": 1}, "bins must be >= 2, got 1"),
+        ({"chisq_bins": 1}, "bins must lie in [2, 4194305], got 1"),
     ])
     def test_bad_chisq_parameters_are_named_as_shots_chisq_names_them(self, kwargs, message):
         with pytest.raises(DomainError) as info:
@@ -349,7 +349,7 @@ class TestFiniteInputs:
             ("/regime_factor", 3, "/regime_factor must lie in [1, 2], got 3"),
             ("/chisq/alpha", 2, "/chisq/alpha must lie in (0, 1), got 2"),
             ("/chisq/beta", 1, "/chisq/beta must lie in (0, 1), got 1"),
-            ("/chisq/bins", 1, "/chisq/bins must be >= 2, got 1"),
+            ("/chisq/bins", 1, "/chisq/bins must lie in [2, 4194305], got 1"),
             ("/chisq/bins", 2.5, "/chisq/bins: expected an integer, got 2.5"),
             ("/chisq", 5, "/chisq: expected an object"),
             ("/blocks", [], "/blocks: missing or empty"),

@@ -76,7 +76,7 @@ BAD_INPUTS = [
     (McConfig, {"trials": 0}, DomainError, "trials must be >= 1, got 0"),
     (McConfig, {"trials": 1, "seed": 2**64}, DomainError, f"seed must lie in [0, 2^64), got {2**64}"),
     (cli.CurveRequest, {"curve": "fid_vs_shots", "start": 0.9, "stop": 0.99, "points": 1, "params": PARAMS},
-     ShotBudgetError, "curve needs at least 2 points, got 1"),
+     DomainError, "curve points must be >= 2, got 1"),
     (cli.CurveRequest, {"curve": "fid_vs_shots", "start": 0.99, "stop": 0.9, "points": 5, "params": PARAMS},
      ShotBudgetError, "curve needs start < stop, got [0.99, 0.9]"),
     (PureState, {"amplitudes": [1.0, 0.0, 0.0]}, InvalidState,
@@ -93,7 +93,7 @@ BAD_INPUTS = [
     (ProgramSpec, _spec(name=(3,)), DomainError, "block name: expected a nonempty string, got 3"),
     (ProgramSpec, _spec(g1=(5e4, 1.0)), DomainError, "columns: 'g1' has 2 entries for 1 blocks"),
     (ProgramSpec, _spec(chisq_bins=2.5), DomainError, "bins: expected an integer, got 2.5"),
-    (ProgramSpec, _spec(chisq_bins=2**22 + 2), DomainError, "bins must be at most 4194305, got 4194306"),
+    (ProgramSpec, _spec(chisq_bins=2**22 + 2), DomainError, "bins must lie in [2, 4194305], got 4194306"),
     (ProgramSpec, {**_spec(), "columns": [("a",)]}, DomainError,
      f"columns: expected one column for each BlockSpec field {BlockSpec._fields}"),
     (ProgramSpec, {**_spec(), "chisq_alpha": 0.6, "chisq_beta": 0.5}, DomainError,

@@ -298,7 +298,7 @@ class TestChiSquarePlanning:
         assert tol.CHISQ_MAX_BINS == 2**22 + 1
         assert shots == sorted(shots) and (shots[0], shots[-1]) == (275, 134973)
         for bins in (tol.CHISQ_MAX_BINS + 1, 2**24 + 1):
-            with pytest.raises(DomainError, match=f"^bins must be at most 4194305, got {bins}$"):
+            with pytest.raises(DomainError, match=rf"^bins must lie in \[2, 4194305\], got {bins}$"):
                 shots_chisq(0.1, bins, 0.01, 0.01)
 
     def test_zero_w2_is_degenerate(self):

@@ -11,8 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failure or infeasible strict budget,
 2 input or domain error, 3 degenerate input (nothing to distinguish).
-The console script and `python -m shotbudget` end through entry, which
-flushes the output and calls os._exit: no command pays for teardown.
+The console script and `python -m shotbudget` run main through entry,
+without the cycle collector, and end by os._exit, without teardown.
 
 shots, qcb, chisq, noise and validate take --json.  Each of their cmd_*
 returns one _Result: the JSON document, the table (one cell for the line
@@ -25,6 +25,7 @@ stream their rows.  Errors stay plain "error: ..." on stderr, --json or not.
 """
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -86,10 +87,10 @@ def _write_rows(head: str, row: str, rows, sep: str = "", tail: str = "", out=No
     stdout.write(tail)
 
 
-def _print_table(rows: list, tail: str = "") -> None:
-    """Write rows of text cells, the header row first, in left-aligned columns."""
-    row = "  ".join(f"%-{max(map(len, column))}s" for column in zip(*rows)) + "\n"
-    _write_rows("", row, map(tuple, rows), tail=tail)
+def _print_table(columns: list, tail: str = "") -> None:
+    """Write columns of text cells, each headed by its first cell, as rows of left-aligned cells."""
+    row = "  ".join(f"%-{max(map(len, column))}s" for column in columns) + "\n"
+    _write_rows("", row, zip(*columns), tail=tail)
 
 
 class _Result(NamedTuple):
@@ -115,7 +116,7 @@ def _render(result: _Result, as_json: bool) -> int:
     if as_json:
         print(json.dumps(_jsonable(result.doc), indent=2, allow_nan=False))
     else:
-        _print_table([[_sig6(v) if isinstance(v, float) else str(v) for v in row] for row in result.table])
+        _print_table([*zip(*([_sig6(v) if isinstance(v, float) else str(v) for v in row] for row in result.table))])
         for warning in result.doc.get("warnings", ()):
             print(f"warning: {warning}", file=sys.stderr)
     if "notice" in result.doc:
@@ -306,7 +307,8 @@ def _per_value(fn, values) -> list[str]:
 
 def _json_numbers(values) -> list[str]:
     # json.dumps spells numbers with repr and, after _jsonable, non-finite floats as null
-    return [_JSON_NULL.get(text, text) for text in map(repr, values)]
+    texts = list(map(repr, values))  # searched once: a column seldom holds a non-finite float
+    return [_JSON_NULL.get(t, t) for t in texts] if "inf" in texts or "-inf" in texts or "nan" in texts else texts
 
 
 def _json_kinds(kinds: tuple[str, ...]) -> str:
@@ -349,15 +351,14 @@ def cmd_budget(args: argparse.Namespace) -> int:
                                infeasible=partial(_per_value, "|".join))
         _write_rows(",".join(_BUDGET_FIELDS) + "\n", ",".join(["%s"] * len(_BUDGET_FIELDS)) + "\n", rows)
     else:
-        rows = _formatted_rows(
-            cols, _BUDGET_FIELDS, partial(map, str), weight=partial(map, _sig6),
-            theta=partial(map, _sig6), f_target=partial(map, "{:.10f}".format),
-            infeasible=partial(_per_value, lambda kinds: ",".join(kinds) or "-"),
-        )
+        formats = {"weight": partial(map, _sig6), "theta": partial(map, _sig6),
+                   "f_target": partial(map, "{:.10f}".format),
+                   "infeasible": partial(_per_value, lambda kinds: ",".join(kinds) or "-")}
+        heads = ("block", "n", "weight", "theta", "f_target", "N_inverse", "N_swap",
+                 "N_chi2_small", "N_chi2_attain", "infeasible")
         footer = [f"theta_star   {_sig6(report.theta_star)}", f"total_angle  {_sig6(report.total_angle)}"]
         footer += [f"total_{kind}  {total}" for kind, total in report.totals.items()]
-        _print_table([("block", "n", "weight", "theta", "f_target", "N_inverse", "N_swap",
-                       "N_chi2_small", "N_chi2_attain", "infeasible"), *rows],
+        _print_table([[head, *formats.get(k, partial(map, str))(cols[k])] for head, k in zip(heads, _BUDGET_FIELDS)],
                      "".join(line + "\n" for line in footer))
     if args.strict and report.any_infeasible:
         print("budget infeasible: some shot counts exceed 2^63", file=sys.stderr)
@@ -621,9 +622,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    """Run main, flush its output and end the process by os._exit, without teardown.
-    A stdout that cannot be flushed exits 120 with the interpreter's own message; a
-    closed standard stream, argparse's exits and uncaught exceptions end as usual."""
+    """Run main without the cycle collector, flush its output and end the process by os._exit,
+    without teardown.  A stdout that cannot be flushed exits 120 with the interpreter's own
+    message; a closed standard stream, argparse's exits and uncaught exceptions end as usual."""
+    gc.disable()
     code = main(sys.argv[1:])
     if sys.stdout is None or sys.stderr is None:
         raise SystemExit(code)

@@ -69,12 +69,11 @@ def check_range(what: str, value, low=None, high=None, ends: str = "[]", *, kind
     float: NaN, inf and a number beyond float range are not finite.  complex, a state's entry,
     also takes a complex number and returns a Python complex whose two parts are finite.
     int takes a value with `__index__` but a bool and returns it, float-sized, as a Python
-    int, whose message names the one bound it fails, or an interval with its bounds shown
-    whole.  str takes a nonempty string.
+    int, whose message names the one bound it fails.  str takes a nonempty string.
 
     Messages: "<what> must lie in (0, 1], got 2", "<what> must be >= 1, got 0", "<what>
     must be finite[ and >= 0], got inf", "<what>: expected a number, got True",
-    "<what>: missing".
+    "<what>: missing"; each bound prints as its caller wrote it, an integer whole.
     """
     if type(value) is float and kind is float and high is None and abs(value) <= _FLOAT_MAX and (
             low is None or value >= low):
@@ -95,13 +94,12 @@ def check_range(what: str, value, low=None, high=None, ends: str = "[]", *, kind
         if (abs(value.real) <= _FLOAT_MAX >= abs(value.imag) if kind is complex else abs(value) <= _FLOAT_MAX) and (
                 low is None or value >= low):
             return value if kind is int else kind(value)
-        bounds = ["finite"] + ([] if low is None else [f">= {low:g}"])
+        bounds = ["finite"] + ([] if low is None else [f">= {low}"])
         need = "be " + (bounds[low is not None and value < low] if kind is int else " and ".join(bounds))
     else:  # the bounds are finite, so a value that is not fails them
         if (low < value if ends[0] == "(" else low <= value) and (value < high if ends[1] == ")" else value <= high):
             return float(value) if kind is float else value
-        shown = "d" if kind is int else "g"
-        need = f"lie in {ends[0]}{low:{shown}}, {high:{shown}}{ends[1]}" if abs(value) <= _FLOAT_MAX else "be finite"
+        need = f"lie in {ends[0]}{low}, {high}{ends[1]}" if abs(value) <= _FLOAT_MAX else "be finite"
     raise error(f"{what % args if args else what} must {need}, got {value}")
 
 

@@ -60,8 +60,9 @@ def _state_array(values, square: bool) -> np.ndarray:
         raise InvalidState(f"density matrix must be square, got shape {entries.shape}")
     if entries.shape[0] < 2 or entries.shape[0] & (entries.shape[0] - 1):
         raise InvalidState(f"{what} dimension {entries.shape[0]} is not 2**n for n >= 1")
-    if numeric and np.isfinite(array := entries.astype(np.complex128)).all():
-        return array
+    with np.errstate(over="ignore"):  # a longdouble past complex128's range casts to inf, named below
+        if numeric and np.isfinite(array := entries.astype(np.complex128)).all():
+            return array
     return np.array([check_range(name, entry, kind=complex, error=InvalidState, args=index)
                      for index, entry in np.ndenumerate(entries)]).reshape(entries.shape)
 

@@ -400,6 +400,17 @@ def test_bool_and_string_arrays_are_no_state(build, entry):
         build()
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).maxexp <= np.finfo(np.float64).maxexp, reason="longdouble is a double here")
+@pytest.mark.parametrize("build, entry", [
+    (lambda: PureState(np.array([np.longdouble("1e400"), 0])), "amplitude 0"),
+    (lambda: DensityMatrix(np.array([[0, 0], [0, np.longdouble("1e400")]])), "density matrix entry (1, 1)"),
+], ids=["PureState-longdouble", "DensityMatrix-longdouble"])
+def test_longdouble_arrays_past_complex128_are_not_finite(build, entry):
+    # the cast to complex128 overflows to inf without a warning, and the entry check names it
+    with deadline(1), pytest.raises(InvalidState, match=rf"^{re.escape(entry)} must be finite, got \(inf\+0j\)$"):
+        build()
+
+
 def _compares_type_with_int(node) -> bool:
     """Whether node is a `type(...) is int` test, or its `is not`, `==` or `!=` form."""
     return (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)

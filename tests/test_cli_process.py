@@ -127,6 +127,34 @@ def test_full_device_reports_the_failed_flush(workdir):
         120, _IGNORED + "OSError: [Errno 28] No space left on device\n")
 
 
+# os.wait4's ru_maxrss counts the pages that the forking process held, so a launcher started
+# without site, far smaller than the test process, spawns the child and reports its exit code
+# and peak (KiB on Linux)
+_LAUNCHER = ("import os, sys; pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions="
+             "[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]); _, status, usage = os.wait4(pid, 0); "
+             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
+def _peak_rss_mb(argv, cwd) -> float:
+    run = subprocess.run([sys.executable, "-S", "-c", _LAUNCHER, sys.executable, "-m", "shotbudget", *argv],
+                         cwd=cwd, env=ENV, capture_output=True, timeout=120, check=True)
+    code, peak = map(int, run.stdout.split())
+    assert code == 0, (argv, code)
+    return peak / 1024
+
+
+@pytest.mark.parametrize("argv, flag, small, large", [
+    (["curve", "fid_vs_shots"], "--points", 1_000, 100_000),
+    # 2 and 62 blocks of 2^16 trials
+    (["validate", "--scenario", "inverse", "--fidelity", "0.9", "--shots", "5"], "--trials", 70_000, 4_000_000),
+], ids=["curve", "validate"])
+def test_peak_rss_does_not_grow_with_the_run(argv, flag, small, large, workdir):
+    # entry runs main without the cycle collector, so a cycle left behind per row or per
+    # block would pile up; 100k curve rows held at once would take ~10 MB
+    peaks = [_peak_rss_mb([*argv, flag, str(size)], workdir) for size in (small, large)]
+    assert peaks[1] < peaks[0] + 2.0, peaks
+
+
 def test_only_entry_ends_the_process_without_teardown():
     # main, and every library function, return to their caller
     calls = []

@@ -50,19 +50,19 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _state_array(values, square: bool) -> np.ndarray:
     """A state's own complex128 copy of values, square or else flattened, 2**n entries a side.
-    A numeric array of finite entries passes in one numpy pass; any other input goes to
-    `check_range` entry by entry before numpy converts it, so a bool or a string fails by name."""
+    A numeric array that complex128 holds, of finite entries, passes in one numpy pass; any other
+    input goes to `check_range` entry by entry before numpy converts it, so a bool, a string or a
+    longdouble beyond complex128's range fails by name."""
     what, name = ("density matrix", "density matrix entry (%d, %d)") if square else ("state vector", "amplitude %d")
-    numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iufc"
+    numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iufc" and np.can_cast(values.dtype, complex)
     entries = np.asarray(values, dtype=None if numeric else object)
     entries = entries if square else entries.reshape(-1)
     if square and (entries.ndim != 2 or entries.shape[0] != entries.shape[1]):
         raise InvalidState(f"density matrix must be square, got shape {entries.shape}")
     if entries.shape[0] < 2 or entries.shape[0] & (entries.shape[0] - 1):
         raise InvalidState(f"{what} dimension {entries.shape[0]} is not 2**n for n >= 1")
-    with np.errstate(over="ignore"):  # a longdouble past complex128's range casts to inf, named below
-        if numeric and np.isfinite(array := entries.astype(np.complex128)).all():
-            return array
+    if numeric and np.isfinite(array := entries.astype(np.complex128)).all():
+        return array
     return np.array([check_range(name, entry, kind=complex, error=InvalidState, args=index)
                      for index, entry in np.ndenumerate(entries)]).reshape(entries.shape)
 

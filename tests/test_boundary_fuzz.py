@@ -406,7 +406,8 @@ def test_bool_and_string_arrays_are_no_state(build, entry):
     (lambda: DensityMatrix(np.array([[0, 0], [0, np.longdouble("1e400")]])), "density matrix entry (1, 1)"),
 ], ids=["PureState-longdouble", "DensityMatrix-longdouble"])
 def test_longdouble_arrays_past_complex128_are_not_finite(build, entry):
-    # the cast to complex128 overflows to inf without a warning, and the entry check names it
+    # complex128 cannot hold every longdouble, so the entries go one by one through the entry
+    # check, which reads one beyond float range as not finite, and numpy warns of no overflow
     with deadline(1), pytest.raises(InvalidState, match=rf"^{re.escape(entry)} must be finite, got \(inf\+0j\)$"):
         build()
 

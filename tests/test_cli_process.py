@@ -150,7 +150,7 @@ def _peak_rss_mb(argv, cwd) -> float:
 ], ids=["curve", "validate"])
 def test_peak_rss_does_not_grow_with_the_run(argv, flag, small, large, workdir):
     # entry runs main without the cycle collector, so a cycle left behind per row or per
-    # block would pile up; 100k curve rows held at once would take ~10 MB
+    # block would pile up; 100k curve rows held at once take ~15 MB
     peaks = [_peak_rss_mb([*argv, flag, str(size)], workdir) for size in (small, large)]
     assert peaks[1] < peaks[0] + 2.0, peaks
 

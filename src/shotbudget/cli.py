@@ -116,7 +116,7 @@ def _render(result: _Result, as_json: bool) -> int:
     if as_json:
         print(json.dumps(_jsonable(result.doc), indent=2, allow_nan=False))
     else:
-        _print_table([*zip(*([_sig6(v) if isinstance(v, float) else str(v) for v in row] for row in result.table))])
+        _print_table([[_sig6(v) if isinstance(v, float) else str(v) for v in column] for column in zip(*result.table)])
         for warning in result.doc.get("warnings", ()):
             print(f"warning: {warning}", file=sys.stderr)
     if "notice" in result.doc:

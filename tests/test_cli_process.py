@@ -147,7 +147,12 @@ def _peak_rss_mb(argv, cwd) -> float:
     (["curve", "fid_vs_shots"], "--points", 1_000, 100_000),
     # 2 and 62 blocks of 2^16 trials
     (["validate", "--scenario", "inverse", "--fidelity", "0.9", "--shots", "5"], "--trials", 70_000, 4_000_000),
-], ids=["curve", "validate"])
+    (["validate", "--scenario", "binomial", "--q0", "0.99", "--q1", "0.9", "--shots", "5"], "--trials",
+     70_000, 4_000_000),
+    # 2 and 16 blocks: a chisq block draws 100 shots over three bins
+    (["validate", "--scenario", "chisq", "--p", "p3.json", "--q", "q3.json", "--shots", "100"], "--trials",
+     70_000, 1_000_000),
+], ids=["curve", "validate", "validate-binomial", "validate-chisq"])
 def test_peak_rss_does_not_grow_with_the_run(argv, flag, small, large, workdir):
     # entry runs main without the cycle collector, so a cycle left behind per row or per
     # block would pile up; 100k curve rows held at once take ~15 MB

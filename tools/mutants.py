@@ -2,23 +2,23 @@
 
 Each mutant changes one line of `src/shotbudget`: a comparison's direction or
 strictness, an interval's bracket or bound, or a tolerance used at 10x its
-value.  The runner copies the repository once to a scratch directory, applies
-each mutant there in turn, runs the tier-1 suite with `pytest -x` under a time
-cap, restores the file and reports the mutant as killed (a test failed),
-survived (every test passed) or hung (the cap ran out).  A mutant whose line
-is no longer in the source is reported stale, so the list keeps up with the
-code.  An equivalent mutant, which no input can tell apart from the code, is
-listed with its reason and expected to survive.
+value.  The runner copies the repository once to a new temporary directory,
+applies each mutant there in turn, runs the tier-1 suite with `pytest -x` under
+a 150 s cap, restores the file and reports the mutant as killed (a test
+failed), survived (every test passed) or hung (the cap ran out).  A mutant
+whose line is no longer in the source is reported stale, so the list keeps up
+with the code.  An equivalent mutant, which no input can tell apart from the
+code, is listed with its reason and expected to survive.
 
 A surviving mutant costs a full tier-1 run, so this script is not part of
 tier-1 (`testpaths` is `tests`).  Run it from the repository root:
 
-    python tools/mutants.py [--scratch DIR] [--cap SECONDS] [--only SUBSTRING]
+    python tools/mutants.py
 
-It exits 0 when every mutant not marked equivalent is killed.
+It runs the whole list, removes the copy and exits 0 when every mutant not
+marked equivalent is killed.
 """
 
-import argparse
 import os
 import pathlib
 import shutil
@@ -28,6 +28,7 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+CAP_SECONDS = 150.0  # one tier-1 run; a mutant that outlasts it is reported hung
 
 # (module under src/shotbudget, the source text as it stands, its mutant, the reason it is
 # equivalent or None).  The source text is unique in its module; where one line occurs twice,
@@ -92,7 +93,7 @@ MUTANTS = [
 ]
 
 
-def run(scratch: pathlib.Path, module: str, source: str, mutant: str, cap: float) -> tuple[str, float]:
+def run(scratch: pathlib.Path, module: str, source: str, mutant: str) -> tuple[str, float]:
     """Apply one mutant in scratch, run tier-1 there and restore the module: (outcome, seconds)."""
     path = scratch / "src" / "shotbudget" / module
     text = path.read_text(encoding="utf-8")
@@ -103,7 +104,7 @@ def run(scratch: pathlib.Path, module: str, source: str, mutant: str, cap: float
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
     start = time.perf_counter()
     try:
-        done = subprocess.run(command, cwd=scratch, env=env, capture_output=True, timeout=cap)
+        done = subprocess.run(command, cwd=scratch, env=env, capture_output=True, timeout=CAP_SECONDS)
         outcome = "survived" if done.returncode == 0 else "killed"
     except subprocess.TimeoutExpired:
         outcome = "hung"
@@ -113,26 +114,19 @@ def run(scratch: pathlib.Path, module: str, source: str, mutant: str, cap: float
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--scratch", help="directory for the copy of the repository (default: a new temporary one)")
-    parser.add_argument("--cap", type=float, default=150.0, help="seconds one tier-1 run may take (default 150)")
-    parser.add_argument("--only", default="", help="run only the mutants whose module or text holds this")
-    args = parser.parse_args()
-    scratch = pathlib.Path(args.scratch or tempfile.mkdtemp(prefix="mutants-")) / "repo"
-    shutil.rmtree(scratch, ignore_errors=True)
-    shutil.copytree(ROOT, scratch, ignore=shutil.ignore_patterns(
-        ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_work"))
-    print("| module | mutant | outcome | seconds |\n| --- | --- | --- | --- |", flush=True)
     failed = 0
-    for module, source, mutant, equivalent in MUTANTS:
-        if args.only not in module + source + mutant:
-            continue
-        outcome, seconds = run(scratch, module, source, mutant, args.cap)
-        expected = "survived" if equivalent else "killed"
-        failed += outcome != expected
-        note = f" (equivalent: {equivalent})" if equivalent else ""
-        shown = mutant.splitlines()[0].replace("|", "\\|")
-        print(f"| `{module}` | `{shown}` | {outcome}{note} | {seconds:.0f} |", flush=True)
+    with tempfile.TemporaryDirectory(prefix="mutants-") as parent:
+        scratch = pathlib.Path(parent) / "repo"
+        shutil.copytree(ROOT, scratch, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_work"))
+        print("| module | mutant | outcome | seconds |\n| --- | --- | --- | --- |", flush=True)
+        for module, source, mutant, equivalent in MUTANTS:
+            outcome, seconds = run(scratch, module, source, mutant)
+            expected = "survived" if equivalent else "killed"
+            failed += outcome != expected
+            note = f" (equivalent: {equivalent})" if equivalent else ""
+            shown = mutant.splitlines()[0].replace("|", "\\|")
+            print(f"| `{module}` | `{shown}` | {outcome}{note} | {seconds:.0f} |", flush=True)
     return 1 if failed else 0
 
 

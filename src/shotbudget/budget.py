@@ -330,8 +330,8 @@ def parse_program_spec(obj: dict) -> ProgramSpec:
     if not isinstance(chisq, dict):
         raise DomainError("/chisq: expected an object")
     bins = check_range("/chisq/bins", chisq.get("bins", 16), 2, tol.CHISQ_MAX_BINS, kind=int)
-    alpha = check_range("/chisq/alpha", chisq.get("alpha", 0.01), 0, 1, "()")
-    beta = check_range("/chisq/beta", chisq.get("beta", 0.01), 0, 1, "()")
+    alpha = check_range("/chisq/alpha", chisq.get("alpha", 0.01), tol.ERROR_RATE_FLOOR, 1, "()")
+    beta = check_range("/chisq/beta", chisq.get("beta", 0.01), tol.ERROR_RATE_FLOOR, 1, "()")
 
     hw = obj.get("hardware")
     if not isinstance(hw, dict):

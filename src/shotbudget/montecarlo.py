@@ -38,6 +38,7 @@ from .stat_power import (
     chi2_quantile,
     chisq_validity,
 )
+from . import tolerances as tol
 
 __all__ = [
     "McConfig",
@@ -75,7 +76,6 @@ class McResult(NamedTuple):
     estimate: float
     trials: int
     warnings: tuple[str, ...] = ()
-    uniforms_drawn: int = 0  # draws generated; a diagnostic kept out of the CLI output
 
 
 def _trial_blocks(config: McConfig):
@@ -90,15 +90,14 @@ def _count_below(seeds, p: float, lengths, starts=0, stop_after: int | None = No
     Walks column tiles over the live rows in row blocks of at most
     _CHUNK_ELEMENTS draws, masking draws past a row's length.  With
     stop_after = k a row leaves after the tile that holds its k-th draw >= p;
-    its count is then at most lengths[i] - k, and exact otherwise.  Returns
-    the counts and the number of draws generated.
+    its count is then at most lengths[i] - k, and exact otherwise.
     """
     lengths, starts = np.broadcast_to(lengths, seeds.shape), np.broadcast_to(starts, seeds.shape)
     limit = np.uint64(min(math.ceil(p * 2.0**53), 2**53))
     counts = np.zeros(seeds.size, dtype=np.int64)
     scratch = np.empty(2 * _CHUNK_ELEMENTS, dtype=np.uint64)
     live = np.flatnonzero(lengths > 0)
-    done = drawn = 0
+    done = 0
     while live.size:
         width = int(lengths[live].max()) - done
         if stop_after:
@@ -112,30 +111,28 @@ def _count_below(seeds, p: float, lengths, starts=0, stop_after: int | None = No
             if left.min() < width:
                 below &= np.arange(width) < left[:, None]
             counts[rows] += np.count_nonzero(below, axis=1)
-            drawn += below.size
         done += width
         live = live[lengths[live] > done]
         if stop_after:
             live = live[done - counts[live] < stop_after]
-    return counts, drawn
+    return counts
 
 
-def _early_exit(p: float, n_shots: int, stop_after: int, config: McConfig) -> tuple[int, int]:
-    """Trials with at least stop_after of their n_shots draws >= p, and the draws generated."""
-    reached = drawn = 0
+def _early_exit(p: float, n_shots: int, stop_after: int, config: McConfig) -> int:
+    """Trials with at least stop_after of their n_shots draws >= p."""
+    reached = 0
     for seeds in _trial_blocks(config):
-        counts, used = _count_below(seeds, p, n_shots, stop_after=stop_after)
+        counts = _count_below(seeds, p, n_shots, stop_after=stop_after)
         reached += int(np.count_nonzero(n_shots - counts >= stop_after))
-        drawn += used
-    return reached, drawn
+    return reached
 
 
 def _miss_rate(fid: float, formula: Formula, n_shots: int, config: McConfig) -> McResult:
     """Trials in which all n_shots shots accept at the formula's per-shot acceptance."""
     fid = check_range("fidelity", fid, 0, 1, "[)")  # at 1 every shot accepts, so no trial misses
     n_shots = check_count("n_shots", n_shots)
-    rejected, drawn = _early_exit(FORMULAS[formula].per_shot(fid), n_shots, 1, config)
-    return McResult((config.trials - rejected) / config.trials, config.trials, (), drawn)
+    rejected = _early_exit(FORMULAS[formula].per_shot(fid), n_shots, 1, config)
+    return McResult((config.trials - rejected) / config.trials, config.trials)
 
 
 def simulate_inverse_miss_rate(fid: float, n_shots: int, config: McConfig) -> McResult:
@@ -161,17 +158,17 @@ def simulate_chisq_power(p: Distribution, q: Distribution, n_shots: int, alpha: 
     """Rejection rate of the chi-square test when data follow p and q is tested.
 
     Each trial samples a multinomial of n_shots outcomes from p, adds each
-    bin's Pearson term against q as that bin is drawn, and rejects above
+    bin's Pearson term against q as that bin is sampled, and rejects above
     the central 1 - alpha quantile at k - 1 degrees of freedom.  With p = q
     this estimates the realized Type I rate; with p != q, the power.  Results
     carry the chi-square validity warnings for the planned shot count.
     A bin-count mismatch or a zero reference bin raises before any draw.
     """
     n_shots = check_count("n_shots", n_shots)
-    alpha = check_range("alpha", alpha, 0, 1, "()")
+    alpha = check_range("alpha", alpha, tol.ERROR_RATE_FLOOR, 1, "()")
     chi2_distance(p, q)  # raises DimensionMismatch or ZeroExpectedBin
     crit = chi2_quantile(1.0 - alpha, float(q.k - 1))
-    rejections = drawn = 0
+    rejections = 0
     with np.errstate(over="ignore"):  # a reference bin below ~1e-300 / n_shots: its Pearson term is inf
         for seeds in _trial_blocks(config):
             position = np.zeros(seeds.size, dtype=np.int64)
@@ -180,15 +177,14 @@ def simulate_chisq_power(p: Distribution, q: Distribution, n_shots: int, alpha: 
             tail = 1.0
             for p_i, q_i in zip(p.probs[:-1], q.probs):
                 p_cond = 1.0 if tail <= p_i else p_i / tail
-                counts, used = _count_below(seeds, p_cond, remaining, position)
+                counts = _count_below(seeds, p_cond, remaining, position)
                 stat += (counts - n_shots * q_i) ** 2 / (n_shots * q_i)
-                drawn += used
                 position += remaining
                 remaining -= counts
                 tail = max(tail - p_i, 0.0)
             stat += (remaining - n_shots * q.probs[-1]) ** 2 / (n_shots * q.probs[-1])
             rejections += int(np.count_nonzero(stat > crit))
-    return McResult(rejections / config.trials, config.trials, chisq_validity(n_shots, q), drawn)
+    return McResult(rejections / config.trials, config.trials, chisq_validity(n_shots, q))
 
 
 def simulate_binomial_detection(
@@ -208,5 +204,5 @@ def simulate_binomial_detection(
         raise BaselineNotAboveTarget(f"true rate q1={q1} exceeds baseline q0={q0}")
     n_shots = check_count("shot count", n_shots)
     threshold = binomial_rejection_threshold(n_shots, q0, alpha)
-    detected, drawn = _early_exit(q1, n_shots, n_shots - threshold, config)
-    return McResult(detected / config.trials, config.trials, (), drawn)
+    detected = _early_exit(q1, n_shots, n_shots - threshold, config)
+    return McResult(detected / config.trials, config.trials)

@@ -120,7 +120,7 @@ def lentz_fraction(b0: float, terms: Iterable[tuple[float, float]], rtol: float,
     """1 / (b0 + a1 / (b1 + a2 / (b2 + ...))) over the (a_i, b_i) pairs of terms, by the
     modified Lentz method, to the first step that moves it by under rtol (relative).
     NoConvergence, naming `what % args`, if the terms run out first."""
-    tiny = 1e-300
+    tiny = 1e-150  # stands in for a zero; 1 / tiny**2 stays finite, so d * c cannot overflow
     c = 1.0 / tiny
     d = 1.0 / b0 if b0 != 0.0 else c
     h = d

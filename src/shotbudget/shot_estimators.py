@@ -144,11 +144,11 @@ def estimate(formula: Formula, x: float, p_e: float, regime_factor: float = 1.0,
                         conservative=conservative)
 
 
-def shots_inverse_ideal(fid: float, p_e: float, *, conservative: bool = False) -> ShotEstimate:
+def shots_inverse_ideal(fid: float, p_e: float) -> ShotEstimate:
     """Inverse (compute-uncompute) test on ideal hardware: N = ln(p_e) / ln(F)."""
-    return estimate(Formula.INVERSE_IDEAL, fid, p_e, conservative=conservative)
+    return estimate(Formula.INVERSE_IDEAL, fid, p_e)
 
 
-def shots_swap_ideal(fid: float, p_e: float, *, conservative: bool = False) -> ShotEstimate:
+def shots_swap_ideal(fid: float, p_e: float) -> ShotEstimate:
     """Swap test on ideal hardware: N = ln(p_e) / ln(1/2 + F/2)."""
-    return estimate(Formula.SWAP_IDEAL, fid, p_e, conservative=conservative)
+    return estimate(Formula.SWAP_IDEAL, fid, p_e)

@@ -174,7 +174,7 @@ def lambda_noncentral(df: int, alpha: float, power: float) -> float:
     left side equals alpha, so power must exceed alpha.
     """
     df = check_range("degrees of freedom", df, 1, kind=int)
-    alpha, power = check_range("alpha", alpha, 0, 1, "()"), check_range("power", power)
+    alpha, power = check_range("alpha", alpha, tol.ERROR_RATE_FLOOR, 1, "()"), check_range("power", power)
     if not alpha < power < 1.0:  # the low end is alpha itself, named in the message
         raise DomainError(f"power must lie in (alpha, 1), got {power}")
     crit = chi2_quantile(1.0 - alpha, float(df))
@@ -195,8 +195,9 @@ class ChiSquarePlan(NamedTuple):
 
 def _check_chisq(bins: int, alpha: float, beta: float) -> tuple[int, float, float]:
     bins = check_range("bins", bins, 2, tol.CHISQ_MAX_BINS, kind=int)
-    alpha, beta = check_range("alpha", alpha, 0, 1, "()"), check_range("beta", beta, 0, 1, "()")
-    if not alpha < 1.0 - beta < 1.0:  # lambda_noncentral's rule on the power, checked before its search
+    alpha = check_range("alpha", alpha, tol.ERROR_RATE_FLOOR, 1, "()")
+    beta = check_range("beta", beta, tol.ERROR_RATE_FLOOR, 1, "()")
+    if not alpha < 1.0 - beta:  # lambda_noncentral's rule on the power, checked before its search
         raise DomainError(f"power must lie in (alpha, 1), got {1.0 - beta}")
     return bins, alpha, beta
 
@@ -287,12 +288,11 @@ def two_proportion_shots(
     variant swaps z_{1-a} for z_{1-a/2}.  Neither z may be negative.
     """
     q0, q1 = check_range("q0", q0, 0, 1), check_range("q1", q1, 0, 1)
-    alpha, beta = check_range("alpha", alpha, 0, 1, "()"), check_range("beta", beta, 0, 1, "()")
+    alpha = check_range("alpha", alpha, tol.ERROR_RATE_FLOOR * (1 if one_sided else 2), 1, "()")  # 1 - alpha/2
+    beta = check_range("beta", beta, tol.ERROR_RATE_FLOOR, 1, "()")
     if q1 >= q0:
         raise BaselineNotAboveTarget(f"baseline q0={q0} must exceed degraded q1={q1}")
     p_a, p_b = 1.0 - (alpha if one_sided else alpha / 2.0), 1.0 - beta
-    for p in (p_a, p_b):  # an alpha or beta below ~1e-16 rounds 1 - it to 1
-        check_range("quantile probability", p, 0, 1, "()")
     if min(p_a, p_b) < 0.5:  # a negative z value would grow the count as the test loosens
         raise DomainError(f"alpha (one-sided) and beta must be at most 0.5, got alpha={alpha}, beta={beta}")
     from statistics import NormalDist  # local: it loads decimal and fractions (~2-4 ms)

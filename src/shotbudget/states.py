@@ -147,15 +147,11 @@ class QcbResult(NamedTuple):
 
     q is min over s in [0, 1] of Tr(rho^s sigma^(1-s)); exponent is
     -ln(q), infinite when the supports are disjoint and q = 0.
-
-    evaluations counts the objective calls the search made; it is a
-    diagnostic and stays out of the CLI output.
     """
 
     q: float
     s_star: float
     exponent: float
-    evaluations: int = 0
 
 
 def _density_pair(rho, sigma) -> list[DensityMatrix]:
@@ -258,7 +254,7 @@ def qcb_q(rho, sigma) -> QcbResult:
     convex in s (Audenaert et al., PRL 98, 160501, 2007), so a golden-
     section search over all of [0, 1] to a 1e-10 bracket finds the
     interior minimum; f(0) and f(1) are then compared with it, and ties
-    go to the smaller s.  That is about 53 objective calls in all.  For
+    go to the smaller s.  That is 53 objective calls in all.  For
     commuting states this reduces to the classical Chernoff bound; if
     either state is pure the objective is monotone and the minimum sits
     on an endpoint.  If both are pure it is constant, so no search runs
@@ -278,27 +274,20 @@ def qcb_q(rho, sigma) -> QcbResult:
     """
     dm_rho, dm_sigma = _density_pair(rho, sigma)
     objective = _chernoff_objective(dm_rho, dm_sigma)
-    evaluations = 0
-
-    def counted(s: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return objective(s)
-
     ranks = [np.count_nonzero(_support_mask(dm.eigensystem()[0])) for dm in (dm_rho, dm_sigma)]
     if np.array_equal(dm_rho.matrix, dm_sigma.matrix):
         # one state twice: f is 1 on all of [0, 1], however its spectrum rounds
         q_min, s_star = 1.0, 0.0
     elif ranks == [1, 1]:
         # two rank-1 supports: f is the constant |<u|v>|^2, and ties go to s = 0
-        q_min, s_star = counted(0.0), 0.0
+        q_min, s_star = objective(0.0), 0.0
     else:
-        s_in, q_in = minimize_unimodal(counted, 0.0, 1.0, tol.QCB_S_TOL)
-        q_min, s_star = min((q_in, s_in), (counted(0.0), 0.0), (counted(1.0), 1.0))
+        s_in, q_in = minimize_unimodal(objective, 0.0, 1.0, tol.QCB_S_TOL)
+        q_min, s_star = min((q_in, s_in), (objective(0.0), 0.0), (objective(1.0), 1.0))
     q = _clamp_unit(q_min, "Chernoff Q")
     # + 0.0 normalizes the -0.0 that -log(1.0) would produce
     exponent = math.inf if q == 0.0 else -math.log(q) + 0.0
-    return QcbResult(q=q, s_star=s_star, exponent=exponent, evaluations=evaluations)
+    return QcbResult(q=q, s_star=s_star, exponent=exponent)
 
 
 def q_bounds_mixed(fid: float) -> tuple[float, float]:

@@ -35,6 +35,9 @@ ROOT_MAX_BISECTIONS = 200
 # Noncentral chi-square CDF: Poisson mixture tail mass dropped.
 POISSON_TAIL = 1e-12
 
+# Alpha and beta must exceed this wherever 1 - alpha or 1 - beta is taken: 1 - 2^-54 rounds to 1.
+ERROR_RATE_FLOOR = 2.0**-54
+
 # Chi-square bin cap: past ~4.96e6 bins the gamma series runs out of its terms.
 CHISQ_MAX_BINS = 2**22 + 1
 

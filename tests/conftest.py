@@ -1,11 +1,14 @@
 """Shared builders for random test states, the grid oracle for Chernoff Q,
 the scalar splitmix64 reference for the vectorized streams in `rng`, and
 the O(n) log-space binomial tail the package used before its incomplete
-beta route, and a wall-clock deadline for cases that must fail fast."""
+beta route, a wall-clock deadline for cases that must fail fast, and
+`counting`, which counts solver work from outside the package."""
 
 import contextlib
+import importlib
 import math
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +63,67 @@ def deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _calls(fn, add):
+    """fn, adding 1 per call."""
+    def counted(*args, **kwargs):
+        add(1)
+        return fn(*args, **kwargs)
+    return counted
+
+
+def _items(iterable, add):
+    """The items of iterable, adding 1 per item taken."""
+    for item in iterable:
+        add(1)
+        yield item
+
+
+def _sizes(fn, add):
+    """fn, adding the size of each array it returns."""
+    def sized(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        add(result.size)
+        return result
+    return sized
+
+
+# work -> (module, function, how a wrapper of the function adds to the work's count)
+WORK = {
+    "eigensolves": ("numerics", "hermitian_eigendecomposition", _calls),
+    "objective_calls": ("states", "_chernoff_objective", lambda fn, add: lambda *a: _calls(fn(*a), add)),
+    "gamma_calls": ("numerics", "regularized_gamma_p", _calls),
+    "root_evaluations": ("numerics", "solve_increasing", lambda fn, add: lambda f, *a: fn(_calls(f, add), *a)),
+    "fraction_terms": ("numerics", "lentz_fraction",
+                       lambda fn, add: lambda b0, terms, *a: fn(b0, _items(terms, add), *a)),
+    "uniforms": ("rng", "uniform_block", _sizes),
+}
+
+
+@contextlib.contextmanager
+def counting(*works):
+    """Count the named kinds of WORK (all by default) done in the block, into the dict it yields.
+
+    Each function is replaced by a counting wrapper in every shotbudget module that holds it,
+    which is where its callers look it up, and restored on exit.
+    """
+    counts = dict.fromkeys(works or WORK, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        for work in counts:
+            home, name, wrap = WORK[work]
+
+            def add(n, work=work):
+                counts[work] += n
+
+            original = getattr(importlib.import_module(f"shotbudget.{home}"), name)
+            wrapper = wrap(original, add)
+            for key, module in list(sys.modules.items()):
+                if key.partition(".")[0] == "shotbudget":
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            patch.setattr(module, attr, wrapper)
+        yield counts
 
 
 def qcb_grid_oracle(rho, sigma, grid_points: int = 100_001) -> tuple[float, float]:

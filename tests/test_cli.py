@@ -298,19 +298,22 @@ class TestNoise:
         assert cli.main(["noise", "plan", "--q0", "1.0"]) == 2
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["noise", "plan", "--q0", "0.99", "--q1", "0.9", "--alpha", "1e-17"],
-            ["noise", "plan", "--q0", "0.99", "--q1", "0.9", "--beta", "1e-17"],
-            ["curve", "noise_binomial", "--alpha", "1e-17", "--points", "3"],
+            (["noise", "plan", "--q0", "0.99", "--q1", "0.9", "--alpha", "1e-17"],
+             "alpha must lie in (5.551115123125783e-17, 1), got 1e-17"),
+            (["noise", "plan", "--q0", "0.99", "--q1", "0.9", "--beta", "1e-17"],
+             "beta must lie in (5.551115123125783e-17, 1), got 1e-17"),
+            (["curve", "noise_binomial", "--alpha", "1e-17", "--points", "3"],
+             "alpha must lie in (5.551115123125783e-17, 1), got 1e-17"),
         ],
     )
-    def test_quantile_probability_rounding_to_one_rejected(self, argv, capsys):
-        # 1 - 1e-17 rounds to 1, where the normal quantile is infinite
+    def test_quantile_probability_rounding_to_one_rejected(self, argv, message, capsys):
+        # 1 - 1e-17 rounds to 1, where the normal quantile is infinite: the flag is named
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: quantile probability must lie in (0, 1), got 1.0\n"
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv, alpha, beta",
@@ -634,7 +637,7 @@ class TestCurve:
         (["noise", "plan", "--q0", "1.5", "--q1", "0.9"],
          "q0 must lie in [0, 1], got 1.5"),
         (["noise", "plan", "--q0", "0.99", "--q1", "0.9", "--alpha", "0"],
-         "alpha must lie in (0, 1), got 0.0"),
+         "alpha must lie in (5.551115123125783e-17, 1), got 0.0"),
         (["validate", "--scenario", "inverse", "--fidelity", "1.0", "--shots", "10"],
          "fidelity must lie in [0, 1), got 1.0"),
         (["curve", "test_comparison", "--bins", "1"], "bins must lie in [2, 4194305], got 1"),
@@ -642,7 +645,13 @@ class TestCurve:
         (["chisq", "--w2", "0.01", "--bins", "4194306"], "bins must lie in [2, 4194305], got 4194306"),
         (["chisq", "--w2", "0.01", "--bins", "16777217"], "bins must lie in [2, 4194305], got 16777217"),
         (["curve", "test_comparison", "--bins", "16,4194306"], "bins must lie in [2, 4194305], got 4194306"),
-        (["curve", "test_comparison", "--beta", "1.5"], "beta must lie in (0, 1), got 1.5"),
+        (["curve", "test_comparison", "--beta", "1.5"], "beta must lie in (5.551115123125783e-17, 1), got 1.5"),
+        # at or below 2^-54, 1 - alpha and 1 - beta round to 1; a two-sided plan halves alpha first
+        (["chisq", "--w2", "0.01", "--alpha", "1e-17"], "alpha must lie in (5.551115123125783e-17, 1), got 1e-17"),
+        (["chisq", "--w2", "0.01", "--beta", "1e-17"], "beta must lie in (5.551115123125783e-17, 1), got 1e-17"),
+        (["curve", "test_comparison", "--alpha", "1e-17"], "alpha must lie in (5.551115123125783e-17, 1), got 1e-17"),
+        (["noise", "plan", "--q0", "0.99", "--q1", "0.9", "--alpha", "1e-16", "--two-sided"],
+         "alpha must lie in (1.1102230246251565e-16, 1), got 1e-16"),
         # a power 1 - beta at or below alpha: the boundary itself is rejected
         (["chisq", "--w2", "0.01", "--alpha", "0.5", "--beta", "0.5"], "power must lie in (alpha, 1), got 0.5"),
         (["curve", "test_comparison", "--alpha", "0.6", "--beta", "0.5"], "power must lie in (alpha, 1), got 0.5"),
@@ -704,11 +713,16 @@ def _state(n="1", data="[[1, 0], [0, 0]]", kind="pure"):
          "power must lie in (alpha, 1), got 0.5"),
         ("budget", _SPEC.replace('"blocks"', '"chisq": {"bins": 4194306}, "blocks"'),
          "/chisq/bins must lie in [2, 4194305], got 4194306"),
+        ("budget", _SPEC.replace('"blocks"', '"chisq": {"alpha": 1e-17}, "blocks"'),
+         "/chisq/alpha must lie in (5.551115123125783e-17, 1), got 1e-17"),
+        # a good distribution file, then a bad flag
+        ("validate", "[0.5, 0.5]", "alpha must lie in (5.551115123125783e-17, 1), got 1e-17"),
         ("qcb", "[1, 0]", "state document must be a JSON object, got list"),
     ],
     ids=["bin_huge_int", "bin_float_overflow", "bin_bool", "bin_string", "data_huge_int", "data_bool",
          "data_string", "n_bool", "n_zero", "data_not_list", "malformed_pair", "density_size",
-         "spec_huge_int", "spec_bool", "spec_string", "spec_chisq_power", "spec_chisq_bins", "state_not_object"],
+         "spec_huge_int", "spec_bool", "spec_string", "spec_chisq_power", "spec_chisq_bins", "spec_chisq_alpha",
+         "validate_chisq_alpha", "state_not_object"],
 )
 def test_bad_input_files_exit_2_with_one_error_line(command, text, message, tmp_path, capsys):
     # distribution, state and spec files: the entry is named and nothing is traced back
@@ -716,7 +730,9 @@ def test_bad_input_files_exit_2_with_one_error_line(command, text, message, tmp_
     bad.write_text(text)
     path = str(bad)
     argv = {"chisq": ["chisq", "--p", path, "--q", path], "qcb": ["qcb", path, path],
-            "budget": ["budget", "--spec", path]}[command]
+            "budget": ["budget", "--spec", path],
+            "validate": ["validate", "--scenario", "chisq", "--p", path, "--q", path, "--shots", "10",
+                         "--alpha", "1e-17"]}[command]
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 

@@ -27,6 +27,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import counting
 from shotbudget import cli
 from shotbudget.shot_estimators import Formula, estimate
 
@@ -54,6 +55,8 @@ CASES = {
     "qcb_pure": ["qcb", "{zero}", "{tilted}", "--pe", "0.01"],
     "qcb_orthogonal": ["qcb", "{zero}", "{one}", "--pe", "0.01"],
     "qcb_identical": ["qcb", "{zero}", "{zero}", "--pe", "0.01"],
+    # two full-rank states: the golden-section search runs
+    "qcb_mixed": ["qcb", "{mixed_a}", "{mixed_b}", "--pe", "0.01"],
     "curve_fid_vs_shots": ["curve", "fid_vs_shots", "--points", "5"],
     "curve_test_comparison": ["curve", "test_comparison", "--points", "5"],
     "curve_noise_binomial": ["curve", "noise_binomial", "--points", "5"],
@@ -100,6 +103,8 @@ GOLDEN = {
     ('decide_1e5', True): (0, "8659a9630a658d6eb5b17f7a4b8e206f0061ae6803f6a53b8eb86ab0006bad38"),
     ('qcb_identical', False): (3, "1776234f4d4cba380f8bef8a63fba97a53bdf7c499409dc89b527e8756e24bd8"),
     ('qcb_identical', True): (3, "cefcc3a8fcf5be50b2c8b41f437a8b4797c69b887373bf52f47877adce97bb30"),
+    ('qcb_mixed', False): (0, "b4681c27a9707f03f4355ec3af3a1c32c1e2cb72493354ae8fb03e144eb44bcf"),
+    ('qcb_mixed', True): (0, "5f2d9f805e74d9687eebee4fe1efebadb23894de52e1950b6e09f7bc1c637631"),
     ('qcb_orthogonal', False): (0, "ecd675b9f89ce108f1f0895e9b4d217bbeb7edebdcaf9539897fe43a172b20e0"),
     ('qcb_orthogonal', True): (0, "2bb22777b997b10084dadc2958ea34521c7edab9c9f8d569409c437e6b7176a2"),
     ('qcb_pure', False): (0, "98f46b5e74d7852257a1f9eee8b45b1f3b9c7401c2f897f1dac182a24b8c7c27"),
@@ -194,6 +199,9 @@ def input_dir(tmp_path_factory):
     states = {"zero": [1.0, 0.0], "one": [0.0, 1.0], "tilted": [math.cos(0.3), math.sin(0.3)]}
     docs = {name: {"kind": "pure", "n": 1, "data": [[a, 0.0] for a in amplitudes]}
             for name, amplitudes in states.items()}
+    densities = {"mixed_a": [0.7, 0.2 + 0.1j, 0.2 - 0.1j, 0.3], "mixed_b": [0.4, -0.1, -0.1, 0.6]}
+    docs.update({name: {"kind": "density", "n": 1, "data": [[complex(z).real, complex(z).imag] for z in entries]}
+                 for name, entries in densities.items()})
     docs.update(flat=[0.25, 0.25, 0.25, 0.25], skew=[0.4, 0.2, 0.2, 0.2],
                 p3=[0.3, 0.3, 0.4], q3=[0.01, 0.01, 0.98])
     for name, doc in docs.items():
@@ -241,6 +249,71 @@ def test_validate_missing_flags_are_pinned(scenario, flags, as_json, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {scenario} scenario needs {flags}\n")
+
+# ---------------------------------------------------------------------------
+# the work each case does, counted from outside the package (conftest.counting)
+
+# case -> (eigensolves, Chernoff objective calls, regularized_gamma_p calls, evaluations inside
+# solve_increasing, continued-fraction terms taken by lentz_fraction, uniforms drawn).  Counts do
+# not drift with the machine, so a change that moves one is a pin change, recorded in CHANGES.md
+# like a golden.  The Poisson-mixture terms of noncentral_chi2_cdf are a loop inside it, which no
+# wrapper sees.
+WORK_PINS = {
+    'shots_fid_all': (0, 0, 0, 0, 0, 0),
+    'shots_fid_pure': (0, 0, 0, 0, 0, 0),
+    'shots_fid_inverse': (0, 0, 0, 0, 0, 0),
+    'shots_fid_swap': (0, 0, 0, 0, 0, 0),
+    'shots_fid_mixed': (0, 0, 0, 0, 0, 0),
+    'shots_fid_regime': (0, 0, 0, 0, 0, 0),
+    'shots_fid_regime_swap': (0, 0, 0, 0, 0, 0),
+    'shots_fid_conservative': (0, 0, 0, 0, 0, 0),
+    'shots_fid_zero': (0, 0, 0, 0, 0, 0),
+    'shots_trace_all': (0, 0, 0, 0, 0, 0),
+    'shots_trace_pure': (0, 0, 0, 0, 0, 0),
+    'shots_trace_pure_mixed': (0, 0, 0, 0, 0, 0),
+    'shots_trace_mixed': (0, 0, 0, 0, 0, 0),
+    'shots_trace_regime': (0, 0, 0, 0, 0, 0),
+    'shots_trace_conservative': (0, 0, 0, 0, 0, 0),
+    'shots_trace_one': (0, 0, 0, 0, 0, 0),
+    'shots_fid_degenerate': (0, 0, 0, 0, 0, 0),
+    'qcb_pure': (3, 1, 0, 0, 0, 0),
+    'qcb_orthogonal': (3, 1, 0, 0, 0, 0),
+    'qcb_identical': (3, 0, 0, 0, 0, 0),
+    'qcb_mixed': (4, 53, 0, 0, 0, 0),
+    'curve_fid_vs_shots': (0, 0, 0, 0, 0, 0),
+    'curve_test_comparison': (0, 0, 472, 479, 3106, 0),
+    'curve_noise_binomial': (0, 0, 0, 0, 0, 0),
+    'curve_trace_vs_shots': (0, 0, 0, 0, 0, 0),
+    'decide_1e3': (0, 0, 0, 0, 6, 0),
+    'decide_1e5': (0, 0, 0, 0, 37, 0),
+    'validate_binomial': (0, 0, 0, 0, 123, 347136),
+    'validate_inverse': (0, 0, 0, 0, 0, 24000),
+    'validate_swap': (0, 0, 0, 0, 0, 10000),
+    'validate_chisq_alt': (0, 0, 69, 70, 1018, 81600),
+    'validate_chisq_null': (0, 0, 34, 35, 509, 89700),
+    'validate_binomial_no_reject': (0, 0, 0, 0, 2, 600),
+    'chisq_w2': (0, 0, 67, 68, 311, 0),
+    'chisq_fid_small': (0, 0, 67, 68, 283, 0),
+    'chisq_fid_attaining': (0, 0, 67, 68, 401, 0),
+    'chisq_dist': (0, 0, 67, 68, 401, 0),
+    'chisq_dist_warnings': (0, 0, 68, 69, 34, 0),
+    'chisq_w2_zero': (0, 0, 67, 68, 283, 0),
+    'noise_plan': (0, 0, 0, 0, 0, 0),
+    'noise_plan_two_sided': (0, 0, 0, 0, 0, 0),
+}
+
+
+def test_work_counts_are_pinned(input_dir, monkeypatch, capsys):
+    # the whole set twice, so a count that depends on what ran before (a cache, say) differs
+    runs = []
+    for _ in range(2):
+        runs.append({})
+        for name in CASES:
+            with counting() as work:
+                _run(capsys, monkeypatch, input_dir, (name, False))
+            runs[-1][name] = tuple(work.values())
+    assert runs[0] == runs[1]
+    assert runs[0] == WORK_PINS, "\n".join(f"    {name!r}: {counts}," for name, counts in runs[0].items())
 
 # ---------------------------------------------------------------------------
 # every formula on a seeded grid

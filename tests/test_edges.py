@@ -9,7 +9,9 @@ of the three calls.
 wording.  Anything else passes that check: a result, or another check's error further on
 (a q0 of 0 passes its range and then fails q1 < q0)."""
 
+import importlib.util
 import math
+import pathlib
 
 import pytest
 
@@ -29,6 +31,7 @@ from shotbudget import (
     lambda_noncentral,
     parse_program_spec,
     simulate_binomial_detection,
+    simulate_chisq_power,
     simulate_inverse_miss_rate,
     two_proportion_shots,
 )
@@ -39,6 +42,10 @@ from shotbudget.states import _clamp_unit
 
 BINS = f"bins must lie in [2, {tol.CHISQ_MAX_BINS}], got"
 COUNT = "observed count must lie in [0, 10], got"
+# an alpha or beta where 1 - it is taken, and a two-sided plan's alpha, which it halves first
+ALPHA, BETA = (f"{what} must lie in ({tol.ERROR_RATE_FLOOR}, 1), got" for what in ("alpha", "beta"))
+TWO_SIDED = f"alpha must lie in ({2 * tol.ERROR_RATE_FLOOR}, 1), got"
+HALVES = Distribution([0.5, 0.5])
 SLACK = 1e-12  # ShotBounds' relative and absolute slack on an inverted pair
 UPPER = ShotEstimate(1000.0, 1000, Formula.PURE)
 TRIALS = McConfig(50, seed=7)
@@ -54,8 +61,8 @@ def _spec(**fields) -> ProgramSpec:
                           "hardware": HardwareRates(1e-3, 1e-2), "columns": columns, **fields})
 
 
-def _spec_file(bins: int) -> ProgramSpec:
-    return parse_program_spec({"fidelity_target": 0.99, "p_e": 0.05, "chisq": {"bins": bins},
+def _spec_file(bins: int, **chisq) -> ProgramSpec:
+    return parse_program_spec({"fidelity_target": 0.99, "p_e": 0.05, "chisq": {"bins": bins, **chisq},
                                "hardware": {"r1": 1e-3, "r2": 1e-2}, "blocks": [{"name": "a", "g1": 5}]})
 
 
@@ -92,10 +99,19 @@ EDGES = [
     ("q0-high", "q0 must lie in [0, 1], got", lambda v: two_proportion_shots(v, 0.9, 0.01, 0.01), 1.0, True, +1),
     ("q1-low", "q1 must lie in [0, 1], got", lambda v: two_proportion_shots(0.99, v, 0.01, 0.01), 0.0, True, -1),
     ("q1-high", "q1 must lie in [0, 1], got", lambda v: two_proportion_shots(0.99, v, 0.01, 0.01), 1.0, True, +1),
-    ("alpha-low", "alpha must lie in (0, 1), got", lambda v: two_proportion_shots(0.99, 0.9, v, 0.01), 0.0, False, -1),
-    ("alpha-high", "alpha must lie in (0, 1), got", lambda v: two_proportion_shots(0.99, 0.9, v, 0.01), 1.0, False, +1),
-    ("beta-low", "beta must lie in (0, 1), got", lambda v: two_proportion_shots(0.99, 0.9, 0.01, v), 0.0, False, -1),
-    ("beta-high", "beta must lie in (0, 1), got", lambda v: two_proportion_shots(0.99, 0.9, 0.01, v), 1.0, False, +1),
+    ("alpha-low", ALPHA, lambda v: two_proportion_shots(0.99, 0.9, v, 0.01), tol.ERROR_RATE_FLOOR, False, -1),
+    ("alpha-high", ALPHA, lambda v: two_proportion_shots(0.99, 0.9, v, 0.01), 1.0, False, +1),
+    ("beta-low", BETA, lambda v: two_proportion_shots(0.99, 0.9, 0.01, v), tol.ERROR_RATE_FLOOR, False, -1),
+    ("beta-high", BETA, lambda v: two_proportion_shots(0.99, 0.9, 0.01, v), 1.0, False, +1),
+    ("two-sided-alpha-low", TWO_SIDED, lambda v: two_proportion_shots(0.99, 0.9, v, 0.01, one_sided=False),
+     2 * tol.ERROR_RATE_FLOOR, False, -1),
+    ("chisq-alpha-low", ALPHA, lambda v: _spec(chisq_alpha=v), tol.ERROR_RATE_FLOOR, False, -1),
+    ("chisq-beta-low", BETA, lambda v: _spec(chisq_beta=v), tol.ERROR_RATE_FLOOR, False, -1),
+    ("spec-alpha-low", "/chisq/" + ALPHA, lambda v: _spec_file(16, alpha=v), tol.ERROR_RATE_FLOOR, False, -1),
+    ("spec-beta-low", "/chisq/" + BETA, lambda v: _spec_file(16, beta=v), tol.ERROR_RATE_FLOOR, False, -1),
+    ("lambda-alpha-low", ALPHA, lambda v: lambda_noncentral(15, v, 0.5), tol.ERROR_RATE_FLOOR, False, -1),
+    ("chisq-simulator-alpha-low", ALPHA, lambda v: simulate_chisq_power(HALVES, HALVES, 5, v, TRIALS),
+     tol.ERROR_RATE_FLOOR, False, -1),
     ("alpha-at-most-half", "alpha (one-sided) and beta must be at most 0.5",
      lambda v: two_proportion_shots(0.99, 0.9, v, 0.01), 0.5, True, +1),
     # advice, not an error: 13 shots are enough, and a bin whose expected count N q_i is
@@ -149,3 +165,14 @@ def test_each_check_holds_at_its_edge(wording, call, edge, closed, past):
     step = (lambda v, side: v + side) if type(edge) is int else (lambda v, side: math.nextafter(v, side * math.inf))
     outcomes = [_fails(call, value, wording) for value in (step(edge, -past), edge, step(edge, past))]
     assert outcomes == [False, not closed, True], (step(edge, -past), edge, step(edge, past))
+
+
+def test_every_mutant_changes_a_line_that_is_in_its_module_once():
+    # tools/mutants.py runs outside tier-1, where a stale entry would show only at its turn
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("mutants", root / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)  # its main runs only as a script
+    stale = [(module, source) for module, source, mutant, _ in mutants.MUTANTS
+             if mutant == source or (root / "src" / "shotbudget" / module).read_text(encoding="utf-8").count(source) != 1]
+    assert stale == []

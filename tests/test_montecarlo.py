@@ -21,7 +21,7 @@ from shotbudget.rng import sub_seeds, uniform_block
 from shotbudget.states import qcb_q
 from shotbudget.stat_power import Distribution
 
-from conftest import mix64, qcb_grid_oracle, random_density, random_pure, stream_output
+from conftest import counting, mix64, qcb_grid_oracle, random_density, random_pure, stream_output
 
 
 class TestSplitmix:
@@ -132,8 +132,9 @@ class TestMissRateSimulators:
     def test_early_exit_reads_about_one_over_one_minus_f(self):
         # the first reject decides a trial: ~1/(1 - F) = 100 draws, not 458
         config = McConfig(trials=5_000, seed=17)
-        result = simulate_inverse_miss_rate(0.99, 458, config)
-        assert 0 < result.uniforms_drawn < 200 * config.trials
+        with counting("uniforms") as work:
+            simulate_inverse_miss_rate(0.99, 458, config)
+        assert 0 < work["uniforms"] < 200 * config.trials
 
     def test_seed_outside_64_bits_rejected(self):
         for seed in (-5, 2**64, 99999999999999999999999):
@@ -173,10 +174,11 @@ class TestChiSquareSimulator:
     def test_every_shot_lands_in_the_one_live_bin(self, shots, rate):
         # counts (0, N) against expected (N/2, N/2) give a statistic of exactly N,
         # either side of the 3.84 critical value at 1 df
-        result = simulate_chisq_power(Distribution([0.0, 1.0]), Distribution([0.5, 0.5]), shots,
-                                      0.05, McConfig(trials=50, seed=3))
+        with counting("uniforms") as work:
+            result = simulate_chisq_power(Distribution([0.0, 1.0]), Distribution([0.5, 0.5]), shots,
+                                          0.05, McConfig(trials=50, seed=3))
         assert result.estimate == rate
-        assert result.uniforms_drawn == 50 * shots
+        assert work["uniforms"] == 50 * shots
 
     def test_bin_mismatch_and_zero_reference_bin_fail_before_drawing(self, monkeypatch):
         def no_draws(*args, **kwargs):
@@ -254,13 +256,14 @@ class TestKernelInvariants:
         # two uint64 tile buffers plus boolean masks: under 32 bytes a draw
         # of the cap, where holding the whole trial would take 40
         cap = mc._CHUNK_ELEMENTS
-        tracemalloc.start()
-        try:
-            result = simulate(5 * cap)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert result.uniforms_drawn == 5 * cap
+        with counting("uniforms") as work:
+            tracemalloc.start()
+            try:
+                simulate(5 * cap)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert work["uniforms"] == 5 * cap
         assert peak < 32 * cap
 
     @pytest.mark.parametrize("simulate", [

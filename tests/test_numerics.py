@@ -1,6 +1,7 @@
 """Kernels against library oracles and hand-frozen values."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,6 +99,20 @@ class TestLentzFraction:
         # 1 / (1 + 1 / (1 + ...)) = 1 / phi
         ones = ((1.0, 1.0) for _ in range(100))
         assert lentz_fraction(1.0, ones, 1e-15, "ones") == pytest.approx((5**0.5 - 1) / 2, rel=1e-15)
+
+    @pytest.mark.parametrize("b0, terms", [
+        (1, [(-2, -1), (-2, 0), (-2, 1), (-2, 1)]),  # C_2 = b2 + a2 / C_1 is exactly 0
+        (1, [(-2, 0), (-2, -1), (-2, -1)]),  # D_2's denominator b2 + a2 D_1 is exactly 0
+        (1, [(0.5, 0), (-1, 2), (-2, -2)]),  # C_1 below tiny, then D_2's denominator 0
+        (0, [(1, 0), (0.5, 2)]),  # b0 = 0 too
+    ])
+    def test_zero_partial_denominators_against_exact_fractions(self, b0, terms):
+        # a zero partial numerator ends the fraction; its value bottom-up in exact rationals
+        tail = Fraction(0)
+        for a, b in reversed(terms):
+            tail = Fraction(a) / (b + tail)
+        exact = float(1 / (b0 + tail))
+        assert lentz_fraction(float(b0), terms + [(0.0, 1.0)], 1e-15, "f") == pytest.approx(exact, rel=1e-15)
 
     def test_running_out_of_terms_names_the_fraction(self):
         with pytest.raises(NoConvergence, match=r"^ones at 3 did not converge$"):

@@ -1,14 +1,16 @@
 """Mutation pass over the package's boundary checks and tolerances.
 
 Each mutant changes one line of `src/shotbudget`: a comparison's direction or
-strictness, an interval's bracket or bound, or a tolerance used at 10x its
-value.  The runner copies the repository once to a new temporary directory,
-applies each mutant there in turn, runs the tier-1 suite with `pytest -x` under
-a 150 s cap, restores the file and reports the mutant as killed (a test
-failed), survived (every test passed) or hung (the cap ran out).  A mutant
-whose line is no longer in the source is reported stale, so the list keeps up
-with the code.  An equivalent mutant, which no input can tell apart from the
-code, is listed with its reason and expected to survive.
+strictness, an interval's bracket or bound, a tolerance used at 10x its value,
+or a constant or guard moved.  The runner copies the repository once to a new
+temporary directory, applies each mutant there in turn, runs the tier-1 suite,
+all but its check of this list, with `pytest -x` under a 150 s cap, restores
+the file and reports the mutant as killed (a test failed), survived (every
+test passed) or hung (the cap ran out).  A mutant whose line is no longer in
+the source is reported stale, so the list keeps up with the code;
+`tests/test_edges.py` checks the same in tier-1.  An equivalent mutant, which
+no input can tell apart from the code, is listed with its reason and expected
+to survive.
 
 A surviving mutant costs a full tier-1 run, so this script is not part of
 tier-1 (`testpaths` is `tests`).  Run it from the repository root:
@@ -29,6 +31,8 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CAP_SECONDS = 150.0  # one tier-1 run; a mutant that outlasts it is reported hung
+# tier-1's check of this list, which reads every applied mutant as a stale entry
+LIST_CHECK = "tests/test_edges.py::test_every_mutant_changes_a_line_that_is_in_its_module_once"
 
 # (module under src/shotbudget, the source text as it stands, its mutant, the reason it is
 # equivalent or None).  The source text is unique in its module; where one line occurs twice,
@@ -55,7 +59,7 @@ MUTANTS = [
      'check_range("quantile probability", prob, 0, 1, "[]")', None),
     ("stat_power.py", 'q0, alpha = check_range("baseline q0", q0, 0, 1, "(]")',
      'q0, alpha = check_range("baseline q0", q0, 0, 1, "[]")', None),
-    ("stat_power.py", "if not alpha < 1.0 - beta < 1.0:", "if not alpha <= 1.0 - beta < 1.0:", None),
+    ("stat_power.py", "if not alpha < 1.0 - beta:", "if not alpha <= 1.0 - beta:", None),
     ("stat_power.py", "if not alpha < power < 1.0:", "if not alpha <= power < 1.0:", None),
     ("stat_power.py", 'check_range("bins", bins, 2, tol.CHISQ_MAX_BINS, kind=int)',
      'check_range("bins", bins, 2, tol.CHISQ_MAX_BINS + 1, kind=int)', None),
@@ -69,20 +73,31 @@ MUTANTS = [
      'check_range("q0", q0, 0, 1, "(]"), check_range("q1", q1, 0, 1)', None),
     ("stat_power.py", 'check_range("q0", q0, 0, 1), check_range("q1", q1, 0, 1)',
      'check_range("q0", q0, 0, 1), check_range("q1", q1, 0, 1, "[)")', None),
-    ("stat_power.py", 'alpha, beta = check_range("alpha", alpha, 0, 1, "()"), check_range("beta", beta, 0, 1, "()")\n'
-     "    if q1 >= q0:",
-     'alpha, beta = check_range("alpha", alpha, 0, 1, "[)"), check_range("beta", beta, 0, 1, "()")\n'
-     "    if q1 >= q0:", None),
-    ("stat_power.py", 'alpha, beta = check_range("alpha", alpha, 0, 1, "()"), check_range("beta", beta, 0, 1, "()")\n'
-     "    if q1 >= q0:",
-     'alpha, beta = check_range("alpha", alpha, 0, 1, "()"), check_range("beta", beta, 0, 1, "(]")\n'
-     "    if q1 >= q0:", None),
+    ("stat_power.py", 'alpha = check_range("alpha", alpha, tol.ERROR_RATE_FLOOR * (1 if one_sided else 2), 1, "()")',
+     'alpha = check_range("alpha", alpha, tol.ERROR_RATE_FLOOR * (1 if one_sided else 2), 1, "[)")', None),
+    ("stat_power.py", "(1 if one_sided else 2)", "(1 if one_sided else 1)", None),
+    ("stat_power.py", 'beta = check_range("beta", beta, tol.ERROR_RATE_FLOOR, 1, "()")\n    if q1 >= q0:',
+     'beta = check_range("beta", beta, tol.ERROR_RATE_FLOOR, 1, "[)")\n    if q1 >= q0:', None),
+    ("stat_power.py", 'beta = check_range("beta", beta, tol.ERROR_RATE_FLOOR, 1, "()")\n    if q1 >= q0:',
+     'beta = check_range("beta", beta, tol.ERROR_RATE_FLOOR, 1, "(]")\n    if q1 >= q0:', None),
+    ("stat_power.py", 'alpha = check_range("alpha", alpha, tol.ERROR_RATE_FLOOR, 1, "()")',
+     'alpha = check_range("alpha", alpha, tol.ERROR_RATE_FLOOR, 1, "[)")', None),
+    ("stat_power.py", 'beta = check_range("beta", beta, tol.ERROR_RATE_FLOOR, 1, "()")\n    if not alpha',
+     'beta = check_range("beta", beta, tol.ERROR_RATE_FLOOR, 1, "[)")\n    if not alpha', None),
+    ("stat_power.py", 'alpha, power = check_range("alpha", alpha, tol.ERROR_RATE_FLOOR, 1, "()")',
+     'alpha, power = check_range("alpha", alpha, tol.ERROR_RATE_FLOOR, 1, "[)")', None),
     ("stat_power.py", "if q1 >= q0:", "if q1 > q0:", None),
     ("stat_power.py", "if min(p_a, p_b) < 0.5:", "if min(p_a, p_b) <= 0.5:", None),
     ("budget.py", 'check_range("/chisq/bins", chisq.get("bins", 16), 2, tol.CHISQ_MAX_BINS, kind=int)',
      'check_range("/chisq/bins", chisq.get("bins", 16), 2, tol.CHISQ_MAX_BINS + 1, kind=int)', None),
     ("budget.py", 'check_range("/chisq/bins", chisq.get("bins", 16), 2, tol.CHISQ_MAX_BINS, kind=int)',
      'check_range("/chisq/bins", chisq.get("bins", 16), 1, tol.CHISQ_MAX_BINS, kind=int)', None),
+    ("budget.py", 'check_range("/chisq/alpha", chisq.get("alpha", 0.01), tol.ERROR_RATE_FLOOR, 1, "()")',
+     'check_range("/chisq/alpha", chisq.get("alpha", 0.01), tol.ERROR_RATE_FLOOR, 1, "[)")', None),
+    ("budget.py", 'check_range("/chisq/beta", chisq.get("beta", 0.01), tol.ERROR_RATE_FLOOR, 1, "()")',
+     'check_range("/chisq/beta", chisq.get("beta", 0.01), tol.ERROR_RATE_FLOOR, 1, "[)")', None),
+    ("montecarlo.py", 'alpha = check_range("alpha", alpha, tol.ERROR_RATE_FLOOR, 1, "()")',
+     'alpha = check_range("alpha", alpha, tol.ERROR_RATE_FLOOR, 1, "[)")', None),
     ("montecarlo.py", "if not 0 <= seed <= MASK64:", "if not 0 <= seed < MASK64:", None),
     ("montecarlo.py", 'check_range("fidelity", fid, 0, 1, "[)")', 'check_range("fidelity", fid, 0, 1, "[]")', None),
     ("montecarlo.py", 'check_range("fidelity", fid, 0, 1, "[)")', 'check_range("fidelity", fid, 0, 1, "()")', None),
@@ -90,6 +105,11 @@ MUTANTS = [
      'q0, q1 = check_range("baseline q0", q0, 0, 1, "[]")', None),
     ("errors.py", "if count >= 2**63:", "if count > 2**63:", None),
     ("cli.py", 'check_count("curve points", points, 2)', 'check_count("curve points", points, 3)', None),
+    ("tolerances.py", "ERROR_RATE_FLOOR = 2.0**-54", "ERROR_RATE_FLOOR = 2.0**-55", None),
+    ("tolerances.py", "ERROR_RATE_FLOOR = 2.0**-54", "ERROR_RATE_FLOOR = 2.0**-53", None),
+    ("numerics.py", "tiny = 1e-150", "tiny = 1e-300", None),
+    ("numerics.py", "if abs(d) < tiny:", "if abs(d) < 0.0:", None),
+    ("numerics.py", "if abs(c) < tiny:", "if abs(c) < 0.0:", None),
 ]
 
 
@@ -101,7 +121,7 @@ def run(scratch: pathlib.Path, module: str, source: str, mutant: str) -> tuple[s
         return "stale", 0.0
     path.write_text(text.replace(source, mutant), encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(scratch / "src")}
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--deselect", LIST_CHECK]
     start = time.perf_counter()
     try:
         done = subprocess.run(command, cwd=scratch, env=env, capture_output=True, timeout=CAP_SECONDS)

@@ -122,14 +122,9 @@ class BudgetReport(NamedTuple):
     `columns` maps each BlockAllocation field name, in field order, to a
     tuple with one entry per block; shot counts are exact Python ints.
     `allocations` is a view that builds the BlockAllocation rows on read.
+    The target and tolerances it was priced at are the ProgramSpec's.
     """
 
-    f_prog: float
-    p_e: float
-    regime_factor: float
-    chisq_bins: int
-    chisq_alpha: float
-    chisq_beta: float
     noncentrality: float
     theta_star: float
     total_weight: float
@@ -240,11 +235,8 @@ def _allocate(spec: "ProgramSpec", paths: bool) -> BudgetReport:
     columns["infeasible"] = tuple(map(kinds.__getitem__, rows))
 
     total_angle = reduce(add, map(mul, mult, theta), 0.0)  # sum() compensates on 3.12+
-    return BudgetReport(
-        f_prog=f_prog, p_e=p_e, regime_factor=regime_factor, chisq_bins=spec.chisq_bins,
-        chisq_alpha=spec.chisq_alpha, chisq_beta=spec.chisq_beta, noncentrality=lam, theta_star=big_theta,
-        total_weight=total_weight, total_angle=total_angle, columns=columns, totals=totals,
-    )
+    return BudgetReport(noncentrality=lam, theta_star=big_theta, total_weight=total_weight,
+                        total_angle=total_angle, columns=columns, totals=totals)
 
 
 def _checked_columns(columns: dict) -> dict[str, tuple]:

@@ -47,12 +47,12 @@ __all__ = ["TestPlanParams", "CurveRequest", "main", "entry"]
 
 
 class TestPlanParams(NamedTuple):
-    """Error tolerances of a curve sweep."""
+    """Error tolerances of a curve sweep; `curve` fills them from its flags and defaults."""
 
-    p_e: float = 0.05
-    alpha: float = 0.01
-    beta: float = 0.01
-    regime_factor: float = 1.0
+    p_e: float
+    alpha: float
+    beta: float
+    regime_factor: float
 
 
 class CurveRequest(Record):
@@ -124,12 +124,13 @@ def _render(result: _Result, as_json: bool) -> int:
     return result.code
 
 
-def _estimate_doc(e: est.ShotEstimate) -> dict:
+def _estimate_doc(e: est.ShotEstimate, conservative: bool = False) -> dict:
+    # the label changes no number: shots --conservative reads the count as a lower bound
     return {
         "formula": e.formula.value,
         "raw": e.raw,
         "shots": e.shots,
-        "interpretation": e.interpretation,
+        "interpretation": "lower-bound requirement" if conservative else "asymptotic estimate",
     }
 
 
@@ -164,11 +165,10 @@ def cmd_shots(args: argparse.Namespace) -> _Result:
         formulas = _SHOT_TESTS[key]
         if args.regime_factor > 1.0:
             formulas = [_FAULT_PRONE.get(f, f) for f in formulas]
-        rows = [est.estimate(f, x, args.pe, args.regime_factor, conservative=args.conservative)
-                for f in formulas]
+        rows = [est.estimate(f, x, args.pe, args.regime_factor) for f in formulas]
         if len(rows) == 2:
             est.ShotBounds(*rows)  # raises DomainError on an inverted bracket
-        estimates += map(_estimate_doc, rows)
+        estimates += (_estimate_doc(e, args.conservative) for e in rows)
     return _Result(
         {
             "input": {source: x, "p_e": args.pe, "regime_factor": args.regime_factor},
@@ -329,7 +329,7 @@ def _formatted_rows(columns: dict, fields, default, **special):
 
 def cmd_budget(args: argparse.Namespace) -> int:
     # each cell is formatted once, a chunk of rows at a time; the JSON bytes are
-    # those of json.dumps(indent=2) over the report with non-finite floats as null
+    # those of json.dumps(indent=2) over the spec and report with non-finite floats as null
     spec = budget_mod.load_program_spec(args.spec)
     report = budget_mod.allocate_program(spec)
     cols = report.columns
@@ -337,9 +337,9 @@ def cmd_budget(args: argparse.Namespace) -> int:
         rows = _formatted_rows(cols, cols, _json_numbers, name=partial(map, encode_basestring_ascii),
                                infeasible=partial(_per_value, _json_kinds))
         skeleton = {
-            "f_prog": report.f_prog, "p_e": report.p_e, "regime_factor": report.regime_factor,
-            "chisq": {"bins": report.chisq_bins, "alpha": report.chisq_alpha,
-                      "beta": report.chisq_beta, "noncentrality": report.noncentrality},
+            "f_prog": spec.fidelity_target, "p_e": spec.p_e, "regime_factor": spec.regime_factor,
+            "chisq": {"bins": spec.chisq_bins, "alpha": spec.chisq_alpha,
+                      "beta": spec.chisq_beta, "noncentrality": report.noncentrality},
             "theta_star": report.theta_star, "total_weight": report.total_weight,
             "total_angle": report.total_angle, "blocks": [], "totals": report.totals,
         }
@@ -381,6 +381,7 @@ def cmd_validate(args: argparse.Namespace) -> _Result:
         flags = [f"--{name}" for name in _VALIDATE_FLAGS[args.scenario]]
         raise ShotBudgetError(f"{args.scenario} scenario needs {', '.join(flags[:-1])} and {flags[-1]}")
     # each simulator is looked up in mc when called, so a replacement there (a tracer) is used
+    warnings = ()
     if args.scenario == "inverse":
         result = mc.simulate_inverse_miss_rate(args.fidelity, args.shots, config)
         expected = est.FORMULAS[F.INVERSE_IDEAL].per_shot(args.fidelity) ** args.shots
@@ -391,6 +392,7 @@ def cmd_validate(args: argparse.Namespace) -> _Result:
         p_dist = sp.load_distribution(args.p)
         q_dist = sp.load_distribution(args.q)
         result = mc.simulate_chisq_power(p_dist, q_dist, args.shots, args.alpha, config)
+        warnings = sp.chisq_validity(args.shots, q_dist)
         w2 = sp.chi2_distance(p_dist, q_dist)
         if w2 == 0.0:
             expected = args.alpha
@@ -418,7 +420,7 @@ def cmd_validate(args: argparse.Namespace) -> _Result:
             "std_error": se_expected,
             "band_4se": band,
             "pass": passed,
-            "warnings": list(result.warnings),
+            "warnings": list(warnings),
         },
         [[f"{args.scenario}: estimate={_sig6(result.estimate)} expected={_sig6(expected)} "
           f"band(4SE)={_sig6(band)} {'PASS' if passed else 'FAIL'}"]],

@@ -31,13 +31,7 @@ import numpy as np
 from .errors import BaselineNotAboveTarget, DomainError, Record, check_count, check_range
 from .rng import MASK64, sub_seeds, uniform_block
 from .shot_estimators import FORMULAS, Formula
-from .stat_power import (
-    Distribution,
-    binomial_rejection_threshold,
-    chi2_distance,
-    chi2_quantile,
-    chisq_validity,
-)
+from .stat_power import Distribution, binomial_rejection_threshold, chi2_distance, chi2_quantile
 from . import tolerances as tol
 
 __all__ = [
@@ -75,7 +69,6 @@ class McResult(NamedTuple):
 
     estimate: float
     trials: int
-    warnings: tuple[str, ...] = ()
 
 
 def _trial_blocks(config: McConfig):
@@ -160,8 +153,8 @@ def simulate_chisq_power(p: Distribution, q: Distribution, n_shots: int, alpha: 
     Each trial samples a multinomial of n_shots outcomes from p, adds each
     bin's Pearson term against q as that bin is sampled, and rejects above
     the central 1 - alpha quantile at k - 1 degrees of freedom.  With p = q
-    this estimates the realized Type I rate; with p != q, the power.  Results
-    carry the chi-square validity warnings for the planned shot count.
+    this estimates the realized Type I rate; with p != q, the power.  The
+    validity advice for the shot count is `stat_power.chisq_validity`'s.
     A bin-count mismatch or a zero reference bin raises before any draw.
     """
     n_shots = check_count("n_shots", n_shots)
@@ -184,7 +177,7 @@ def simulate_chisq_power(p: Distribution, q: Distribution, n_shots: int, alpha: 
                 tail = max(tail - p_i, 0.0)
             stat += (remaining - n_shots * q.probs[-1]) ** 2 / (n_shots * q.probs[-1])
             rejections += int(np.count_nonzero(stat > crit))
-    return McResult(rejections / config.trials, config.trials, chisq_validity(n_shots, q))
+    return McResult(rejections / config.trials, config.trials)
 
 
 def simulate_binomial_detection(

@@ -18,9 +18,9 @@ one p_e and regime-factor check.
 
 An estimate carries the raw formula value and the schedulable count
 ceil(raw), floored at one shot: `_shot_count` states that rule for the
-chi-square and binomial plans, the budget and the curves too.
-`conservative` changes no number; it labels the count a lower-bound
-requirement instead of an asymptotic estimate.
+chi-square and binomial plans, the budget and the curves too.  How a
+count is read (an asymptotic estimate, or with `shots --conservative` a
+lower-bound requirement) changes no number, so the command labels it.
 """
 
 import math
@@ -57,11 +57,6 @@ class ShotEstimate(NamedTuple):
     raw: float
     shots: int
     formula: Formula
-    conservative: bool = False
-
-    @property
-    def interpretation(self) -> str:
-        return "lower-bound requirement" if self.conservative else "asymptotic estimate"
 
 
 class ShotBounds(Record):
@@ -119,8 +114,7 @@ def _shot_count(raw: float) -> int:
     return math.ceil(raw) or 1
 
 
-def estimate(formula: Formula, x: float, p_e: float, regime_factor: float = 1.0, *,
-             conservative: bool = False) -> ShotEstimate:
+def estimate(formula: Formula, x: float, p_e: float, regime_factor: float = 1.0) -> ShotEstimate:
     """Price one FORMULAS row at input x (a fidelity, trace distance or Q).
 
     R multiplies only the rows marked scaled; a per-shot Q of 0 is the
@@ -140,8 +134,7 @@ def estimate(formula: Formula, x: float, p_e: float, regime_factor: float = 1.0,
     raw = row.multiple * (math.log(p_e) / math.log(q)) if q > 0.0 else 0.0
     if row.scaled:
         raw *= regime_factor
-    return ShotEstimate(raw=raw, shots=_shot_count(raw), formula=formula,
-                        conservative=conservative)
+    return ShotEstimate(raw=raw, shots=_shot_count(raw), formula=formula)
 
 
 def shots_inverse_ideal(fid: float, p_e: float) -> ShotEstimate:

@@ -213,13 +213,14 @@ def shots_chisq(w2: float, bins: int, alpha: float, beta: float) -> ChiSquarePla
     """Shots for the chi-square test to detect discrepancy w^2.
 
     Raises DegenerateStates when w2 = 0: identical distributions produce
-    no detectable effect at any shot count.
+    no detectable effect at any shot count.  Every input is checked before
+    the noncentrality search runs.
     """
     bins, alpha, beta = _check_chisq(bins, alpha, beta)  # the plan stores the checked values
-    lam = chisq_noncentrality(bins, alpha, beta)
     w2 = check_range("w^2", w2, 0)
     if w2 == 0.0:
         raise DegenerateStates("w^2 = 0: no discrepancy to detect")
+    lam = lambda_noncentral(bins - 1, alpha, 1.0 - beta)  # chisq_noncentrality's search, checked above
     raw = lam / w2
     check_range("lambda / w^2 (w^2 = %s)", raw, args=(w2,))  # a subnormal w^2 overflows it
     return ChiSquarePlan(w2=w2, bins=bins, alpha=alpha, beta=beta, noncentrality=lam, raw=raw,

@@ -80,13 +80,15 @@ def _items(iterable, add):
         yield item
 
 
-def _sizes(fn, add):
-    """fn, adding the size of each array it returns."""
-    def sized(*args, **kwargs):
-        result = fn(*args, **kwargs)
-        add(result.size)
-        return result
-    return sized
+def _returns(measure):
+    """A wrap of fn that adds measure(result) for each result fn returns."""
+    def wrap(fn, add):
+        def measured(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            add(measure(result))
+            return result
+        return measured
+    return wrap
 
 
 # work -> (module, function, how a wrapper of the function adds to the work's count)
@@ -97,7 +99,8 @@ WORK = {
     "root_evaluations": ("numerics", "solve_increasing", lambda fn, add: lambda f, *a: fn(_calls(f, add), *a)),
     "fraction_terms": ("numerics", "lentz_fraction",
                        lambda fn, add: lambda b0, terms, *a: fn(b0, _items(terms, add), *a)),
-    "uniforms": ("rng", "uniform_block", _sizes),
+    "uniforms": ("rng", "uniform_block", _returns(lambda block: block.size)),
+    "blocks": ("budget", "_allocate", _returns(lambda report: len(report.columns["name"]))),
 }
 
 

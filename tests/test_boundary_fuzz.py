@@ -196,6 +196,7 @@ def test_every_numeric_flag_exits_with_a_code(base, flag, values, tmp_path):
 # the least valid count, a call with the count as its one free argument).
 _P, _Q, _TRIALS = Distribution([0.3, 0.7]), Distribution([0.5, 0.5]), McConfig(50, seed=7)
 _RATES = HardwareRates(1e-3, 1e-2)
+_PARAMS = cli.TestPlanParams(p_e=0.05, alpha=0.01, beta=0.01, regime_factor=1.0)
 
 
 def _spec(multiplicity=2, g1=5.0, **fields) -> ProgramSpec:
@@ -225,7 +226,7 @@ COUNT_ENTRIES = [
     ("ProgramSpec-multiplicity", "multiplicity", 2, 1, lambda v: _spec(multiplicity=v)),
     ("ProgramSpec-bins", "bins", 16, 2, lambda v: _spec(chisq_bins=v)),
     ("CurveRequest-points", "points", 5, 2,
-     lambda v: cli.CurveRequest("fid_vs_shots", 0.9, 0.99, v, cli.TestPlanParams())),
+     lambda v: cli.CurveRequest("fid_vs_shots", 0.9, 0.99, v, _PARAMS)),
     ("parse_state-n", 'state "n"', 1, 1,  # a state's equality is identity, so its amplitudes stand in
      lambda v: parse_state({"kind": "pure", "n": v, "data": [[1, 0], [0, 0]]}).amplitudes.tolist()),
 ]
@@ -319,9 +320,9 @@ NUMBER_ENTRIES = [
     ("allocate-chisq_beta", "beta", 0.01, lambda v: allocate(_BLOCKS, _RATES, 0.99, 0.05, chisq_beta=v)),
     ("parse_program_spec-p_e", "/p_e", 0.05, lambda v: parse_program_spec(_spec_doc(p_e=v))),
     ("CurveRequest-start", "curve start", 0.9,
-     lambda v: cli.CurveRequest("fid_vs_shots", v, 0.99, 5, cli.TestPlanParams())),
+     lambda v: cli.CurveRequest("fid_vs_shots", v, 0.99, 5, _PARAMS)),
     ("CurveRequest-stop", "curve stop", 0.99,
-     lambda v: cli.CurveRequest("fid_vs_shots", 0.9, v, 5, cli.TestPlanParams())),
+     lambda v: cli.CurveRequest("fid_vs_shots", 0.9, v, 5, _PARAMS)),
 ]
 NOT_REALS = [True, False, np.True_, "0.5", None, 1j, np.complex64(1)]
 

@@ -5,7 +5,8 @@ and a change to the budget path must reproduce it byte for byte.  The
 digests are sha256 of the UTF-8 stdout; the 10k-block spec is built here
 from a seeded generator, so no large fixture is committed.  The last test
 recomputes every column block by block through the scalar shot
-estimators and requires equal bits.
+estimators and requires equal bits.  The solver work and the blocks
+priced by each case are pinned as counts.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import counting
 from shotbudget import BlockAllocation, allocate_program, cli, parse_program_spec
 from shotbudget.shot_estimators import Formula, estimate
 from shotbudget.stat_power import w2_fidelity_attaining, w2_small_discrepancy
@@ -148,12 +150,58 @@ def _run(capsys, argv):
     return code, capsys.readouterr().out.encode("utf-8")
 
 
+def _golden_argv(case, spec_paths) -> list[str]:
+    spec, fmt, strict = case
+    return ["budget", "--spec", spec_paths[spec], "--out", fmt] + (["--strict"] if strict else [])
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: "-".join(map(str, c)))
 def test_budget_output_is_pinned(case, spec_paths, capsys):
-    spec, fmt, strict = case
-    argv = ["budget", "--spec", spec_paths[spec], "--out", fmt] + (["--strict"] if strict else [])
-    code, out = _run(capsys, argv)
+    code, out = _run(capsys, _golden_argv(case, spec_paths))
     assert (code, hashlib.sha256(out).hexdigest()) == GOLDEN[case], out[:400]
+
+
+# case -> (regularized_gamma_p calls, evaluations inside solve_increasing, continued-fraction
+# terms taken by lentz_fraction, blocks priced by budget._allocate), counted from outside the
+# package (conftest.counting).  A change that moves one is a pin change, recorded in CHANGES.md
+# like a golden.
+WORKS = ("gamma_calls", "root_evaluations", "fraction_terms", "blocks")
+WORK_PINS = {
+    ('explicit_three', 'json', False): (67, 68, 283, 3),
+    ('explicit_three', 'csv', False): (67, 68, 283, 3),
+    ('explicit_three', 'table', False): (67, 68, 283, 3),
+    ('gate_weighted', 'json', False): (66, 67, 329, 3),
+    ('gate_weighted', 'csv', False): (66, 67, 329, 3),
+    ('gate_weighted', 'table', False): (66, 67, 329, 3),
+    ('sub_resolution', 'json', False): (67, 68, 283, 2),
+    ('sub_resolution', 'csv', False): (67, 68, 283, 2),
+    ('sub_resolution', 'table', False): (67, 68, 283, 2),
+    ('beyond_int64', 'json', False): (67, 68, 283, 2),
+    ('beyond_int64', 'csv', False): (67, 68, 283, 2),
+    ('beyond_int64', 'table', False): (67, 68, 283, 2),
+    ('non_ascii', 'json', False): (67, 68, 283, 3),
+    ('non_ascii', 'csv', False): (67, 68, 283, 3),
+    ('non_ascii', 'table', False): (67, 68, 283, 3),
+    ('large_seeded', 'json', False): (67, 68, 283, 10000),
+    ('large_seeded', 'csv', False): (67, 68, 283, 10000),
+    ('large_seeded', 'table', False): (67, 68, 283, 10000),
+    ('sub_resolution', 'table', True): (67, 68, 283, 2),
+    ('beyond_int64', 'json', True): (67, 68, 283, 2),
+    ('explicit_three', 'csv', True): (67, 68, 283, 3),
+}
+
+
+def test_work_counts_are_pinned(spec_paths, capsys):
+    # the whole set twice, so a count that depends on what ran before (a cache, say) differs
+    runs = []
+    for _ in range(2):
+        runs.append({})
+        for case in GOLDEN:
+            with counting(*WORKS) as work:
+                _run(capsys, _golden_argv(case, spec_paths))
+            runs[-1][case] = tuple(work.values())
+    assert runs[0] == runs[1]
+    assert runs[0] == WORK_PINS, "\n".join(f"    {case!r}: {counts}," for case, counts in runs[0].items())
 
 
 def test_sub_resolution_json_shows_null_and_all_kinds(spec_paths, capsys):

@@ -434,6 +434,21 @@ class TestValidate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["pass"] is True
         assert doc["expected"] == pytest.approx(0.5)
+        assert doc["warnings"] == []  # validity advice is the chi-square scenario's alone
+
+    def test_chisq_warnings_are_chisq_validity_at_the_shot_count(self, tmp_path, capsys):
+        # four bins of 1/4 at 10 shots: under 13 shots, and expected counts under 5
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps([0.25] * 4))
+        argv = ["validate", "--scenario", "chisq", "--p", str(flat), "--q", str(flat), "--shots", "10",
+                "--trials", "100", "--seed", "23"]
+        warnings = list(sp.chisq_validity(10, sp.load_distribution(str(flat))))
+        assert len(warnings) == 2
+        cli.main([*argv, "--json"])
+        captured = capsys.readouterr()
+        assert (json.loads(captured.out)["warnings"], captured.err) == (warnings, "")
+        cli.main(argv)
+        assert capsys.readouterr().err == "".join(f"warning: {w}\n" for w in warnings)
 
     def test_biased_estimate_fails(self, monkeypatch, dist_files, capsys):
         # validate must look each simulator up through the montecarlo module
@@ -451,7 +466,7 @@ class TestValidate:
 
             def biased(*args):
                 calls.append(args)
-                return McResult(estimate=0.5, trials=args[-1].trials, warnings=())
+                return McResult(estimate=0.5, trials=args[-1].trials)
 
             monkeypatch.setattr(mc, attr, biased)
             code = cli.main(["validate", "--scenario", scenario, *flags, "--trials", "1000"])

@@ -73,7 +73,7 @@ def _validity(n_shots: int, q0: float) -> None:
 
 
 def _curve(points: int) -> cli.CurveRequest:
-    return cli.CurveRequest("fid_vs_shots", 0.9, 0.99, points, cli.TestPlanParams())
+    return cli.CurveRequest("fid_vs_shots", 0.9, 0.99, points, cli.TestPlanParams(0.05, 0.01, 0.01, 1.0))
 
 
 # (id, the check's wording, a call with the value as its one free argument, the edge,

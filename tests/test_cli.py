@@ -5,6 +5,7 @@ import io
 import json
 import math
 import time
+import types
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ import pytest
 from shotbudget import cli
 from shotbudget import montecarlo as mc
 from shotbudget import stat_power as sp
-from shotbudget.montecarlo import McResult
 
 from conftest import deadline, random_density
 
@@ -462,11 +462,11 @@ class TestValidate:
                          ["--q0", "0.99", "--q1", "0.95", "--shots", "300"]),
         }
         for scenario, (attr, flags) in runs.items():
-            calls = []
+            calls, real = [], getattr(mc, attr)
 
             def biased(*args):
                 calls.append(args)
-                return McResult(estimate=0.5, trials=args[-1].trials)
+                return real(*args)._replace(estimate=0.5)  # the prediction stays the real one
 
             monkeypatch.setattr(mc, attr, biased)
             code = cli.main(["validate", "--scenario", scenario, *flags, "--trials", "1000"])
@@ -484,24 +484,60 @@ class TestValidate:
         doc = json.loads(capsys.readouterr().out)
         assert (doc["pass"], doc["expected"], doc["estimate"]) == (True, 1.0, 1.0)
 
+    @pytest.mark.parametrize("tiny", ["1e-20", "1e-300"])
+    def test_chisq_against_a_reference_bin_near_zero(self, tiny, tmp_path, capsys):
+        # lam = 400 w^2 is ~1e22 (a walk past 30 s) and ~1e302 (an OverflowError in the walk)
+        p, q = tmp_path / "p.json", tmp_path / "q.json"
+        p.write_text("[0.5, 0.5]")
+        q.write_text(f"[{tiny}, 1.0]")
+        with deadline(2):
+            code = cli.main(["validate", "--scenario", "chisq", "--p", str(p), "--q", str(q),
+                             "--shots", "400", "--trials", "100"])
+        assert (code, capsys.readouterr().out) == (0, "chisq: estimate=1 expected=1 band(4SE)=0 PASS\n")
+
     def test_missing_scenario_arguments(self):
         assert cli.main(["validate", "--scenario", "inverse"]) == 2
 
-    def test_binomial_op_predicts_at_the_simulators_threshold(self, monkeypatch, capsys):
-        # simulator and prediction each find the rejection threshold, a bisection
-        # over tails at q0, and must find the same one; the prediction
-        # then takes one tail at q1
+    def test_binomial_op_finds_the_threshold_once_and_takes_one_tail_at_q1(self, monkeypatch, capsys):
+        # the rejection threshold is a bisection over tails at q0; the simulator finds it
+        # once, and the prediction at it is one tail at q1
         thresholds, tails = [], []
         threshold, cdf = sp.binomial_rejection_threshold, sp.binomial_cdf
         for module in (sp, mc):
             monkeypatch.setattr(module, "binomial_rejection_threshold",
                                 lambda *args: thresholds.append(threshold(*args)) or thresholds[-1])
-        monkeypatch.setattr(sp, "binomial_cdf", lambda *args: tails.append(args) or cdf(*args))
+            monkeypatch.setattr(module, "binomial_cdf", lambda *args: tails.append(args) or cdf(*args))
         code = cli.main(["validate", "--scenario", "binomial", "--q0", "0.99", "--q1", "0.985",
                          "--shots", "100000", "--trials", "20"])
-        assert (code, thresholds) == (0, [threshold(100000, 0.99, 0.05)] * 2)
+        assert (code, thresholds) == (0, [threshold(100000, 0.99, 0.05)])
         assert [args for args in tails if args[2] != 0.99] == [(thresholds[0], 100000, 0.985)]
         assert "PASS" in capsys.readouterr().out
+
+    def test_chisq_op_solves_the_critical_value_once(self, dist_files, monkeypatch, capsys):
+        # the simulator draws against the critical value and predicts the power past the same one
+        solves, quantile = [], sp.chi2_quantile
+        for module in (sp, mc):
+            monkeypatch.setattr(module, "chi2_quantile", lambda *args: solves.append(args) or quantile(*args))
+        code = cli.main(["validate", "--scenario", "chisq", "--p", dist_files["p"], "--q", dist_files["q"],
+                         "--shots", "400", "--trials", "200"])
+        assert (code, solves) == (0, [(0.95, 3.0)])
+        assert "PASS" in capsys.readouterr().out
+
+    def test_validate_reads_the_prediction_from_the_simulator(self, dist_files, monkeypatch, capsys):
+        # the model's boundary and rate are the simulator's: validate reaches stat_power only to
+        # load the distributions and for the validity advice, and imports none of the model's pieces
+        names = {"chi2_distance", "chi2_quantile", "noncentral_chi2_cdf", "binomial_rejection_threshold",
+                 "binomial_cdf"}
+        assert not names & set(vars(cli))
+        monkeypatch.setattr(cli, "sp", types.SimpleNamespace(load_distribution=sp.load_distribution,
+                                                             chisq_validity=sp.chisq_validity))
+        for flags in (["inverse", "--fidelity", "0.99", "--shots", "458"],
+                      ["swap", "--fidelity", "0.99", "--shots", "916"],
+                      ["chisq", "--p", dist_files["p"], "--q", dist_files["q"], "--shots", "430"],
+                      ["binomial", "--q0", "0.99", "--q1", "0.95", "--shots", "300"]):
+            assert cli.main(["validate", "--scenario", *flags, "--trials", "500", "--json"]) == 0, flags[0]
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["pass"] is True, flags[0]
 
     def test_binomial_true_rate_zero_is_always_detected(self, capsys):
         # every shot fails, so every trial is detected and the prediction is the tail at q = 0

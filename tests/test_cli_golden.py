@@ -310,12 +310,12 @@ WORK_PINS = {
     'curve_trace_vs_shots': (0, 0, 0, 0, 0, 0),
     'decide_1e3': (0, 0, 0, 0, 6, 0),
     'decide_1e5': (0, 0, 0, 0, 37, 0),
-    'validate_binomial': (0, 0, 0, 0, 123, 347136),
+    'validate_binomial': (0, 0, 0, 0, 65, 347136),
     'validate_inverse': (0, 0, 0, 0, 0, 24000),
     'validate_swap': (0, 0, 0, 0, 0, 10000),
-    'validate_chisq_alt': (0, 0, 69, 70, 1018, 81600),
+    'validate_chisq_alt': (0, 0, 35, 35, 509, 81600),
     'validate_chisq_null': (0, 0, 34, 35, 509, 89700),
-    'validate_binomial_no_reject': (0, 0, 0, 0, 2, 600),
+    'validate_binomial_no_reject': (0, 0, 0, 0, 1, 600),
     'chisq_w2': (0, 0, 67, 68, 311, 0),
     'chisq_fid_small': (0, 0, 67, 68, 283, 0),
     'chisq_fid_attaining': (0, 0, 67, 68, 401, 0),

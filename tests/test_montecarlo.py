@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from shotbudget import (
@@ -207,6 +208,54 @@ class TestBinomialSimulator:
     def test_rejects_degraded_above_baseline(self):
         with pytest.raises(BaselineNotAboveTarget):
             simulate_binomial_detection(0.9, 0.95, 100, 0.05, McConfig(trials=10, seed=1))
+
+
+class TestPredictions:
+    """Each simulator's `expected` against scipy and closed forms, not stat_power."""
+
+    ONE = McConfig(trials=1, seed=1)  # the prediction does not depend on the draws
+
+    @pytest.mark.parametrize("fid", [0.0, 0.5, 0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("n", [1, 7, 458, 10_000])
+    def test_miss_rates_are_the_closed_forms(self, fid, n):
+        assert simulate_inverse_miss_rate(fid, n, self.ONE).expected == pytest.approx(fid**n, rel=1e-12, abs=0.0)
+        swap = simulate_swap_miss_rate(fid, n, self.ONE).expected
+        assert swap == pytest.approx(((1.0 + fid) / 2.0) ** n, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", [2, 4, 16])
+    @pytest.mark.parametrize("alpha", [0.01, 0.05])
+    @pytest.mark.parametrize("n", [50, 400, 3000])
+    def test_chisq_power_is_scipys_noncentral_tail(self, k, alpha, n):
+        # the critical value solves to ROOT_RTOL x 32 ~ 3e-8 at most here, and the noncentral density
+        # at it is under 1, so the rate may read ~3e-8 off scipy's: allow 1e-7
+        q = np.full(k, 1.0 / k)
+        p = q + 0.2 / k * np.where(np.arange(k) % 2, -1.0, 1.0) * (np.arange(k) < k - k % 2)
+        w2 = float(np.sum((p - q) ** 2 / q))
+        df = k - 1
+        oracle = 1.0 - scipy.stats.ncx2.cdf(scipy.stats.chi2.ppf(1.0 - alpha, df), df, n * w2)
+        expected = simulate_chisq_power(Distribution(p), Distribution(q), n, alpha, self.ONE).expected
+        assert expected == pytest.approx(oracle, abs=1e-7)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05])
+    def test_chisq_at_no_discrepancy_predicts_alpha(self, alpha):
+        q = Distribution(np.full(4, 0.25))
+        assert simulate_chisq_power(q, q, 400, alpha, self.ONE).expected == alpha
+
+    @pytest.mark.parametrize("q0, q1", [(0.99, 0.95), (0.99, 0.985), (0.9, 0.8), (0.7, 0.5)])
+    @pytest.mark.parametrize("n", [30, 300, 3000])
+    @pytest.mark.parametrize("alpha", [0.01, 0.05])
+    def test_binomial_detection_is_scipys_tail_at_its_threshold(self, q0, q1, n, alpha):
+        # scipy's threshold: the largest count whose tail at q0 is still <= alpha, -1 if none
+        c = int(scipy.stats.binom.ppf(alpha, n, q0))
+        t = c if scipy.stats.binom.cdf(c, n, q0) <= alpha else c - 1
+        oracle = scipy.stats.binom.cdf(t, n, q1) if t >= 0 else 0.0
+        expected = simulate_binomial_detection(q0, q1, n, alpha, self.ONE).expected
+        assert expected == pytest.approx(oracle, rel=1e-10, abs=1e-300)
+
+    def test_binomial_with_no_rejecting_count_predicts_zero(self):
+        # three shots at q0 = 1/2: even a count of 0 has tail 1/8 > alpha
+        assert scipy.stats.binom.cdf(0, 3, 0.5) > 0.05
+        assert simulate_binomial_detection(0.5, 0.1, 3, 0.05, self.ONE).expected == 0.0
 
 
 class TestKernelInvariants:

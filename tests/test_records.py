@@ -146,7 +146,7 @@ def _records() -> list:
         rates, block, report.allocations[0], report, spec,
         PARAMS, cli.CurveRequest("fid_vs_shots", 0.9, 0.99, 5, PARAMS), cli._Result({}, []),
         pure, DensityMatrix(np.diag([0.75, 0.25])), qcb_q(pure, PureState([1.0, 0.0])),
-        McConfig(10), McResult(0.5, 10),
+        McConfig(10), McResult(0.5, 0.5, 10),
     ]
 
 

@@ -39,7 +39,7 @@ from shotbudget.stat_power import (
     noncentral_chi2_cdf,
 )
 
-from conftest import walk_binomial_cdf, walk_rejection_threshold
+from conftest import deadline, walk_binomial_cdf, walk_rejection_threshold
 
 HALF = Distribution(np.array([0.5, 0.5]))
 SKEW = Distribution(np.array([0.25, 0.75]))
@@ -180,8 +180,40 @@ class TestChiSquareCdf:
         assert noncentral_chi2_cdf(x, 3.0, 5529600.0) == pytest.approx(expected, abs=atol)
 
     def test_a_hundred_million_noncentrality_answers_at_the_critical_value(self):
-        # ~10^5 mixture terms, all but the mode's by recurrence
+        # the zero bound answers at 3 df too; the walk took ~10^5 mixture terms here
         assert noncentral_chi2_cdf(chi2_quantile(0.99, 3.0), 3.0, 1e8) == 0.0
+
+    @pytest.mark.parametrize("nc", [1e8, 1e12, 1e22, 1e300])
+    def test_noncentral_far_past_the_critical_value_is_zero_without_the_walk(self, nc):
+        # the walk grows as sqrt(lam): 8 s at 1e12, and a Python int too large for a float above ~2.7e154
+        start = time.perf_counter()
+        with deadline(1):
+            assert noncentral_chi2_cdf(6.63, 1.0, nc) == 0.0
+        assert time.perf_counter() - start < 0.01
+
+    def test_noncentral_deep_in_the_lower_tail_is_not_cut_to_zero(self):
+        # at lam = 650 the forty-digit mixture reads 1.5e-116, far above the smallest double, so the
+        # bound must not answer 0.0 here; scipy reads 0.0, and the walk 1.6e-273 (CHANGES.md, FOUND)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            half, y = mpmath.mpf(325), mpmath.mpf(6.63) / 2
+            exact = mpmath.fsum(mpmath.exp(-half) * half**j / mpmath.factorial(j)
+                                * mpmath.gammainc(mpmath.mpf(0.5) + j, 0, y, regularized=True) for j in range(650))
+        assert 1e-117 < exact < 1e-115
+        assert noncentral_chi2_cdf(6.63, 1.0, 650.0) > 0.0
+
+    @pytest.mark.parametrize("x, df, nc", [(3000.0, 4095.0, 10.0), (14.0, 255.0, 44.0)])
+    def test_noncentral_far_below_df_keeps_its_digits(self, x, df, nc):
+        # F is 1e-41 and 1.5e-119 here, where the gamma bound reads e^-90 and e^-250: above e^-800, no cut
+        assert noncentral_chi2_cdf(x, df, nc) == pytest.approx(scipy.stats.ncx2.cdf(x, df, nc), rel=1e-9, abs=0.0)
+
+    def test_noncentral_against_scipy_across_the_zero_bound(self):
+        # at each x the bound on P[Pois(lam/2) < j0] + P(df/2 + j0, x/2) falls under e^-800 inside [3e3, 1e7]
+        for x, df in ((6.63, 1.0), (30.6, 15.0), (200.0, 3.0), (1e3, 1.0), (1e4, 63.0), (1e5, 1.0)):
+            for nc in np.geomspace(3e3, 1e7, 40):
+                assert noncentral_chi2_cdf(x, df, nc) == pytest.approx(
+                    scipy.stats.ncx2.cdf(x, df, nc), abs=1e-10
+                ), (x, df, nc)
 
     def test_noncentral_grid_against_scipy(self):
         # df up to 2^16 and lam up to 1e5, at fixed x and at the mean +- 5 sd

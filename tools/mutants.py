@@ -103,6 +103,11 @@ MUTANTS = [
     ("montecarlo.py", 'check_range("fidelity", fid, 0, 1, "[)")', 'check_range("fidelity", fid, 0, 1, "()")', None),
     ("montecarlo.py", 'q0, q1 = check_range("baseline q0", q0, 0, 1, "(]")',
      'q0, q1 = check_range("baseline q0", q0, 0, 1, "[]")', None),
+    ("montecarlo.py", "if threshold >= 0 else 0.0", "if threshold > 0 else 0.0", None),
+    ("montecarlo.py", "expected = alpha if w2 == 0.0 else", "expected = alpha if w2 != 0.0 else", None),
+    ("montecarlo.py", "accept ** n_shots,", "accept ** (n_shots - 1),", None),
+    ("stat_power.py", "int(half - 40.0 * math.sqrt(half))", "int(half - 4.0 * math.sqrt(half))", None),
+    ("stat_power.py", "_bd0(a0, y, a0 - y) >= 800.0:", "_bd0(a0, y, a0 - y) >= 80.0:", None),
     ("errors.py", "if count >= 2**63:", "if count > 2**63:", None),
     ("cli.py", 'check_count("curve points", points, 2)', 'check_count("curve points", points, 3)', None),
     ("tolerances.py", "ERROR_RATE_FLOOR = 2.0**-54", "ERROR_RATE_FLOOR = 2.0**-55", None),
